@@ -6,11 +6,13 @@ current-balance equation coupled to its neighbors:
     v_n**2 / r_bus_n - (x_n/r_n + sum_m v_m/r_{n,m} - i_cc_n) * v_n + d_cp_n = 0
 
 The physically viable operating point is the larger root (the smaller
-one is the voltage-collapse branch).  The default solver is a damped
-Gauss-Seidel fixed point that sweeps this per-bus update; a full-system
-Newton iteration on the current-balance residual is kept as an
-independent cross-check path.  Solvers are pure functions of their
-arguments and safe to run concurrently.
+one is the voltage-collapse branch).  A single configuration is solved
+by a damped Gauss-Seidel fixed point that sweeps this per-bus update,
+or on request by a full-system Newton iteration on the current-balance
+residual.  Many configurations at once (a resistance lattice) are
+solved by batched Newton in fixed-size blocks of lanes, each lane
+certified to sit on the larger root of every bus quadratic.  Solvers
+are pure functions of their arguments and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
+BLOCK_BYTES = 1 << 20    # Jacobian bytes per block of the batched solve
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,11 @@ def solve_steady_state(
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
 
+    v0 = _initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
     if method == "gauss_seidel":
-        v = _gauss_seidel(grid, xr, y, r_bus, tol, max_iter, damping)
+        v = _gauss_seidel(grid, xr, y, r_bus, v0, tol, max_iter, damping)
     elif method == "newton":
-        v = _newton(grid, xr, y, tol, max_iter)
+        v = _newton(grid, xr, y, v0, tol, max_iter)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -144,12 +148,11 @@ def _gauss_seidel(
     xr: np.ndarray,
     y: np.ndarray,
     r_bus: np.ndarray,
+    v: np.ndarray,
     tol: float,
     max_iter: int,
     damping: float,
 ) -> np.ndarray:
-    droop_like = _DroopArrays(xr, y)
-    v = _initial_voltages_from_arrays(grid, droop_like)
     four_d = 4.0 * grid.d_cp / r_bus
     res = np.inf
     for sweep in range(max_iter):
@@ -176,12 +179,12 @@ def _newton(
     grid: ValidatedGrid,
     xr: np.ndarray,
     y: np.ndarray,
+    v: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
     degree = grid.g_line.sum(axis=1)
     psi = np.diag(degree) - grid.g_line
-    v = _initial_voltages_from_arrays(grid, _DroopArrays(xr, y))
     for it in range(max_iter):
         f = _residual(grid, xr, y, v)
         if np.max(np.abs(f)) <= tol:
@@ -201,18 +204,13 @@ def _newton(
     raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
 
 
-@dataclass(frozen=True)
-class _DroopArrays:
-    xr: np.ndarray
-    y: np.ndarray
-
-
-def _initial_voltages_from_arrays(grid: ValidatedGrid, arrays: _DroopArrays) -> np.ndarray:
-    # x = (x/r) / (1/r) on converter buses; load buses start at the mean of
-    # their converter neighbors' set-points (global mean as fallback).
+def _initial_voltages(grid: ValidatedGrid, x: np.ndarray) -> np.ndarray:
+    # Converter buses start at their set-point x (read on converter buses
+    # only); load buses start at the mean of their converter neighbors'
+    # set-points (global mean as fallback).
     v = np.zeros(grid.n)
     vsc = np.array(grid.vsc_buses)
-    v[vsc] = arrays.xr[vsc] / arrays.y[vsc]
+    v[vsc] = x[vsc]
     mean_x = float(np.mean(v[vsc]))
     for bus in range(grid.n):
         if grid.has_vsc(bus):
@@ -271,9 +269,9 @@ class BatchSolve:
     """Result of solving many droop configurations at once."""
 
     v: np.ndarray         # (batch, n) voltages, NaN where not viable
-    feasible: np.ndarray  # (batch,) bool, converged to a real root
+    feasible: np.ndarray  # (batch,) bool, converged on the larger root
     residual: np.ndarray  # (batch,) max current-balance error [A]
-    sweeps: int
+    sweeps: int           # Newton iterations, the most any block needed
 
 
 def solve_steady_state_many(
@@ -282,59 +280,119 @@ def solve_steady_state_many(
     r: Mapping[int, np.ndarray],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-    check_every: int = 8,
 ) -> BatchSolve:
-    """Vectorized Gauss-Seidel over a batch of virtual-resistance values.
+    """Batched Newton over many virtual-resistance values.
 
     ``r`` maps each converter bus to a scalar or a (batch,) array; arrays
     are broadcast together.  Reference voltages are shared across the
-    batch.  Non-viable configurations surface as ``feasible=False``
-    lanes instead of raising, so a grid search can skip them.
+    batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` worth of
+    Jacobians, each lane independently of the others, so a lane's
+    voltages do not depend on the batch it is solved in.  A lane is
+    feasible when its residual is at most ``tol`` with every voltage
+    positive and every constant-power bus on the larger root of its
+    quadratic; other lanes surface as ``feasible=False`` with NaN
+    voltages instead of raising, so a grid search can skip them.
     """
     if set(x) != set(grid.vsc_buses) or set(r) != set(grid.vsc_buses):
         raise ValueError("x and r must provide entries exactly for converter buses")
     batch = np.broadcast_shapes(*(np.shape(np.asarray(val)) for val in r.values()), (1,))
     size = int(np.prod(batch)) if batch else 1
-
-    y = np.zeros((size, grid.n))
-    xr = np.zeros((size, grid.n))
+    r_lanes = {
+        bus: np.broadcast_to(np.asarray(val, dtype=float), batch).reshape(size)
+        for bus, val in r.items()
+    }
+    x_bus = np.zeros(grid.n)
     for bus in grid.vsc_buses:
-        r_vals = np.broadcast_to(np.asarray(r[bus], dtype=float), batch).reshape(size)
-        y[:, bus] = 1.0 / r_vals
-        xr[:, bus] = x[bus] / r_vals
-    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
-    four_d = 4.0 * grid.d_cp / r_bus
+        x_bus[bus] = x[bus]
+    v0 = _initial_voltages(grid, x_bus)
 
     v = np.empty((size, grid.n))
-    nominal_like = _DroopArrays(xr.mean(axis=0), y.mean(axis=0))
-    v[:] = _initial_voltages_from_arrays(grid, nominal_like)
-    for bus in grid.vsc_buses:
-        v[:, bus] = x[bus]
-
-    res = np.full(size, np.inf)
+    feasible = np.empty(size, dtype=bool)
+    residual = np.empty(size)
+    block = max(1, BLOCK_BYTES // (8 * grid.n * grid.n))
     sweeps = 0
-    with np.errstate(invalid="ignore"):
-        for sweep in range(max_iter):
-            sweeps = sweep + 1
-            for bus in range(grid.n):
-                b = xr[:, bus] + v @ grid.g_line[bus] - grid.i_cc[bus]
-                root = 0.5 * r_bus[:, bus] * (b + np.sqrt(b * b - four_d[:, bus]))
-                v[:, bus] = damping * root + (1.0 - damping) * v[:, bus]
-            if sweeps % check_every == 0 or sweeps == max_iter:
-                res = _residual_batch(grid, xr, y, v)
-                alive = np.isfinite(res)
-                if not np.any(alive & (res > tol)):
-                    break
-    feasible = np.isfinite(res) & (res <= tol)
-    return BatchSolve(v=v, feasible=feasible, residual=res, sweeps=sweeps)
+    for lo in range(0, size, block):
+        lanes = slice(lo, min(lo + block, size))
+        y = np.zeros((lanes.stop - lo, grid.n))
+        xr = np.zeros_like(y)
+        for bus, r_vals in r_lanes.items():
+            y[:, bus] = 1.0 / r_vals[lanes]
+            xr[:, bus] = x[bus] / r_vals[lanes]
+        v_blk, ok, res, its = _newton_block(grid, xr, y, v0, tol, max_iter)
+        v[lanes], feasible[lanes], residual[lanes] = v_blk, ok, res
+        sweeps = max(sweeps, its)
+    return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
 
 
-def _residual_batch(grid, xr, y, v):
-    line_out = v * grid.g_line.sum(axis=1) - v @ grid.g_line.T
+def _newton_block(
+    grid: ValidatedGrid,
+    xr: np.ndarray,
+    y: np.ndarray,
+    v0: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Newton on one block of lanes; only lanes still above ``tol`` iterate.
+
+    Each iteration solves the (lanes, n, n) Jacobian
+    ``g_line - diag(degree + y + 1/r_cr - d_cp/v**2)``.  A lane leaves the
+    iteration as soon as it is converged or off the physical branch, so
+    a lane without a viable operating point stops the moment it strays
+    instead of running to ``max_iter``.
+    """
+    g_bus = grid.g_line.sum(axis=1) + y + grid.r_cr_inv  # 1/r_bus per lane
+    v = np.broadcast_to(v0, xr.shape).copy()
+    feasible = np.zeros(len(v), dtype=bool)
+    residual = np.full(len(v), np.inf)
+    live = np.arange(len(v))
+    diag = np.arange(grid.n)
+    its = 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        f = xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
-        return np.max(np.abs(f), axis=1)
+        while True:
+            v_live = v[live]
+            b, f = _balance(grid, xr[live], g_bus[live], v_live)
+            residual[live] = np.max(np.abs(f), axis=1)
+            physical = _on_upper_branch(grid, g_bus[live], b, v_live)
+            done = physical & (residual[live] <= tol)
+            feasible[live[done]] = True
+            keep = physical & ~done
+            live, f = live[keep], f[keep]
+            if live.size == 0 or its == max_iter:
+                break
+            its += 1
+            jac = np.broadcast_to(grid.g_line, (live.size, grid.n, grid.n)).copy()
+            jac[:, diag, diag] -= g_bus[live] - grid.d_cp / v[live] ** 2
+            v[live] -= np.linalg.solve(jac, f[:, :, None])[:, :, 0]
+    v[~feasible] = np.nan
+    return v, feasible, residual, its
+
+
+def _balance(
+    grid: ValidatedGrid, xr: np.ndarray, g_bus: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Linear coefficient ``b`` of each bus quadratic, and the residual, per lane.
+
+    ``b = x/r + sum_m v_m/r_{n,m} - i_cc`` and the current-balance error
+    is ``b - v/r_bus - d_cp/v``.  The line sum is taken row by row, so a
+    lane's figures do not depend on the other lanes in the batch.
+    """
+    b = xr + (v[:, None, :] * grid.g_line).sum(axis=2) - grid.i_cc
+    return b, b - g_bus * v - grid.d_cp / v
+
+
+def _on_upper_branch(
+    grid: ValidatedGrid, g_bus: np.ndarray, b: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Lanes with every voltage positive and every constant-power bus on its larger root.
+
+    The bus quadratic ``v**2/r_bus - b v + d_cp`` has real roots when
+    ``b**2 >= 4 d_cp/r_bus``, and its larger root lies at or above the
+    vertex ``b r_bus/2``; a voltage below the vertex is on the collapse
+    branch.
+    """
+    disc = b * b - 4.0 * grid.d_cp * g_bus
+    upper = (disc >= 0.0) & (2.0 * v * g_bus >= b)
+    return np.all((v > 0.0) & ((grid.d_cp == 0.0) | upper), axis=1)
 
 
 # -- closed form for the two-source star --------------------------------------

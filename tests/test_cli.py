@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from powertalk import (
 from powertalk.cli import RunConfig, SWEEP_COLUMNS, main, parse_config, serialize
 
 CASE_TEXT = json.dumps(case_study_document())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -197,6 +199,13 @@ def test_sweep_emits_the_fixed_columns(boxed_grid_file, capsys):
     first = out[1].split(",")
     assert float(first[0]) == 2.0
     assert float(first[2]) >= float(first[1])  # optimized capacity dominates
+
+
+def test_sweep_matches_the_case_study_golden(capsys):
+    grid_path = ROOT / "configs" / "case_study.json"
+    assert main(["sweep", "--grid", str(grid_path), "--pi", "2,5,10,15,20"]) == 0
+    golden = (ROOT / "tests" / "golden" / "capacity_sweep.csv").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_sweep_requires_budget_points(grid_file, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powertalk import steady_state
 from powertalk import (
     Bus,
     DroopState,
@@ -20,6 +21,7 @@ from powertalk import (
     two_source_closed_form,
     validate_grid,
 )
+from powertalk.optimizer import DEFAULT_STEP, default_r_max
 
 r_values = st.floats(min_value=0.2, max_value=2.0)
 
@@ -198,8 +200,72 @@ def test_batch_solve_flags_nonviable_lanes(grid, nominal):
         r={0: np.array([0.39, 3000.0, 0.8]), 1: np.array([0.39, 3000.0, 0.39])},
     )
     assert list(batch.feasible) == [True, False, True]
+    assert np.isnan(batch.v[1]).all()
+    assert batch.sweeps <= 10  # the stray lane leaves at once, not at max_iter
 
 
 def test_batch_solve_rejects_wrong_bus_keys(grid, nominal):
     with pytest.raises(ValueError):
         solve_steady_state_many(grid, x=dict(nominal.x), r={0: 0.39})
+
+
+def _case_study_lattice(grid, nominal):
+    """The optimizer's resistance lattice for the case study, flattened."""
+    axes = []
+    for bus in grid.vsc_buses:
+        lo, hi = nominal.r[bus], default_r_max(grid, nominal, bus)
+        axes.append(lo + DEFAULT_STEP * np.arange(int(np.floor((hi - lo) / DEFAULT_STEP + 1e-9)) + 1))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return {bus: m.reshape(-1) for bus, m in zip(grid.vsc_buses, mesh)}
+
+
+def test_batch_lanes_do_not_depend_on_their_block(grid, nominal):
+    block = steady_state.BLOCK_BYTES // (8 * grid.n * grid.n)
+    lanes = 3 * block + 17
+    r = {0: np.linspace(0.39, 3.9, lanes), 1: np.linspace(3.9, 0.39, lanes)}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    assert batch.feasible.all()
+    edges = [k * block + d for k in range(1, 4) for d in (-1, 0, 1)]
+    for lane in [0, 1, lanes - 1] + edges + list(range(5, lanes, 997)):
+        alone = solve_steady_state_many(
+            grid, dict(nominal.x), {0: r[0][lane : lane + 1], 1: r[1][lane : lane + 1]}
+        )
+        np.testing.assert_array_equal(batch.v[lane], alone.v[0], err_msg=f"lane {lane}")
+
+
+def test_batch_matches_closed_form_on_case_study_lattice(grid, nominal):
+    lattice = _case_study_lattice(grid, nominal)
+    sample = {bus: r[::499] for bus, r in lattice.items()}
+    batch = solve_steady_state_many(grid, dict(nominal.x), sample)
+    assert batch.feasible.all()
+    assert batch.sweeps <= 10
+    for lane in range(len(sample[0])):
+        droop = nominal.with_r({bus: float(r[lane]) for bus, r in sample.items()})
+        err = np.max(np.abs(batch.v[lane] - two_source_closed_form(grid, droop)))
+        assert err <= 1e-9, f"lane {lane}: {err:.3e} V"
+
+
+def _collapse_root(grid, droop):
+    """Star voltages on the smaller root of the load-bus quadratic."""
+    load, sources = 2, (0, 1)
+    r_leg = {bus: droop.r[bus] + 1.0 / grid.g_line[bus, load] for bus in sources}
+    g_total = sum(1.0 / r_leg[bus] for bus in sources) + grid.r_cr_inv[load]
+    b = sum(droop.x[bus] / r_leg[bus] for bus in sources) - grid.i_cc[load]
+    v = np.zeros(3)
+    v[load] = (b - np.sqrt(b * b - 4.0 * grid.d_cp[load] * g_total)) / (2.0 * g_total)
+    for bus in sources:
+        g_line = grid.g_line[bus, load]
+        v[bus] = (droop.x[bus] / droop.r[bus] + v[load] * g_line) / (1.0 / droop.r[bus] + g_line)
+    return v
+
+
+def test_branch_certificate_rejects_collapse_root(grid, nominal):
+    xr = nominal.source_terms(grid)[None, :]
+    g_bus = (grid.g_line.sum(axis=1) + nominal.conductances(grid) + grid.r_cr_inv)[None, :]
+    upper = two_source_closed_form(grid, nominal)[None, :]
+    lower = _collapse_root(grid, nominal)[None, :]
+    assert 0.0 < lower[0, 2] < upper[0, 2]
+    for v, on_upper in ((upper, True), (lower, False)):
+        b, f = steady_state._balance(grid, xr, g_bus, v)
+        assert np.max(np.abs(f)) < 1e-9  # both roots satisfy the current balance
+        assert steady_state._on_upper_branch(grid, g_bus, b, v).tolist() == [on_upper]
