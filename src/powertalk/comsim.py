@@ -8,16 +8,22 @@ full nonlinear steady-state solver (two operating points, one per
 symbol) or through the linearized gain matrix.
 
 Randomness is counter-keyed: bit and noise streams are drawn per fixed-
-size chunk from generators keyed by (seed, stream, chunk index), so any
-parallel split over chunks reproduces the sequential run bit for bit.
+size chunk from generators keyed by (seed, stream, chunk index), so a
+chunk's slots do not depend on which thread draws them.  Chunks are
+spread in interleaved stripes over one thread per available CPU; each
+returns a few partial counts and sums, and the calling thread folds them
+in chunk order, so every float is added in the sequential order and a
+run is bit for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -31,6 +37,9 @@ logger = logging.getLogger(__name__)
 CHUNK_SLOTS = 1 << 16   # chunk size fixed by the reproducibility scheme
 _BIT_STREAM = 0
 _NOISE_STREAM = 1
+
+_T = TypeVar("_T")
+SymbolStats = Tuple[int, float, float]   # count, sum, sum of squares
 
 __all__ = [
     "SimConfig",
@@ -112,6 +121,79 @@ def _chunks(slots: int) -> Iterator[Tuple[int, int]]:
         yield chunk, min(CHUNK_SLOTS, slots - chunk * CHUNK_SLOTS)
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(slots: int, work: Callable[[int, int], _T]) -> List[_T]:
+    """``work(chunk, size)`` for every chunk, returned in chunk order.
+
+    Chunks go out in interleaved stripes, one per available CPU: the
+    calling thread runs stripe 0 and plain threads run the others.  The
+    numpy calls inside ``work`` release the GIL, so stripes overlap.  No
+    thread starts for one CPU or one chunk.
+    """
+    chunks = list(_chunks(slots))
+    workers = min(_available_cpus(), len(chunks))
+    if workers <= 1:
+        return [work(chunk, size) for chunk, size in chunks]
+    results: list = [None] * len(chunks)
+    failures: List[BaseException] = []
+
+    def stripe(first: int) -> None:
+        try:
+            for index in range(first, len(chunks), workers):
+                results[index] = work(*chunks[index])
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=stripe, args=(first,)) for first in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    stripe(0)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
+def _tally(
+    bits: np.ndarray,
+    noise: np.ndarray,
+    sigma_z: float,
+    rx_mean: Mapping[int, float],
+    midpoint: float,
+    orientation: float,
+) -> Tuple[int, Dict[int, SymbolStats]]:
+    """Detection errors and per-symbol observation stats of one chunk.
+
+    The observation of a slot is ``sigma_z * noise + rx_mean[symbol]``,
+    built in place in ``noise`` (which is overwritten).  The receiver
+    decides +1 on the side of ``midpoint`` where ``rx_mean[+1]`` lies:
+    ``obs >= midpoint`` when ``orientation`` is +1, ``obs <= midpoint``
+    when it is -1.  Each symbol's sums run over its compacted
+    observations, the arrays the sequential loop summed, so numpy's
+    pairwise summation order is unchanged.
+    """
+    plus = bits.view(bool)
+    noise *= sigma_z
+    errors = 0
+    stats = {}
+    for symbol, mask in ((+1, plus), (-1, ~plus)):
+        obs = noise[mask]
+        obs += rx_mean[symbol]
+        said_plus = np.count_nonzero(obs >= midpoint if orientation > 0 else obs <= midpoint)
+        errors += obs.size - said_plus if symbol == +1 else said_plus
+        total = obs.sum()
+        # squared in place: the same values as obs**2, without a second array
+        stats[symbol] = (obs.size, total, np.square(obs, out=obs).sum())
+    return errors, stats
+
+
 def _hypothesis_points(
     grid: ValidatedGrid,
     droop: DroopState,
@@ -161,6 +243,11 @@ def run_transmission(
     pooled within-symbol variance.  Power deviations are measured about
     nominal (nameplate) operation; converters with a nameplate budget
     trigger :class:`BudgetExceededWarning` when exceeded beyond 5%.
+
+    Chunks run on every available CPU (see the module docstring); each
+    yields its error count and per-symbol count, sum and sum of squares,
+    folded here in chunk order, so the report does not depend on the
+    number of CPUs.
     """
     cfg.validate(grid)
     droop.validate(grid)
@@ -173,21 +260,20 @@ def run_transmission(
     midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
     orientation = 1.0 if rx_mean[+1] >= rx_mean[-1] else -1.0
 
-    errors = 0
-    ones = 0
-    stats = {symbol: (0, 0.0, 0.0) for symbol in (+1, -1)}  # count, sum, sumsq
-    for chunk, size in _chunks(cfg.slots):
+    def work(chunk: int, size: int) -> Tuple[int, Dict[int, SymbolStats]]:
         bits = chunk_bits(cfg.rng_seed, chunk, size)
-        symbols = 2 * bits.astype(np.float64) - 1.0
-        means = np.where(bits == 1, rx_mean[+1], rx_mean[-1])
-        obs = means + cfg.sigma_z * chunk_noise(cfg.rng_seed, chunk, size)
-        decided = np.where(orientation * (obs - midpoint) >= 0.0, 1.0, -1.0)
-        errors += int(np.sum(decided != symbols))
-        ones += int(np.sum(bits))
+        noise = chunk_noise(cfg.rng_seed, chunk, size)
+        return _tally(bits, noise, cfg.sigma_z, rx_mean, midpoint, orientation)
+
+    errors = 0
+    stats: Dict[int, SymbolStats] = {symbol: (0, 0.0, 0.0) for symbol in (+1, -1)}
+    for chunk_errors, chunk_stats in _map_chunks(cfg.slots, work):
+        errors += chunk_errors
         for symbol in (+1, -1):
-            sel = obs[bits == (symbol + 1) // 2]
             count, total, sumsq = stats[symbol]
-            stats[symbol] = (count + sel.size, total + sel.sum(), sumsq + (sel**2).sum())
+            chunk_count, chunk_sum, chunk_sumsq = chunk_stats[symbol]
+            stats[symbol] = (count + chunk_count, total + chunk_sum, sumsq + chunk_sumsq)
+    ones = stats[+1][0]
 
     ber = errors / cfg.slots
     ci = 1.96 * np.sqrt(ber * (1.0 - ber) / cfg.slots)
@@ -248,9 +334,12 @@ def measure_power_compliance(
     droop.validate(grid)
     _, power = _hypothesis_points(grid, droop, None, cfg)
     p_nom = solve_steady_state(grid, nominal_droop(grid)).p
-    ones = 0
-    for chunk, size in _chunks(cfg.slots):
-        ones += int(np.sum(chunk_bits(cfg.rng_seed, chunk, size)))
+    ones = sum(
+        _map_chunks(
+            cfg.slots,
+            lambda chunk, size: np.count_nonzero(chunk_bits(cfg.rng_seed, chunk, size)),
+        )
+    )
     rows = {}
     for bus in sorted(pi):
         dp_plus = power[+1][bus] - p_nom[bus]

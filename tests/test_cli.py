@@ -208,6 +208,19 @@ def test_sweep_matches_the_case_study_golden(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_simulate_matches_the_seed1_golden(capsys):
+    # 1,000,003 slots: 16 chunks, the last one partial
+    grid_path = ROOT / "configs" / "case_study.json"
+    out = []
+    for mode in ("nonlinear", "linearized"):
+        argv = ["simulate", "--grid", str(grid_path), "--r", "0.44,0.48", "--pi", "10",
+                "--slots", "1000003", "--seed", "1", "--mode", mode]
+        assert main(argv) == 0
+        out.append(f"# simulate {mode}\n" + capsys.readouterr().out)
+    golden = (ROOT / "tests" / "golden" / "simulate_seed1.txt").read_text()
+    assert "".join(out) == golden
+
+
 def test_sweep_requires_budget_points(grid_file, capsys):
     assert main(["sweep", "--grid", grid_file]) == 2
     assert "error: config" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,12 +14,15 @@ from powertalk import (
     LineSpec,
     LoadSpec,
     SimConfig,
+    SimReport,
     VscSpec,
     chunk_bits,
     chunk_noise,
+    comsim,
     measure_power_compliance,
     nominal_droop,
     run_transmission,
+    solve_steady_state,
     validate_grid,
 )
 
@@ -180,3 +185,135 @@ def test_slot_duration_is_metadata_only(grid, nominal, model):
     assert run_transmission(grid, nominal, model, short).ber == run_transmission(
         grid, nominal, model, long
     ).ber
+
+
+# -- the chunk map against the sequential loop it replaced ------------------
+
+def sequential_counts(seed, slots, sigma_z, rx_mean, midpoint, orientation):
+    """The chunk loop as it ran before the chunk map: one chunk after another."""
+    errors = 0
+    ones = 0
+    stats = {symbol: (0, 0.0, 0.0) for symbol in (+1, -1)}  # count, sum, sumsq
+    for chunk, size in comsim._chunks(slots):
+        bits = chunk_bits(seed, chunk, size)
+        symbols = 2 * bits.astype(np.float64) - 1.0
+        means = np.where(bits == 1, rx_mean[+1], rx_mean[-1])
+        obs = means + sigma_z * chunk_noise(seed, chunk, size)
+        decided = np.where(orientation * (obs - midpoint) >= 0.0, 1.0, -1.0)
+        errors += int(np.sum(decided != symbols))
+        ones += int(np.sum(bits))
+        for symbol in (+1, -1):
+            sel = obs[bits == (symbol + 1) // 2]
+            count, total, sumsq = stats[symbol]
+            stats[symbol] = (count + sel.size, total + sel.sum(), sumsq + (sel**2).sum())
+    return errors, ones, stats
+
+
+def sequential_report(grid, droop, model, cfg):
+    rx_mean, power = comsim._hypothesis_points(grid, droop, model, cfg)
+    p_nom = solve_steady_state(grid, nominal_droop(grid)).p
+    midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
+    orientation = 1.0 if rx_mean[+1] >= rx_mean[-1] else -1.0
+    errors, ones, stats = sequential_counts(
+        cfg.rng_seed, cfg.slots, cfg.sigma_z, rx_mean, midpoint, orientation
+    )
+    p_dev = {
+        bus: (ones * (power[+1][bus] - p_nom[bus]) ** 2
+              + (cfg.slots - ones) * (power[-1][bus] - p_nom[bus]) ** 2) / cfg.slots
+        for bus in p_nom
+    }
+    ber = errors / cfg.slots
+    return SimReport(
+        ber=float(ber),
+        ber_ci95=float(1.96 * np.sqrt(ber * (1.0 - ber) / cfg.slots)),
+        snr_empirical=comsim._empirical_snr(stats),
+        p_dev_mean_sq=p_dev,
+        slots_run=cfg.slots,
+    )
+
+
+def pin_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("sigma_z", [0.01, 0.0])
+@pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+@pytest.mark.parametrize("slots", [1, CHUNK_SLOTS - 1, CHUNK_SLOTS, 3 * CHUNK_SLOTS + 17])
+def test_chunk_map_reproduces_the_sequential_loop(
+    monkeypatch, grid, nominal, model, slots, mode, sigma_z, cpus
+):
+    pin_cpus(monkeypatch, cpus)
+    cfg = make_cfg(slots=slots, mode=mode, sigma_z=sigma_z, amplitude=0.02, rng_seed=11)
+    want = sequential_report(grid, nominal, model, cfg)
+    got = run_transmission(grid, nominal, model, cfg)
+    # NaN (an SNR with one symbol never drawn) is the one value == rejects
+    if math.isnan(want.snr_empirical):
+        assert math.isnan(got.snr_empirical)
+        want = dataclasses.replace(want, snr_empirical=got.snr_empirical)
+    assert got == want
+
+
+def test_tally_decides_against_a_reversed_orientation():
+    # rx_mean[+1] below rx_mean[-1]: +1 is decided at or below the midpoint
+    rx_mean = {+1: 399.0, -1: 399.5}
+    midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
+    errors, stats = comsim._tally(
+        chunk_bits(4, 0, CHUNK_SLOTS), chunk_noise(4, 0, CHUNK_SLOTS), 0.2, rx_mean, midpoint, -1.0
+    )
+    want_errors, _, want_stats = sequential_counts(4, CHUNK_SLOTS, 0.2, rx_mean, midpoint, -1.0)
+    assert (errors, stats) == (want_errors, want_stats)
+    assert 0 < errors < CHUNK_SLOTS // 4
+
+
+def which_thread(chunk, size):
+    # the Thread object, not its ident: a finished thread's ident may be reused
+    return threading.current_thread()
+
+
+def test_chunk_map_runs_interleaved_stripes_in_chunk_order(monkeypatch):
+    pin_cpus(monkeypatch, 3)
+    threads = comsim._map_chunks(4 * CHUNK_SLOTS, which_thread)
+    main = threading.current_thread()
+    assert threads[0] is main and threads[3] is main
+    assert len({threads[1], threads[2], main}) == 3
+
+
+def test_chunk_map_starts_no_thread_for_one_chunk_or_one_cpu(monkeypatch):
+    main = threading.current_thread()
+    pin_cpus(monkeypatch, 3)
+    assert comsim._map_chunks(CHUNK_SLOTS, which_thread) == [main]
+    pin_cpus(monkeypatch, 1)
+    assert comsim._map_chunks(3 * CHUNK_SLOTS, which_thread) == [main] * 3
+
+
+def test_chunk_map_reraises_a_helper_failure(monkeypatch):
+    pin_cpus(monkeypatch, 2)
+
+    def work(chunk, size):
+        if chunk == 1:
+            raise MemoryError("chunk 1")
+        return size
+
+    with pytest.raises(MemoryError, match="chunk 1"):
+        comsim._map_chunks(2 * CHUNK_SLOTS, work)
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert comsim._available_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert comsim._available_cpus() == 1
+
+
+def test_compliance_counts_ones_on_any_cpu_count(monkeypatch, grid, nominal):
+    cfg = make_cfg(amplitude=0.02, slots=3 * CHUNK_SLOTS + 17)
+    rows = []
+    for cpus in (1, 3):
+        pin_cpus(monkeypatch, cpus)
+        rows.append(measure_power_compliance(grid, nominal, cfg, pi={0: 10.0, 1: 10.0}))
+    report = sequential_report(grid, nominal, None, cfg)
+    assert rows[0] == rows[1]
+    for bus, row in rows[0].items():
+        assert row.empirical == report.p_dev_mean_sq[bus]
