@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleBudget
 from .grid import ValidatedGrid
-from .steady_state import DroopState, SteadyState, solve_steady_state
+from .steady_state import DroopState, solve_steady_state
 
 __all__ = [
     "BudgetAllocation",
@@ -47,23 +47,22 @@ def vr_power_investment(
     grid: ValidatedGrid,
     droop_nom: DroopState,
     droop_new: DroopState,
-    solved_new: Optional[SteadyState] = None,
 ) -> Dict[int, float]:
     """Static supplied-power change caused by re-tuning virtual resistances.
 
     Both droop states must carry the same reference voltages; only the
     virtual resistances may differ.  The investment is the difference of
     converter output powers between the two solved operating points and
-    is identically zero when the resistances match.  A caller that has
-    already solved ``droop_new`` passes it as ``solved_new`` to skip
-    that solve.
+    is identically zero when the resistances match.  Both solves go
+    through ``solve_steady_state``, so an operating point the caller has
+    already solved is not solved again.
     """
     if set(droop_nom.x) != set(droop_new.x) or any(
         droop_new.x[bus] != droop_nom.x[bus] for bus in droop_nom.x
     ):
         raise ValueError("droop states must share reference voltages")
     p_nom = solve_steady_state(grid, droop_nom).p
-    p_new = (solve_steady_state(grid, droop_new) if solved_new is None else solved_new).p
+    p_new = solve_steady_state(grid, droop_new).p
     return {bus: p_new[bus] - p_nom[bus] for bus in sorted(p_nom)}
 
 

@@ -4,7 +4,8 @@ Each bus carries a composite shunt load (constant resistance, constant
 current, constant power in parallel) and optionally a droop-controlled
 voltage source converter (VSC).  Buses are joined by resistive
 distribution lines.  Validation produces an immutable :class:`ValidatedGrid`
-whose arrays are safe to share across threads.
+whose arrays are read-only, so they are safe to share across threads and
+a grid object always stands for the same content.
 """
 
 from __future__ import annotations
@@ -181,16 +182,15 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
 
     _check_connected(n, g_line)
 
-    return ValidatedGrid(
-        spec=spec,
-        n=n,
-        buses=buses,
-        vsc_buses=vsc_buses,
-        g_line=g_line,
-        r_cr_inv=np.array([0.0 if b.load.r_cr is None else 1.0 / b.load.r_cr for b in buses]),
-        i_cc=np.array([b.load.i_cc for b in buses]),
-        d_cp=np.array([b.load.d_cp for b in buses]),
-    )
+    arrays = {
+        "g_line": g_line,
+        "r_cr_inv": np.array([0.0 if b.load.r_cr is None else 1.0 / b.load.r_cr for b in buses]),
+        "i_cc": np.array([b.load.i_cc for b in buses]),
+        "d_cp": np.array([b.load.d_cp for b in buses]),
+    }
+    for array in arrays.values():
+        array.flags.writeable = False
+    return ValidatedGrid(spec=spec, n=n, buses=buses, vsc_buses=vsc_buses, **arrays)
 
 
 def _check_connected(n: int, g_line: np.ndarray) -> None:

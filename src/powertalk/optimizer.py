@@ -115,7 +115,7 @@ def one_way_snr(
     _check_link(grid, pi, tx, rx)
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
-    dp = vr_power_investment(grid, nominal, droop, state)
+    dp = vr_power_investment(grid, nominal, droop)
     h = model.H[rx, tx]
     g = {}
     for bus in sorted(pi):

@@ -13,11 +13,22 @@ residual.  Many configurations at once (a resistance lattice) are
 solved by batched Newton in fixed-size blocks of lanes, each lane
 certified to sit on the larger root of every bus quadratic.  Solvers
 are pure functions of their arguments and safe to run concurrently.
+
+A single configuration is solved once per grid: ``solve_steady_state``
+keeps the last ``MEMO_SIZE`` operating points, keyed on the grid object,
+the exact bits of the droop values and the solver settings, and a
+repeated call returns the stored result, bit for bit what a fresh solve
+gives.  Its arrays are read-only; its current and power dicts are the
+caller's own copies.  The key relies on a validated grid's arrays being
+read-only too.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
 
@@ -32,6 +43,10 @@ DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 BLOCK_BYTES = 1 << 20    # Jacobian bytes per block of the batched solve
+MEMO_SIZE = 64           # operating points kept by solve_steady_state
+
+_memo: "OrderedDict[tuple, Tuple[ValidatedGrid, SteadyState]]" = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -103,9 +118,14 @@ class ViabilityViolation:
     bound: float  # minimum reference voltage for a real operating point [V]
 
 
-def _residual(grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Current-balance error per bus: injection minus load minus line export."""
-    line_out = grid.g_line.sum(axis=1) * v - grid.g_line @ v
+def _residual(
+    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, degree: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Current-balance error per bus: injection minus load minus line export.
+
+    ``degree`` is ``grid.g_line.sum(axis=1)``, the line conductance at each bus.
+    """
+    line_out = degree * v - grid.g_line @ v
     return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
 
 
@@ -122,24 +142,63 @@ def solve_steady_state(
     ``tol`` bounds the final max current-balance residual in amps.
     Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
     (droop parameters outside the viable range) and :class:`NonConvergence`
-    when ``max_iter`` is exhausted.
+    when ``max_iter`` is exhausted.  A repeated call with the same grid
+    object and bit-identical arguments returns the remembered result
+    (see the module docstring); failures are not remembered.
     """
     droop.validate(grid)
+    key = (
+        id(grid),
+        np.array(
+            [droop.x[bus] for bus in grid.vsc_buses] + [droop.r[bus] for bus in grid.vsc_buses],
+            dtype=float,
+        ).tobytes(),
+        tol,
+        max_iter,
+        method,
+        damping,
+    )
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is not None:
+            _memo.move_to_end(key)
+            return replace(entry[1], i=dict(entry[1].i), p=dict(entry[1].p))
+
+    state = _solve(grid, droop, tol, max_iter, method, damping)
+    for array in (state.v, state.kappa, state.r_bus):
+        array.flags.writeable = False
+    with _memo_lock:
+        _memo[key] = (grid, state)
+        _memo.move_to_end(key)
+        while len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    return replace(state, i=dict(state.i), p=dict(state.p))
+
+
+def _solve(
+    grid: ValidatedGrid,
+    droop: DroopState,
+    tol: float,
+    max_iter: int,
+    method: str,
+    damping: float,
+) -> SteadyState:
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
-    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
+    degree = grid.g_line.sum(axis=1)
+    r_bus = 1.0 / (grid.r_cr_inv + degree + y)
 
     v0 = _initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
     if method == "gauss_seidel":
-        v = _gauss_seidel(grid, xr, y, r_bus, v0, tol, max_iter, damping)
+        v = _gauss_seidel(grid, xr, y, degree, r_bus, v0, tol, max_iter, damping)
     elif method == "newton":
-        v = _newton(grid, xr, y, v0, tol, max_iter)
+        v = _newton(grid, xr, y, degree, v0, tol, max_iter)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     kappa = _kappa(grid, xr, r_bus, v)
     i, p = vsc_outputs(grid, droop, v)
-    residual = float(np.max(np.abs(_residual(grid, xr, y, v))))
+    residual = float(np.max(np.abs(_residual(grid, xr, y, degree, v))))
     return SteadyState(v=v, i=i, p=p, kappa=kappa, r_bus=r_bus, residual=residual)
 
 
@@ -147,26 +206,41 @@ def _gauss_seidel(
     grid: ValidatedGrid,
     xr: np.ndarray,
     y: np.ndarray,
+    degree: np.ndarray,
     r_bus: np.ndarray,
     v: np.ndarray,
     tol: float,
     max_iter: int,
     damping: float,
 ) -> np.ndarray:
+    """Damped sweeps of the per-bus larger root until the residual is within ``tol``.
+
+    The sweep runs on Python floats with the per-bus constants hoisted;
+    the row sum stays one BLAS dot per bus (``ndarray.dot``, the routine
+    behind ``np.dot``; a Python sum rounds differently), so every voltage
+    matches a numpy sweep bit for bit.
+    """
     four_d = 4.0 * grid.d_cp / r_bus
+    buses = [
+        (bus, grid.g_line[bus].dot, float(xr[bus]), float(grid.i_cc[bus]), float(four_d[bus]),
+         float(0.5 * r_bus[bus]))
+        for bus in range(grid.n)
+    ]
+    v_old = v.tolist()
+    keep = 1.0 - damping
+    sqrt = math.sqrt
     res = np.inf
     for sweep in range(max_iter):
-        for bus in range(grid.n):
-            b = xr[bus] + grid.g_line[bus] @ v - grid.i_cc[bus]
-            disc = b * b - four_d[bus]
+        for bus, row_dot, xr_bus, i_cc, four_d_bus, half_r in buses:
+            b = xr_bus + float(row_dot(v)) - i_cc
+            disc = b * b - four_d_bus
             if disc < 0.0:
                 raise NoRealRoot(
                     f"bus {bus}: voltage quadratic has no real root "
                     f"(discriminant {disc:.3e}); droop parameters not viable"
                 )
-            root = 0.5 * r_bus[bus] * (b + np.sqrt(disc))
-            v[bus] = damping * root + (1.0 - damping) * v[bus]
-        res = np.max(np.abs(_residual(grid, xr, y, v)))
+            v[bus] = v_old[bus] = damping * (half_r * (b + sqrt(disc))) + keep * v_old[bus]
+        res = np.max(np.abs(_residual(grid, xr, y, degree, v)))
         if res <= tol:
             logger.debug("gauss_seidel converged in %d sweeps, residual %.3e", sweep + 1, res)
             return v
@@ -179,14 +253,14 @@ def _newton(
     grid: ValidatedGrid,
     xr: np.ndarray,
     y: np.ndarray,
+    degree: np.ndarray,
     v: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
-    degree = grid.g_line.sum(axis=1)
     psi = np.diag(degree) - grid.g_line
     for it in range(max_iter):
-        f = _residual(grid, xr, y, v)
+        f = _residual(grid, xr, y, degree, v)
         if np.max(np.abs(f)) <= tol:
             logger.debug("newton converged in %d iterations", it)
             return v

@@ -61,6 +61,14 @@ def test_bus_ids_must_be_dense_and_ordered():
         validate_grid(spec)
 
 
+def test_validated_arrays_are_read_only():
+    grid = validate_grid(star())
+    for name in ("g_line", "r_cr_inv", "i_cc", "d_cp"):
+        array = getattr(grid, name)
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_line_endpoints_must_exist():
     spec = GridSpec(
         buses=(Bus(0, LoadSpec(), VscSpec(400.0, 0.39)), Bus(1, LoadSpec(r_cr=50.0))),

@@ -1,9 +1,13 @@
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertalk import steady_state
+from powertalk import cli, steady_state
 from powertalk import (
     Bus,
     DroopState,
@@ -15,7 +19,9 @@ from powertalk import (
     TopologyMismatch,
     VscSpec,
     check_viability,
+    maximize_snr_grid,
     nominal_droop,
+    one_way_snr,
     solve_steady_state,
     solve_steady_state_many,
     two_source_closed_form,
@@ -23,6 +29,7 @@ from powertalk import (
 )
 from powertalk.optimizer import DEFAULT_STEP, default_r_max
 
+ROOT = Path(__file__).resolve().parent.parent
 r_values = st.floats(min_value=0.2, max_value=2.0)
 
 
@@ -269,3 +276,247 @@ def test_branch_certificate_rejects_collapse_root(grid, nominal):
         b, f = steady_state._balance(grid, xr, g_bus, v)
         assert np.max(np.abs(f)) < 1e-9  # both roots satisfy the current balance
         assert steady_state._on_upper_branch(grid, g_bus, b, v).tolist() == [on_upper]
+
+
+# -- the Gauss-Seidel sweep against its numpy form ----------------------------
+
+def _numpy_residual(grid, xr, y, v):
+    line_out = grid.g_line.sum(axis=1) * v - grid.g_line @ v
+    return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
+
+
+def _numpy_gauss_seidel(grid, xr, y, r_bus, v, tol, max_iter, damping):
+    """The sweep as numpy scalar code: the reference for the float sweep."""
+    four_d = 4.0 * grid.d_cp / r_bus
+    res = np.inf
+    for _ in range(max_iter):
+        for bus in range(grid.n):
+            b = xr[bus] + grid.g_line[bus] @ v - grid.i_cc[bus]
+            disc = b * b - four_d[bus]
+            if disc < 0.0:
+                raise NoRealRoot(
+                    f"bus {bus}: voltage quadratic has no real root "
+                    f"(discriminant {disc:.3e}); droop parameters not viable"
+                )
+            root = 0.5 * r_bus[bus] * (b + np.sqrt(disc))
+            v[bus] = damping * root + (1.0 - damping) * v[bus]
+        res = np.max(np.abs(_numpy_residual(grid, xr, y, v)))
+        if res <= tol:
+            return v
+    raise NonConvergence(f"gauss_seidel: residual {res:.3e} A after {max_iter} sweeps")
+
+
+def _numpy_solve(grid, droop):
+    """``(v, residual)`` of the numpy sweep from the solver's starting point."""
+    xr = droop.source_terms(grid)
+    y = droop.conductances(grid)
+    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
+    v0 = steady_state._initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
+    v = _numpy_gauss_seidel(
+        grid, xr, y, r_bus, v0, steady_state.DEFAULT_TOL, steady_state.DEFAULT_MAX_ITER,
+        steady_state.DEFAULT_DAMPING,
+    )
+    return v, float(np.max(np.abs(_numpy_residual(grid, xr, y, v))))
+
+
+def _radial_feeder():
+    """A 21-bus radial feeder: a 15-bus trunk, three laterals, five converters."""
+    vsc = {
+        0: (400.0, 0.39), 5: (399.0, 0.42), 10: (398.0, 0.45), 14: (400.0, 0.4), 18: (401.0, 0.5)
+    }
+    buses = []
+    for bus in range(21):
+        load = LoadSpec(r_cr=40.0 + 5.0 * (bus % 4), i_cc=0.5 * (bus % 3), d_cp=300.0 * (bus % 5))
+        if bus in vsc:
+            buses.append(Bus(bus, LoadSpec(), VscSpec(*vsc[bus])))
+        else:
+            buses.append(Bus(bus, load))
+    edges = [(k, k + 1) for k in range(14)]
+    edges += [(4, 15), (15, 16), (8, 17), (17, 18), (11, 19), (19, 20)]
+    lines = [
+        LineSpec.from_length(a, b, rho=0.641, length_km=0.05 + 0.02 * (k % 5))
+        for k, (a, b) in enumerate(edges)
+    ]
+    return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+
+
+def _case_study_config():
+    document = (ROOT / "configs" / "case_study.json").read_text()
+    return cli.validate_grid(cli.parse_config(document).grid)
+
+
+@pytest.mark.parametrize("make_grid, count", [(_case_study_config, 25), (_radial_feeder, 5)])
+def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    rng = np.random.default_rng(20160101)
+    droops = [nominal] + [
+        nominal.with_r({bus: nominal.r[bus] * rng.uniform(1.0, 2.0) for bus in grid.vsc_buses})
+        .with_x({bus: nominal.x[bus] + rng.uniform(-2.0, 2.0) for bus in grid.vsc_buses})
+        for _ in range(count - 1)
+    ]
+    for droop in droops:
+        v, residual = _numpy_solve(grid, droop)
+        state = solve_steady_state(grid, droop)
+        assert state.v.tobytes() == v.tobytes(), droop
+        assert state.residual == residual, droop
+    with pytest.raises(NoRealRoot) as numpy_error:
+        _numpy_solve(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
+    with pytest.raises(NoRealRoot) as float_error:
+        solve_steady_state(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
+    assert str(float_error.value) == str(numpy_error.value)
+
+
+# -- the operating-point memo -------------------------------------------------
+
+def _fresh(grid):
+    """The same grid content as a new object, which no memo entry can name."""
+    return validate_grid(grid.spec)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(steady_state, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(steady_state, name, counted)
+    return calls
+
+
+def _assert_same_state(a, b):
+    for field in ("v", "kappa", "r_bus"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    assert a.residual == b.residual
+    assert a.i == b.i and a.p == b.p
+
+
+def test_memo_hit_equals_a_fresh_solve(grid, nominal, monkeypatch):
+    solves = _count_calls(monkeypatch, "_gauss_seidel")
+    own = _fresh(grid)
+    droop = nominal.with_r({0: 0.47})
+    first = solve_steady_state(own, droop)
+    again = solve_steady_state(own, droop)
+    assert len(solves) == 1
+    assert again.p is not first.p and again.i is not first.i
+    _assert_same_state(again, first)
+    _assert_same_state(again, solve_steady_state(_fresh(grid), droop))
+    assert len(solves) == 2
+
+
+def test_memo_keys_on_every_argument(grid, nominal, monkeypatch):
+    solves = _count_calls(monkeypatch, "_solve")
+    own = _fresh(grid)
+    solve_steady_state(own, nominal)
+    variants = [
+        (nominal.with_x({0: 401.0}), {}),
+        (nominal.with_r({0: 0.5}), {}),
+        (nominal.with_r({1: float(np.nextafter(nominal.r[1], 1.0))}), {}),
+        (nominal, {"tol": 1e-6}),
+        (nominal, {"max_iter": 5_000}),
+        (nominal, {"method": "newton"}),
+        (nominal, {"damping": 0.5}),
+    ]
+    for count, (droop, kwargs) in enumerate(variants, start=2):
+        got = solve_steady_state(own, droop, **kwargs)
+        assert sum(args[0] is own for args in solves) == count, kwargs or droop
+        _assert_same_state(got, solve_steady_state(_fresh(grid), droop, **kwargs))
+        _assert_same_state(solve_steady_state(own, droop, **kwargs), got)
+
+
+def test_memo_results_are_read_only_and_private(grid, nominal):
+    own = _fresh(grid)
+    for state in (solve_steady_state(own, nominal), solve_steady_state(own, nominal)):
+        for field in ("v", "kappa", "r_bus"):
+            with pytest.raises(ValueError):
+                getattr(state, field)[0] = 0.0
+        state.p[0] = -1.0
+        state.i[0] = -1.0
+    later = solve_steady_state(own, nominal)
+    assert later.p[0] > 0.0 and later.i[0] > 0.0
+
+
+def test_memo_keeps_no_failures(grid, nominal, monkeypatch):
+    solves = _count_calls(monkeypatch, "_gauss_seidel")
+    own = _fresh(grid)
+    solve_steady_state(own, nominal)
+    for _ in range(2):
+        with pytest.raises(NoRealRoot):
+            solve_steady_state(own, nominal.with_r({0: 3000.0, 1: 3000.0}))
+        with pytest.raises(NonConvergence):
+            solve_steady_state(own, nominal, max_iter=1)
+    assert len(solves) == 5
+
+
+def test_memo_is_a_bounded_lru(linear_grid, monkeypatch):
+    monkeypatch.setattr(steady_state, "MEMO_SIZE", 3)
+    solves = _count_calls(monkeypatch, "_solve")
+    own = _fresh(linear_grid)
+    nominal = nominal_droop(own)
+    droops = [nominal.with_r({0: 0.4 + 0.01 * k}) for k in range(5)]
+    for droop in droops[:3]:
+        solve_steady_state(own, droop)
+    solve_steady_state(own, droops[0])  # a hit: droops[1] is now the oldest
+    solve_steady_state(own, droops[3])
+    assert len(steady_state._memo) == 3
+    assert len(solves) == 4
+    solve_steady_state(own, droops[0])
+    assert len(solves) == 4
+    solve_steady_state(own, droops[1])
+    assert len(solves) == 5
+    for droop in droops:
+        solve_steady_state(own, droop)
+        assert len(steady_state._memo) <= 3
+
+
+def test_search_and_nominal_snr_solve_the_nominal_point_once(grid, monkeypatch):
+    solves = _count_calls(monkeypatch, "_gauss_seidel")
+    own = _fresh(grid)
+    nominal = nominal_droop(own)
+    pi = {0: 10.0, 1: 10.0}
+    maximize_snr_grid(own, nominal, pi, 0.01, 0, 1, r_max={0: 0.5, 1: 0.5})
+    one_way_snr(own, nominal, nominal, pi, 0.01, 0, 1)
+    assert len(solves) == 1
+
+
+def test_memo_under_concurrent_callers(linear_grid, monkeypatch):
+    # An instant stand-in solver makes the memo's own bookkeeping the work,
+    # so the threads contend on it as often as possible.
+    def instant(grid, droop, *args):
+        r0 = np.full(grid.n, droop.r[0])
+        return steady_state.SteadyState(
+            v=r0, i={0: droop.r[0]}, p={0: droop.r[0]}, kappa=r0.copy(), r_bus=r0.copy(),
+            residual=0.0,
+        )
+
+    monkeypatch.setattr(steady_state, "MEMO_SIZE", 2)
+    monkeypatch.setattr(steady_state, "_solve", instant)
+    own = _fresh(linear_grid)
+    nominal = nominal_droop(own)
+    droops = [nominal.with_r({0: 0.4 + 0.01 * k}) for k in range(4)]
+    errors = []
+
+    def work(offset):
+        try:
+            for step in range(3000):
+                droop = droops[(offset + step) % len(droops)]
+                state = solve_steady_state(own, droop)
+                assert state.v[0] == state.p[0] == droop.r[0]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(steady_state._memo) <= 2
