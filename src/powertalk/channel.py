@@ -7,23 +7,27 @@ the same inputs to converter supplied-power deviations and is what the
 power budgets constrain.  With purely linear loads (all d_cp = 0) the
 model is exact; constant-power loads enter through the per-bus kappa
 correction on the Laplacian diagonal.
+
+One batched kernel, :func:`channel_gains`, gives the gains of chosen
+input buses at many operating points (the optimizer's resistance
+lattice); :func:`linearize` is that kernel on one lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
 from .errors import InputOnLoadBus, NoRealRoot, SingularSystem
-from .grid import LoadSpec, ValidatedGrid, VscSpec, network_matrices
-from .steady_state import DroopState, SteadyState
+from .grid import LoadSpec, ValidatedGrid, VscSpec
+from .steady_state import DroopState, SteadyState, _droop_lanes
 
 __all__ = [
     "ChannelModel",
+    "channel_gains",
     "linearize",
-    "power_coefficients",
     "single_bus_channel",
     "predict_outputs",
 ]
@@ -51,41 +55,60 @@ class ChannelModel:
 def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> ChannelModel:
     """Build the channel model at a solved operating point.
 
-    The gain matrix solves (Psi_k + K^-1 (Y + Y_cr)) H = Y, where Psi_k
-    is the line Laplacian with its diagonal divided by kappa, Y holds the
-    virtual-resistance conductances and Y_cr the resistive-load
-    conductances.  ``state`` must come from the same grid and droop
-    configuration.
+    :func:`channel_gains` on one lane with every bus as an input, its
+    converter power gains scattered into the rows of an (n, n) Phi.
+    ``state`` must come from the same grid and droop configuration.
     """
-    psi, _ = network_matrices(grid, droop)
-    kappa = state.kappa
-    y = droop.conductances(grid)
-    m = psi.copy()
-    diag = np.diag_indices(grid.n)
-    m[diag] = (psi[diag] + y + grid.r_cr_inv) / kappa
+    h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], state.kappa[None], range(grid.n))
+    power = np.zeros((grid.n, grid.n))
+    power[list(grid.vsc_buses)] = phi[0]
+    return ChannelModel(H=h[0], Phi=power, K=state.kappa, operating_point=state, droop=droop)
+
+
+def channel_gains(
+    grid: ValidatedGrid,
+    x: Mapping[int, float],
+    r: Mapping[int, np.ndarray],
+    v: np.ndarray,
+    kappa: np.ndarray,
+    inputs: Iterable[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Voltage and power gains of the input buses at many operating points.
+
+    ``x`` and ``r`` map each converter bus to a scalar or a (lanes,)
+    array; ``v`` and ``kappa`` are the solved (lanes, n) voltages and
+    load corrections.  Per lane, H solves (Psi_k + K^-1 (Y + Y_cr)) H = Y:
+    Psi_k is the line Laplacian with its diagonal divided by kappa, Y and
+    Y_cr the virtual-resistance and resistive-load conductances.  As
+    p_n = v_n (x_n - v_n) / r_n, Phi[n, m] = (H[n, m] (x_n - 2 v_n) + [m == n] v_n) / r_n.
+    Returns ``h`` (lanes, n, k), the H columns of ``inputs``, and ``phi``
+    (lanes, n_vsc, k), their Phi rows for the converter buses in grid
+    order.  A lane with a non-finite kappa (not viable) gets NaN gains.
+    """
+    inputs = list(inputs)
+    lanes = len(v)
+    _, y = _droop_lanes(grid, x, r, lanes)
+    degree = grid.g_line.sum(axis=1)
+    m = np.repeat((np.diag(degree) - grid.g_line)[None], lanes, axis=0)
+    diag = np.arange(grid.n)
+    m[:, diag, diag] = (degree + y + grid.r_cr_inv) / kappa
+    singular = ~np.isfinite(kappa).all(axis=1)
+    m[singular] = np.eye(grid.n)  # placeholder: keeps the batched solve regular
+    rhs = np.zeros((lanes, grid.n, len(inputs)))
+    rhs[:, inputs, np.arange(len(inputs))] = y[:, inputs]
     try:
-        h = np.linalg.solve(m, np.diag(y))
+        h = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - connected grids are regular
         raise SingularSystem(f"channel matrix solve failed: {exc}") from exc
-    model = ChannelModel(H=h, Phi=np.zeros_like(h), K=kappa, operating_point=state, droop=droop)
-    return replace(model, Phi=power_coefficients(model))
+    h[singular] = np.nan
 
-
-def power_coefficients(model: ChannelModel) -> np.ndarray:
-    """Supplied-power gains from the voltage gains.
-
-    For converter bus n, p_n = v_n (x_n - v_n) / r_n, so
-    dp_n/dx_m = (H[n, m] (x_n - 2 v_n) + [m == n] v_n) / r_n evaluated at
-    the operating point.  Rows for load-only buses are zero.
-    """
-    phi = np.zeros_like(model.H)
-    v = model.operating_point.v
-    for bus in model.vsc_buses():
-        x = model.droop.x[bus]
-        r = model.droop.r[bus]
-        phi[bus, :] = model.H[bus, :] * (x - 2.0 * v[bus]) / r
-        phi[bus, bus] += v[bus] / r
-    return phi
+    phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
+    for i, bus in enumerate(grid.vsc_buses):
+        x_col, r_col = np.reshape(x[bus], (-1, 1)), np.reshape(r[bus], (-1, 1))
+        phi[:, i] = h[:, bus] * (x_col - 2.0 * v[:, bus, None]) / r_col
+        if bus in inputs:
+            phi[:, i, inputs.index(bus)] += v[:, bus] / r_col[:, 0]
+    return h, phi
 
 
 def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray, float]:

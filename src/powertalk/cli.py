@@ -21,8 +21,8 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .budget import allocate_input_variance, vr_power_investment
-from .channel import linearize
+from .budget import BudgetAllocation, allocate_input_variance, vr_power_investment
+from .channel import ChannelModel, linearize
 from .comsim import SimConfig, run_transmission
 from .errors import ConfigError, InfeasibleBudget, NumericError, ParseError, SchemaError
 from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, validate_grid
@@ -265,6 +265,8 @@ def _droop(grid: ValidatedGrid, args: argparse.Namespace) -> DroopState:
 
 def _link(grid: ValidatedGrid, args: argparse.Namespace) -> Tuple[int, int]:
     vsc = grid.vsc_buses
+    if len(vsc) < 2:
+        raise ConfigError(f"a link needs two converter buses, the grid has {len(vsc)}")
     tx = args.tx if args.tx is not None else vsc[0]
     rx = args.rx if args.rx is not None else next(b for b in vsc if b != tx)
     if tx == rx:
@@ -307,6 +309,15 @@ def _seed(cfg: RunConfig, args: argparse.Namespace) -> int:
     return args.seed if args.seed is not None else cfg.sim.seed
 
 
+def _allocation(
+    grid: ValidatedGrid, droop: DroopState, pi: Mapping[int, float], tx: int
+) -> Tuple[ChannelModel, BudgetAllocation]:
+    """Channel model at ``droop`` and the input variance its budgets allow ``tx``."""
+    model = linearize(grid, droop, solve_steady_state(grid, droop))
+    dp = vr_power_investment(grid, nominal_droop(grid), droop)
+    return model, allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
+
+
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_solve(args: argparse.Namespace) -> None:
@@ -344,11 +355,7 @@ def _cmd_budget(args: argparse.Namespace) -> None:
     droop = _droop(grid, args)
     tx, _ = _link(grid, args)
     pi = _budgets(grid, args)
-    nominal = nominal_droop(grid)
-    state = solve_steady_state(grid, droop)
-    model = linearize(grid, droop, state)
-    dp = vr_power_investment(grid, nominal, droop)
-    alloc = allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
+    _, alloc = _allocation(grid, droop, pi, tx)
     lines = ["# input variance per transmitter\nbus,s_V2"]
     for bus in sorted(alloc.s):
         lines.append(f"{bus},{_fmt(alloc.s[bus])}")
@@ -409,15 +416,11 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     droop = _droop(grid, args)
     tx, rx = _link(grid, args)
     sigma_z = _sigma_z(cfg, args)
+    model = None
     if args.amplitude is not None:
         amplitude = args.amplitude
     elif args.pi is not None:
-        pi = _budgets(grid, args)
-        nominal = nominal_droop(grid)
-        state = solve_steady_state(grid, droop)
-        model = linearize(grid, droop, state)
-        dp = vr_power_investment(grid, nominal, droop)
-        alloc = allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
+        model, alloc = _allocation(grid, droop, _budgets(grid, args), tx)
         amplitude = math.sqrt(alloc.s[tx])
     else:
         raise ConfigError("simulate needs --amplitude or --pi to set the signal level")
@@ -430,10 +433,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         tx=tx,
         rx=rx,
     )
-    model = None
-    if sim.mode == "linearized":
-        state = solve_steady_state(grid, droop)
-        model = linearize(grid, droop, state)
+    if sim.mode == "linearized" and model is None:
+        model = linearize(grid, droop, solve_steady_state(grid, droop))
     report = run_transmission(grid, droop, model, sim)
     lines = [
         f"amplitude_V={_fmt(amplitude)}",

@@ -20,14 +20,17 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .budget import vr_power_investment
-from .channel import linearize
+from .channel import channel_gains, linearize
 from .errors import EmptySearchSpace, NonConvergence, NoRealRoot
 from .grid import ValidatedGrid
 from .steady_state import (
     DroopState,
+    _droop_lanes,
+    _kappa,
     check_viability,
     solve_steady_state,
     solve_steady_state_many,
+    vsc_outputs,
 )
 
 logger = logging.getLogger(__name__)
@@ -116,15 +119,15 @@ def one_way_snr(
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
     dp = vr_power_investment(grid, nominal, droop)
-    h = model.H[rx, tx]
-    g = {}
-    for bus in sorted(pi):
-        headroom = pi[bus] ** 2 - dp[bus] ** 2
-        with np.errstate(divide="ignore"):
-            g[bus] = float((h / model.Phi[bus, tx]) ** 2 * headroom)
-    if any(pi[bus] ** 2 < dp[bus] ** 2 for bus in pi):
-        return 0.0, g
-    return max(0.0, min(g.values()) / sigma_z**2), g
+    buses = sorted(pi)
+    snr, g = _score(
+        model.H[rx, tx, None],
+        model.Phi[buses, tx][None],
+        np.array([[dp[bus] for bus in buses]]),
+        np.array([pi[bus] for bus in buses]),
+        sigma_z,
+    )
+    return float(snr[0]), {bus: float(g[0, j]) for j, bus in enumerate(buses)}
 
 
 def maximize_snr_grid(
@@ -352,55 +355,42 @@ def _channel_table(
     logger.info("channel table: %d lattice points", size)
 
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
-    v = batch.v
-
-    y = np.zeros((size, grid.n))
-    xr = np.zeros((size, grid.n))
-    for bus in vsc:
-        y[:, bus] = 1.0 / r[bus]
-        xr[:, bus] = nominal.x[bus] / r[bus]
-    degree = grid.g_line.sum(axis=1)
-    r_bus = 1.0 / (grid.r_cr_inv + degree + y)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b = xr + v @ grid.g_line.T - grid.i_cc
-        disc = b * b - 4.0 * grid.d_cp / r_bus
-        kappa = np.where(grid.d_cp == 0.0, 1.0, 0.5 * (1.0 + b / np.sqrt(disc)))
-
-        m = np.broadcast_to(np.diag(degree) - grid.g_line, (size, grid.n, grid.n)).copy()
-        diag = np.arange(grid.n)
-        m[:, diag, diag] = (degree + y + grid.r_cr_inv) / kappa
-        rhs = np.zeros((size, grid.n, 1))
-        rhs[:, tx, 0] = y[:, tx]
-        feasible = batch.feasible & np.all(np.isfinite(kappa), axis=1)
-        m[~feasible] = np.eye(grid.n)  # placeholder: keeps the batched solve regular
-        h_col = np.linalg.solve(m, rhs)[:, :, 0]
-
-        p_nom = solve_steady_state(grid, nominal).p
-        phi = np.empty((size, len(vsc)))
-        dp = np.empty((size, len(vsc)))
-        for j, bus in enumerate(vsc):
-            phi[:, j] = h_col[:, bus] * (nominal.x[bus] - 2.0 * v[:, bus]) * y[:, bus]
-            if bus == tx:
-                phi[:, j] += v[:, bus] * y[:, bus]
-            dp[:, j] = (nominal.x[bus] - v[:, bus]) * v[:, bus] * y[:, bus] - p_nom[bus]
+    xr, y = _droop_lanes(grid, nominal.x, r, size)
+    kappa = _kappa(grid, xr, 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y), batch.v)
+    h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
     return _ChannelTable(
-        vsc=tuple(vsc), r=r, feasible=feasible, h_rx=h_col[:, rx], phi=phi, dp=dp
+        vsc=tuple(vsc),
+        r=r,
+        feasible=batch.feasible & np.all(np.isfinite(kappa), axis=1),
+        h_rx=h[:, rx, 0],
+        phi=phi[:, :, 0],
+        dp=_investment(grid, nominal, r, batch.v),
     )
 
 
-def _score_table(
-    table: _ChannelTable, pi: Mapping[int, float], sigma_z: float
+def _investment(
+    grid: ValidatedGrid, nominal: DroopState, r: Mapping[int, np.ndarray], v: np.ndarray
+) -> np.ndarray:
+    """Static investment p(r) - p(r_nom) per lane and converter, (lanes, n_vsc) [W]."""
+    p_nom = solve_steady_state(grid, nominal).p
+    _, p = vsc_outputs(grid, nominal.with_r(r), v.T)
+    return np.stack([p[bus] - p_nom[bus] for bus in grid.vsc_buses], axis=1)
+
+
+def _score(
+    h: np.ndarray, phi: np.ndarray, dp: np.ndarray, pi: np.ndarray, sigma_z: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-lattice-point SNR and gain terms for one budget vector."""
-    pi_vec = np.array([pi[bus] for bus in table.vsc])
-    headroom = pi_vec**2 - table.dp**2
+    """Received SNR and gain terms g_n = (h / phi_n)^2 (pi_n^2 - dp_n^2) per lane.
+
+    ``h`` is (lanes,), ``phi`` and ``dp`` are (lanes, k) and ``pi`` is
+    (k,) over the same converters.  The SNR is min_n g_n / sigma_z^2,
+    clamped at zero, and zero once any investment exceeds its budget.
+    """
+    headroom = pi**2 - dp**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (table.h_rx[:, None] / table.phi) ** 2 * headroom
+        g = (h[:, None] / phi) ** 2 * headroom
         snr = np.min(g, axis=1) / sigma_z**2
-    snr = np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(snr, 0.0))
-    snr = np.where(table.feasible, snr, -np.inf)
-    return snr, g
+    return np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(snr, 0.0)), g
 
 
 def _argmax_on_table(
@@ -408,7 +398,9 @@ def _argmax_on_table(
 ) -> OptimizationResult:
     if set(pi) != set(table.vsc):
         raise ValueError("budgets must cover every converter bus")
-    snr, g = _score_table(table, pi, sigma_z)
+    pi_vec = np.array([pi[bus] for bus in table.vsc])
+    snr, g = _score(table.h_rx, table.phi, table.dp, pi_vec, sigma_z)
+    snr = np.where(table.feasible, snr, -np.inf)
     # flattened in C order over ascending axes: the first maximum is the
     # smallest-resistance tie-break in bus order
     idx = int(np.argmax(snr))
@@ -515,13 +507,9 @@ def _band_interior(
     mesh = np.meshgrid(*(axes[bus] for bus in vsc), indexing="ij")
     r = {bus: m.reshape(-1) for bus, m in zip(vsc, mesh)}
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
-    p_nom = solve_steady_state(grid, nominal).p
-    feas = batch.feasible.copy()
-    with np.errstate(invalid="ignore"):
-        for bus in vsc:
-            v_bus = batch.v[:, bus]
-            dp = (nominal.x[bus] - v_bus) * v_bus / r[bus] - p_nom[bus]
-            feas &= np.nan_to_num(dp, nan=np.inf) ** 2 <= pi.get(bus, np.inf) ** 2
+    dp = np.nan_to_num(_investment(grid, nominal, r, batch.v), nan=np.inf)
+    pi_vec = np.array([pi.get(bus, np.inf) for bus in grid.vsc_buses])
+    feas = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
     feas = feas.reshape(tuple(counts))
     inner = feas.copy()
     for axis in range(dim):

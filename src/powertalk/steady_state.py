@@ -6,21 +6,22 @@ current-balance equation coupled to its neighbors:
     v_n**2 / r_bus_n - (x_n/r_n + sum_m v_m/r_{n,m} - i_cc_n) * v_n + d_cp_n = 0
 
 The physically viable operating point is the larger root (the smaller
-one is the voltage-collapse branch).  A single configuration is solved
-by a damped Gauss-Seidel fixed point that sweeps this per-bus update,
-or on request by a full-system Newton iteration on the current-balance
-residual.  Many configurations at once (a resistance lattice) are
-solved by batched Newton in fixed-size blocks of lanes, each lane
-certified to sit on the larger root of every bus quadratic.  Solvers
-are pure functions of their arguments and safe to run concurrently.
+one is the voltage-collapse branch).  Newton on the current-balance
+residual is the one solver kernel: many configurations at once (a
+resistance lattice) are solved in fixed-size blocks of lanes, each lane
+certified to sit on the larger root of every bus quadratic, and a
+single configuration with ``method="newton"`` is a block of one lane.
+A single configuration is solved by default with a damped Gauss-Seidel
+fixed point that sweeps the per-bus update.  Solvers are pure functions
+of their arguments and safe to run concurrently.
 
 A single configuration is solved once per grid: ``solve_steady_state``
-keeps the last ``MEMO_SIZE`` operating points, keyed on the grid object,
-the exact bits of the droop values and the solver settings, and a
-repeated call returns the stored result, bit for bit what a fresh solve
-gives.  Its arrays are read-only; its current and power dicts are the
-caller's own copies.  The key relies on a validated grid's arrays being
-read-only too.
+keeps the last ``MEMO_SIZE`` operating points of each grid on the grid
+object itself, keyed on the exact bits of the droop values and the
+solver settings, so they die with the grid.  A repeated call returns
+the stored result, bit for bit what a fresh solve gives.  Its arrays are
+read-only; its current and power dicts are the caller's own copies.
+The memo relies on a validated grid's arrays being read-only too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
 
@@ -43,9 +43,8 @@ DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 BLOCK_BYTES = 1 << 20    # Jacobian bytes per block of the batched solve
-MEMO_SIZE = 64           # operating points kept by solve_steady_state
+MEMO_SIZE = 64           # operating points kept per grid by solve_steady_state
 
-_memo: "OrderedDict[tuple, Tuple[ValidatedGrid, SteadyState]]" = OrderedDict()
 _memo_lock = threading.Lock()
 
 
@@ -68,17 +67,11 @@ class DroopState:
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:
         """Per-bus 1/r, zero on buses without a converter."""
-        y = np.zeros(grid.n)
-        for bus, r in self.r.items():
-            y[bus] = 1.0 / r
-        return y
+        return _droop_lanes(grid, self.x, self.r, 1)[1][0]
 
     def source_terms(self, grid: ValidatedGrid) -> np.ndarray:
         """Per-bus x/r, zero on buses without a converter."""
-        xr = np.zeros(grid.n)
-        for bus, r in self.r.items():
-            xr[bus] = self.x[bus] / r
-        return xr
+        return _droop_lanes(grid, self.x, self.r, 1)[0][0]
 
     def with_r(self, updates: Mapping[int, float]) -> "DroopState":
         merged = dict(self.r)
@@ -142,36 +135,29 @@ def solve_steady_state(
     ``tol`` bounds the final max current-balance residual in amps.
     Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
     (droop parameters outside the viable range) and :class:`NonConvergence`
-    when ``max_iter`` is exhausted.  A repeated call with the same grid
-    object and bit-identical arguments returns the remembered result
-    (see the module docstring); failures are not remembered.
+    when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
+    when its iterate leaves the larger root.  A repeated call with the
+    same grid object and bit-identical arguments returns the remembered
+    result (see the module docstring); failures are not remembered.
     """
     droop.validate(grid)
-    key = (
-        id(grid),
-        np.array(
-            [droop.x[bus] for bus in grid.vsc_buses] + [droop.r[bus] for bus in grid.vsc_buses],
-            dtype=float,
-        ).tobytes(),
-        tol,
-        max_iter,
-        method,
-        damping,
-    )
+    memo = grid._memo
+    values = [droop.x[bus] for bus in grid.vsc_buses] + [droop.r[bus] for bus in grid.vsc_buses]
+    key = (np.array(values, dtype=float).tobytes(), tol, max_iter, method, damping)
     with _memo_lock:
-        entry = _memo.get(key)
-        if entry is not None:
-            _memo.move_to_end(key)
-            return replace(entry[1], i=dict(entry[1].i), p=dict(entry[1].p))
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+            return replace(hit, i=dict(hit.i), p=dict(hit.p))
 
     state = _solve(grid, droop, tol, max_iter, method, damping)
     for array in (state.v, state.kappa, state.r_bus):
         array.flags.writeable = False
     with _memo_lock:
-        _memo[key] = (grid, state)
-        _memo.move_to_end(key)
-        while len(_memo) > MEMO_SIZE:
-            _memo.popitem(last=False)
+        memo[key] = state
+        memo.move_to_end(key)
+        while len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
     return replace(state, i=dict(state.i), p=dict(state.p))
 
 
@@ -190,15 +176,19 @@ def _solve(
 
     v0 = _initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
     if method == "gauss_seidel":
-        v = _gauss_seidel(grid, xr, y, degree, r_bus, v0, tol, max_iter, damping)
+        v, residual = _gauss_seidel(grid, xr, y, degree, r_bus, v0, tol, max_iter, damping)
     elif method == "newton":
-        v = _newton(grid, xr, y, degree, v0, tol, max_iter)
+        lane, feasible, res, _, stalled = _newton_block(grid, xr[None], y[None], v0, tol, max_iter)
+        if stalled.size:
+            raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
+        if not feasible[0]:
+            raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
+        v, residual = lane[0], float(res[0])
     else:
         raise ValueError(f"unknown method {method!r}")
 
     kappa = _kappa(grid, xr, r_bus, v)
     i, p = vsc_outputs(grid, droop, v)
-    residual = float(np.max(np.abs(_residual(grid, xr, y, degree, v))))
     return SteadyState(v=v, i=i, p=p, kappa=kappa, r_bus=r_bus, residual=residual)
 
 
@@ -212,13 +202,14 @@ def _gauss_seidel(
     tol: float,
     max_iter: int,
     damping: float,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, float]:
     """Damped sweeps of the per-bus larger root until the residual is within ``tol``.
 
     The sweep runs on Python floats with the per-bus constants hoisted;
     the row sum stays one BLAS dot per bus (``ndarray.dot``, the routine
     behind ``np.dot``; a Python sum rounds differently), so every voltage
-    matches a numpy sweep bit for bit.
+    matches a numpy sweep bit for bit.  Returns the voltages and their
+    max residual.
     """
     four_d = 4.0 * grid.d_cp / r_bus
     buses = [
@@ -243,39 +234,10 @@ def _gauss_seidel(
         res = np.max(np.abs(_residual(grid, xr, y, degree, v)))
         if res <= tol:
             logger.debug("gauss_seidel converged in %d sweeps, residual %.3e", sweep + 1, res)
-            return v
+            return v, float(res)
     raise NonConvergence(
         f"gauss_seidel: residual {res:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
     )
-
-
-def _newton(
-    grid: ValidatedGrid,
-    xr: np.ndarray,
-    y: np.ndarray,
-    degree: np.ndarray,
-    v: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> np.ndarray:
-    psi = np.diag(degree) - grid.g_line
-    for it in range(max_iter):
-        f = _residual(grid, xr, y, degree, v)
-        if np.max(np.abs(f)) <= tol:
-            logger.debug("newton converged in %d iterations", it)
-            return v
-        jac = -(np.diag(y + grid.r_cr_inv - grid.d_cp / v**2) + psi)
-        step = np.linalg.solve(jac, -f)
-        scale = 1.0
-        for _ in range(40):  # backtrack out of the nonphysical region
-            trial = v + scale * step
-            if np.all(trial > 0.0):
-                v = trial
-                break
-            scale *= 0.5
-        else:
-            raise NoRealRoot("newton: step cannot stay in the positive-voltage region")
-    raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
 
 
 def _initial_voltages(grid: ValidatedGrid, x: np.ndarray) -> np.ndarray:
@@ -295,8 +257,8 @@ def _initial_voltages(grid: ValidatedGrid, x: np.ndarray) -> np.ndarray:
 
 
 def _kappa(grid: ValidatedGrid, xr: np.ndarray, r_bus: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Linearization correction per bus; exactly 1 where d_cp = 0."""
-    b = xr + grid.g_line @ v - grid.i_cc
+    """Linearization correction per bus, exactly 1 where d_cp = 0; (n,) or (lanes, n) arrays."""
+    b = xr + v @ grid.g_line.T - grid.i_cc
     disc = b * b - 4.0 * grid.d_cp / r_bus
     with np.errstate(invalid="ignore", divide="ignore"):
         kappa = 0.5 * (1.0 + b / np.sqrt(disc))
@@ -306,13 +268,32 @@ def _kappa(grid: ValidatedGrid, xr: np.ndarray, r_bus: np.ndarray, v: np.ndarray
 def vsc_outputs(
     grid: ValidatedGrid, droop: DroopState, v: np.ndarray
 ) -> Tuple[Dict[int, float], Dict[int, float]]:
-    """Converter output current (x - v)/r and power v*(x - v)/r per bus."""
+    """Converter output current (x - v)/r and power v*(x - v)/r per bus.
+
+    Given (n, lanes) voltages and per-lane droop values, each entry is a
+    (lanes,) array, bit for bit the scalar value of its lane.
+    """
     i = {}
     p = {}
     for bus in grid.vsc_buses:
         i[bus] = (droop.x[bus] - v[bus]) / droop.r[bus]
         p[bus] = v[bus] * i[bus]
     return i, p
+
+
+def _droop_lanes(
+    grid: ValidatedGrid, x: Mapping[int, float], r: Mapping[int, np.ndarray], lanes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-lane x/r and 1/r as (lanes, n) arrays, zero on buses without a converter.
+
+    ``x`` and ``r`` map each converter bus to a scalar or a (lanes,) array.
+    """
+    xr = np.zeros((lanes, grid.n))
+    y = np.zeros_like(xr)
+    for bus in grid.vsc_buses:
+        y[:, bus] = 1.0 / r[bus]
+        xr[:, bus] = x[bus] / r[bus]
+    return xr, y
 
 
 def check_viability(
@@ -375,10 +356,7 @@ def solve_steady_state_many(
         bus: np.broadcast_to(np.asarray(val, dtype=float), batch).reshape(size)
         for bus, val in r.items()
     }
-    x_bus = np.zeros(grid.n)
-    for bus in grid.vsc_buses:
-        x_bus[bus] = x[bus]
-    v0 = _initial_voltages(grid, x_bus)
+    v0 = _initial_voltages(grid, np.array([x.get(bus, 0.0) for bus in range(grid.n)]))
 
     v = np.empty((size, grid.n))
     feasible = np.empty(size, dtype=bool)
@@ -387,12 +365,9 @@ def solve_steady_state_many(
     sweeps = 0
     for lo in range(0, size, block):
         lanes = slice(lo, min(lo + block, size))
-        y = np.zeros((lanes.stop - lo, grid.n))
-        xr = np.zeros_like(y)
-        for bus, r_vals in r_lanes.items():
-            y[:, bus] = 1.0 / r_vals[lanes]
-            xr[:, bus] = x[bus] / r_vals[lanes]
-        v_blk, ok, res, its = _newton_block(grid, xr, y, v0, tol, max_iter)
+        r_blk = {bus: r_vals[lanes] for bus, r_vals in r_lanes.items()}
+        xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
+        v_blk, ok, res, its, _ = _newton_block(grid, xr, y, v0, tol, max_iter)
         v[lanes], feasible[lanes], residual[lanes] = v_blk, ok, res
         sweeps = max(sweeps, its)
     return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
@@ -405,14 +380,16 @@ def _newton_block(
     v0: np.ndarray,
     tol: float,
     max_iter: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Newton on one block of lanes; only lanes still above ``tol`` iterate.
 
     Each iteration solves the (lanes, n, n) Jacobian
     ``g_line - diag(degree + y + 1/r_cr - d_cp/v**2)``.  A lane leaves the
     iteration as soon as it is converged or off the physical branch, so
     a lane without a viable operating point stops the moment it strays
-    instead of running to ``max_iter``.
+    instead of running to ``max_iter``.  Returns the voltages (NaN where
+    not feasible), the feasible mask, the residuals, the iterations run
+    and the indices of the lanes still iterating when ``max_iter`` ran out.
     """
     g_bus = grid.g_line.sum(axis=1) + y + grid.r_cr_inv  # 1/r_bus per lane
     v = np.broadcast_to(v0, xr.shape).copy()
@@ -438,7 +415,7 @@ def _newton_block(
             jac[:, diag, diag] -= g_bus[live] - grid.d_cp / v[live] ** 2
             v[live] -= np.linalg.solve(jac, f[:, :, None])[:, :, 0]
     v[~feasible] = np.nan
-    return v, feasible, residual, its
+    return v, feasible, residual, its, live
 
 
 def _balance(

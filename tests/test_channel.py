@@ -11,13 +11,16 @@ from powertalk import (
     LoadSpec,
     NoRealRoot,
     VscSpec,
+    channel_gains,
     linearize,
+    network_matrices,
     nominal_droop,
     predict_outputs,
     single_bus_channel,
     solve_steady_state,
     validate_grid,
 )
+from test_steady_state import _case_study_config, _radial_feeder
 
 
 def finite_difference_gains(grid, droop, h=1e-3):
@@ -151,3 +154,83 @@ def test_predict_outputs_rejects_bad_inputs(model):
         predict_outputs(model, np.zeros(5), sigma_z=0.0, rng_seed=0)
     with pytest.raises(InputOnLoadBus):
         predict_outputs(model, np.array([0.0, 0.0, 0.3]), sigma_z=0.0, rng_seed=0)
+
+
+# -- the batched gain kernel against the matrix form --------------------------
+
+def _matrix_linearize(grid, droop, state):
+    """``(H, Phi)`` as full n x n solves, the form ``channel_gains`` replaced: the oracle."""
+    psi, _ = network_matrices(grid, droop)
+    y = droop.conductances(grid)
+    m = psi.copy()
+    diag = np.diag_indices(grid.n)
+    m[diag] = (psi[diag] + y + grid.r_cr_inv) / state.kappa
+    h = np.linalg.solve(m, np.diag(y))
+    phi = np.zeros_like(h)
+    v = state.v
+    for bus in grid.vsc_buses:
+        x, r = droop.x[bus], droop.r[bus]
+        phi[bus, :] = h[bus, :] * (x - 2.0 * v[bus]) / r
+        phi[bus, bus] += v[bus] / r
+    return h, phi
+
+
+def _random_droops(grid, count, seed):
+    nominal = nominal_droop(grid)
+    rng = np.random.default_rng(seed)
+    return [nominal] + [
+        nominal.with_r({bus: nominal.r[bus] * rng.uniform(1.0, 2.0) for bus in grid.vsc_buses})
+        .with_x({bus: nominal.x[bus] + rng.uniform(-2.0, 2.0) for bus in grid.vsc_buses})
+        for _ in range(count - 1)
+    ]
+
+
+@pytest.mark.parametrize("make_grid, count", [(_case_study_config, 25), (_radial_feeder, 5)])
+def test_linearize_matches_the_matrix_form_bit_for_bit(make_grid, count):
+    grid = make_grid()
+    for droop in _random_droops(grid, count, seed=20160102):
+        state = solve_steady_state(grid, droop)
+        model = linearize(grid, droop, state)
+        h, phi = _matrix_linearize(grid, droop, state)
+        assert model.H.tobytes() == h.tobytes(), droop
+        assert model.Phi.tobytes() == phi.tobytes(), droop
+        assert model.K.tobytes() == state.kappa.tobytes()
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
+def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
+    grid = make_grid()
+    vsc = list(grid.vsc_buses)
+    droops = _random_droops(grid, 6, seed=7)[1:]
+    states = [solve_steady_state(grid, droop) for droop in droops]
+    x = droops[0].x
+    r = {bus: np.array([droop.r[bus] for droop in droops]) for bus in vsc}
+    v = np.stack([state.v for state in states])
+    kappa = np.stack([state.kappa for state in states])
+    x_lanes = {bus: np.array([droop.x[bus] for droop in droops]) for bus in vsc}
+    h, phi = channel_gains(grid, x_lanes, r, v, kappa, vsc)
+    assert h.shape == (len(droops), grid.n, len(vsc))
+    assert phi.shape == (len(droops), len(vsc), len(vsc))
+    for lane, (droop, state) in enumerate(zip(droops, states)):
+        model = linearize(grid, droop, state)
+        assert h[lane].tobytes() == model.H[:, vsc].tobytes(), lane
+        assert phi[lane].tobytes() == model.Phi[np.ix_(vsc, vsc)].tobytes(), lane
+
+    # one input column, as the optimizer's table asks for: equal to rounding
+    droop = droops[0].with_x(x)
+    tx = vsc[0]
+    h_tx, phi_tx = channel_gains(grid, x, r, v, kappa, [tx])
+    for lane, state in enumerate(states):
+        model = linearize(grid, droop.with_r({bus: r[bus][lane] for bus in vsc}), state)
+        np.testing.assert_allclose(h_tx[lane, :, 0], model.H[:, tx], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(phi_tx[lane, :, 0], model.Phi[vsc, tx], rtol=1e-13, atol=0.0)
+
+
+def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state):
+    v = np.stack([state.v, np.full(grid.n, np.nan), state.v])
+    kappa = np.stack([state.kappa, np.full(grid.n, np.nan), state.kappa])
+    r = {bus: np.full(3, nominal.r[bus]) for bus in grid.vsc_buses}
+    h, phi = channel_gains(grid, nominal.x, r, v, kappa, [0])
+    assert np.isnan(h[1]).all() and np.isnan(phi[1]).all()
+    alone, _ = channel_gains(grid, nominal.x, nominal.r, state.v[None], state.kappa[None], [0])
+    assert h[0].tobytes() == h[2].tobytes() == alone[0].tobytes()

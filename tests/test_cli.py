@@ -13,6 +13,7 @@ from powertalk import (
     nominal_droop,
     two_source_closed_form,
 )
+from powertalk import cli
 from powertalk.cli import RunConfig, SWEEP_COLUMNS, main, parse_config, serialize
 
 CASE_TEXT = json.dumps(case_study_document())
@@ -289,3 +290,39 @@ def test_per_converter_budget_lists(grid_file, capsys):
     out = capsys.readouterr().out.splitlines()
     assert any(line.startswith("1,20,") for line in out)
     assert main(["budget", "--grid", grid_file, "--pi", "1,2,3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--pi", "10"],
+        ["budget", "--pi", "10"],
+        ["simulate", "--amplitude", "0.1", "--slots", "10"],
+    ],
+)
+def test_one_converter_grid_has_no_link(tmp_path, capsys, argv):
+    doc = {
+        "buses": [
+            {"id": 0, "vsc": {"x_nom": 400.0, "r_nom": 0.39}},
+            {"id": 1, "load": {"r_cr": 50.0}},
+        ],
+        "lines": [{"a": 0, "b": 1, "r": 0.2}],
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], "--grid", str(path), *argv[1:]]) == 2
+    assert "two converter buses" in capsys.readouterr().err
+
+
+def test_linearized_simulate_from_budgets_linearizes_once(grid_file, monkeypatch, capsys):
+    calls = []
+    original = cli.linearize
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "linearize", counted)
+    argv = ["simulate", "--grid", grid_file, "--pi", "10", "--mode", "linearized"]
+    assert main([*argv, "--slots", "100"]) == 0
+    assert len(calls) == 1

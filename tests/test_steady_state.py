@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,33 @@ def test_gauss_seidel_and_newton_agree(grid, nominal):
     nt = solve_steady_state(grid, nominal, method="newton")
     err = np.max(np.abs(gs.v - nt.v))
     assert err < 1e-8, f"solver paths differ by {err:.3e} V"
+
+
+def test_newton_flags_a_droop_without_a_real_root(grid, nominal):
+    with pytest.raises(NoRealRoot):
+        solve_steady_state(grid, nominal.with_r({0: 3000.0, 1: 3000.0}), method="newton")
+
+
+def test_newton_reports_an_exhausted_iteration_budget(grid, nominal):
+    with pytest.raises(NonConvergence):
+        solve_steady_state(grid, nominal, method="newton", max_iter=1)
+
+
+@settings(max_examples=25)
+@given(r_a=r_values, r_b=r_values)
+def test_newton_tracks_closed_form_over_droop_range(grid, nominal, r_a, r_b):
+    droop = nominal.with_r({0: r_a, 1: r_b})
+    state = solve_steady_state(grid, droop, method="newton")
+    err = np.max(np.abs(state.v - two_source_closed_form(grid, droop)))
+    assert err <= 1e-9, f"r=({r_a}, {r_b}): {err:.3e} V"
+
+
+def test_newton_reports_a_residual_within_tolerance(grid, nominal):
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        droop = nominal.with_r({bus: nominal.r[bus] * rng.uniform(1.0, 3.0) for bus in (0, 1)})
+        state = solve_steady_state(grid, droop, method="newton")
+        assert state.residual <= steady_state.DEFAULT_TOL, droop
 
 
 def test_unknown_method_rejected(grid, nominal):
@@ -460,7 +489,7 @@ def test_memo_is_a_bounded_lru(linear_grid, monkeypatch):
         solve_steady_state(own, droop)
     solve_steady_state(own, droops[0])  # a hit: droops[1] is now the oldest
     solve_steady_state(own, droops[3])
-    assert len(steady_state._memo) == 3
+    assert len(own._memo) == 3
     assert len(solves) == 4
     solve_steady_state(own, droops[0])
     assert len(solves) == 4
@@ -468,7 +497,17 @@ def test_memo_is_a_bounded_lru(linear_grid, monkeypatch):
     assert len(solves) == 5
     for droop in droops:
         solve_steady_state(own, droop)
-        assert len(steady_state._memo) <= 3
+        assert len(own._memo) <= 3
+
+
+def test_memo_dies_with_its_grid(linear_grid):
+    own = _fresh(linear_grid)
+    solve_steady_state(own, nominal_droop(own))
+    assert len(own._memo) == 1
+    alive = weakref.ref(own)
+    del own
+    gc.collect()
+    assert alive() is None
 
 
 def test_search_and_nominal_snr_solve_the_nominal_point_once(grid, monkeypatch):
@@ -519,4 +558,4 @@ def test_memo_under_concurrent_callers(linear_grid, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(steady_state._memo) <= 2
+    assert len(own._memo) <= 2
