@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputOnLoadBus, NoRealRoot, SingularSystem
 from .grid import LoadSpec, ValidatedGrid, VscSpec
-from .steady_state import DroopState, SteadyState, _droop_lanes
+from .steady_state import BLOCK_BYTES, DroopState, SteadyState, _droop_lanes
 
 __all__ = [
     "ChannelModel",
@@ -84,8 +84,39 @@ def channel_gains(
     Returns ``h`` (lanes, n, k), the H columns of ``inputs``, and ``phi``
     (lanes, n_vsc, k), their Phi rows for the converter buses in grid
     order.  A lane with a non-finite kappa (not viable) gets NaN gains.
+    The (lanes, n, n) system is built and solved in blocks of
+    ``BLOCK_BYTES``, each lane on its own, so a lane's gains do not depend
+    on the block it falls in and memory beyond the outputs stays bounded.
     """
     inputs = list(inputs)
+    lanes = len(v)
+    x = {bus: np.broadcast_to(np.asarray(x[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
+    r = {bus: np.broadcast_to(np.asarray(r[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
+    h = np.empty((lanes, grid.n, len(inputs)))
+    phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
+    block = max(1, BLOCK_BYTES // (8 * grid.n * grid.n))
+    for lo in range(0, lanes, block):
+        blk = slice(lo, lo + block)
+        h[blk], phi[blk] = _gains_block(
+            grid,
+            {bus: values[blk] for bus, values in x.items()},
+            {bus: values[blk] for bus, values in r.items()},
+            v[blk],
+            kappa[blk],
+            inputs,
+        )
+    return h, phi
+
+
+def _gains_block(
+    grid: ValidatedGrid,
+    x: Mapping[int, np.ndarray],
+    r: Mapping[int, np.ndarray],
+    v: np.ndarray,
+    kappa: np.ndarray,
+    inputs: List[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`channel_gains` on one block of (lanes,) droop values, each lane on its own."""
     lanes = len(v)
     _, y = _droop_lanes(grid, x, r, lanes)
     degree = grid.g_line.sum(axis=1)
@@ -104,7 +135,7 @@ def channel_gains(
 
     phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
     for i, bus in enumerate(grid.vsc_buses):
-        x_col, r_col = np.reshape(x[bus], (-1, 1)), np.reshape(r[bus], (-1, 1))
+        x_col, r_col = x[bus][:, None], r[bus][:, None]
         phi[:, i] = h[:, bus] * (x_col - 2.0 * v[:, bus, None]) / r_col
         if bus in inputs:
             phi[:, i, inputs.index(bus)] += v[:, bus] / r_col[:, 0]

@@ -177,14 +177,16 @@ def _tally(
     ``obs >= midpoint`` when ``orientation`` is +1, ``obs <= midpoint``
     when it is -1.  Each symbol's sums run over its compacted
     observations, the arrays the sequential loop summed, so numpy's
-    pairwise summation order is unchanged.
+    pairwise summation order is unchanged; ``np.compress`` gathers them
+    in slot order, the same array as a boolean index at a fraction of
+    its cost.
     """
     plus = bits.view(bool)
     noise *= sigma_z
     errors = 0
     stats = {}
     for symbol, mask in ((+1, plus), (-1, ~plus)):
-        obs = noise[mask]
+        obs = np.compress(mask, noise)
         obs += rx_mean[symbol]
         said_plus = np.count_nonzero(obs >= midpoint if orientation > 0 else obs <= midpoint)
         errors += obs.size - said_plus if symbol == +1 else said_plus

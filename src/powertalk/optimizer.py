@@ -4,10 +4,16 @@ For a fixed transmitter/receiver pair the received SNR is governed by
 per-converter gain terms g_n: the squared voltage gain at the receiver,
 divided by the squared power sensitivity of converter n, times that
 converter's remaining budget headroom.  The binding constraint is the
-smallest g_n, so tuning maximizes min_n g_n over the virtual-resistance
-box via exhaustive grid search with the step the deployment uses.  All
-grid-point evaluations are pure, so the search result is independent of
-evaluation order; ties resolve to the smallest resistances.
+smallest g_n, so tuning maximizes min_n g_n over a lattice on the
+virtual-resistance box, with the step the deployment uses.  The search is
+exact but solves only the budget band: the lattice points whose
+investments all fit the budgets, found per lattice row by batched
+bisection on the monotone investments.  Every other point scores 0, so
+the band's best is the lattice's best whenever it is positive; when it is
+not, or a run-time check of the band fails, the whole lattice is solved
+and scored instead.  All grid-point evaluations are pure, so the result
+is independent of evaluation order; ties resolve to the smallest
+resistances.
 """
 
 from __future__ import annotations
@@ -54,7 +60,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best virtual-resistance pair found by the exhaustive search."""
+    """Best virtual-resistance pair found by the lattice search.
+
+    ``evaluations`` counts the lattice points the exact search covers,
+    the whole lattice, not the points it had to solve.
+    """
 
     r_star: Dict[int, float]    # per-converter resistance [ohm]
     snr: float
@@ -140,16 +150,21 @@ def maximize_snr_grid(
     step: float = DEFAULT_STEP,
     r_max: Optional[Mapping[int, float]] = None,
 ) -> OptimizationResult:
-    """Exhaustive search for the resistances maximizing the received SNR.
+    """Exact lattice search for the resistances maximizing the received SNR.
 
-    Evaluates every combination on the per-converter lattice
-    r_nom, r_nom + step, ..., r_max and returns the maximizer of
-    min_n g_n; ties break toward the smallest resistances in bus order.
+    Returns the maximizer of min_n g_n over the per-converter lattice
+    r_nom, r_nom + step, ..., r_max; ties break toward the smallest
+    resistances in bus order.  Only the budget band, the lattice points
+    with every |dp_n| <= pi_n, is solved and scored: every other point
+    scores 0, so a positive best in the band is the lattice's first
+    maximum.  The search falls back to the whole lattice when the band's
+    run-time checks fail or its best is not positive (pi = 0, say).
     ``r_max`` falls back to each converter's nameplate limit, then to
     :func:`default_r_max`.
     """
-    table = _channel_table(grid, nominal, tx, rx, _r_axes(grid, nominal, step, r_max))
-    return _argmax_on_table(table, pi, sigma_z, step)
+    _check_budgets(grid, pi)
+    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step, r_max), pi)
+    return search.best(pi, sigma_z, step)
 
 
 def capacity_sweep(
@@ -164,19 +179,27 @@ def capacity_sweep(
 ) -> List[SweepRow]:
     """Nominal and optimized capacity across a range of common budgets.
 
-    The channel table over the resistance lattice does not depend on the
-    budgets, so it is built once and re-scored per budget point.
+    The channel table does not depend on the budgets, so it is built
+    once, on the band of the largest budget, and re-scored per budget
+    point: the band of a smaller budget lies inside it.
     """
     pi_values = [float(p) for p in pi_range]
     if not pi_values:
         raise ValueError("pi_range must be nonempty")
     if any(b < a for a, b in zip(pi_values, pi_values[1:])):
         raise ValueError("pi_range must be ascending")
-    table = _channel_table(grid, nominal, tx, rx, _r_axes(grid, nominal, step, r_max))
+    search = _LatticeSearch(
+        grid,
+        nominal,
+        tx,
+        rx,
+        _r_axes(grid, nominal, step, r_max),
+        {bus: pi_values[-1] for bus in grid.vsc_buses},
+    )
     rows = []
     for pi in pi_values:
         budgets = {bus: pi for bus in grid.vsc_buses}
-        best = _argmax_on_table(table, budgets, sigma_z, step)
+        best = search.best(budgets, sigma_z, step)
         snr_nom, _ = one_way_snr(grid, nominal, nominal, budgets, sigma_z, tx, rx)
         rows.append(
             SweepRow(
@@ -292,6 +315,11 @@ def concavity_probe(
 
 # -- internals ----------------------------------------------------------------
 
+def _check_budgets(grid: ValidatedGrid, pi: Mapping[int, float]) -> None:
+    if set(pi) != set(grid.vsc_buses):
+        raise ValueError("budgets must cover every converter bus")
+
+
 def _check_link(grid: ValidatedGrid, pi: Mapping[int, float], tx: int, rx: int) -> None:
     if tx == rx:
         raise ValueError("transmitter and receiver must be distinct buses")
@@ -331,14 +359,21 @@ def _r_axes(
 
 @dataclass(frozen=True)
 class _ChannelTable:
-    """Budget-independent channel quantities on the resistance lattice."""
+    """Budget-independent channel quantities on chosen lanes of the resistance lattice."""
 
     vsc: Tuple[int, ...]
-    r: Dict[int, np.ndarray]   # flattened lattice coordinates per converter
+    r: Dict[int, np.ndarray]   # lane coordinates per converter, C order of the lattice
     feasible: np.ndarray       # (B,) viable operating point found
     h_rx: np.ndarray           # (B,) voltage gain receiver <- transmitter
     phi: np.ndarray            # (B, n_vsc) power gains d p_n / d x_tx
     dp: np.ndarray             # (B, n_vsc) static investment per converter [W]
+
+
+def _lattice_r(axes: Dict[int, np.ndarray], lanes: np.ndarray) -> Dict[int, np.ndarray]:
+    """Coordinates of flat C-order lattice indices: the meshgrid's values, bit for bit."""
+    vsc = sorted(axes)
+    index = np.unravel_index(lanes, tuple(len(axes[bus]) for bus in vsc))
+    return {bus: axes[bus][i] for bus, i in zip(vsc, index)}
 
 
 def _channel_table(
@@ -346,11 +381,9 @@ def _channel_table(
     nominal: DroopState,
     tx: int,
     rx: int,
-    axes: Dict[int, np.ndarray],
+    r: Dict[int, np.ndarray],
 ) -> _ChannelTable:
-    vsc = sorted(axes)
-    mesh = np.meshgrid(*(axes[bus] for bus in vsc), indexing="ij")
-    r = {bus: m.reshape(-1) for bus, m in zip(vsc, mesh)}
+    vsc = sorted(r)
     size = r[vsc[0]].size
     logger.info("channel table: %d lattice points", size)
 
@@ -366,6 +399,155 @@ def _channel_table(
         phi=phi[:, :, 0],
         dp=_investment(grid, nominal, r, batch.v),
     )
+
+
+class _LatticeSearch:
+    """First-max argmax over the resistance lattice, built on the budget band.
+
+    ``pi`` is the largest budget the search is scored at.  The band at
+    ``pi`` holds every lattice point whose score can be positive at that
+    budget or any smaller one; all other points score 0 (or -inf when
+    not viable).  So when the band's best score is positive it is the
+    whole lattice's first maximum, tie-break included.  When the band is
+    unknown (see :func:`_band_lanes`) or its best is not positive, the
+    same table is built on every lane of the lattice and scored instead.
+    """
+
+    def __init__(
+        self,
+        grid: ValidatedGrid,
+        nominal: DroopState,
+        tx: int,
+        rx: int,
+        axes: Dict[int, np.ndarray],
+        pi: Mapping[int, float],
+    ) -> None:
+        self._link = (grid, nominal, tx, rx)
+        self._axes = axes
+        self.size = int(np.prod([len(values) for values in axes.values()]))
+        lanes = _band_lanes(grid, nominal, axes, pi)
+        self._band = None if lanes is None else self._table(lanes)
+        self._full: Optional[_ChannelTable] = None
+
+    def _table(self, lanes: np.ndarray) -> _ChannelTable:
+        return _channel_table(*self._link, _lattice_r(self._axes, lanes))
+
+    def best(self, pi: Mapping[int, float], sigma_z: float, step: float) -> OptimizationResult:
+        table = self._band
+        if table is not None:
+            idx, snr, g = _first_max(table, pi, sigma_z)
+        if table is None or not snr > 0.0:
+            if self._full is None:
+                self._full = self._table(np.arange(self.size))
+            table = self._full
+            idx, snr, g = _first_max(table, pi, sigma_z)
+            if not np.isfinite(snr):
+                raise NoRealRoot("no viable operating point anywhere on the search lattice")
+        return OptimizationResult(
+            r_star={bus: float(table.r[bus][idx]) for bus in table.vsc},
+            snr=snr,
+            capacity=capacity(snr),
+            g_values={bus: float(g[j]) for j, bus in enumerate(table.vsc)},
+            grid_step=step,
+            evaluations=self.size,
+        )
+
+
+def _band_lanes(
+    grid: ValidatedGrid,
+    nominal: DroopState,
+    axes: Dict[int, np.ndarray],
+    pi: Mapping[int, float],
+) -> Optional[np.ndarray]:
+    """Flat C-order indices of the lattice points with every |dp_n| <= pi_n.
+
+    Along the last lattice axis each investment is monotone in every
+    row: raising one resistance shifts load off its converter onto the
+    others.  A row's band is therefore one run [lo, hi]: lo is the first
+    point where the constraints that turn true along the row hold, hi
+    the last where those that turn false still hold, with each
+    constraint's direction taken from the row's end points.  Both edges
+    of every row are bisected at once, one batched solve per round.  The
+    run and its outside neighbours are then solved and checked: viable,
+    strictly monotone in the row's direction, and in the band exactly
+    from lo to hi.  Returns None, meaning "search the whole lattice",
+    when a probed point is not viable, a row's end points tie, a check
+    fails or the band is empty.
+    """
+    vsc = sorted(axes)
+    width = len(axes[vsc[-1]])
+    rows = np.arange(int(np.prod([len(axes[bus]) for bus in vsc[:-1]])))
+    pi_vec = np.array([pi[bus] for bus in vsc])
+
+    def probe(row: np.ndarray, col: np.ndarray) -> Optional[np.ndarray]:
+        r = _lattice_r(axes, row * width + col)
+        batch = solve_steady_state_many(grid, dict(nominal.x), r)
+        return _investment(grid, nominal, r, batch.v) if batch.feasible.all() else None
+
+    end_row, end_col = np.tile(rows, 2), np.repeat([0, width - 1], rows.size)
+    ends = probe(end_row, end_col)
+    if ends is None:
+        return None
+    first, last = ends[: rows.size], ends[rows.size :]
+    if np.any(first == last):
+        return None
+    rising = last > first  # (rows, n_vsc)
+
+    def holds(dp: np.ndarray, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Whether the constraints that turn true, and those that turn false, all hold."""
+        above, below = dp >= -pi_vec, dp <= pi_vec
+        after = np.where(rising[row], above, below).all(axis=1)
+        before = np.where(rising[row], below, above).all(axis=1)
+        return after, before
+
+    # lo in (a_lo, a_hi] and hi in [b_lo, b_hi); -1 and width stand for "none"
+    a_lo, a_hi = np.full(rows.size, -1), np.full(rows.size, width)
+    b_lo, b_hi = np.full(rows.size, -1), np.full(rows.size, width)
+
+    def narrow(row: np.ndarray, col: np.ndarray, dp: np.ndarray) -> None:
+        after, before = holds(dp, row)
+        np.minimum.at(a_hi, row[after], col[after])
+        np.maximum.at(a_lo, row[~after], col[~after])
+        np.maximum.at(b_lo, row[before], col[before])
+        np.minimum.at(b_hi, row[~before], col[~before])
+
+    narrow(end_row, end_col, ends)
+    while True:
+        live = a_lo + 1 <= b_hi - 1  # the row's band may still be nonempty
+        open_a = np.flatnonzero(live & (a_hi - a_lo > 1))
+        open_b = np.flatnonzero(live & (b_hi - b_lo > 1))
+        if open_a.size + open_b.size == 0:
+            break
+        row = np.concatenate([open_a, open_b])
+        col = np.concatenate([a_lo[open_a] + a_hi[open_a], b_lo[open_b] + b_hi[open_b]]) // 2
+        dp = probe(row, col)
+        if dp is None:
+            return None
+        narrow(row, col, dp)
+
+    lo, hi = a_hi, b_lo
+    band = np.flatnonzero(lo <= hi)
+    if band.size == 0:
+        return None
+    start = np.maximum(lo[band] - 1, 0)
+    length = np.minimum(hi[band] + 1, width - 1) + 1 - start
+    row = np.repeat(band, length)
+    col = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - start, length)
+    dp = probe(row, col)
+    if dp is None:
+        return None
+    after, before = holds(dp, row)
+    inside = (col >= lo[row]) & (col <= hi[row])
+    if np.any((after & before) != inside) or not _runs_monotone(dp, rising[row], row):
+        return None
+    return row[inside] * width + col[inside]
+
+
+def _runs_monotone(dp: np.ndarray, rising: np.ndarray, row: np.ndarray) -> bool:
+    """Each investment moves strictly in its row's direction between consecutive points."""
+    step = np.diff(dp, axis=0)
+    same_row = row[1:] == row[:-1]
+    return bool(np.all(np.where(rising[1:], step > 0.0, step < 0.0)[same_row]))
 
 
 def _investment(
@@ -393,28 +575,17 @@ def _score(
     return np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(snr, 0.0)), g
 
 
-def _argmax_on_table(
-    table: _ChannelTable, pi: Mapping[int, float], sigma_z: float, step: float
-) -> OptimizationResult:
-    if set(pi) != set(table.vsc):
-        raise ValueError("budgets must cover every converter bus")
+def _first_max(
+    table: _ChannelTable, pi: Mapping[int, float], sigma_z: float
+) -> Tuple[int, float, np.ndarray]:
+    """Index, SNR and gain terms of the table's first best lane; -inf SNR when none is viable."""
     pi_vec = np.array([pi[bus] for bus in table.vsc])
     snr, g = _score(table.h_rx, table.phi, table.dp, pi_vec, sigma_z)
     snr = np.where(table.feasible, snr, -np.inf)
-    # flattened in C order over ascending axes: the first maximum is the
+    # lanes in C order over ascending axes: the first maximum is the
     # smallest-resistance tie-break in bus order
     idx = int(np.argmax(snr))
-    if not np.isfinite(snr[idx]):
-        raise NoRealRoot("no viable operating point anywhere on the search lattice")
-    best_snr = float(snr[idx])
-    return OptimizationResult(
-        r_star={bus: float(table.r[bus][idx]) for bus in table.vsc},
-        snr=best_snr,
-        capacity=capacity(best_snr),
-        g_values={bus: float(g[idx, j]) for j, bus in enumerate(table.vsc)},
-        grid_step=step,
-        evaluations=int(snr.size),
-    )
+    return idx, float(snr[idx]), g[idx]
 
 
 def _viable(grid: ValidatedGrid, droop: DroopState) -> bool:
@@ -504,8 +675,7 @@ def _band_interior(
         bus: nominal.r[bus] + np.linspace(0.0, widths[i], counts[i])
         for i, bus in enumerate(vsc)
     }
-    mesh = np.meshgrid(*(axes[bus] for bus in vsc), indexing="ij")
-    r = {bus: m.reshape(-1) for bus, m in zip(vsc, mesh)}
+    r = _lattice_r(axes, np.arange(int(np.prod(counts))))
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     dp = np.nan_to_num(_investment(grid, nominal, r, batch.v), nan=np.inf)
     pi_vec = np.array([pi.get(bus, np.inf) for bus in grid.vsc_buses])

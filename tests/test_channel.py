@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracemalloc
+
 from powertalk import (
     Bus,
     GridSpec,
@@ -20,6 +22,8 @@ from powertalk import (
     solve_steady_state,
     validate_grid,
 )
+from powertalk import channel
+from powertalk.steady_state import BLOCK_BYTES
 from test_steady_state import _case_study_config, _radial_feeder
 
 
@@ -234,3 +238,45 @@ def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state
     assert np.isnan(h[1]).all() and np.isnan(phi[1]).all()
     alone, _ = channel_gains(grid, nominal.x, nominal.r, state.v[None], state.kappa[None], [0])
     assert h[0].tobytes() == h[2].tobytes() == alone[0].tobytes()
+
+
+def _lattice_state(grid, nominal, lanes):
+    """Resistances on a ramp of ``lanes`` points, with the nominal voltages and corrections.
+
+    The kernel's arithmetic needs no solved state, only finite inputs.
+    """
+    r = {
+        bus: nominal.r[bus] * np.linspace(1.0, 1.5 + 0.1 * k, lanes)
+        for k, bus in enumerate(grid.vsc_buses)
+    }
+    state = solve_steady_state(grid, nominal)
+    return r, np.repeat(state.v[None], lanes, axis=0), np.repeat(state.kappa[None], lanes, axis=0)
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
+def test_channel_gains_do_not_depend_on_the_block(make_grid, monkeypatch):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    r, v, kappa = _lattice_state(grid, nominal, 23)
+    x = {bus: np.full(23, nominal.x[bus]) for bus in grid.vsc_buses}
+    inputs = list(grid.vsc_buses)
+    h, phi = channel_gains(grid, x, r, v, kappa, inputs)
+    monkeypatch.setattr(channel, "BLOCK_BYTES", 3 * 8 * grid.n * grid.n)  # blocks of 3 lanes
+    h_3, phi_3 = channel_gains(grid, x, r, v, kappa, inputs)
+    assert h_3.tobytes() == h.tobytes()
+    assert phi_3.tobytes() == phi.tobytes()
+    h_1, phi_1 = channel_gains(grid, nominal.x, r, v, kappa, inputs)  # scalar x, same values
+    assert h_1.tobytes() == h.tobytes() and phi_1.tobytes() == phi.tobytes()
+
+
+def test_channel_gains_memory_is_bounded_beyond_the_outputs(grid, nominal):
+    lanes = 200_000
+    r, v, kappa = _lattice_state(grid, nominal, lanes)
+    tracemalloc.start()
+    try:
+        h, phi = channel_gains(grid, nominal.x, r, v, kappa, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-lattice (lanes, n, n) system alone would take 14.4 MB here
+    assert peak < h.nbytes + phi.nbytes + 8 * BLOCK_BYTES

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powertalk import (
     Bus,
     EmptySearchSpace,
     GridSpec,
+    LineSpec,
     LoadSpec,
     VscSpec,
     capacity,
     capacity_sweep,
+    channel_gains,
     check_viability,
     concavity_probe,
     default_r_max,
@@ -16,12 +20,17 @@ from powertalk import (
     maximize_snr_grid,
     nominal_droop,
     one_way_snr,
+    optimizer,
     solve_steady_state,
+    solve_steady_state_many,
     validate_grid,
     vr_power_investment,
+    vsc_outputs,
 )
+from powertalk.optimizer import DEFAULT_STEP
 
 SIGMA_Z = 0.01
+BOX = {0: 0.6, 1: 0.7}
 
 
 def test_capacity_reference_points():
@@ -181,3 +190,169 @@ def test_concavity_probe_validates_inputs(grid, nominal, budgets):
         concavity_probe(grid, nominal, budgets, tx=0, rx=1, samples=0)
     with pytest.raises(ValueError):
         concavity_probe(grid, nominal, budgets, tx=0, rx=0)
+
+
+# -- the band search against a full-lattice oracle ------------------------------
+
+def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
+    """First maximum of the SNR over every point of the lattice, from public kernels.
+
+    Returns the maximizing resistances, the SNR and the gain terms there,
+    and the lattice's feasible mask.
+    """
+    vsc = list(grid.vsc_buses)
+    axes = [
+        nominal.r[bus]
+        + step * np.arange(int(np.floor((r_max[bus] - nominal.r[bus]) / step + 1e-9)) + 1)
+        for bus in vsc
+    ]
+    r = {bus: m.reshape(-1) for bus, m in zip(vsc, np.meshgrid(*axes, indexing="ij"))}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    xr = np.zeros((len(batch.v), grid.n))
+    y = np.zeros_like(xr)
+    for bus in vsc:
+        y[:, bus] = 1.0 / r[bus]
+        xr[:, bus] = nominal.x[bus] / r[bus]
+    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
+    b = xr + batch.v @ grid.g_line.T - grid.i_cc
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp / r_bus))
+    kappa = np.where(grid.d_cp == 0.0, 1.0, kappa)
+    h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
+    p_nom = solve_steady_state(grid, nominal).p
+    _, p = vsc_outputs(grid, nominal.with_r(r), batch.v.T)
+    dp = np.stack([p[bus] - p_nom[bus] for bus in vsc], axis=1)
+    headroom = np.array([pi[bus] for bus in vsc]) ** 2 - dp**2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = (h[:, rx, 0, None] / phi[:, :, 0]) ** 2 * headroom
+        snr = np.min(g, axis=1) / sigma_z**2
+    snr = np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(snr, 0.0))
+    feasible = batch.feasible & np.all(np.isfinite(kappa), axis=1)
+    snr = np.where(feasible, snr, -np.inf)
+    best = int(np.argmax(snr))
+    r_star = {bus: float(r[bus][best]) for bus in vsc}
+    return r_star, float(snr[best]), {bus: float(g[best, j]) for j, bus in enumerate(vsc)}, feasible
+
+
+@pytest.fixture
+def solved_lanes(monkeypatch):
+    """Lanes per batched solve the optimizer makes while the test runs."""
+    lanes = []
+
+    def counting(grid, x, r, *args, **kwargs):
+        batch = solve_steady_state_many(grid, x, r, *args, **kwargs)
+        lanes.append(len(batch.v))
+        return batch
+
+    monkeypatch.setattr(optimizer, "solve_steady_state_many", counting)
+    return lanes
+
+
+def _radial_pair():
+    """A 10-bus radial trunk fed by converters at both ends, lightly loaded."""
+    buses = []
+    for bus in range(10):
+        if bus in (0, 9):
+            buses.append(Bus(bus, LoadSpec(), VscSpec(400.0, 0.39, r_max=0.64)))
+        else:
+            load = LoadSpec(r_cr=400.0 + 300.0 * (bus % 4), i_cc=0.2 * (bus % 2),
+                            d_cp=60.0 + 40.0 * (bus % 3))
+            buses.append(Bus(bus, load))
+    lines = [
+        LineSpec.from_length(k, k + 1, rho=0.641, length_km=0.05 + 0.03 * (k % 3))
+        for k in range(9)
+    ]
+    return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+
+
+def _assert_matches_oracle(result, oracle):
+    r_star, snr, g, _ = oracle
+    assert result.r_star == r_star
+    assert result.snr == snr
+    assert result.g_values == g
+
+
+@pytest.mark.parametrize("pi", [2.0, 5.0, 10.0, 15.0, 20.0])
+def test_band_search_equals_the_full_lattice_on_the_case_study(grid, nominal, pi, solved_lanes):
+    budgets = {0: pi, 1: pi}
+    result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, r_max=BOX)
+    oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX)
+    _assert_matches_oracle(result, oracle)
+    assert result.evaluations == oracle[3].size  # every lattice point is covered
+    assert sum(solved_lanes) < oracle[3].size  # ... but not every one is solved
+
+
+def test_band_sweep_equals_the_full_lattice_per_budget(grid, nominal):
+    pis = [2.0, 5.0, 10.0, 15.0, 20.0]
+    rows = capacity_sweep(grid, nominal, pis, SIGMA_Z, 0, 1, r_max=BOX)
+    for pi, row in zip(pis, rows):
+        r_star, snr, _, _ = _lattice_oracle(
+            grid, nominal, {0: pi, 1: pi}, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX
+        )
+        assert row.r_star == r_star
+        assert row.snr_opt == snr
+
+
+def test_band_search_equals_the_full_lattice_on_a_radial_feeder(solved_lanes):
+    grid = _radial_pair()
+    nominal = nominal_droop(grid)
+    box = {0: 0.64, 9: 0.64}
+    pis = [1.0, 5.0, 20.0]
+    for pi in pis:
+        budgets = {0: pi, 9: pi}
+        result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 9)
+        oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 9, DEFAULT_STEP, box)
+        _assert_matches_oracle(result, oracle)
+    assert result.r_star[0] > nominal.r[0]  # an interior optimum, not the nominal corner
+    solved_lanes.clear()
+    rows = capacity_sweep(grid, nominal, pis, SIGMA_Z, 9, 0)
+    for pi, row in zip(pis, rows):
+        r_star, snr, _, _ = _lattice_oracle(
+            grid, nominal, {0: pi, 9: pi}, SIGMA_Z, 9, 0, DEFAULT_STEP, box
+        )
+        assert row.r_star == r_star
+        assert row.snr_opt == snr
+    assert sum(solved_lanes) < 51 * 51
+
+
+@settings(max_examples=15)
+@given(
+    pi=st.floats(min_value=0.5, max_value=25.0),
+    step=st.floats(min_value=0.004, max_value=0.02),
+)
+def test_band_search_equals_the_full_lattice_over_budgets_and_steps(grid, nominal, pi, step):
+    budgets = {0: pi, 1: 0.8 * pi}
+    result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, step=step, r_max=BOX)
+    _assert_matches_oracle(
+        result, _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, step, BOX)
+    )
+
+
+@pytest.mark.parametrize("case", ["zero budget", "past viability", "row check fails"])
+def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solved_lanes, monkeypatch):
+    budgets, step, box = {0: 10.0, 1: 10.0}, DEFAULT_STEP, BOX
+    if case == "zero budget":
+        budgets = {0: 0.0, 1: 0.0}
+    elif case == "past viability":
+        step, box = 0.5, {0: 40.0, 1: 40.0}
+    else:
+        monkeypatch.setattr(optimizer, "_runs_monotone", lambda *args: False)
+    result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, step=step, r_max=box)
+    oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, step, box)
+    _assert_matches_oracle(result, oracle)
+    feasible = oracle[3]
+    assert solved_lanes[-1] == feasible.size  # the last solve is the whole lattice
+    if case == "past viability":
+        assert not feasible.all()
+    if case == "zero budget":
+        assert result.r_star == {0: 0.39, 1: 0.39}
+
+
+def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, solved_lanes):
+    capacity_sweep(grid, nominal, [2.0, 5.0, 10.0, 15.0, 20.0], SIGMA_Z, 0, 1)
+    size = 1
+    for bus in grid.vsc_buses:
+        span = default_r_max(grid, nominal, bus) - nominal.r[bus]
+        size *= int(np.floor(span / DEFAULT_STEP + 1e-9)) + 1
+    assert size == 703 * 703
+    assert sum(solved_lanes) <= 0.05 * size
