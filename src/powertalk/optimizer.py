@@ -18,6 +18,7 @@ resistances.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -265,51 +266,67 @@ def concavity_probe(
     nominal corner uses central differences, which cancel the
     headroom's quadratic dip (the investment vanishes at nominal) and
     expose the first-order growth that pulls the optimum above nominal.
+    Every point scored, the stencils of all sample points and the
+    nominal lanes, is a lane of one pass through the batched Newton and
+    channel-gain kernels that the lattice search uses.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_link(grid, pi, tx, rx)
     vsc = sorted(nominal.r)
+    dim = len(vsc)
+    p_nom = solve_steady_state(grid, nominal).p
+    points = _band_interior(grid, nominal, p_nom, pi, vsc, samples)
 
-    def g_at(point: Mapping[int, float]) -> Dict[int, float]:
-        _, g = one_way_snr(grid, nominal.with_r(dict(point)), nominal, pi, 1.0, tx, rx)
-        return g
-
-    points = _band_interior(grid, nominal, pi, vsc, samples)
-
-    violations = []
-    max_rel = -np.inf
-    for point in points:
-        hessians = _fd_hessians(g_at, point, vsc, fd_step)
-        for bus, hess in hessians.items():
-            eig = np.linalg.eigvalsh(hess)
-            scale = float(np.max(np.abs(eig)))
-            rel = float(eig[-1] / scale) if scale > 0.0 else 0.0
-            max_rel = max(max_rel, rel)
-            if rel > rel_tol:
-                violations.append((tuple(point[b] for b in vsc), bus, rel))
-
-    grad = {}
-    h = 1e-4
-    for bus in sorted(pi):
-        parts = []
-        for axis in vsc:
-            plus = g_at(nominal.with_r({axis: nominal.r[axis] + h}).r)
-            minus = g_at(nominal.with_r({axis: nominal.r[axis] - h}).r)
-            parts.append((plus[bus] - minus[bus]) / (2.0 * h))
-        grad[bus] = tuple(parts)
-    g0 = g_at(nominal.r)
-    corner_ok = all(
-        part >= -rel_tol * max(abs(g0[bus]), 1e-30)
-        for bus, parts in grad.items()
-        for part in parts
+    # stencil offsets in units of fd_step: the centre, +e_i and -e_i per
+    # axis, then the corners (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) per plane
+    eye = np.eye(dim)
+    planes = list(itertools.combinations(range(dim), 2))
+    corners = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+    offsets = np.array(
+        [np.zeros(dim)]
+        + [sign * eye[i] for i in range(dim) for sign in (1.0, -1.0)]
+        + [a * eye[i] + b * eye[j] for i, j in planes for a, b in corners]
     )
+    h_nom = 1e-4
+    r_nom = np.array([nominal.r[bus] for bus in vsc])
+    stencils = (points[:, None, :] + offsets * fd_step).reshape(-1, dim)
+    lanes = np.concatenate([stencils, r_nom + np.concatenate([eye, -eye]) * h_nom, r_nom[None]])
+    table = _channel_table(grid, nominal, p_nom, tx, rx, dict(zip(vsc, lanes.T)))
+    if not table.feasible.all():
+        raise NoRealRoot("a point of the concavity probe has no viable operating point")
+    buses = sorted(pi)
+    cols = [grid.vsc_buses.index(bus) for bus in buses]
+    pi_vec = np.array([pi[bus] for bus in buses])
+    _, g = _score(table.h_rx, table.phi[:, cols], table.dp[:, cols], pi_vec, 1.0)
+    stencil, at_nominal = np.split(g, [len(points) * len(offsets)])
+
+    stencil = stencil.reshape(len(points), len(offsets), len(buses))
+    centre = stencil[:, 0]
+    hess = np.empty((len(points), len(buses), dim, dim))
+    for i in range(dim):
+        plus, minus = stencil[:, 1 + 2 * i], stencil[:, 2 + 2 * i]
+        hess[:, :, i, i] = (plus - 2.0 * centre + minus) / fd_step**2
+    for p, (i, j) in enumerate(planes):
+        pp, pm, mp, mm = (stencil[:, 1 + 2 * dim + 4 * p + c] for c in range(4))
+        hess[:, :, i, j] = hess[:, :, j, i] = (pp - pm - mp + mm) / (4.0 * fd_step**2)
+    eig = np.linalg.eigvalsh(hess)
+    scale = np.max(np.abs(eig), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(scale > 0.0, eig[..., -1] / scale, 0.0)
+    sampled = tuple(tuple(map(float, point)) for point in points)
+    violations = tuple(
+        (sampled[a], buses[b], float(rel[a, b])) for a, b in zip(*np.nonzero(rel > rel_tol))
+    )
+
+    grad = (at_nominal[:dim] - at_nominal[dim:-1]) / (2.0 * h_nom)  # (axis, bus)
+    g0 = at_nominal[-1]
     return ConcavityReport(
-        points=tuple(tuple(p[b] for b in vsc) for p in points),
-        max_rel_eig=float(max_rel),
-        violations=tuple(violations),
-        grad_nominal=grad,
-        nominal_at_box_corner=corner_ok,
+        points=sampled,
+        max_rel_eig=float(np.max(rel, initial=-np.inf)),
+        violations=violations,
+        grad_nominal={bus: tuple(map(float, grad[:, b])) for b, bus in enumerate(buses)},
+        nominal_at_box_corner=bool(np.all(grad >= -rel_tol * np.maximum(np.abs(g0), 1e-30))),
     )
 
 
@@ -379,6 +396,7 @@ def _lattice_r(axes: Dict[int, np.ndarray], lanes: np.ndarray) -> Dict[int, np.n
 def _channel_table(
     grid: ValidatedGrid,
     nominal: DroopState,
+    p_nom: Dict[int, float],
     tx: int,
     rx: int,
     r: Dict[int, np.ndarray],
@@ -397,7 +415,7 @@ def _channel_table(
         feasible=batch.feasible & np.all(np.isfinite(kappa), axis=1),
         h_rx=h[:, rx, 0],
         phi=phi[:, :, 0],
-        dp=_investment(grid, nominal, r, batch.v),
+        dp=_investment(grid, nominal, p_nom, r, batch.v),
     )
 
 
@@ -422,10 +440,11 @@ class _LatticeSearch:
         axes: Dict[int, np.ndarray],
         pi: Mapping[int, float],
     ) -> None:
-        self._link = (grid, nominal, tx, rx)
+        p_nom = solve_steady_state(grid, nominal).p
+        self._link = (grid, nominal, p_nom, tx, rx)
         self._axes = axes
         self.size = int(np.prod([len(values) for values in axes.values()]))
-        lanes = _band_lanes(grid, nominal, axes, pi)
+        lanes = _band_lanes(grid, nominal, p_nom, axes, pi)
         self._band = None if lanes is None else self._table(lanes)
         self._full: Optional[_ChannelTable] = None
 
@@ -456,6 +475,7 @@ class _LatticeSearch:
 def _band_lanes(
     grid: ValidatedGrid,
     nominal: DroopState,
+    p_nom: Dict[int, float],
     axes: Dict[int, np.ndarray],
     pi: Mapping[int, float],
 ) -> Optional[np.ndarray]:
@@ -480,9 +500,7 @@ def _band_lanes(
     pi_vec = np.array([pi[bus] for bus in vsc])
 
     def probe(row: np.ndarray, col: np.ndarray) -> Optional[np.ndarray]:
-        r = _lattice_r(axes, row * width + col)
-        batch = solve_steady_state_many(grid, dict(nominal.x), r)
-        return _investment(grid, nominal, r, batch.v) if batch.feasible.all() else None
+        return _lane_investments(grid, nominal, p_nom, _lattice_r(axes, row * width + col))
 
     end_row, end_col = np.tile(rows, 2), np.repeat([0, width - 1], rows.size)
     ends = probe(end_row, end_col)
@@ -551,12 +569,23 @@ def _runs_monotone(dp: np.ndarray, rising: np.ndarray, row: np.ndarray) -> bool:
 
 
 def _investment(
-    grid: ValidatedGrid, nominal: DroopState, r: Mapping[int, np.ndarray], v: np.ndarray
+    grid: ValidatedGrid,
+    nominal: DroopState,
+    p_nom: Dict[int, float],
+    r: Mapping[int, np.ndarray],
+    v: np.ndarray,
 ) -> np.ndarray:
-    """Static investment p(r) - p(r_nom) per lane and converter, (lanes, n_vsc) [W]."""
-    p_nom = solve_steady_state(grid, nominal).p
+    """Static investment p(r) - p_nom per lane and converter, (lanes, n_vsc) [W]."""
     _, p = vsc_outputs(grid, nominal.with_r(r), v.T)
     return np.stack([p[bus] - p_nom[bus] for bus in grid.vsc_buses], axis=1)
+
+
+def _lane_investments(
+    grid: ValidatedGrid, nominal: DroopState, p_nom: Dict[int, float], r: Mapping[int, np.ndarray]
+) -> Optional[np.ndarray]:
+    """Investments of lanes solved in one batch; None when any lane is not viable."""
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    return _investment(grid, nominal, p_nom, r, batch.v) if batch.feasible.all() else None
 
 
 def _score(
@@ -596,26 +625,14 @@ def _viable(grid: ValidatedGrid, droop: DroopState) -> bool:
     return not check_viability(grid, droop, state.v)
 
 
-def _investment_jacobian(
-    grid: ValidatedGrid, nominal: DroopState, vsc: List[int], h: float = 1e-5
-) -> np.ndarray:
-    """d(investment)/d(resistance) at nominal by central differences."""
-    jac = np.zeros((len(vsc), len(vsc)))
-    for j, axis in enumerate(vsc):
-        plus = vr_power_investment(grid, nominal, nominal.with_r({axis: nominal.r[axis] + h}))
-        minus = vr_power_investment(grid, nominal, nominal.with_r({axis: nominal.r[axis] - h}))
-        for i, bus in enumerate(vsc):
-            jac[i, j] = (plus[bus] - minus[bus]) / (2.0 * h)
-    return jac
-
-
 def _band_interior(
     grid: ValidatedGrid,
     nominal: DroopState,
+    p_nom: Dict[int, float],
     pi: Mapping[int, float],
     vsc: List[int],
     samples: int,
-) -> List[Dict[int, float]]:
+) -> np.ndarray:
     """Feasible lattice points of the region with all lattice neighbors feasible.
 
     Raising one resistance alone moves investments at thousands of watts
@@ -623,12 +640,21 @@ def _band_interior(
     Jacobian maps closest to zero (equal-increase on a symmetric grid).
     The lattice is sized from the bisected extent along that direction
     and from the band halfwidth implied by the largest Jacobian gain.
+    Returns up to ``samples`` points as rows of resistances in ``vsc`` order.
     """
     dim = len(vsc)
-    cap = np.array([default_r_max(grid, nominal, bus) - nominal.r[bus] for bus in vsc])
-    jac = _investment_jacobian(grid, nominal, vsc)
-    singulars = np.linalg.svd(jac, compute_uv=False)
-    direction = np.linalg.svd(jac)[2][-1]
+    none = np.empty((0, dim))
+    r_nom = np.array([nominal.r[bus] for bus in vsc])
+    cap = np.array([default_r_max(grid, nominal, bus) for bus in vsc]) - r_nom
+    pi_vec = np.array([pi.get(bus, np.inf) for bus in grid.vsc_buses])
+    h = 1e-5  # central differences of the investments at nominal
+    shifted = r_nom + np.concatenate([np.eye(dim), -np.eye(dim)]) * h
+    dp = _lane_investments(grid, nominal, p_nom, dict(zip(vsc, shifted.T)))
+    if dp is None:
+        raise NoRealRoot("no viable operating point next to the nominal resistances")
+    jac = ((dp[:dim] - dp[dim:]) / (2.0 * h)).T  # d(investment_i)/d(r_j)
+    _, singulars, vt = np.linalg.svd(jac)
+    direction = vt[-1]
     if direction.sum() < 0.0:
         direction = -direction
     direction = np.where(np.abs(direction) < 1e-12, 0.0, direction)
@@ -638,19 +664,13 @@ def _band_interior(
     def feasible_shift(t: float) -> bool:
         if np.any(t * direction > cap):
             return False
-        droop = nominal.with_r(
-            {bus: nominal.r[bus] + t * direction[i] for i, bus in enumerate(vsc)}
-        )
-        try:
-            dp = vr_power_investment(grid, nominal, droop)
-        except (NoRealRoot, NonConvergence):
-            return False
-        return all(dp[bus] ** 2 <= pi[bus] ** 2 for bus in pi)
+        dp = _lane_investments(grid, nominal, p_nom, dict(zip(vsc, r_nom + t * direction)))
+        return dp is not None and bool(np.all(dp**2 <= pi_vec**2))
 
     pushable = direction > 0.0
     hi = float(np.min(cap[pushable] / direction[pushable])) if np.any(pushable) else 0.0
     if hi <= 0.0:
-        return []
+        return none
     if feasible_shift(hi):
         t_max = hi
     else:
@@ -663,7 +683,7 @@ def _band_interior(
                 hi = mid
         t_max = lo
     if t_max <= 0.0:
-        return []
+        return none
 
     halfwidth = max(pi.values()) / singulars[0] if singulars[0] > 0.0 else t_max
     widths = np.minimum(1.2 * t_max * direction + 2.0 * halfwidth, cap)
@@ -677,8 +697,7 @@ def _band_interior(
     }
     r = _lattice_r(axes, np.arange(int(np.prod(counts))))
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
-    dp = np.nan_to_num(_investment(grid, nominal, r, batch.v), nan=np.inf)
-    pi_vec = np.array([pi.get(bus, np.inf) for bus in grid.vsc_buses])
+    dp = np.nan_to_num(_investment(grid, nominal, p_nom, r, batch.v), nan=np.inf)
     feas = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
     feas = feas.reshape(tuple(counts))
     inner = feas.copy()
@@ -690,35 +709,7 @@ def _band_interior(
             inner[tuple(edge)] = False
     flat = np.flatnonzero(inner.reshape(-1))
     if flat.size == 0:
-        return []
-    chosen = np.round(np.linspace(0, flat.size - 1, num=min(samples, flat.size))).astype(int)
-    return [{bus: float(r[bus][flat[c]]) for bus in vsc} for c in chosen]
+        return none
+    chosen = flat[np.round(np.linspace(0, flat.size - 1, num=min(samples, flat.size))).astype(int)]
+    return np.stack([r[bus][chosen] for bus in vsc], axis=1)
 
-
-def _fd_hessians(
-    g_at, point: Mapping[int, float], vsc: List[int], h: float
-) -> Dict[int, np.ndarray]:
-    """Central-difference Hessians of every gain term at one point."""
-    dim = len(vsc)
-
-    def shifted(offsets: Tuple[int, ...]) -> Dict[int, float]:
-        return {bus: point[bus] + off * h for bus, off in zip(vsc, offsets)}
-
-    center = g_at(point)
-    buses = sorted(center)
-    hess = {bus: np.zeros((dim, dim)) for bus in buses}
-    for i in range(dim):
-        e = tuple(1 if k == i else 0 for k in range(dim))
-        plus = g_at(shifted(e))
-        minus = g_at(shifted(tuple(-o for o in e)))
-        for bus in buses:
-            hess[bus][i, i] = (plus[bus] - 2.0 * center[bus] + minus[bus]) / h**2
-        for j in range(i + 1, dim):
-            pp = g_at(shifted(tuple(1 if k in (i, j) else 0 for k in range(dim))))
-            pm = g_at(shifted(tuple(1 if k == i else -1 if k == j else 0 for k in range(dim))))
-            mp = g_at(shifted(tuple(-1 if k == i else 1 if k == j else 0 for k in range(dim))))
-            mm = g_at(shifted(tuple(-1 if k in (i, j) else 0 for k in range(dim))))
-            for bus in buses:
-                mixed = (pp[bus] - pm[bus] - mp[bus] + mm[bus]) / (4.0 * h**2)
-                hess[bus][i, j] = hess[bus][j, i] = mixed
-    return hess

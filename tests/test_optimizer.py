@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,3 +358,182 @@ def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, so
         size *= int(np.floor(span / DEFAULT_STEP + 1e-9)) + 1
     assert size == 703 * 703
     assert sum(solved_lanes) <= 0.05 * size
+
+
+# -- the concavity probe against the scalar finite-difference probe ------------
+
+def _fd_hessians(g_at, point, vsc, h):
+    """Central-difference Hessians of every gain term at one point."""
+    dim = len(vsc)
+
+    def shifted(offsets):
+        return {bus: point[bus] + off * h for bus, off in zip(vsc, offsets)}
+
+    center = g_at(point)
+    buses = sorted(center)
+    hess = {bus: np.zeros((dim, dim)) for bus in buses}
+    for i in range(dim):
+        e = tuple(1 if k == i else 0 for k in range(dim))
+        plus = g_at(shifted(e))
+        minus = g_at(shifted(tuple(-o for o in e)))
+        for bus in buses:
+            hess[bus][i, i] = (plus[bus] - 2.0 * center[bus] + minus[bus]) / h**2
+        for j in range(i + 1, dim):
+            pp = g_at(shifted(tuple(1 if k in (i, j) else 0 for k in range(dim))))
+            pm = g_at(shifted(tuple(1 if k == i else -1 if k == j else 0 for k in range(dim))))
+            mp = g_at(shifted(tuple(-1 if k == i else 1 if k == j else 0 for k in range(dim))))
+            mm = g_at(shifted(tuple(-1 if k in (i, j) else 0 for k in range(dim))))
+            for bus in buses:
+                mixed = (pp[bus] - pm[bus] - mp[bus] + mm[bus]) / (4.0 * h**2)
+                hess[bus][i, j] = hess[bus][j, i] = mixed
+    return hess
+
+
+def _scalar_probe(grid, nominal, pi, tx, rx, samples=25, fd_step=1e-3, rel_tol=1e-6):
+    """The concavity probe with every point evaluated on its own.
+
+    The same algorithm as ``concavity_probe`` on a grid whose band lies
+    along a direction of positive resistance steps and ends inside the
+    box, with each investment from ``vr_power_investment`` and each gain
+    term from ``one_way_snr`` (scalar solve and linearization).  Returns
+    the sample points, the flagged (point index, bus) pairs, the largest
+    relative eigenvalue and the central-difference gradient at nominal.
+    """
+    vsc = sorted(nominal.r)
+    dim = len(vsc)
+
+    def g_at(point):
+        _, g = one_way_snr(grid, nominal.with_r(dict(point)), nominal, pi, 1.0, tx, rx)
+        return g
+
+    def dp_at(point):
+        return vr_power_investment(grid, nominal, nominal.with_r(point))
+
+    # the band's direction: the investment Jacobian's least singular vector
+    h = 1e-5
+    jac = np.zeros((dim, dim))
+    for j, axis in enumerate(vsc):
+        plus = dp_at({axis: nominal.r[axis] + h})
+        minus = dp_at({axis: nominal.r[axis] - h})
+        jac[:, j] = [(plus[bus] - minus[bus]) / (2.0 * h) for bus in vsc]
+    singulars = np.linalg.svd(jac, compute_uv=False)
+    direction = np.linalg.svd(jac)[2][-1]
+    direction = -direction if direction.sum() < 0.0 else direction
+    assert np.all(direction > 0.0)
+
+    # the band's extent along it, by bisection
+    cap = np.array([default_r_max(grid, nominal, bus) - nominal.r[bus] for bus in vsc])
+
+    def inside(t):
+        if np.any(t * direction > cap):
+            return False
+        dp = dp_at({bus: nominal.r[bus] + t * direction[i] for i, bus in enumerate(vsc)})
+        return all(dp[bus] ** 2 <= pi[bus] ** 2 for bus in pi)
+
+    lo, hi = 0.0, float(np.min(cap / direction))
+    assert not inside(hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+
+    # a lattice over the band; keep the points whose neighbours are in it too
+    halfwidth = max(pi.values()) / singulars[0]
+    widths = np.minimum(1.2 * lo * direction + 2.0 * halfwidth, cap)
+    counts = [int(np.clip(math.ceil(w / (halfwidth / 2.5)), 32, 200)) for w in widths]
+    axes = [nominal.r[bus] + np.linspace(0.0, w, c) for bus, w, c in zip(vsc, widths, counts)]
+    r = dict(zip(vsc, (m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij"))))
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    p_nom = solve_steady_state(grid, nominal).p
+    _, p = vsc_outputs(grid, nominal.with_r(r), batch.v.T)
+    dp = np.nan_to_num(np.stack([p[bus] - p_nom[bus] for bus in vsc], axis=1), nan=np.inf)
+    pi_vec = np.array([pi.get(bus, np.inf) for bus in vsc])
+    feasible = (batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)).reshape(counts)
+    inner = np.zeros_like(feasible)
+    inner[(slice(1, -1),) * dim] = True
+    for axis in range(dim):
+        inner &= feasible & np.roll(feasible, 1, axis) & np.roll(feasible, -1, axis)
+    flat = np.flatnonzero(inner)
+    chosen = flat[np.round(np.linspace(0, flat.size - 1, num=min(samples, flat.size))).astype(int)]
+    points = [{bus: float(r[bus][c]) for bus in vsc} for c in chosen]
+
+    flagged, max_rel = [], -np.inf
+    for index, point in enumerate(points):
+        for bus, hess in _fd_hessians(g_at, point, vsc, fd_step).items():
+            eig = np.linalg.eigvalsh(hess)
+            rel = float(eig[-1] / np.max(np.abs(eig)))
+            max_rel = max(max_rel, rel)
+            if rel > rel_tol:
+                flagged.append((index, bus))
+    h = 1e-4
+    ups = [g_at(nominal.with_r({axis: nominal.r[axis] + h}).r) for axis in vsc]
+    downs = [g_at(nominal.with_r({axis: nominal.r[axis] - h}).r) for axis in vsc]
+    grad = {
+        bus: tuple((up[bus] - down[bus]) / (2.0 * h) for up, down in zip(ups, downs))
+        for bus in sorted(pi)
+    }
+    return [tuple(p[bus] for bus in vsc) for p in points], flagged, max_rel, grad
+
+
+@pytest.fixture
+def probe_tables(monkeypatch):
+    """Every channel table the optimizer builds while the test runs."""
+    tables = []
+    build = optimizer._channel_table
+
+    def recording(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(optimizer, "_channel_table", recording)
+    return tables
+
+
+def test_concavity_probe_matches_the_scalar_probe(grid, nominal, budgets):
+    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
+    points, flagged, max_rel, grad = _scalar_probe(grid, nominal, budgets, 0, 1)
+    # The sample points follow the direction of a finite-difference Jacobian
+    # (step 1e-5 ohm) whose entries carry each solver's stopping error, ~1e-8
+    # relative: batched Newton lanes against scalar Gauss-Seidel moves the
+    # points by up to 1.5e-8 ohm.
+    assert len(report.points) == len(points) == 25
+    np.testing.assert_allclose(report.points, points, rtol=0.0, atol=5e-8)
+    assert [(report.points.index(p), bus) for p, bus, _ in report.violations] == flagged
+    assert report.max_rel_eig == pytest.approx(max_rel, rel=1e-5)  # 8.5e-7 apart
+    for bus, parts in grad.items():
+        assert report.grad_nominal[bus] == pytest.approx(parts, rel=0.0, abs=1e-9)  # 1.4e-10
+
+
+def test_concavity_probe_lanes_match_one_way_snr(grid, nominal, budgets, probe_tables):
+    concavity_probe(grid, nominal, budgets, tx=0, rx=1)
+    table = probe_tables[-1]
+    assert len(table.feasible) == 25 * 9 + 2 * 2 + 1  # every stencil, then the nominal lanes
+    pi = np.array([budgets[bus] for bus in table.vsc])
+    _, g = optimizer._score(table.h_rx, table.phi, table.dp, pi, 1.0)
+    for lane in range(len(g)):
+        droop = nominal.with_r({bus: float(table.r[bus][lane]) for bus in table.vsc})
+        _, expected = one_way_snr(grid, droop, nominal, budgets, 1.0, 0, 1)
+        model = linearize(grid, droop, solve_steady_state(grid, droop))
+        dp = vr_power_investment(grid, nominal, droop)
+        for j, bus in enumerate(table.vsc):
+            # g = (h / phi)^2 (pi^2 - dp^2): the gain factor agrees to 1e-9 (4e-13
+            # measured); the investment carries the two solvers' stopping errors,
+            # ~4e-8 W, which the headroom turns into up to 8e-9 of pi^2 (h / phi)^2
+            factor = (model.H[1, 0] / model.Phi[bus, 0]) ** 2
+            assert (table.h_rx[lane] / table.phi[lane, j]) ** 2 == pytest.approx(factor, rel=1e-9)
+            assert table.dp[lane, j] == pytest.approx(dp[bus], rel=0.0, abs=1e-7)
+            assert abs(g[lane, j] - expected[bus]) <= 2e-8 * factor * budgets[bus] ** 2
+
+
+def test_concavity_probe_scores_its_points_in_batches(
+    grid, nominal, budgets, solved_lanes, monkeypatch
+):
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("the concavity probe took a scalar path")
+
+    for name in ("one_way_snr", "vr_power_investment", "linearize"):
+        monkeypatch.setattr(optimizer, name, scalar_path)
+    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
+    assert len(report.points) == 25
+    # the investment Jacobian, the band's end, 40 bisection rounds, the
+    # band's lattice and the stencils of every point
+    assert len(solved_lanes) <= 44
