@@ -53,9 +53,7 @@ def vr_power_investment(
     Both droop states must carry the same reference voltages; only the
     virtual resistances may differ.  The investment is the difference of
     converter output powers between the two solved operating points and
-    is identically zero when the resistances match.  Both solves go
-    through ``solve_steady_state``, so an operating point the caller has
-    already solved is not solved again.
+    is identically zero when the resistances match.
     """
     if set(droop_nom.x) != set(droop_new.x) or any(
         droop_new.x[bus] != droop_nom.x[bus] for bus in droop_nom.x

@@ -26,6 +26,7 @@ from .channel import ChannelModel, linearize
 from .comsim import SimConfig, run_transmission
 from .errors import ConfigError, InfeasibleBudget, NumericError, ParseError, SchemaError
 from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, validate_grid
+# one_way_snr is unused here; perfbench/layers.py wraps it under this module's name
 from .optimizer import DEFAULT_STEP, capacity_sweep, maximize_snr_grid, one_way_snr
 from .steady_state import DroopState, nominal_droop, solve_steady_state
 
@@ -371,12 +372,11 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
     pi = _budgets(grid, args)
     nominal = nominal_droop(grid)
     result = maximize_snr_grid(grid, nominal, pi, _sigma_z(cfg, args), tx, rx, step=args.step)
-    snr_nom, _ = one_way_snr(grid, nominal, nominal, pi, _sigma_z(cfg, args), tx, rx)
     lines = []
     for bus in sorted(result.r_star):
         lines.append(f"r_star_{bus}_ohm={_fmt(result.r_star[bus])}")
     lines.append(f"snr={_fmt(result.snr)}")
-    lines.append(f"snr_nominal={_fmt(snr_nom)}")
+    lines.append(f"snr_nominal={_fmt(result.snr_nominal)}")
     lines.append(f"capacity_bits={_fmt(result.capacity)}")
     for bus in sorted(result.g_values):
         lines.append(f"g_{bus}={_fmt(result.g_values[bus])}")

@@ -4,14 +4,12 @@ Each bus carries a composite shunt load (constant resistance, constant
 current, constant power in parallel) and optionally a droop-controlled
 voltage source converter (VSC).  Buses are joined by resistive
 distribution lines.  Validation produces an immutable :class:`ValidatedGrid`
-whose arrays are read-only, so they are safe to share across threads and
-a grid object always stands for the same content.
+whose arrays are read-only, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -93,8 +91,6 @@ class ValidatedGrid:
     r_cr_inv: np.ndarray  # (n,) 1/r_cr, 0 where the resistive load is absent
     i_cc: np.ndarray      # (n,) constant current loads [A]
     d_cp: np.ndarray      # (n,) constant power loads [W]
-    # operating points solve_steady_state keeps for this grid; they die with it
-    _memo: OrderedDict = field(default_factory=OrderedDict, init=False, compare=False, repr=False)
 
     def vsc(self, bus: int) -> VscSpec:
         spec = self.buses[bus].vsc

@@ -28,13 +28,12 @@ import numpy as np
 
 from .budget import vr_power_investment
 from .channel import channel_gains, linearize
-from .errors import EmptySearchSpace, NonConvergence, NoRealRoot
+from .errors import EmptySearchSpace, NoRealRoot
 from .grid import ValidatedGrid
 from .steady_state import (
     DroopState,
     _droop_lanes,
     _kappa,
-    check_viability,
     solve_steady_state,
     solve_steady_state_many,
     vsc_outputs,
@@ -64,11 +63,14 @@ class OptimizationResult:
     """Best virtual-resistance pair found by the lattice search.
 
     ``evaluations`` counts the lattice points the exact search covers,
-    the whole lattice, not the points it had to solve.
+    the whole lattice, not the points it had to solve.  ``snr_nominal``
+    is the SNR at the nominal resistances, the lattice's first point,
+    scored as one more lane of the search.
     """
 
     r_star: Dict[int, float]    # per-converter resistance [ohm]
     snr: float
+    snr_nominal: float
     capacity: float             # bits/slot
     g_values: Dict[int, float]  # per-converter gain terms at the optimum [V^2]
     grid_step: float            # [ohm]
@@ -164,6 +166,7 @@ def maximize_snr_grid(
     :func:`default_r_max`.
     """
     _check_budgets(grid, pi)
+    _check_link(grid, pi, tx, rx)
     search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step, r_max), pi)
     return search.best(pi, sigma_z, step)
 
@@ -189,6 +192,7 @@ def capacity_sweep(
         raise ValueError("pi_range must be nonempty")
     if any(b < a for a, b in zip(pi_values, pi_values[1:])):
         raise ValueError("pi_range must be ascending")
+    _check_link(grid, {bus: pi_values[0] for bus in grid.vsc_buses}, tx, rx)  # the smallest
     search = _LatticeSearch(
         grid,
         nominal,
@@ -201,13 +205,12 @@ def capacity_sweep(
     for pi in pi_values:
         budgets = {bus: pi for bus in grid.vsc_buses}
         best = search.best(budgets, sigma_z, step)
-        snr_nom, _ = one_way_snr(grid, nominal, nominal, budgets, sigma_z, tx, rx)
         rows.append(
             SweepRow(
                 pi=pi,
-                snr_nominal=snr_nom,
+                snr_nominal=best.snr_nominal,
                 snr_opt=best.snr,
-                capacity_nominal=capacity(snr_nom),
+                capacity_nominal=capacity(best.snr_nominal),
                 capacity_opt=best.capacity,
                 r_star=best.r_star,
             )
@@ -227,16 +230,22 @@ def default_r_max(
     Bisects the viability boundary of ``bus`` with the other converters
     held at nominal, applies the safety margin, and caps the result at
     ``cap`` times nominal so the search box stays bounded even on grids
-    that never lose viability.
+    that never lose viability.  A resistance is viable when the batched
+    solve certifies its lane on the larger root.
     """
+
+    def viable(r: float) -> bool:
+        batch = solve_steady_state_many(grid, nominal.x, nominal.with_r({bus: r}).r)
+        return bool(batch.feasible[0])
+
     r_nom = nominal.r[bus]
     hi = cap * r_nom
-    if _viable(grid, nominal.with_r({bus: hi})):
+    if viable(hi):
         return hi
     lo = r_nom
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _viable(grid, nominal.with_r({bus: mid})):
+        if viable(mid):
             lo = mid
         else:
             hi = mid
@@ -429,6 +438,8 @@ class _LatticeSearch:
     whole lattice's first maximum, tie-break included.  When the band is
     unknown (see :func:`_band_lanes`) or its best is not positive, the
     same table is built on every lane of the lattice and scored instead.
+    A one-lane table on lattice index 0, the nominal resistances, gives
+    the nominal SNR at each budget.
     """
 
     def __init__(
@@ -446,6 +457,7 @@ class _LatticeSearch:
         self.size = int(np.prod([len(values) for values in axes.values()]))
         lanes = _band_lanes(grid, nominal, p_nom, axes, pi)
         self._band = None if lanes is None else self._table(lanes)
+        self._nominal = self._table(np.zeros(1, dtype=int))
         self._full: Optional[_ChannelTable] = None
 
     def _table(self, lanes: np.ndarray) -> _ChannelTable:
@@ -462,9 +474,11 @@ class _LatticeSearch:
             idx, snr, g = _first_max(table, pi, sigma_z)
             if not np.isfinite(snr):
                 raise NoRealRoot("no viable operating point anywhere on the search lattice")
+        _, snr_nominal, _ = _first_max(self._nominal, pi, sigma_z)
         return OptimizationResult(
             r_star={bus: float(table.r[bus][idx]) for bus in table.vsc},
             snr=snr,
+            snr_nominal=snr_nominal,
             capacity=capacity(snr),
             g_values={bus: float(g[j]) for j, bus in enumerate(table.vsc)},
             grid_step=step,
@@ -615,14 +629,6 @@ def _first_max(
     # smallest-resistance tie-break in bus order
     idx = int(np.argmax(snr))
     return idx, float(snr[idx]), g[idx]
-
-
-def _viable(grid: ValidatedGrid, droop: DroopState) -> bool:
-    try:
-        state = solve_steady_state(grid, droop)
-    except (NoRealRoot, NonConvergence):
-        return False
-    return not check_viability(grid, droop, state.v)
 
 
 def _band_interior(

@@ -13,22 +13,13 @@ certified to sit on the larger root of every bus quadratic, and a
 single configuration with ``method="newton"`` is a block of one lane.
 A single configuration is solved by default with a damped Gauss-Seidel
 fixed point that sweeps the per-bus update.  Solvers are pure functions
-of their arguments and safe to run concurrently.
-
-A single configuration is solved once per grid: ``solve_steady_state``
-keeps the last ``MEMO_SIZE`` operating points of each grid on the grid
-object itself, keyed on the exact bits of the droop values and the
-solver settings, so they die with the grid.  A repeated call returns
-the stored result, bit for bit what a fresh solve gives.  Its arrays are
-read-only; its current and power dicts are the caller's own copies.
-The memo relies on a validated grid's arrays being read-only too.
+of their arguments and safe to run concurrently; every call solves.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
 
@@ -43,9 +34,6 @@ DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 BLOCK_BYTES = 1 << 20    # Jacobian bytes per block of the batched solve
-MEMO_SIZE = 64           # operating points kept per grid by solve_steady_state
-
-_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -136,39 +124,9 @@ def solve_steady_state(
     Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
     (droop parameters outside the viable range) and :class:`NonConvergence`
     when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
-    when its iterate leaves the larger root.  A repeated call with the
-    same grid object and bit-identical arguments returns the remembered
-    result (see the module docstring); failures are not remembered.
+    when its iterate leaves the larger root.
     """
     droop.validate(grid)
-    memo = grid._memo
-    values = [droop.x[bus] for bus in grid.vsc_buses] + [droop.r[bus] for bus in grid.vsc_buses]
-    key = (np.array(values, dtype=float).tobytes(), tol, max_iter, method, damping)
-    with _memo_lock:
-        hit = memo.get(key)
-        if hit is not None:
-            memo.move_to_end(key)
-            return replace(hit, i=dict(hit.i), p=dict(hit.p))
-
-    state = _solve(grid, droop, tol, max_iter, method, damping)
-    for array in (state.v, state.kappa, state.r_bus):
-        array.flags.writeable = False
-    with _memo_lock:
-        memo[key] = state
-        memo.move_to_end(key)
-        while len(memo) > MEMO_SIZE:
-            memo.popitem(last=False)
-    return replace(state, i=dict(state.i), p=dict(state.p))
-
-
-def _solve(
-    grid: ValidatedGrid,
-    droop: DroopState,
-    tol: float,
-    max_iter: int,
-    method: str,
-    damping: float,
-) -> SteadyState:
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
     degree = grid.g_line.sum(axis=1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from powertalk import (
     VscSpec,
     capacity,
     capacity_sweep,
+    case_study_document,
     channel_gains,
     check_viability,
+    cli,
     concavity_probe,
     default_r_max,
     linearize,
@@ -25,6 +28,7 @@ from powertalk import (
     optimizer,
     solve_steady_state,
     solve_steady_state_many,
+    steady_state,
     validate_grid,
     vr_power_investment,
     vsc_outputs,
@@ -85,6 +89,16 @@ def test_link_validation(grid, nominal, budgets):
         one_way_snr(grid, nominal, nominal, {0: 10.0, 2: 10.0}, SIGMA_Z, 0, 1)
     with pytest.raises(ValueError):
         one_way_snr(grid, nominal, nominal, {0: -1.0, 1: 10.0}, SIGMA_Z, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "tx, rx, budgets",
+    [(0, 0, {0: 10.0, 1: 10.0}), (2, 1, {0: 10.0, 1: 10.0}), (0, 1, {0: -10.0, 1: 10.0})],
+    ids=["self-link", "load-bus-transmitter", "negative-budget"],
+)
+def test_search_validates_its_link_and_budgets(grid, nominal, tx, rx, budgets):
+    with pytest.raises(ValueError):
+        maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, tx, rx, r_max=BOX)
 
 
 def test_grid_search_matches_brute_force_loop(grid, nominal, budgets):
@@ -151,14 +165,49 @@ def test_sweep_input_validation(grid, nominal):
         capacity_sweep(grid, nominal, [], SIGMA_Z, 0, 1)
     with pytest.raises(ValueError):
         capacity_sweep(grid, nominal, [10.0, 5.0], SIGMA_Z, 0, 1, r_max={0: 0.4, 1: 0.4})
+    with pytest.raises(ValueError):
+        capacity_sweep(grid, nominal, [-10.0, 5.0], SIGMA_Z, 0, 1, r_max=BOX)
+    with pytest.raises(ValueError):
+        capacity_sweep(grid, nominal, [5.0], SIGMA_Z, 0, 0, r_max=BOX)
 
 
-def test_default_r_max_caps_on_always_viable_grids(linear_grid):
+def test_sweep_and_optimize_solve_the_nominal_point_once(grid, nominal, tmp_path, monkeypatch):
+    solves = []
+    gauss_seidel = steady_state._gauss_seidel
+
+    def counted(*args):
+        solves.append(args)
+        return gauss_seidel(*args)
+
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("a point the search solved was scored again on the scalar path")
+
+    monkeypatch.setattr(steady_state, "_gauss_seidel", counted)
+    for module in (optimizer, cli):
+        for name in ("one_way_snr", "linearize", "vr_power_investment"):
+            monkeypatch.setattr(module, name, scalar_path)
+    capacity_sweep(grid, nominal, [2.0, 5.0, 10.0, 15.0, 20.0], SIGMA_Z, 0, 1)
+    assert len(solves) == 1
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(case_study_document()))
+    assert cli.main(["optimize", "--grid", str(path), "--pi", "10"]) == 0
+    assert len(solves) == 2
+
+
+@pytest.fixture()
+def no_scalar_solve(monkeypatch):
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("default_r_max took the scalar solver")
+
+    monkeypatch.setattr(optimizer, "solve_steady_state", scalar_path)
+
+
+def test_default_r_max_caps_on_always_viable_grids(linear_grid, no_scalar_solve):
     nominal = nominal_droop(linear_grid)
     assert default_r_max(linear_grid, nominal, 0) == pytest.approx(10 * 0.39)
 
 
-def test_default_r_max_bisects_the_viability_boundary():
+def test_default_r_max_bisects_the_viability_boundary(no_scalar_solve):
     # lone converter with a heavy constant-power load: real roots exist only
     # while r <= x**2 / (4 d), here 0.8 ohm
     grid = validate_grid(
@@ -167,7 +216,7 @@ def test_default_r_max_bisects_the_viability_boundary():
     nominal = nominal_droop(grid)
     r_limit = default_r_max(grid, nominal, 0)
     assert 0.6 < r_limit < 0.8
-    assert r_limit == pytest.approx(0.9 * 0.8, rel=1e-3)
+    assert r_limit == pytest.approx(0.9 * 0.8, rel=1e-9)
     droop = nominal.with_r({0: r_limit})
     state = solve_steady_state(grid, droop)
     assert check_viability(grid, droop, state.v) == []
@@ -265,6 +314,26 @@ def _radial_pair():
         for k in range(9)
     ]
     return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+
+
+def test_snr_nominal_is_the_one_way_snr_at_nominal(grid, nominal):
+    def assert_nominal(result_snr, grid, nominal, budgets, tx, rx):
+        expected, _ = one_way_snr(grid, nominal, nominal, budgets, SIGMA_Z, tx, rx)
+        assert result_snr == pytest.approx(expected, rel=1e-11)  # 8e-13 measured
+
+    pis = [2.0, 5.0, 10.0, 15.0, 20.0]
+    for pi, row in zip(pis, capacity_sweep(grid, nominal, pis, SIGMA_Z, 0, 1, r_max=BOX)):
+        assert_nominal(row.snr_nominal, grid, nominal, {0: pi, 1: pi}, 0, 1)
+        assert row.capacity_nominal == capacity(row.snr_nominal)
+    uneven = {0: 3.0, 1: 17.0}
+    result = maximize_snr_grid(grid, nominal, uneven, SIGMA_Z, 0, 1, r_max=BOX)
+    assert_nominal(result.snr_nominal, grid, nominal, uneven, 0, 1)
+    feeder = _radial_pair()
+    feeder_nominal = nominal_droop(feeder)
+    for pi in pis:
+        budgets = {0: pi, 9: pi}
+        result = maximize_snr_grid(feeder, feeder_nominal, budgets, SIGMA_Z, 0, 9)
+        assert_nominal(result.snr_nominal, feeder, feeder_nominal, budgets, 0, 9)
 
 
 def _assert_matches_oracle(result, oracle):
@@ -530,10 +599,19 @@ def test_concavity_probe_scores_its_points_in_batches(
     def scalar_path(*args, **kwargs):
         raise AssertionError("the concavity probe took a scalar path")
 
+    scalar_solves = []
+
+    def counted(*args, **kwargs):
+        scalar_solves.append(args)
+        return solve_steady_state(*args, **kwargs)
+
     for name in ("one_way_snr", "vr_power_investment", "linearize"):
         monkeypatch.setattr(optimizer, name, scalar_path)
+    monkeypatch.setattr(optimizer, "solve_steady_state", counted)
     report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     assert len(report.points) == 25
-    # the investment Jacobian, the band's end, 40 bisection rounds, the
-    # band's lattice and the stencils of every point
-    assert len(solved_lanes) <= 44
+    # the viability lane of each converter's default r_max, the investment
+    # Jacobian, the band's end, 40 bisection rounds, the band's lattice and
+    # the stencils of every point
+    assert len(solved_lanes) <= 46
+    assert len(scalar_solves) <= 1  # the nominal powers

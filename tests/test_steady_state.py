@@ -1,7 +1,3 @@
-import gc
-import sys
-import threading
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +17,7 @@ from powertalk import (
     TopologyMismatch,
     VscSpec,
     check_viability,
-    maximize_snr_grid,
     nominal_droop,
-    one_way_snr,
     solve_steady_state,
     solve_steady_state_many,
     two_source_closed_form,
@@ -396,12 +390,7 @@ def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count):
     assert str(float_error.value) == str(numpy_error.value)
 
 
-# -- the operating-point memo -------------------------------------------------
-
-def _fresh(grid):
-    """The same grid content as a new object, which no memo entry can name."""
-    return validate_grid(grid.spec)
-
+# -- every call solves -------------------------------------------------------
 
 def _count_calls(monkeypatch, name):
     calls = []
@@ -415,147 +404,13 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _assert_same_state(a, b):
-    for field in ("v", "kappa", "r_bus"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-    assert a.residual == b.residual
-    assert a.i == b.i and a.p == b.p
-
-
-def test_memo_hit_equals_a_fresh_solve(grid, nominal, monkeypatch):
+def test_every_call_runs_the_solver(grid, nominal, monkeypatch):
     solves = _count_calls(monkeypatch, "_gauss_seidel")
-    own = _fresh(grid)
     droop = nominal.with_r({0: 0.47})
-    first = solve_steady_state(own, droop)
-    again = solve_steady_state(own, droop)
-    assert len(solves) == 1
-    assert again.p is not first.p and again.i is not first.i
-    _assert_same_state(again, first)
-    _assert_same_state(again, solve_steady_state(_fresh(grid), droop))
+    first = solve_steady_state(grid, droop)
+    again = solve_steady_state(grid, droop)
     assert len(solves) == 2
-
-
-def test_memo_keys_on_every_argument(grid, nominal, monkeypatch):
-    solves = _count_calls(monkeypatch, "_solve")
-    own = _fresh(grid)
-    solve_steady_state(own, nominal)
-    variants = [
-        (nominal.with_x({0: 401.0}), {}),
-        (nominal.with_r({0: 0.5}), {}),
-        (nominal.with_r({1: float(np.nextafter(nominal.r[1], 1.0))}), {}),
-        (nominal, {"tol": 1e-6}),
-        (nominal, {"max_iter": 5_000}),
-        (nominal, {"method": "newton"}),
-        (nominal, {"damping": 0.5}),
-    ]
-    for count, (droop, kwargs) in enumerate(variants, start=2):
-        got = solve_steady_state(own, droop, **kwargs)
-        assert sum(args[0] is own for args in solves) == count, kwargs or droop
-        _assert_same_state(got, solve_steady_state(_fresh(grid), droop, **kwargs))
-        _assert_same_state(solve_steady_state(own, droop, **kwargs), got)
-
-
-def test_memo_results_are_read_only_and_private(grid, nominal):
-    own = _fresh(grid)
-    for state in (solve_steady_state(own, nominal), solve_steady_state(own, nominal)):
-        for field in ("v", "kappa", "r_bus"):
-            with pytest.raises(ValueError):
-                getattr(state, field)[0] = 0.0
-        state.p[0] = -1.0
-        state.i[0] = -1.0
-    later = solve_steady_state(own, nominal)
-    assert later.p[0] > 0.0 and later.i[0] > 0.0
-
-
-def test_memo_keeps_no_failures(grid, nominal, monkeypatch):
-    solves = _count_calls(monkeypatch, "_gauss_seidel")
-    own = _fresh(grid)
-    solve_steady_state(own, nominal)
-    for _ in range(2):
-        with pytest.raises(NoRealRoot):
-            solve_steady_state(own, nominal.with_r({0: 3000.0, 1: 3000.0}))
-        with pytest.raises(NonConvergence):
-            solve_steady_state(own, nominal, max_iter=1)
-    assert len(solves) == 5
-
-
-def test_memo_is_a_bounded_lru(linear_grid, monkeypatch):
-    monkeypatch.setattr(steady_state, "MEMO_SIZE", 3)
-    solves = _count_calls(monkeypatch, "_solve")
-    own = _fresh(linear_grid)
-    nominal = nominal_droop(own)
-    droops = [nominal.with_r({0: 0.4 + 0.01 * k}) for k in range(5)]
-    for droop in droops[:3]:
-        solve_steady_state(own, droop)
-    solve_steady_state(own, droops[0])  # a hit: droops[1] is now the oldest
-    solve_steady_state(own, droops[3])
-    assert len(own._memo) == 3
-    assert len(solves) == 4
-    solve_steady_state(own, droops[0])
-    assert len(solves) == 4
-    solve_steady_state(own, droops[1])
-    assert len(solves) == 5
-    for droop in droops:
-        solve_steady_state(own, droop)
-        assert len(own._memo) <= 3
-
-
-def test_memo_dies_with_its_grid(linear_grid):
-    own = _fresh(linear_grid)
-    solve_steady_state(own, nominal_droop(own))
-    assert len(own._memo) == 1
-    alive = weakref.ref(own)
-    del own
-    gc.collect()
-    assert alive() is None
-
-
-def test_search_and_nominal_snr_solve_the_nominal_point_once(grid, monkeypatch):
-    solves = _count_calls(monkeypatch, "_gauss_seidel")
-    own = _fresh(grid)
-    nominal = nominal_droop(own)
-    pi = {0: 10.0, 1: 10.0}
-    maximize_snr_grid(own, nominal, pi, 0.01, 0, 1, r_max={0: 0.5, 1: 0.5})
-    one_way_snr(own, nominal, nominal, pi, 0.01, 0, 1)
-    assert len(solves) == 1
-
-
-def test_memo_under_concurrent_callers(linear_grid, monkeypatch):
-    # An instant stand-in solver makes the memo's own bookkeeping the work,
-    # so the threads contend on it as often as possible.
-    def instant(grid, droop, *args):
-        r0 = np.full(grid.n, droop.r[0])
-        return steady_state.SteadyState(
-            v=r0, i={0: droop.r[0]}, p={0: droop.r[0]}, kappa=r0.copy(), r_bus=r0.copy(),
-            residual=0.0,
-        )
-
-    monkeypatch.setattr(steady_state, "MEMO_SIZE", 2)
-    monkeypatch.setattr(steady_state, "_solve", instant)
-    own = _fresh(linear_grid)
-    nominal = nominal_droop(own)
-    droops = [nominal.with_r({0: 0.4 + 0.01 * k}) for k in range(4)]
-    errors = []
-
-    def work(offset):
-        try:
-            for step in range(3000):
-                droop = droops[(offset + step) % len(droops)]
-                state = solve_steady_state(own, droop)
-                assert state.v[0] == state.p[0] == droop.r[0]
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(own._memo) <= 2
+    for field in ("v", "kappa", "r_bus"):
+        assert getattr(again, field).tobytes() == getattr(first, field).tobytes(), field
+    assert again.residual == first.residual
+    assert again.i == first.i and again.p == first.p
