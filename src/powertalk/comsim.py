@@ -262,9 +262,14 @@ def run_transmission(
     midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
     orientation = 1.0 if rx_mean[+1] >= rx_mean[-1] else -1.0
 
+    buffers = threading.local()  # one noise buffer per thread: fresh ones fault in per chunk
+
     def work(chunk: int, size: int) -> Tuple[int, Dict[int, SymbolStats]]:
+        if not hasattr(buffers, "noise"):
+            buffers.noise = np.empty(CHUNK_SLOTS)
+        noise = buffers.noise[:size]  # chunk_noise's stream, drawn into this thread's buffer
+        _chunk_rng(cfg.rng_seed, _NOISE_STREAM, chunk).standard_normal(size, out=noise)
         bits = chunk_bits(cfg.rng_seed, chunk, size)
-        noise = chunk_noise(cfg.rng_seed, chunk, size)
         return _tally(bits, noise, cfg.sigma_z, rx_mean, midpoint, orientation)
 
     errors = 0

@@ -93,13 +93,12 @@ class ValidatedGrid:
     d_cp: np.ndarray      # (n,) constant power loads [W]
 
     def vsc(self, bus: int) -> VscSpec:
-        spec = self.buses[bus].vsc
-        if spec is None:
+        if not self.has_vsc(bus):
             raise InvalidGridSpec(f"bus {bus} hosts no converter")
-        return spec
+        return self.buses[bus].vsc
 
     def has_vsc(self, bus: int) -> bool:
-        return self.buses[bus].vsc is not None
+        return 0 <= bus < self.n and self.buses[bus].vsc is not None  # ids are 0..n-1
 
     def neighbors(self, bus: int) -> Tuple[int, ...]:
         return tuple(np.nonzero(self.g_line[bus])[0])

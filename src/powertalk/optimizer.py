@@ -22,7 +22,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -242,14 +242,7 @@ def default_r_max(
     hi = cap * r_nom
     if viable(hi):
         return hi
-    lo = r_nom
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if viable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return max(r_nom, margin * lo)
+    return max(r_nom, margin * _bisect(viable, r_nom, hi, 60))
 
 
 def concavity_probe(
@@ -267,11 +260,12 @@ def concavity_probe(
     The feasible region is a narrow band around the equal-increase
     diagonal: raising one resistance alone shifts load to the other
     converter and burns the budget within millohms, while raising both
-    together largely cancels.  The probe therefore measures the band's
-    diagonal extent by bisection, lattices a box of that size, keeps
-    feasible points whose lattice neighbors are also feasible, and forms
-    central-difference Hessians of each g_n there, flagging eigenvalues
-    above ``rel_tol`` times the Hessian norm.  The gradient at the
+    together largely cancels.  The probe therefore lattices a box around
+    the band's bisected diagonal extent, inside the search box, finds the
+    box's band as the lattice search does, keeps band points whose lattice
+    neighbors are in the band too, and forms central-difference Hessians
+    of each g_n there, flagging eigenvalues above ``rel_tol`` times the
+    Hessian norm.  The gradient at the
     nominal corner uses central differences, which cancel the
     headroom's quadratic dip (the investment vanishes at nominal) and
     expose the first-order growth that pulls the optimum above nominal.
@@ -370,17 +364,29 @@ def _r_axes(
     axes = {}
     for bus in sorted(nominal.r):
         lo = nominal.r[bus]
-        if r_max is not None and bus in r_max:
-            hi = r_max[bus]
-        elif grid.vsc(bus).r_max is not None:
-            hi = grid.vsc(bus).r_max
-        else:
-            hi = default_r_max(grid, nominal, bus)
+        hi = r_max[bus] if r_max is not None and bus in r_max else _r_limit(grid, nominal, bus)
         if hi < lo:
             raise EmptySearchSpace(f"bus {bus}: r_max {hi:.6g} < nominal {lo:.6g}")
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
         axes[bus] = lo + step * np.arange(count)
     return axes
+
+
+def _r_limit(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
+    """Upper end of a converter's search box: its nameplate r_max, else :func:`default_r_max`."""
+    limit = grid.vsc(bus).r_max
+    return limit if limit is not None else default_r_max(grid, nominal, bus)
+
+
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float, rounds: int) -> float:
+    """The last midpoint found to hold in ``rounds`` halvings of [lo, hi], else ``lo``."""
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -644,15 +650,18 @@ def _band_interior(
     Raising one resistance alone moves investments at thousands of watts
     per ohm, so the region hugs the direction that the investment
     Jacobian maps closest to zero (equal-increase on a symmetric grid).
-    The lattice is sized from the bisected extent along that direction
-    and from the band halfwidth implied by the largest Jacobian gain.
+    A box lattice inside the search box is sized from the bisected extent
+    along that direction and from the band halfwidth implied by the
+    largest Jacobian gain.  Its feasible points are found by
+    :func:`_band_lanes`, converters without a budget counting as
+    unbounded; only when that band is unknown is the whole box solved.
     Returns up to ``samples`` points as rows of resistances in ``vsc`` order.
     """
     dim = len(vsc)
-    none = np.empty((0, dim))
     r_nom = np.array([nominal.r[bus] for bus in vsc])
-    cap = np.array([default_r_max(grid, nominal, bus) for bus in vsc]) - r_nom
-    pi_vec = np.array([pi.get(bus, np.inf) for bus in grid.vsc_buses])
+    cap = np.array([_r_limit(grid, nominal, bus) for bus in vsc]) - r_nom
+    budgets = {bus: pi.get(bus, np.inf) for bus in grid.vsc_buses}
+    pi_vec = np.array(list(budgets.values()))
     h = 1e-5  # central differences of the investments at nominal
     shifted = r_nom + np.concatenate([np.eye(dim), -np.eye(dim)]) * h
     dp = _lane_investments(grid, nominal, p_nom, dict(zip(vsc, shifted.T)))
@@ -676,20 +685,10 @@ def _band_interior(
     pushable = direction > 0.0
     hi = float(np.min(cap[pushable] / direction[pushable])) if np.any(pushable) else 0.0
     if hi <= 0.0:
-        return none
-    if feasible_shift(hi):
-        t_max = hi
-    else:
-        lo = 0.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if feasible_shift(mid):
-                lo = mid
-            else:
-                hi = mid
-        t_max = lo
+        return np.empty((0, dim))
+    t_max = hi if feasible_shift(hi) else _bisect(feasible_shift, 0.0, hi, 40)
     if t_max <= 0.0:
-        return none
+        return np.empty((0, dim))
 
     halfwidth = max(pi.values()) / singulars[0] if singulars[0] > 0.0 else t_max
     widths = np.minimum(1.2 * t_max * direction + 2.0 * halfwidth, cap)
@@ -701,21 +700,18 @@ def _band_interior(
         bus: nominal.r[bus] + np.linspace(0.0, widths[i], counts[i])
         for i, bus in enumerate(vsc)
     }
-    r = _lattice_r(axes, np.arange(int(np.prod(counts))))
+    lanes = _band_lanes(grid, nominal, p_nom, axes, budgets)
+    if lanes is None:
+        lanes = np.arange(int(np.prod(counts)))
+    r = _lattice_r(axes, lanes)
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     dp = np.nan_to_num(_investment(grid, nominal, p_nom, r, batch.v), nan=np.inf)
-    feas = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
-    feas = feas.reshape(tuple(counts))
-    inner = feas.copy()
+    feas = np.zeros(counts, dtype=bool)
+    feas.flat[lanes] = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
+    inner = np.zeros_like(feas)
+    inner[(slice(1, -1),) * dim] = True
     for axis in range(dim):
-        inner &= np.roll(feas, 1, axis) & np.roll(feas, -1, axis)
-        edge = [slice(None)] * dim
-        for end in (0, counts[axis] - 1):
-            edge[axis] = end
-            inner[tuple(edge)] = False
-    flat = np.flatnonzero(inner.reshape(-1))
-    if flat.size == 0:
-        return none
+        inner &= feas & np.roll(feas, 1, axis) & np.roll(feas, -1, axis)
+    flat = np.flatnonzero(inner)
     chosen = flat[np.round(np.linspace(0, flat.size - 1, num=min(samples, flat.size))).astype(int)]
-    return np.stack([r[bus][chosen] for bus in vsc], axis=1)
-
+    return np.stack(list(_lattice_r(axes, chosen).values()), axis=1)  # vsc order

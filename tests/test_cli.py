@@ -314,6 +314,32 @@ def test_one_converter_grid_has_no_link(tmp_path, capsys, argv):
     assert "two converter buses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--pi", "10", "--tx", "99"],
+        ["optimize", "--pi", "10", "--tx", "-1", "--rx", "1"],
+        ["budget", "--pi", "10", "--tx", "-1"],
+        ["simulate", "--amplitude", "0.1", "--slots", "10", "--tx", "-1", "--rx", "1"],
+    ],
+)
+def test_bus_ids_outside_the_grid_are_config_errors(tmp_path, capsys, argv):
+    # the load on bus 0 and converters on buses 1 and 2, so -1 would
+    # index the last converter if ids were not range-checked
+    doc = {
+        "buses": [
+            {"id": 0, "load": {"r_cr": 50.0, "d_cp": 2500.0}},
+            {"id": 1, "vsc": {"x_nom": 400.0, "r_nom": 0.39}},
+            {"id": 2, "vsc": {"x_nom": 400.0, "r_nom": 0.39}},
+        ],
+        "lines": [{"a": 0, "b": 1, "r": 0.1923}, {"a": 0, "b": 2, "r": 0.641}],
+    }
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], "--grid", str(path), *argv[1:]]) == 2
+    assert "hosts no converter" in capsys.readouterr().err
+
+
 def test_linearized_simulate_from_budgets_linearizes_once(grid_file, monkeypatch, capsys):
     calls = []
     original = cli.linearize

@@ -174,6 +174,13 @@ def test_vsc_lookup(grid):
         grid.vsc(2)
 
 
+@pytest.mark.parametrize("bus", [3, 99])
+def test_bus_ids_outside_the_grid_host_no_converter(grid, bus):
+    assert not grid.has_vsc(bus)
+    with pytest.raises(InvalidGridSpec):
+        grid.vsc(bus)
+
+
 @given(
     n_extra=st.integers(min_value=0, max_value=5),
     r_lines=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=6, max_size=6),

@@ -243,6 +243,25 @@ def test_concavity_probe_validates_inputs(grid, nominal, budgets):
         concavity_probe(grid, nominal, budgets, tx=0, rx=0)
 
 
+@pytest.mark.parametrize("pi", [{0: 10.0, 1: 10.0}, {0: 10.0}])
+def test_concavity_probe_band_equals_the_box_fallback(grid, nominal, pi, monkeypatch):
+    report = concavity_probe(grid, nominal, pi, tx=0, rx=1)
+    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)  # band unknown
+    assert concavity_probe(grid, nominal, pi, tx=0, rx=1) == report
+
+
+def test_concavity_probe_samples_inside_the_nameplate_box():
+    doc = case_study_document()
+    for bus in (0, 1):
+        doc["buses"][bus]["vsc"]["r_max"] = 0.45
+    grid = validate_grid(cli.parse_config(json.dumps(doc)).grid)
+    nominal = nominal_droop(grid)
+    report = concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, tx=0, rx=1)
+    assert report.points
+    for point in report.points:  # the box maximize_snr_grid searches
+        assert all(0.39 <= r <= 0.45 for r in point)
+
+
 # -- the band search against a full-lattice oracle ------------------------------
 
 def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
@@ -611,7 +630,9 @@ def test_concavity_probe_scores_its_points_in_batches(
     report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     assert len(report.points) == 25
     # the viability lane of each converter's default r_max, the investment
-    # Jacobian, the band's end, 40 bisection rounds, the band's lattice and
+    # Jacobian, the band's end, 40 bisection rounds, the box's row ends, 9
+    # rounds of the row bisection and the rows' runs, the band's lanes and
     # the stencils of every point
-    assert len(solved_lanes) <= 46
+    assert len(solved_lanes) <= 56
+    assert sum(solved_lanes) <= 5_000  # 4,509: the box has 30,400 lanes
     assert len(scalar_solves) <= 1  # the nominal powers
