@@ -12,7 +12,7 @@ input variances through the linearized power gains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class BudgetAllocation:
 
     ``s[m]`` is the allocated variance E[dx_m^2] for transmitter m.  The
     per-converter ``slack`` is what remains of pi^2 after subtracting the
-    squared investment and the allocated signal contribution; a max-min
+    squared investment and the allocated signal contribution; the max-min
     allocation drives at least one slack to zero.
     """
 
@@ -69,18 +69,15 @@ def allocate_input_variance(
     pi: Mapping[int, float],
     dp_vr: Mapping[int, float],
     transmitters: Iterable[int],
-    mode: str = "maxmin",
-    weights: Optional[Mapping[int, float]] = None,
 ) -> BudgetAllocation:
-    """Distribute power budgets over transmitter input variances.
+    """Give every transmitter the largest common input variance the budgets allow.
 
     Every converter bus n constrains the allocation through
     sum_m phi[n, m]^2 s_m <= pi_n^2 - dp_vr[n]^2; inputs are zero-mean
-    and mutually independent, so variances add.  ``mode="maxmin"`` gives
-    all transmitters the largest common variance, which reduces to the
-    tightest single-row ratio for one transmitter.  ``mode="weighted"``
-    maximizes sum_m w_m s_m over the same constraint polytope by linear
-    programming (weights default to 1).
+    and mutually independent, so variances add.  The max-min allocation
+    gives all transmitters the same variance, the tightest row's
+    headroom over its summed squared gains, which reduces to the
+    tightest single-row ratio for one transmitter.
 
     Raises InfeasibleBudget when any investment alone exceeds its
     budget; a zero-slack budget (pi = |dp_vr|) is feasible with s = 0.
@@ -102,26 +99,13 @@ def allocate_input_variance(
     a = np.array([[phi[n, m] ** 2 for m in tx] for n in rows])
     b = np.array([headroom[n] for n in rows])
 
-    if mode == "maxmin":
-        # equal variances: s = min_n headroom_n / sum_m phi_nm^2
-        loads = a.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(loads > 0.0, b / loads, np.inf)
-        common = float(np.min(ratios))
-        if not np.isfinite(common):
-            raise ValueError("no budget row couples to the transmitters")
-        s = {m: common for m in tx}
-    elif mode == "weighted":
-        from scipy.optimize import linprog
-
-        w = np.array([1.0 if weights is None else weights.get(m, 1.0) for m in tx])
-        res = linprog(-w, A_ub=a, b_ub=b, bounds=(0.0, None), method="highs")
-        if not res.success:  # pragma: no cover - bounded feasible LP by construction
-            raise InfeasibleBudget(f"variance allocation failed: {res.message}")
-        s = {m: float(v) for m, v in zip(tx, res.x)}
-    else:
-        raise ValueError(f"unknown allocation mode {mode!r}")
-
-    used = a @ np.array([s[m] for m in tx])
+    loads = a.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(loads > 0.0, b / loads, np.inf)
+    common = float(np.min(ratios))
+    if not np.isfinite(common):
+        raise ValueError("no budget row couples to the transmitters")
+    s = dict.fromkeys(tx, common)
+    used = a @ np.full(len(tx), common)
     slack = {n: float(b[i] - used[i]) for i, n in enumerate(rows)}
     return BudgetAllocation(dp_vr=dict(dp_vr), s=s, feasible=True, slack=slack)

@@ -270,11 +270,7 @@ def _link(grid: ValidatedGrid, args: argparse.Namespace) -> Tuple[int, int]:
         raise ConfigError(f"a link needs two converter buses, the grid has {len(vsc)}")
     tx = args.tx if args.tx is not None else vsc[0]
     rx = args.rx if args.rx is not None else next(b for b in vsc if b != tx)
-    if tx == rx:
-        raise ConfigError("--tx and --rx must name distinct converter buses")
-    for bus in (tx, rx):
-        if not grid.has_vsc(bus):
-            raise ConfigError(f"bus {bus} hosts no converter")
+    grid.check_link(tx, rx)
     return tx, rx
 
 

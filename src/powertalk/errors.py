@@ -49,6 +49,10 @@ class EmptySearchSpace(ConfigError):
     """Optimization box is empty (upper resistance bound below nominal)."""
 
 
+class InvalidLink(ConfigError, ValueError):
+    """Transmitter and receiver are not two distinct converter buses (also a ValueError)."""
+
+
 class InputOnLoadBus(ConfigError):
     """Reference-voltage input requested on a bus without a converter."""
 

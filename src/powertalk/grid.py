@@ -19,6 +19,7 @@ from .errors import (
     DisconnectedGraph,
     DuplicateLine,
     InvalidGridSpec,
+    InvalidLink,
     NoConverter,
     NonpositiveResistance,
 )
@@ -99,6 +100,14 @@ class ValidatedGrid:
 
     def has_vsc(self, bus: int) -> bool:
         return 0 <= bus < self.n and self.buses[bus].vsc is not None  # ids are 0..n-1
+
+    def check_link(self, tx: int, rx: int) -> None:
+        """Raise :class:`InvalidLink` unless ``tx`` and ``rx`` are distinct converter buses."""
+        if tx == rx:
+            raise InvalidLink("transmitter and receiver must be distinct buses")
+        for bus in (tx, rx):
+            if not self.has_vsc(bus):
+                raise InvalidLink(f"bus {bus} hosts no converter")
 
     def neighbors(self, bus: int) -> Tuple[int, ...]:
         return tuple(np.nonzero(self.g_line[bus])[0])

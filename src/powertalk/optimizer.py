@@ -31,6 +31,7 @@ from .channel import channel_gains, linearize
 from .errors import EmptySearchSpace, NoRealRoot
 from .grid import ValidatedGrid
 from .steady_state import (
+    BatchSolve,
     DroopState,
     _droop_lanes,
     _kappa,
@@ -44,6 +45,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_STEP = 0.005   # search step on each virtual resistance [ohm]
 DEFAULT_R_MAX_CAP = 10.0   # cap on r_max as a multiple of r_nom
 DEFAULT_R_MAX_MARGIN = 0.9  # viability safety margin
+PROBE_SAMPLES = 25       # interior points the concavity probe audits
+PROBE_FD_STEP = 1e-3     # central-difference step of the probe's Hessians [ohm]
+PROBE_REL_TOL = 1e-6     # largest Hessian eigenvalue, relative to its norm, taken as concave
 
 __all__ = [
     "OptimizationResult",
@@ -151,7 +155,6 @@ def maximize_snr_grid(
     tx: int,
     rx: int,
     step: float = DEFAULT_STEP,
-    r_max: Optional[Mapping[int, float]] = None,
 ) -> OptimizationResult:
     """Exact lattice search for the resistances maximizing the received SNR.
 
@@ -162,12 +165,11 @@ def maximize_snr_grid(
     scores 0, so a positive best in the band is the lattice's first
     maximum.  The search falls back to the whole lattice when the band's
     run-time checks fail or its best is not positive (pi = 0, say).
-    ``r_max`` falls back to each converter's nameplate limit, then to
-    :func:`default_r_max`.
+    ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
     _check_budgets(grid, pi)
     _check_link(grid, pi, tx, rx)
-    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step, r_max), pi)
+    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), pi)
     return search.best(pi, sigma_z, step)
 
 
@@ -179,7 +181,6 @@ def capacity_sweep(
     tx: int,
     rx: int,
     step: float = DEFAULT_STEP,
-    r_max: Optional[Mapping[int, float]] = None,
 ) -> List[SweepRow]:
     """Nominal and optimized capacity across a range of common budgets.
 
@@ -193,14 +194,8 @@ def capacity_sweep(
     if any(b < a for a, b in zip(pi_values, pi_values[1:])):
         raise ValueError("pi_range must be ascending")
     _check_link(grid, {bus: pi_values[0] for bus in grid.vsc_buses}, tx, rx)  # the smallest
-    search = _LatticeSearch(
-        grid,
-        nominal,
-        tx,
-        rx,
-        _r_axes(grid, nominal, step, r_max),
-        {bus: pi_values[-1] for bus in grid.vsc_buses},
-    )
+    largest = {bus: pi_values[-1] for bus in grid.vsc_buses}
+    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), largest)
     rows = []
     for pi in pi_values:
         budgets = {bus: pi for bus in grid.vsc_buses}
@@ -218,20 +213,15 @@ def capacity_sweep(
     return rows
 
 
-def default_r_max(
-    grid: ValidatedGrid,
-    nominal: DroopState,
-    bus: int,
-    margin: float = DEFAULT_R_MAX_MARGIN,
-    cap: float = DEFAULT_R_MAX_CAP,
-) -> float:
+def default_r_max(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
     """Largest usable virtual resistance for one converter.
 
     Bisects the viability boundary of ``bus`` with the other converters
-    held at nominal, applies the safety margin, and caps the result at
-    ``cap`` times nominal so the search box stays bounded even on grids
-    that never lose viability.  A resistance is viable when the batched
-    solve certifies its lane on the larger root.
+    held at nominal, applies the safety margin ``DEFAULT_R_MAX_MARGIN``,
+    and caps the result at ``DEFAULT_R_MAX_CAP`` times nominal so the
+    search box stays bounded even on grids that never lose viability.
+    A resistance is viable when the batched solve certifies its lane on
+    the larger root.
     """
 
     def viable(r: float) -> bool:
@@ -239,10 +229,10 @@ def default_r_max(
         return bool(batch.feasible[0])
 
     r_nom = nominal.r[bus]
-    hi = cap * r_nom
+    hi = DEFAULT_R_MAX_CAP * r_nom
     if viable(hi):
         return hi
-    return max(r_nom, margin * _bisect(viable, r_nom, hi, 60))
+    return max(r_nom, DEFAULT_R_MAX_MARGIN * _bisect(viable, r_nom, hi, 60))
 
 
 def concavity_probe(
@@ -251,9 +241,6 @@ def concavity_probe(
     pi: Mapping[int, float],
     tx: int,
     rx: int,
-    samples: int = 25,
-    fd_step: float = 1e-3,
-    rel_tol: float = 1e-6,
 ) -> ConcavityReport:
     """Check concavity of the gain terms at interior points of the region.
 
@@ -264,8 +251,9 @@ def concavity_probe(
     the band's bisected diagonal extent, inside the search box, finds the
     box's band as the lattice search does, keeps band points whose lattice
     neighbors are in the band too, and forms central-difference Hessians
-    of each g_n there, flagging eigenvalues above ``rel_tol`` times the
-    Hessian norm.  The gradient at the
+    (step ``PROBE_FD_STEP``) of each g_n at up to ``PROBE_SAMPLES`` of them,
+    flagging eigenvalues above ``PROBE_REL_TOL`` times the Hessian norm.
+    The gradient at the
     nominal corner uses central differences, which cancel the
     headroom's quadratic dip (the investment vanishes at nominal) and
     expose the first-order growth that pulls the optimum above nominal.
@@ -273,15 +261,13 @@ def concavity_probe(
     nominal lanes, is a lane of one pass through the batched Newton and
     channel-gain kernels that the lattice search uses.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     _check_link(grid, pi, tx, rx)
     vsc = sorted(nominal.r)
     dim = len(vsc)
     p_nom = solve_steady_state(grid, nominal).p
-    points = _band_interior(grid, nominal, p_nom, pi, vsc, samples)
+    points = _band_interior(grid, nominal, p_nom, pi, vsc)
 
-    # stencil offsets in units of fd_step: the centre, +e_i and -e_i per
+    # stencil offsets in units of PROBE_FD_STEP: the centre, +e_i and -e_i per
     # axis, then the corners (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) per plane
     eye = np.eye(dim)
     planes = list(itertools.combinations(range(dim), 2))
@@ -293,9 +279,11 @@ def concavity_probe(
     )
     h_nom = 1e-4
     r_nom = np.array([nominal.r[bus] for bus in vsc])
-    stencils = (points[:, None, :] + offsets * fd_step).reshape(-1, dim)
+    stencils = (points[:, None, :] + offsets * PROBE_FD_STEP).reshape(-1, dim)
     lanes = np.concatenate([stencils, r_nom + np.concatenate([eye, -eye]) * h_nom, r_nom[None]])
-    table = _channel_table(grid, nominal, p_nom, tx, rx, dict(zip(vsc, lanes.T)))
+    r = dict(zip(vsc, lanes.T))
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    table = _channel_table(grid, nominal, p_nom, tx, rx, r, batch)
     if not table.feasible.all():
         raise NoRealRoot("a point of the concavity probe has no viable operating point")
     buses = sorted(pi)
@@ -309,17 +297,17 @@ def concavity_probe(
     hess = np.empty((len(points), len(buses), dim, dim))
     for i in range(dim):
         plus, minus = stencil[:, 1 + 2 * i], stencil[:, 2 + 2 * i]
-        hess[:, :, i, i] = (plus - 2.0 * centre + minus) / fd_step**2
+        hess[:, :, i, i] = (plus - 2.0 * centre + minus) / PROBE_FD_STEP**2
     for p, (i, j) in enumerate(planes):
         pp, pm, mp, mm = (stencil[:, 1 + 2 * dim + 4 * p + c] for c in range(4))
-        hess[:, :, i, j] = hess[:, :, j, i] = (pp - pm - mp + mm) / (4.0 * fd_step**2)
+        hess[:, :, i, j] = hess[:, :, j, i] = (pp - pm - mp + mm) / (4.0 * PROBE_FD_STEP**2)
     eig = np.linalg.eigvalsh(hess)
     scale = np.max(np.abs(eig), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(scale > 0.0, eig[..., -1] / scale, 0.0)
     sampled = tuple(tuple(map(float, point)) for point in points)
     violations = tuple(
-        (sampled[a], buses[b], float(rel[a, b])) for a, b in zip(*np.nonzero(rel > rel_tol))
+        (sampled[a], buses[b], float(rel[a, b])) for a, b in zip(*np.nonzero(rel > PROBE_REL_TOL))
     )
 
     grad = (at_nominal[:dim] - at_nominal[dim:-1]) / (2.0 * h_nom)  # (axis, bus)
@@ -329,7 +317,7 @@ def concavity_probe(
         max_rel_eig=float(np.max(rel, initial=-np.inf)),
         violations=violations,
         grad_nominal={bus: tuple(map(float, grad[:, b])) for b, bus in enumerate(buses)},
-        nominal_at_box_corner=bool(np.all(grad >= -rel_tol * np.maximum(np.abs(g0), 1e-30))),
+        nominal_at_box_corner=bool(np.all(grad >= -PROBE_REL_TOL * np.maximum(np.abs(g0), 1e-30))),
     )
 
 
@@ -341,11 +329,7 @@ def _check_budgets(grid: ValidatedGrid, pi: Mapping[int, float]) -> None:
 
 
 def _check_link(grid: ValidatedGrid, pi: Mapping[int, float], tx: int, rx: int) -> None:
-    if tx == rx:
-        raise ValueError("transmitter and receiver must be distinct buses")
-    for bus in (tx, rx):
-        if not grid.has_vsc(bus):
-            raise ValueError(f"bus {bus} hosts no converter")
+    grid.check_link(tx, rx)
     if not set(pi) <= set(grid.vsc_buses):
         raise ValueError("budgets must be keyed by converter buses")
     for bus, value in pi.items():
@@ -353,18 +337,13 @@ def _check_link(grid: ValidatedGrid, pi: Mapping[int, float], tx: int, rx: int) 
             raise ValueError(f"budget on bus {bus} must be nonnegative, got {value}")
 
 
-def _r_axes(
-    grid: ValidatedGrid,
-    nominal: DroopState,
-    step: float,
-    r_max: Optional[Mapping[int, float]],
-) -> Dict[int, np.ndarray]:
+def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, np.ndarray]:
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     axes = {}
     for bus in sorted(nominal.r):
         lo = nominal.r[bus]
-        hi = r_max[bus] if r_max is not None and bus in r_max else _r_limit(grid, nominal, bus)
+        hi = _r_limit(grid, nominal, bus)
         if hi < lo:
             raise EmptySearchSpace(f"bus {bus}: r_max {hi:.6g} < nominal {lo:.6g}")
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -415,12 +394,13 @@ def _channel_table(
     tx: int,
     rx: int,
     r: Dict[int, np.ndarray],
+    batch: BatchSolve,
 ) -> _ChannelTable:
+    """Score the lanes ``r``, solved in ``batch``; a lane's figures do not depend on its batch."""
     vsc = sorted(r)
     size = r[vsc[0]].size
     logger.info("channel table: %d lattice points", size)
 
-    batch = solve_steady_state_many(grid, dict(nominal.x), r)
     xr, y = _droop_lanes(grid, nominal.x, r, size)
     kappa = _kappa(grid, xr, 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y), batch.v)
     h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
@@ -461,13 +441,17 @@ class _LatticeSearch:
         self._link = (grid, nominal, p_nom, tx, rx)
         self._axes = axes
         self.size = int(np.prod([len(values) for values in axes.values()]))
-        lanes = _band_lanes(grid, nominal, p_nom, axes, pi)
-        self._band = None if lanes is None else self._table(lanes)
+        band = _band_lanes(grid, nominal, p_nom, axes, pi)
+        self._band = None if band is None else self._table(*band)
         self._nominal = self._table(np.zeros(1, dtype=int))
         self._full: Optional[_ChannelTable] = None
 
-    def _table(self, lanes: np.ndarray) -> _ChannelTable:
-        return _channel_table(*self._link, _lattice_r(self._axes, lanes))
+    def _table(self, lanes: np.ndarray, batch: Optional[BatchSolve] = None) -> _ChannelTable:
+        grid, nominal = self._link[:2]
+        r = _lattice_r(self._axes, lanes)
+        if batch is None:
+            batch = solve_steady_state_many(grid, dict(nominal.x), r)
+        return _channel_table(*self._link, r, batch)
 
     def best(self, pi: Mapping[int, float], sigma_z: float, step: float) -> OptimizationResult:
         table = self._band
@@ -498,8 +482,8 @@ def _band_lanes(
     p_nom: Dict[int, float],
     axes: Dict[int, np.ndarray],
     pi: Mapping[int, float],
-) -> Optional[np.ndarray]:
-    """Flat C-order indices of the lattice points with every |dp_n| <= pi_n.
+) -> Optional[Tuple[np.ndarray, BatchSolve]]:
+    """Flat C-order indices of the lattice points with every |dp_n| <= pi_n, and their solve.
 
     Along the last lattice axis each investment is monotone in every
     row: raising one resistance shifts load off its converter onto the
@@ -510,7 +494,8 @@ def _band_lanes(
     of every row are bisected at once, one batched solve per round.  The
     run and its outside neighbours are then solved and checked: viable,
     strictly monotone in the row's direction, and in the band exactly
-    from lo to hi.  Returns None, meaning "search the whole lattice",
+    from lo to hi; that check's solve of the band comes back with the
+    indices.  Returns None, meaning "search the whole lattice",
     when a probed point is not viable, a row's end points tie, a check
     fails or the band is empty.
     """
@@ -571,14 +556,17 @@ def _band_lanes(
     length = np.minimum(hi[band] + 1, width - 1) + 1 - start
     row = np.repeat(band, length)
     col = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - start, length)
-    dp = probe(row, col)
-    if dp is None:
+    r = _lattice_r(axes, row * width + col)
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    if not batch.feasible.all():
         return None
+    dp = _investment(grid, nominal, p_nom, r, batch.v)
     after, before = holds(dp, row)
     inside = (col >= lo[row]) & (col <= hi[row])
     if np.any((after & before) != inside) or not _runs_monotone(dp, rising[row], row):
         return None
-    return row[inside] * width + col[inside]
+    kept = BatchSolve(batch.v[inside], batch.feasible[inside], batch.residual[inside], batch.sweeps)
+    return row[inside] * width + col[inside], kept
 
 
 def _runs_monotone(dp: np.ndarray, rising: np.ndarray, row: np.ndarray) -> bool:
@@ -643,7 +631,6 @@ def _band_interior(
     p_nom: Dict[int, float],
     pi: Mapping[int, float],
     vsc: List[int],
-    samples: int,
 ) -> np.ndarray:
     """Feasible lattice points of the region with all lattice neighbors feasible.
 
@@ -654,8 +641,9 @@ def _band_interior(
     along that direction and from the band halfwidth implied by the
     largest Jacobian gain.  Its feasible points are found by
     :func:`_band_lanes`, converters without a budget counting as
-    unbounded; only when that band is unknown is the whole box solved.
-    Returns up to ``samples`` points as rows of resistances in ``vsc`` order.
+    unbounded, with their solved lanes; only when that band is unknown is
+    the whole box solved.  Returns up to ``PROBE_SAMPLES`` points as rows
+    of resistances in ``vsc`` order.
     """
     dim = len(vsc)
     r_nom = np.array([nominal.r[bus] for bus in vsc])
@@ -700,11 +688,11 @@ def _band_interior(
         bus: nominal.r[bus] + np.linspace(0.0, widths[i], counts[i])
         for i, bus in enumerate(vsc)
     }
-    lanes = _band_lanes(grid, nominal, p_nom, axes, budgets)
-    if lanes is None:
-        lanes = np.arange(int(np.prod(counts)))
+    band = _band_lanes(grid, nominal, p_nom, axes, budgets)
+    lanes, batch = band or (np.arange(int(np.prod(counts))), None)
     r = _lattice_r(axes, lanes)
-    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    if batch is None:
+        batch = solve_steady_state_many(grid, dict(nominal.x), r)
     dp = np.nan_to_num(_investment(grid, nominal, p_nom, r, batch.v), nan=np.inf)
     feas = np.zeros(counts, dtype=bool)
     feas.flat[lanes] = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
@@ -713,5 +701,6 @@ def _band_interior(
     for axis in range(dim):
         inner &= feas & np.roll(feas, 1, axis) & np.roll(feas, -1, axis)
     flat = np.flatnonzero(inner)
-    chosen = flat[np.round(np.linspace(0, flat.size - 1, num=min(samples, flat.size))).astype(int)]
+    picks = np.linspace(0, flat.size - 1, num=min(PROBE_SAMPLES, flat.size))
+    chosen = flat[np.round(picks).astype(int)]
     return np.stack(list(_lattice_r(axes, chosen).values()), axis=1)  # vsc order

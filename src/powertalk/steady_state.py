@@ -116,7 +116,6 @@ def solve_steady_state(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     method: str = "gauss_seidel",
-    damping: float = DEFAULT_DAMPING,
 ) -> SteadyState:
     """Solve the coupled bus equations at the given droop configuration.
 
@@ -134,7 +133,7 @@ def solve_steady_state(
 
     v0 = _initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
     if method == "gauss_seidel":
-        v, residual = _gauss_seidel(grid, xr, y, degree, r_bus, v0, tol, max_iter, damping)
+        v, residual = _gauss_seidel(grid, xr, y, degree, r_bus, v0, tol, max_iter)
     elif method == "newton":
         lane, feasible, res, _, stalled = _newton_block(grid, xr[None], y[None], v0, tol, max_iter)
         if stalled.size:
@@ -159,7 +158,6 @@ def _gauss_seidel(
     v: np.ndarray,
     tol: float,
     max_iter: int,
-    damping: float,
 ) -> Tuple[np.ndarray, float]:
     """Damped sweeps of the per-bus larger root until the residual is within ``tol``.
 
@@ -176,7 +174,7 @@ def _gauss_seidel(
         for bus in range(grid.n)
     ]
     v_old = v.tolist()
-    keep = 1.0 - damping
+    damping, keep = DEFAULT_DAMPING, 1.0 - DEFAULT_DAMPING
     sqrt = math.sqrt
     res = np.inf
     for sweep in range(max_iter):
@@ -291,8 +289,6 @@ def solve_steady_state_many(
     grid: ValidatedGrid,
     x: Mapping[int, float],
     r: Mapping[int, np.ndarray],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> BatchSolve:
     """Batched Newton over many virtual-resistance values.
 
@@ -301,7 +297,7 @@ def solve_steady_state_many(
     batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` worth of
     Jacobians, each lane independently of the others, so a lane's
     voltages do not depend on the batch it is solved in.  A lane is
-    feasible when its residual is at most ``tol`` with every voltage
+    feasible when its residual is at most ``DEFAULT_TOL`` with every voltage
     positive and every constant-power bus on the larger root of its
     quadratic; other lanes surface as ``feasible=False`` with NaN
     voltages instead of raising, so a grid search can skip them.
@@ -325,7 +321,7 @@ def solve_steady_state_many(
         lanes = slice(lo, min(lo + block, size))
         r_blk = {bus: r_vals[lanes] for bus, r_vals in r_lanes.items()}
         xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
-        v_blk, ok, res, its, _ = _newton_block(grid, xr, y, v0, tol, max_iter)
+        v_blk, ok, res, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
         v[lanes], feasible[lanes], residual[lanes] = v_blk, ok, res
         sweeps = max(sweeps, its)
     return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)

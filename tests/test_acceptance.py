@@ -263,7 +263,7 @@ def test_grid_optimum_certificate(grid, nominal, sweep):
 
 
 def test_gain_concavity_over_feasible_region(grid, nominal, budgets):
-    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1, samples=25, rel_tol=1e-6)
+    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     flagged = len({violation[0] for violation in report.violations})
     ok = report.max_rel_eig <= 1e-6
     record(
@@ -339,7 +339,7 @@ def test_power_budget_compliance(grid, nominal, sweep):
         slots=100_000, amplitude=math.sqrt(alloc.s[0]), sigma_z=CASE_STUDY_SIGMA_Z,
         mode="nonlinear", rng_seed=0, tx=0, rx=1,
     )
-    compliance = measure_power_compliance(grid, droop, cfg, pi, slack=0.05)
+    compliance = measure_power_compliance(grid, droop, cfg, pi)
     ok = all(row_.ok for row_ in compliance.values())
     ratios = {bus: row_.empirical / row_.bound for bus, row_ in compliance.items()}
     record(

@@ -97,42 +97,11 @@ def test_overspent_investment_is_infeasible(model):
         )
 
 
-def test_weighted_mode_dominates_maxmin_objective(model):
-    pi = {0: 10.0, 1: 10.0}
-    maxmin = allocate_input_variance(
-        model.Phi, pi, {0: 0.0, 1: 0.0}, transmitters=[0, 1], mode="maxmin"
-    )
-    weighted = allocate_input_variance(
-        model.Phi, pi, {0: 0.0, 1: 0.0}, transmitters=[0, 1], mode="weighted"
-    )
-    assert sum(weighted.s.values()) >= sum(maxmin.s.values()) - 1e-12
-    # the LP solution still satisfies every budget row
-    assert min(weighted.slack.values()) >= -1e-9
-
-
-def test_weighted_mode_follows_the_weights(model):
-    pi = {0: 10.0, 1: 10.0}
-    favor_0 = allocate_input_variance(
-        model.Phi, pi, {0: 0.0, 1: 0.0}, transmitters=[0, 1],
-        mode="weighted", weights={0: 100.0, 1: 1.0},
-    )
-    favor_1 = allocate_input_variance(
-        model.Phi, pi, {0: 0.0, 1: 0.0}, transmitters=[0, 1],
-        mode="weighted", weights={0: 1.0, 1: 100.0},
-    )
-    assert favor_0.s[0] > favor_0.s[1]
-    assert favor_1.s[1] > favor_1.s[0]
-
-
 def test_allocation_input_validation(model):
     with pytest.raises(ValueError):
         allocate_input_variance(model.Phi, {0: 10.0}, {}, transmitters=[])
     with pytest.raises(ValueError):
         allocate_input_variance(model.Phi, {0: 10.0}, {}, transmitters=[1])
-    with pytest.raises(ValueError):
-        allocate_input_variance(
-            model.Phi, {0: 10.0, 1: 10.0}, {}, transmitters=[0], mode="greedy"
-        )
 
 
 def test_uncoupled_rows_are_rejected(model):

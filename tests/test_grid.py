@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,15 +7,20 @@ from hypothesis import strategies as st
 
 from powertalk import (
     Bus,
+    ConfigError,
     DisconnectedGraph,
     DuplicateLine,
     GridSpec,
     InvalidGridSpec,
+    InvalidLink,
     LineSpec,
     LoadSpec,
     NoConverter,
     NonpositiveResistance,
+    SimConfig,
     VscSpec,
+    cli,
+    maximize_snr_grid,
     network_matrices,
     nominal_droop,
     validate_grid,
@@ -179,6 +186,21 @@ def test_bus_ids_outside_the_grid_host_no_converter(grid, bus):
     assert not grid.has_vsc(bus)
     with pytest.raises(InvalidGridSpec):
         grid.vsc(bus)
+
+
+@pytest.mark.parametrize("tx, rx", [(0, 0), (0, 2), (99, 1)], ids=["self-link", "load-bus", "id-99"])
+@pytest.mark.parametrize("entry", ["cli", "optimizer", "comsim"])
+def test_every_entry_point_checks_the_link_alike(grid, nominal, entry, tx, rx):
+    assert issubclass(InvalidLink, ConfigError) and issubclass(InvalidLink, ValueError)
+    with pytest.raises(InvalidLink):
+        if entry == "cli":
+            cli._link(grid, argparse.Namespace(tx=tx, rx=rx))
+        elif entry == "optimizer":
+            maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0}, 0.01, tx, rx)
+        else:
+            cfg = SimConfig(slots=10, amplitude=0.1, sigma_z=0.01, mode="nonlinear",
+                            rng_seed=0, tx=tx, rx=rx)
+            cfg.validate(grid)
 
 
 @given(

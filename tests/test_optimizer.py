@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from powertalk import (
     VscSpec,
     capacity,
     capacity_sweep,
+    case_study,
     case_study_document,
     channel_gains,
     check_viability,
@@ -37,6 +39,22 @@ from powertalk.optimizer import DEFAULT_STEP
 
 SIGMA_Z = 0.01
 BOX = {0: 0.6, 1: 0.7}
+
+
+def _boxed(r_max):
+    """The case study with the nameplate search limits ``r_max`` per converter."""
+    spec = case_study().spec
+    buses = tuple(
+        replace(bus, vsc=replace(bus.vsc, r_max=r_max[bus.id])) if bus.id in r_max else bus
+        for bus in spec.buses
+    )
+    return validate_grid(replace(spec, buses=buses))
+
+
+@pytest.fixture(scope="module")
+def boxed():
+    """The case study searched inside ``BOX``, set on the converters' nameplates."""
+    return _boxed(BOX)
 
 
 def test_capacity_reference_points():
@@ -96,16 +114,14 @@ def test_link_validation(grid, nominal, budgets):
     [(0, 0, {0: 10.0, 1: 10.0}), (2, 1, {0: 10.0, 1: 10.0}), (0, 1, {0: -10.0, 1: 10.0})],
     ids=["self-link", "load-bus-transmitter", "negative-budget"],
 )
-def test_search_validates_its_link_and_budgets(grid, nominal, tx, rx, budgets):
+def test_search_validates_its_link_and_budgets(boxed, nominal, tx, rx, budgets):
     with pytest.raises(ValueError):
-        maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, tx, rx, r_max=BOX)
+        maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, tx, rx)
 
 
 def test_grid_search_matches_brute_force_loop(grid, nominal, budgets):
-    r_max = {0: 0.41, 1: 0.41}
-    result = maximize_snr_grid(
-        grid, nominal, budgets, SIGMA_Z, tx=0, rx=1, step=0.005, r_max=r_max
-    )
+    boxed = _boxed({0: 0.41, 1: 0.41})
+    result = maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, tx=0, rx=1, step=0.005)
     assert result.evaluations == 25
     best = (-np.inf, None)
     for r_a in np.arange(0.39, 0.4101, 0.005):
@@ -120,27 +136,25 @@ def test_grid_search_matches_brute_force_loop(grid, nominal, budgets):
     assert result.r_star[1] == pytest.approx(best[1][1])
 
 
-def test_zero_budget_ties_break_to_nominal(grid, nominal):
-    result = maximize_snr_grid(
-        grid, nominal, {0: 0.0, 1: 0.0}, SIGMA_Z, 0, 1, r_max={0: 0.42, 1: 0.42}
-    )
+def test_zero_budget_ties_break_to_nominal(nominal):
+    boxed = _boxed({0: 0.42, 1: 0.42})
+    result = maximize_snr_grid(boxed, nominal, {0: 0.0, 1: 0.0}, SIGMA_Z, 0, 1)
     assert result.snr == 0.0
     assert result.r_star == {0: 0.39, 1: 0.39}
 
 
-def test_restricted_search_finds_frozen_optimum(grid, nominal, budgets):
-    result = maximize_snr_grid(
-        grid, nominal, budgets, SIGMA_Z, 0, 1, r_max={0: 0.6, 1: 0.7}
-    )
+def test_restricted_search_finds_frozen_optimum(boxed, nominal, budgets):
+    result = maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, 0, 1)
     assert result.r_star[0] == pytest.approx(0.44)
     assert result.r_star[1] == pytest.approx(0.48)
     assert result.snr == pytest.approx(1.19904669, rel=1e-8)
     assert result.capacity == capacity(result.snr)
 
 
-def test_empty_search_space_raised(grid, nominal, budgets):
+def test_empty_search_space_raised(boxed, nominal, budgets):
+    above_the_box = nominal.with_r({0: 0.65})  # the nameplate r_max is 0.6
     with pytest.raises(EmptySearchSpace):
-        maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, r_max={0: 0.2, 1: 0.5})
+        maximize_snr_grid(boxed, above_the_box, budgets, SIGMA_Z, 0, 1)
 
 
 def test_step_must_be_positive(grid, nominal, budgets):
@@ -148,10 +162,8 @@ def test_step_must_be_positive(grid, nominal, budgets):
         maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, step=0.0)
 
 
-def test_sweep_rows_dominate_and_grow(grid, nominal):
-    rows = capacity_sweep(
-        grid, nominal, [2.0, 10.0], SIGMA_Z, 0, 1, r_max={0: 0.6, 1: 0.7}
-    )
+def test_sweep_rows_dominate_and_grow(boxed, nominal):
+    rows = capacity_sweep(boxed, nominal, [2.0, 10.0], SIGMA_Z, 0, 1)
     assert [row.pi for row in rows] == [2.0, 10.0]
     for row in rows:
         assert row.capacity_opt >= row.capacity_nominal - 1e-12
@@ -160,15 +172,15 @@ def test_sweep_rows_dominate_and_grow(grid, nominal):
     assert rows[1].r_star == {0: pytest.approx(0.44), 1: pytest.approx(0.48)}
 
 
-def test_sweep_input_validation(grid, nominal):
+def test_sweep_input_validation(boxed, nominal):
     with pytest.raises(ValueError):
-        capacity_sweep(grid, nominal, [], SIGMA_Z, 0, 1)
+        capacity_sweep(boxed, nominal, [], SIGMA_Z, 0, 1)
     with pytest.raises(ValueError):
-        capacity_sweep(grid, nominal, [10.0, 5.0], SIGMA_Z, 0, 1, r_max={0: 0.4, 1: 0.4})
+        capacity_sweep(_boxed({0: 0.4, 1: 0.4}), nominal, [10.0, 5.0], SIGMA_Z, 0, 1)
     with pytest.raises(ValueError):
-        capacity_sweep(grid, nominal, [-10.0, 5.0], SIGMA_Z, 0, 1, r_max=BOX)
+        capacity_sweep(boxed, nominal, [-10.0, 5.0], SIGMA_Z, 0, 1)
     with pytest.raises(ValueError):
-        capacity_sweep(grid, nominal, [5.0], SIGMA_Z, 0, 0, r_max=BOX)
+        capacity_sweep(boxed, nominal, [5.0], SIGMA_Z, 0, 0)
 
 
 def test_sweep_and_optimize_solve_the_nominal_point_once(grid, nominal, tmp_path, monkeypatch):
@@ -223,8 +235,8 @@ def test_default_r_max_bisects_the_viability_boundary(no_scalar_solve):
 
 
 def test_concavity_probe_report_structure(grid, nominal, budgets):
-    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1, samples=5)
-    assert 1 <= len(report.points) <= 5
+    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
+    assert 1 <= len(report.points) <= optimizer.PROBE_SAMPLES
     for point in report.points:
         assert point[0] >= 0.39 and point[1] >= 0.39
     assert np.isfinite(report.max_rel_eig)
@@ -238,8 +250,6 @@ def test_concavity_probe_report_structure(grid, nominal, budgets):
 
 def test_concavity_probe_validates_inputs(grid, nominal, budgets):
     with pytest.raises(ValueError):
-        concavity_probe(grid, nominal, budgets, tx=0, rx=1, samples=0)
-    with pytest.raises(ValueError):
         concavity_probe(grid, nominal, budgets, tx=0, rx=0)
 
 
@@ -250,12 +260,8 @@ def test_concavity_probe_band_equals_the_box_fallback(grid, nominal, pi, monkeyp
     assert concavity_probe(grid, nominal, pi, tx=0, rx=1) == report
 
 
-def test_concavity_probe_samples_inside_the_nameplate_box():
-    doc = case_study_document()
-    for bus in (0, 1):
-        doc["buses"][bus]["vsc"]["r_max"] = 0.45
-    grid = validate_grid(cli.parse_config(json.dumps(doc)).grid)
-    nominal = nominal_droop(grid)
+def test_concavity_probe_samples_inside_the_nameplate_box(nominal):
+    grid = _boxed({0: 0.45, 1: 0.45})
     report = concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, tx=0, rx=1)
     assert report.points
     for point in report.points:  # the box maximize_snr_grid searches
@@ -335,17 +341,17 @@ def _radial_pair():
     return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
 
 
-def test_snr_nominal_is_the_one_way_snr_at_nominal(grid, nominal):
+def test_snr_nominal_is_the_one_way_snr_at_nominal(grid, boxed, nominal):
     def assert_nominal(result_snr, grid, nominal, budgets, tx, rx):
         expected, _ = one_way_snr(grid, nominal, nominal, budgets, SIGMA_Z, tx, rx)
         assert result_snr == pytest.approx(expected, rel=1e-11)  # 8e-13 measured
 
     pis = [2.0, 5.0, 10.0, 15.0, 20.0]
-    for pi, row in zip(pis, capacity_sweep(grid, nominal, pis, SIGMA_Z, 0, 1, r_max=BOX)):
+    for pi, row in zip(pis, capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)):
         assert_nominal(row.snr_nominal, grid, nominal, {0: pi, 1: pi}, 0, 1)
         assert row.capacity_nominal == capacity(row.snr_nominal)
     uneven = {0: 3.0, 1: 17.0}
-    result = maximize_snr_grid(grid, nominal, uneven, SIGMA_Z, 0, 1, r_max=BOX)
+    result = maximize_snr_grid(boxed, nominal, uneven, SIGMA_Z, 0, 1)
     assert_nominal(result.snr_nominal, grid, nominal, uneven, 0, 1)
     feeder = _radial_pair()
     feeder_nominal = nominal_droop(feeder)
@@ -363,18 +369,20 @@ def _assert_matches_oracle(result, oracle):
 
 
 @pytest.mark.parametrize("pi", [2.0, 5.0, 10.0, 15.0, 20.0])
-def test_band_search_equals_the_full_lattice_on_the_case_study(grid, nominal, pi, solved_lanes):
+def test_band_search_equals_the_full_lattice_on_the_case_study(
+    grid, boxed, nominal, pi, solved_lanes
+):
     budgets = {0: pi, 1: pi}
-    result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, r_max=BOX)
+    result = maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, 0, 1)
     oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX)
     _assert_matches_oracle(result, oracle)
     assert result.evaluations == oracle[3].size  # every lattice point is covered
     assert sum(solved_lanes) < oracle[3].size  # ... but not every one is solved
 
 
-def test_band_sweep_equals_the_full_lattice_per_budget(grid, nominal):
+def test_band_sweep_equals_the_full_lattice_per_budget(grid, boxed, nominal):
     pis = [2.0, 5.0, 10.0, 15.0, 20.0]
-    rows = capacity_sweep(grid, nominal, pis, SIGMA_Z, 0, 1, r_max=BOX)
+    rows = capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)
     for pi, row in zip(pis, rows):
         r_star, snr, _, _ = _lattice_oracle(
             grid, nominal, {0: pi, 1: pi}, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX
@@ -410,9 +418,11 @@ def test_band_search_equals_the_full_lattice_on_a_radial_feeder(solved_lanes):
     pi=st.floats(min_value=0.5, max_value=25.0),
     step=st.floats(min_value=0.004, max_value=0.02),
 )
-def test_band_search_equals_the_full_lattice_over_budgets_and_steps(grid, nominal, pi, step):
+def test_band_search_equals_the_full_lattice_over_budgets_and_steps(
+    grid, boxed, nominal, pi, step
+):
     budgets = {0: pi, 1: 0.8 * pi}
-    result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, step=step, r_max=BOX)
+    result = maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, 0, 1, step=step)
     _assert_matches_oracle(
         result, _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, step, BOX)
     )
@@ -427,7 +437,7 @@ def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solved_
         step, box = 0.5, {0: 40.0, 1: 40.0}
     else:
         monkeypatch.setattr(optimizer, "_runs_monotone", lambda *args: False)
-    result = maximize_snr_grid(grid, nominal, budgets, SIGMA_Z, 0, 1, step=step, r_max=box)
+    result = maximize_snr_grid(_boxed(box), nominal, budgets, SIGMA_Z, 0, 1, step=step)
     oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, step, box)
     _assert_matches_oracle(result, oracle)
     feasible = oracle[3]
@@ -631,8 +641,8 @@ def test_concavity_probe_scores_its_points_in_batches(
     assert len(report.points) == 25
     # the viability lane of each converter's default r_max, the investment
     # Jacobian, the band's end, 40 bisection rounds, the box's row ends, 9
-    # rounds of the row bisection and the rows' runs, the band's lanes and
-    # the stencils of every point
-    assert len(solved_lanes) <= 56
-    assert sum(solved_lanes) <= 5_000  # 4,509: the box has 30,400 lanes
+    # rounds of the row bisection, the rows' runs (whose band lanes the
+    # probe keeps, solved) and the stencils of every point
+    assert len(solved_lanes) <= 55
+    assert sum(solved_lanes) <= 4_000  # 3,772: the box has 30,400 lanes
     assert len(scalar_solves) <= 1  # the nominal powers
