@@ -1,6 +1,8 @@
+import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from powertalk import (
     case_study_document,
     nominal_droop,
     two_source_closed_form,
+    validate_grid,
 )
 from powertalk import cli
 from powertalk.cli import RunConfig, SWEEP_COLUMNS, main, parse_config, serialize
@@ -352,3 +355,79 @@ def test_linearized_simulate_from_budgets_linearizes_once(grid_file, monkeypatch
     argv = ["simulate", "--grid", grid_file, "--pi", "10", "--mode", "linearized"]
     assert main([*argv, "--slots", "100"]) == 0
     assert len(calls) == 1
+
+
+def test_solve_channel_budget_optimize_match_the_case_study_golden(capsys):
+    grid_path = str(ROOT / "configs" / "case_study.json")
+    out = []
+    for argv in (["solve"], ["channel"], ["budget", "--pi", "10"], ["optimize", "--pi", "10"]):
+        assert main([argv[0], "--grid", grid_path, *argv[1:]]) == 0
+        out.append(f"# {' '.join(argv)}\n" + capsys.readouterr().out)
+    golden = (ROOT / "tests" / "golden" / "cli_case_study.txt").read_text()
+    assert "".join(out) == golden
+
+
+# every subcommand's flags as (option, type, default, choices, required)
+_GRID = ("--grid", None, None, None, True)
+_OUT = ("--out", None, None, None, False)
+_R = ("--r", None, None, None, False)
+_PI = ("--pi", None, None, None, False)
+_SIGMA_Z = ("--sigma-z", float, None, None, False)
+_STEP = ("--step", float, 0.005, None, False)
+_TX = ("--tx", int, None, None, False)
+_RX = ("--rx", int, None, None, False)
+CLI_FLAGS = {
+    "solve": (_GRID, _OUT, _R),
+    "channel": (_GRID, _OUT, _R),
+    "budget": (_GRID, _OUT, _R, _PI, _TX, _RX),
+    "optimize": (_GRID, _OUT, _PI, _SIGMA_Z, _STEP, _TX, _RX),
+    "sweep": (_GRID, _OUT, _PI, _SIGMA_Z, _STEP, _TX, _RX),
+    "simulate": (
+        _GRID, _OUT, _R, _PI,
+        ("--amplitude", float, None, None, False),
+        _SIGMA_Z,
+        ("--mode", None, "nonlinear", ("nonlinear", "linearized"), False),
+        ("--slots", int, None, None, False),
+        ("--seed", int, None, None, False),
+        _TX, _RX,
+    ),
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    sub = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(sub.choices) == list(CLI_FLAGS)
+    for command, parser in sub.choices.items():
+        flags = tuple(
+            (
+                *action.option_strings,
+                action.type,
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+                action.required,
+            )
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        )
+        assert flags == CLI_FLAGS[command], command
+
+
+@pytest.mark.parametrize("command", list(CLI_FLAGS))
+def test_subcommand_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "--grid" in capsys.readouterr().out
+
+
+def test_case_study_grid_document_and_config_file_agree():
+    file_cfg = parse_config((ROOT / "configs" / "case_study.json").read_text())
+    doc_cfg = parse_config(CASE_TEXT)
+    assert file_cfg == doc_cfg
+    grids = [case_study(), validate_grid(file_cfg.grid), validate_grid(doc_cfg.grid)]
+    for grid in grids[1:]:
+        assert grid.spec == grids[0].spec
+        assert np.array_equal(grid.g_line, grids[0].g_line)
