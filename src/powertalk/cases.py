@@ -11,9 +11,10 @@ code path worth testing.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict
 
-from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, validate_grid
+from .grid import ValidatedGrid, validate_grid
 
 __all__ = ["case_study", "case_study_document", "CASE_STUDY_SIGMA_Z"]
 
@@ -21,23 +22,14 @@ CASE_STUDY_SIGMA_Z = 0.01   # observation noise std dev [V]
 
 
 def case_study() -> ValidatedGrid:
-    """Validated two-converter star grid."""
-    spec = GridSpec(
-        buses=(
-            Bus(0, LoadSpec(), VscSpec(x_nom=400.0, r_nom=0.39)),
-            Bus(1, LoadSpec(), VscSpec(x_nom=400.0, r_nom=0.39)),
-            Bus(2, LoadSpec(r_cr=50.0, d_cp=2500.0)),
-        ),
-        lines=(
-            LineSpec.from_length(0, 2, rho=0.641, length_km=0.3),
-            LineSpec.from_length(1, 2, rho=0.641, length_km=1.0),
-        ),
-    )
-    return validate_grid(spec)
+    """Validated two-converter star grid, parsed from :func:`case_study_document`."""
+    from .cli import parse_config  # here, so that importing the package leaves argparse out
+
+    return validate_grid(parse_config(json.dumps(case_study_document())).grid)
 
 
 def case_study_document() -> Dict[str, Any]:
-    """The same grid as a config document (see cli.parse_config)."""
+    """The case-study grid as a config document (see cli.parse_config)."""
     return {
         "buses": [
             {"id": 0, "vsc": {"x_nom": 400.0, "r_nom": 0.39}},

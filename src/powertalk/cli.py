@@ -13,13 +13,14 @@ level name (debug, info, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .budget import BudgetAllocation, allocate_input_variance, vr_power_investment
 from .channel import ChannelModel, linearize
@@ -32,18 +33,9 @@ from .steady_state import DroopState, nominal_droop, solve_steady_state
 
 logger = logging.getLogger(__name__)
 
-_LOAD_FIELDS = {"r_cr", "i_cc", "d_cp"}
-_VSC_FIELDS = {"x_nom", "r_nom", "r_max", "pi"}
-_SIM_FIELDS = {"sigma_z", "seed", "slots"}
-
 SWEEP_COLUMNS = (
-    "pi_W",
-    "capacity_nominal_bits",
-    "capacity_opt_bits",
-    "r_a_star_ohm",
-    "r_b_star_ohm",
-    "snr_nominal",
-    "snr_opt",
+    "pi_W", "capacity_nominal_bits", "capacity_opt_bits", "r_a_star_ohm", "r_b_star_ohm",
+    "snr_nominal", "snr_opt",
 )
 
 
@@ -62,7 +54,54 @@ class RunConfig:
     sim: SimDefaults
 
 
-# -- document parsing ---------------------------------------------------------
+# -- document format ----------------------------------------------------------
+
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+class _Object(NamedTuple):
+    """One object of the grid document and the dataclass it reads into."""
+
+    cls: type
+    keys: Dict[str, Tuple[str, Any]]  # document key -> (attribute, _number, _integer or _Object)
+    required: Tuple[str, ...] = ()
+
+
+_LOAD = _Object(
+    LoadSpec, {"r_cr": ("r_cr", _number), "i_cc": ("i_cc", _number), "d_cp": ("d_cp", _number)}
+)
+_VSC = _Object(
+    VscSpec,
+    {"x_nom": ("x_nom", _number), "r_nom": ("r_nom", _number),
+     "r_max": ("r_max", _number), "pi": ("pi_budget", _number)},
+    ("x_nom", "r_nom"),
+)
+_BUS = _Object(
+    Bus, {"id": ("id", _integer), "load": ("load", _LOAD), "vsc": ("vsc", _VSC)}, ("id",)
+)
+# rho and length_km are the arguments of LineSpec.from_length
+_LINE = _Object(
+    LineSpec,
+    {"a": ("a", _integer), "b": ("b", _integer), "r": ("r_line", _number),
+     "rho": ("rho", _number), "length_km": ("length_km", _number)},
+    ("a", "b"),
+)
+_SIM = _Object(
+    SimDefaults,
+    {"sigma_z": ("sigma_z", _number), "seed": ("seed", _integer), "slots": ("slots", _integer)},
+)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON grid document into a grid spec plus sim defaults.
@@ -87,143 +126,77 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(doc[key], list):
             raise SchemaError(f"'{key}' must be an array")
 
-    buses = tuple(_parse_bus(entry, i) for i, entry in enumerate(doc["buses"]))
-    lines = tuple(_parse_line(entry, i) for i, entry in enumerate(doc["lines"]))
-    sim = _parse_sim(doc.get("sim", {}))
+    buses = tuple(_read(entry, f"buses[{i}]", _BUS) for i, entry in enumerate(doc["buses"]))
+    lines = tuple(_parse_line(entry, f"lines[{i}]") for i, entry in enumerate(doc["lines"]))
+    sim = _read(doc.get("sim", {}), "sim", _SIM)
     return RunConfig(grid=GridSpec(buses=buses, lines=lines), sim=sim)
 
 
 def serialize(cfg: RunConfig) -> str:
-    """Render a config back to a document that parses to an equal config."""
-    doc: Dict[str, Any] = {"buses": [], "lines": []}
-    for bus in cfg.grid.buses:
-        entry: Dict[str, Any] = {"id": bus.id}
-        load = {}
-        if bus.load.r_cr is not None:
-            load["r_cr"] = bus.load.r_cr
-        if bus.load.i_cc != 0.0:
-            load["i_cc"] = bus.load.i_cc
-        if bus.load.d_cp != 0.0:
-            load["d_cp"] = bus.load.d_cp
-        if load:
-            entry["load"] = load
-        if bus.vsc is not None:
-            vsc = {"x_nom": bus.vsc.x_nom, "r_nom": bus.vsc.r_nom}
-            if bus.vsc.r_max is not None:
-                vsc["r_max"] = bus.vsc.r_max
-            if bus.vsc.pi_budget is not None:
-                vsc["pi"] = bus.vsc.pi_budget
-            entry["vsc"] = vsc
-        doc["buses"].append(entry)
-    for line in cfg.grid.lines:
-        doc["lines"].append({"a": line.a, "b": line.b, "r": line.r_line})
-    doc["sim"] = {
-        "sigma_z": cfg.sim.sigma_z,
-        "seed": cfg.sim.seed,
-        "slots": cfg.sim.slots,
+    """Render a config back to a document that parses to an equal config.
+
+    Fields equal to their dataclass default are left out, except in the
+    ``sim`` block, which is written in full.
+    """
+    doc = {
+        "buses": [_unparse(bus, _BUS) for bus in cfg.grid.buses],
+        "lines": [_unparse(line, _LINE) for line in cfg.grid.lines],
+        "sim": dataclasses.asdict(cfg.sim),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _require_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _parse_bus(entry: Any, index: int) -> Bus:
-    path = f"buses[{index}]"
-    if not isinstance(entry, dict):
-        raise SchemaError(f"{path}: expected an object")
-    unknown = set(entry) - {"id", "load", "vsc"}
-    if unknown:
-        raise SchemaError(f"{path}: unknown fields {sorted(unknown)}")
-    if "id" not in entry:
-        raise SchemaError(f"{path}: missing required field 'id'")
-    bus_id = _require_int(entry["id"], f"{path}.id")
-
-    load_doc = entry.get("load", {})
-    if not isinstance(load_doc, dict):
-        raise SchemaError(f"{path}.load: expected an object")
-    unknown = set(load_doc) - _LOAD_FIELDS
-    if unknown:
-        raise SchemaError(f"{path}.load: unknown fields {sorted(unknown)}")
-    load = LoadSpec(
-        r_cr=_require_number(load_doc["r_cr"], f"{path}.load.r_cr") if "r_cr" in load_doc else None,
-        i_cc=_require_number(load_doc.get("i_cc", 0.0), f"{path}.load.i_cc"),
-        d_cp=_require_number(load_doc.get("d_cp", 0.0), f"{path}.load.d_cp"),
-    )
-
-    vsc = None
-    if "vsc" in entry:
-        vsc_doc = entry["vsc"]
-        if not isinstance(vsc_doc, dict):
-            raise SchemaError(f"{path}.vsc: expected an object")
-        unknown = set(vsc_doc) - _VSC_FIELDS
-        if unknown:
-            raise SchemaError(f"{path}.vsc: unknown fields {sorted(unknown)}")
-        for field in ("x_nom", "r_nom"):
-            if field not in vsc_doc:
-                raise SchemaError(f"{path}.vsc: missing required field '{field}'")
-        vsc = VscSpec(
-            x_nom=_require_number(vsc_doc["x_nom"], f"{path}.vsc.x_nom"),
-            r_nom=_require_number(vsc_doc["r_nom"], f"{path}.vsc.r_nom"),
-            r_max=_require_number(vsc_doc["r_max"], f"{path}.vsc.r_max")
-            if "r_max" in vsc_doc
-            else None,
-            pi_budget=_require_number(vsc_doc["pi"], f"{path}.vsc.pi")
-            if "pi" in vsc_doc
-            else None,
-        )
-    return Bus(id=bus_id, load=load, vsc=vsc)
-
-
-def _parse_line(entry: Any, index: int) -> LineSpec:
-    path = f"lines[{index}]"
-    if not isinstance(entry, dict):
-        raise SchemaError(f"{path}: expected an object")
-    unknown = set(entry) - {"a", "b", "r", "rho", "length_km"}
-    if unknown:
-        raise SchemaError(f"{path}: unknown fields {sorted(unknown)}")
-    for field in ("a", "b"):
-        if field not in entry:
-            raise SchemaError(f"{path}: missing required field '{field}'")
-    a = _require_int(entry["a"], f"{path}.a")
-    b = _require_int(entry["b"], f"{path}.b")
-    direct = "r" in entry
-    derived = "rho" in entry or "length_km" in entry
-    if direct and derived:
-        raise SchemaError(f"{path}: give either 'r' or 'rho'+'length_km', not both")
-    if direct:
-        return LineSpec(a=a, b=b, r_line=_require_number(entry["r"], f"{path}.r"))
-    if "rho" not in entry or "length_km" not in entry:
-        raise SchemaError(f"{path}: needs both 'rho' and 'length_km' (or a direct 'r')")
-    return LineSpec.from_length(
-        a,
-        b,
-        rho=_require_number(entry["rho"], f"{path}.rho"),
-        length_km=_require_number(entry["length_km"], f"{path}.length_km"),
-    )
-
-
-def _parse_sim(doc: Any) -> SimDefaults:
+def _fields(doc: Any, path: str, obj: _Object) -> Dict[str, Any]:
+    """Check one object of the document and read its keys as dataclass attributes."""
     if not isinstance(doc, dict):
-        raise SchemaError("sim: expected an object")
-    unknown = set(doc) - _SIM_FIELDS
+        raise SchemaError(f"{path}: expected an object")
+    unknown = set(doc) - set(obj.keys)
     if unknown:
-        raise SchemaError(f"sim: unknown fields {sorted(unknown)}")
-    defaults = SimDefaults()
-    return SimDefaults(
-        sigma_z=_require_number(doc.get("sigma_z", defaults.sigma_z), "sim.sigma_z"),
-        seed=_require_int(doc.get("seed", defaults.seed), "sim.seed"),
-        slots=_require_int(doc.get("slots", defaults.slots), "sim.slots"),
-    )
+        raise SchemaError(f"{path}: unknown fields {sorted(unknown)}")
+    for key in obj.required:
+        if key not in doc:
+            raise SchemaError(f"{path}: missing required field '{key}'")
+    attrs = {}
+    for key, value in doc.items():
+        attr, reader = obj.keys[key]
+        attrs[attr] = _read(value, f"{path}.{key}", reader)
+    return attrs
+
+
+def _read(value: Any, path: str, reader: Any) -> Any:
+    if isinstance(reader, _Object):
+        return reader.cls(**_fields(value, path, reader))
+    return reader(value, path)
+
+
+def _unparse(value: Any, obj: _Object) -> Dict[str, Any]:
+    """``value`` as a document object, leaving out the fields equal to their default."""
+    defaults = {
+        f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        for f in dataclasses.fields(value)
+    }
+    doc = {}
+    for key, (attr, reader) in obj.keys.items():
+        item = getattr(value, attr, None)
+        if attr in defaults and item != defaults[attr]:
+            doc[key] = _unparse(item, reader) if isinstance(reader, _Object) else item
+    return doc
+
+
+def _parse_line(entry: Any, path: str) -> LineSpec:
+    fields = _fields(entry, path, _LINE)
+    if "r_line" in fields:
+        if "rho" in fields or "length_km" in fields:
+            raise SchemaError(f"{path}: give either 'r' or 'rho'+'length_km', not both")
+        return LineSpec(**fields)
+    if "rho" not in fields or "length_km" not in fields:
+        raise SchemaError(f"{path}: needs both 'rho' and 'length_km' (or a direct 'r')")
+    if not (fields["rho"] > 0.0 and fields["length_km"] > 0.0):
+        raise SchemaError(
+            f"{path}: 'rho' and 'length_km' must be positive, "
+            f"got {fields['rho']} and {fields['length_km']}"
+        )
+    return LineSpec.from_length(**fields)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -232,7 +205,8 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.9g}"   # +0.0 folds negative zero
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(lines: List[str], out_path: Optional[str]) -> None:
+    text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as handle:
@@ -302,10 +276,6 @@ def _sigma_z(cfg: RunConfig, args: argparse.Namespace) -> float:
     return args.sigma_z if args.sigma_z is not None else cfg.sim.sigma_z
 
 
-def _seed(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else cfg.sim.seed
-
-
 def _allocation(
     grid: ValidatedGrid, droop: DroopState, pi: Mapping[int, float], tx: int
 ) -> Tuple[ChannelModel, BudgetAllocation]:
@@ -317,7 +287,7 @@ def _allocation(
 
 # -- subcommands --------------------------------------------------------------
 
-def _cmd_solve(args: argparse.Namespace) -> None:
+def _cmd_solve(args: argparse.Namespace) -> List[str]:
     grid, _ = _load(args)
     droop = _droop(grid, args)
     state = solve_steady_state(grid, droop)
@@ -326,62 +296,53 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         i = _fmt(state.i[bus]) if bus in state.i else ""
         p = _fmt(state.p[bus]) if bus in state.p else ""
         lines.append(f"{bus},{_fmt(state.v[bus])},{_fmt(state.kappa[bus])},{i},{p}")
-    _emit("\n".join(lines) + "\n", args.out)
+    return lines
 
 
-def _cmd_channel(args: argparse.Namespace) -> None:
+def _cmd_channel(args: argparse.Namespace) -> List[str]:
     grid, _ = _load(args)
     droop = _droop(grid, args)
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
     header = ",".join(f"dx_{bus}" for bus in range(grid.n))
-    lines = [f"# voltage gains\nbus,{header}"]
-    for bus in range(grid.n):
-        lines.append(f"{bus}," + ",".join(_fmt(model.H[bus, m]) for m in range(grid.n)))
-    lines.append(f"# power gains\nbus,{header}")
-    for bus in range(grid.n):
-        lines.append(f"{bus}," + ",".join(_fmt(model.Phi[bus, m]) for m in range(grid.n)))
+    lines = []
+    for title, gains in (("voltage gains", model.H), ("power gains", model.Phi)):
+        lines.append(f"# {title}\nbus,{header}")
+        lines += [f"{bus}," + ",".join(_fmt(gain) for gain in gains[bus]) for bus in range(grid.n)]
     lines.append("# load correction\nbus,kappa")
-    for bus in range(grid.n):
-        lines.append(f"{bus},{_fmt(model.K[bus])}")
-    _emit("\n".join(lines) + "\n", args.out)
+    lines += [f"{bus},{_fmt(kappa)}" for bus, kappa in enumerate(model.K)]
+    return lines
 
 
-def _cmd_budget(args: argparse.Namespace) -> None:
+def _cmd_budget(args: argparse.Namespace) -> List[str]:
     grid, _ = _load(args)
     droop = _droop(grid, args)
     tx, _ = _link(grid, args)
     pi = _budgets(grid, args)
     _, alloc = _allocation(grid, droop, pi, tx)
     lines = ["# input variance per transmitter\nbus,s_V2"]
-    for bus in sorted(alloc.s):
-        lines.append(f"{bus},{_fmt(alloc.s[bus])}")
+    lines += [f"{bus},{_fmt(s)}" for bus, s in sorted(alloc.s.items())]
     lines.append("# budget rows\nbus,pi_W,dp_vr_W,slack_W2")
     for bus in sorted(pi):
         lines.append(f"{bus},{_fmt(pi[bus])},{_fmt(alloc.dp_vr[bus])},{_fmt(alloc.slack[bus])}")
-    _emit("\n".join(lines) + "\n", args.out)
+    return lines
 
 
-def _cmd_optimize(args: argparse.Namespace) -> None:
+def _cmd_optimize(args: argparse.Namespace) -> List[str]:
     grid, cfg = _load(args)
     tx, rx = _link(grid, args)
     pi = _budgets(grid, args)
     nominal = nominal_droop(grid)
     result = maximize_snr_grid(grid, nominal, pi, _sigma_z(cfg, args), tx, rx, step=args.step)
-    lines = []
-    for bus in sorted(result.r_star):
-        lines.append(f"r_star_{bus}_ohm={_fmt(result.r_star[bus])}")
-    lines.append(f"snr={_fmt(result.snr)}")
-    lines.append(f"snr_nominal={_fmt(result.snr_nominal)}")
-    lines.append(f"capacity_bits={_fmt(result.capacity)}")
-    for bus in sorted(result.g_values):
-        lines.append(f"g_{bus}={_fmt(result.g_values[bus])}")
-    lines.append(f"step_ohm={_fmt(result.grid_step)}")
-    lines.append(f"evaluations={result.evaluations}")
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = [f"r_star_{bus}_ohm={_fmt(r)}" for bus, r in sorted(result.r_star.items())]
+    lines += [f"snr={_fmt(result.snr)}", f"snr_nominal={_fmt(result.snr_nominal)}",
+              f"capacity_bits={_fmt(result.capacity)}"]
+    lines += [f"g_{bus}={_fmt(g)}" for bus, g in sorted(result.g_values.items())]
+    lines += [f"step_ohm={_fmt(result.grid_step)}", f"evaluations={result.evaluations}"]
+    return lines
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: argparse.Namespace) -> List[str]:
     grid, cfg = _load(args)
     tx, rx = _link(grid, args)
     if args.pi is None:
@@ -390,28 +351,16 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     rows = capacity_sweep(grid, nominal_droop(grid), pi_values, _sigma_z(cfg, args), tx, rx, step=args.step)
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(value)
-                for value in (
-                    row.pi,
-                    row.capacity_nominal,
-                    row.capacity_opt,
-                    row.r_star[tx],
-                    row.r_star[rx],
-                    row.snr_nominal,
-                    row.snr_opt,
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+        values = (row.pi, row.capacity_nominal, row.capacity_opt, row.r_star[tx], row.r_star[rx],
+                  row.snr_nominal, row.snr_opt)
+        lines.append(",".join(_fmt(value) for value in values))
+    return lines
 
 
-def _cmd_simulate(args: argparse.Namespace) -> None:
+def _cmd_simulate(args: argparse.Namespace) -> List[str]:
     grid, cfg = _load(args)
     droop = _droop(grid, args)
     tx, rx = _link(grid, args)
-    sigma_z = _sigma_z(cfg, args)
     model = None
     if args.amplitude is not None:
         amplitude = args.amplitude
@@ -423,28 +372,56 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     sim = SimConfig(
         slots=args.slots if args.slots is not None else cfg.sim.slots,
         amplitude=amplitude,
-        sigma_z=sigma_z,
+        sigma_z=_sigma_z(cfg, args),
         mode=args.mode,
-        rng_seed=_seed(cfg, args),
+        rng_seed=args.seed if args.seed is not None else cfg.sim.seed,
         tx=tx,
         rx=rx,
     )
     if sim.mode == "linearized" and model is None:
         model = linearize(grid, droop, solve_steady_state(grid, droop))
     report = run_transmission(grid, droop, model, sim)
-    lines = [
-        f"amplitude_V={_fmt(amplitude)}",
-        f"ber={_fmt(report.ber)}",
-        f"ber_ci95={_fmt(report.ber_ci95)}",
-        f"snr_empirical={_fmt(report.snr_empirical)}",
+    lines = [f"amplitude_V={_fmt(amplitude)}", f"ber={_fmt(report.ber)}",
+             f"ber_ci95={_fmt(report.ber_ci95)}", f"snr_empirical={_fmt(report.snr_empirical)}"]
+    lines += [
+        f"p_dev_mean_sq_{bus}_W2={_fmt(p)}" for bus, p in sorted(report.p_dev_mean_sq.items())
     ]
-    for bus in sorted(report.p_dev_mean_sq):
-        lines.append(f"p_dev_mean_sq_{bus}_W2={_fmt(report.p_dev_mean_sq[bus])}")
     lines.append(f"slots={report.slots_run}")
-    _emit("\n".join(lines) + "\n", args.out)
+    return lines
 
 
 # -- entry point --------------------------------------------------------------
+
+# add_argument settings of every flag
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--grid": dict(required=True, help="grid document path (JSON)"),
+    "--out": dict(help="also write the output to this file"),
+    "--r": dict(help="virtual resistances, one per converter bus"),
+    "--pi": dict(help="budgets [W]: one value or one per converter bus; sweep: the budget points"),
+    "--amplitude": dict(type=float, help="antipodal deviation [V]"),
+    "--sigma-z": dict(type=float, help="observation noise std dev [V]"),
+    "--step": dict(type=float, default=DEFAULT_STEP, help="search step [ohm]"),
+    "--mode": dict(choices=("nonlinear", "linearized"), default="nonlinear",
+                   help="hypothesis means from the solver or from the gain matrix"),
+    "--slots": dict(type=int, help="number of transmission slots"),
+    "--seed": dict(type=int, help="RNG seed"),
+    "--tx": dict(type=int, help="transmitter bus id"),
+    "--rx": dict(type=int, help="receiver bus id"),
+}
+
+# (name, help, handler, the flags it takes besides --grid and --out)
+_COMMANDS = (
+    ("solve", "steady-state voltage table", _cmd_solve, "--r"),
+    ("channel", "linearized gain matrices", _cmd_channel, "--r"),
+    ("budget", "input-variance allocation under power budgets", _cmd_budget, "--r --pi --tx --rx"),
+    ("optimize", "virtual-resistance search for best SNR", _cmd_optimize,
+     "--pi --sigma-z --step --tx --rx"),
+    ("sweep", "budget sweep of nominal vs optimized capacity", _cmd_sweep,
+     "--pi --sigma-z --step --tx --rx"),
+    ("simulate", "Monte-Carlo transmission run; --pi budgets or --amplitude set the signal",
+     _cmd_simulate, "--r --pi --amplitude --sigma-z --mode --slots --seed --tx --rx"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -452,57 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Droop-controlled DC grids as communication channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, r_flag: bool = True) -> None:
-        p.add_argument("--grid", required=True, help="grid document path (JSON)")
-        p.add_argument("--out", help="also write the output to this file")
-        if r_flag:
-            p.add_argument("--r", help="virtual resistances, one per converter bus")
-
-    p = sub.add_parser("solve", help="steady-state voltage table")
-    common(p)
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("channel", help="linearized gain matrices")
-    common(p)
-    p.set_defaults(handler=_cmd_channel)
-
-    p = sub.add_parser("budget", help="input-variance allocation under power budgets")
-    common(p)
-    p.add_argument("--pi", help="budgets in watts: one value or one per converter bus")
-    p.add_argument("--tx", type=int, help="transmitter bus id")
-    p.add_argument("--rx", type=int, help="receiver bus id")
-    p.set_defaults(handler=_cmd_budget)
-
-    p = sub.add_parser("optimize", help="virtual-resistance search for best SNR")
-    common(p, r_flag=False)
-    p.add_argument("--pi", help="budgets in watts: one value or one per converter bus")
-    p.add_argument("--sigma-z", type=float, help="observation noise std dev [V]")
-    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="search step [ohm]")
-    p.add_argument("--tx", type=int, help="transmitter bus id")
-    p.add_argument("--rx", type=int, help="receiver bus id")
-    p.set_defaults(handler=_cmd_optimize)
-
-    p = sub.add_parser("sweep", help="budget sweep of nominal vs optimized capacity")
-    common(p, r_flag=False)
-    p.add_argument("--pi", help="comma-separated budget points [W]")
-    p.add_argument("--sigma-z", type=float, help="observation noise std dev [V]")
-    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="search step [ohm]")
-    p.add_argument("--tx", type=int, help="transmitter bus id")
-    p.add_argument("--rx", type=int, help="receiver bus id")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo transmission run")
-    common(p)
-    p.add_argument("--pi", help="budgets in watts, used to derive the amplitude")
-    p.add_argument("--amplitude", type=float, help="antipodal deviation [V]")
-    p.add_argument("--sigma-z", type=float, help="observation noise std dev [V]")
-    p.add_argument("--mode", choices=("nonlinear", "linearized"), default="nonlinear")
-    p.add_argument("--slots", type=int, help="number of transmission slots")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--tx", type=int, help="transmitter bus id")
-    p.add_argument("--rx", type=int, help="receiver bus id")
-    p.set_defaults(handler=_cmd_simulate)
+    for name, help_text, handler, flags in _COMMANDS:
+        command = sub.add_parser(name, help=help_text, description=help_text)
+        for flag in ("--grid", "--out", *flags.split()):
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -516,7 +447,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.handler(args)
+        _emit(args.handler(args), args.out)
     except InfeasibleBudget as exc:
         print(f"error: infeasible-budget: {exc}", file=sys.stderr)
         return 4

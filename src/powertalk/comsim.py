@@ -68,10 +68,10 @@ class SimConfig:
     def validate(self, grid: ValidatedGrid) -> None:
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
-        if self.sigma_z < 0.0:
-            raise ValueError(f"sigma_z must be nonnegative, got {self.sigma_z}")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        if not 0.0 <= self.sigma_z < np.inf:
+            raise ValueError(f"sigma_z must be finite and nonnegative, got {self.sigma_z}")
         if self.mode not in ("nonlinear", "linearized"):
             raise ValueError(f"mode must be 'nonlinear' or 'linearized', got {self.mode!r}")
         grid.check_link(self.tx, self.rx)
@@ -246,7 +246,7 @@ def run_transmission(
     squared half-separation of the per-symbol sample means over the
     pooled within-symbol variance.  Power deviations are measured about
     nominal (nameplate) operation; converters with a nameplate budget
-    trigger :class:`BudgetExceededWarning` when exceeded beyond 5%.
+    trigger :class:`BudgetExceededWarning` when exceeded beyond ``COMPLIANCE_SLACK``.
 
     Chunks run on every available CPU (see the module docstring); each
     yields its error count and per-symbol count, sum and sum of squares,
@@ -257,10 +257,6 @@ def run_transmission(
     droop.validate(grid)
     rx_mean, power = _hypothesis_points(grid, droop, model, cfg)
     p_nom = solve_steady_state(grid, nominal_droop(grid)).p
-    dp_sq = {
-        symbol: {bus: (power[symbol][bus] - p_nom[bus]) ** 2 for bus in p_nom}
-        for symbol in (+1, -1)
-    }
     midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
     orientation = 1.0 if rx_mean[+1] >= rx_mean[-1] else -1.0
 
@@ -287,14 +283,13 @@ def run_transmission(
     ber = errors / cfg.slots
     ci = 1.96 * np.sqrt(ber * (1.0 - ber) / cfg.slots)
     snr_emp = _empirical_snr(stats)
-    p_dev = {}
+    p_dev = _mean_sq_deviation(power, p_nom, ones, cfg.slots)
     for bus in p_nom:
-        p_dev[bus] = (ones * dp_sq[+1][bus] + (cfg.slots - ones) * dp_sq[-1][bus]) / cfg.slots
         budget = grid.vsc(bus).pi_budget
-        if budget is not None and p_dev[bus] > 1.05 * budget**2:
+        if budget is not None and p_dev[bus] > (1.0 + COMPLIANCE_SLACK) * budget**2:
             warnings.warn(
                 f"bus {bus}: mean-square power deviation {p_dev[bus]:.6g} W^2 "
-                f"exceeds budget {budget**2:.6g} W^2 by more than 5%",
+                f"exceeds budget {budget**2:.6g} W^2 by more than {COMPLIANCE_SLACK:.0%}",
                 BudgetExceededWarning,
                 stacklevel=2,
             )
@@ -306,6 +301,21 @@ def run_transmission(
         p_dev_mean_sq=p_dev,
         slots_run=cfg.slots,
     )
+
+
+def _mean_sq_deviation(
+    power: Mapping[int, Mapping[int, float]], p_nom: Mapping[int, float], ones: int, slots: int
+) -> Dict[int, float]:
+    """Each converter's mean-square deviation from ``p_nom`` over ``slots`` slots.
+
+    ``power[symbol]`` holds the converter powers while ``symbol`` is
+    sent; ``ones`` of the slots send +1.
+    """
+    return {
+        bus: (ones * (power[+1][bus] - p_nom[bus]) ** 2
+              + (slots - ones) * (power[-1][bus] - p_nom[bus]) ** 2) / slots
+        for bus in p_nom
+    }
 
 
 def _empirical_snr(stats: Mapping[int, Tuple[int, float, float]]) -> float:
@@ -349,12 +359,10 @@ def measure_power_compliance(
             lambda chunk, size: np.count_nonzero(chunk_bits(cfg.rng_seed, chunk, size)),
         )
     )
+    p_dev = _mean_sq_deviation(power, p_nom, ones, cfg.slots)
     rows = {}
     for bus in sorted(pi):
-        dp_plus = power[+1][bus] - p_nom[bus]
-        dp_minus = power[-1][bus] - p_nom[bus]
-        empirical = (ones * dp_plus**2 + (cfg.slots - ones) * dp_minus**2) / cfg.slots
         bound = pi[bus] ** 2
-        ok = empirical <= (1.0 + COMPLIANCE_SLACK) * bound
-        rows[bus] = ComplianceRow(empirical=float(empirical), bound=float(bound), ok=ok)
+        ok = p_dev[bus] <= (1.0 + COMPLIANCE_SLACK) * bound
+        rows[bus] = ComplianceRow(empirical=float(p_dev[bus]), bound=float(bound), ok=ok)
     return rows

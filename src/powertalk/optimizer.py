@@ -133,6 +133,7 @@ def one_way_snr(
     exceeds its budget.
     """
     _check_link(grid, pi, tx, rx)
+    _check_sigma_z(sigma_z)
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
     dp = vr_power_investment(grid, nominal, droop)
@@ -169,6 +170,7 @@ def maximize_snr_grid(
     """
     _check_budgets(grid, pi)
     _check_link(grid, pi, tx, rx)
+    _check_sigma_z(sigma_z)
     search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), pi)
     return search.best(pi, sigma_z, step)
 
@@ -193,7 +195,9 @@ def capacity_sweep(
         raise ValueError("pi_range must be nonempty")
     if any(b < a for a, b in zip(pi_values, pi_values[1:])):
         raise ValueError("pi_range must be ascending")
-    _check_link(grid, {bus: pi_values[0] for bus in grid.vsc_buses}, tx, rx)  # the smallest
+    for pi in pi_values:
+        _check_link(grid, {bus: pi for bus in grid.vsc_buses}, tx, rx)
+    _check_sigma_z(sigma_z)
     largest = {bus: pi_values[-1] for bus in grid.vsc_buses}
     search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), largest)
     rows = []
@@ -333,8 +337,13 @@ def _check_link(grid: ValidatedGrid, pi: Mapping[int, float], tx: int, rx: int) 
     if not set(pi) <= set(grid.vsc_buses):
         raise ValueError("budgets must be keyed by converter buses")
     for bus, value in pi.items():
-        if value < 0.0:
-            raise ValueError(f"budget on bus {bus} must be nonnegative, got {value}")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"budget on bus {bus} must be finite and nonnegative, got {value}")
+
+
+def _check_sigma_z(sigma_z: float) -> None:
+    if not 0.0 < sigma_z < math.inf:
+        raise ValueError(f"sigma_z must be finite and positive, got {sigma_z}")
 
 
 def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, np.ndarray]:

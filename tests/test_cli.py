@@ -431,3 +431,34 @@ def test_case_study_grid_document_and_config_file_agree():
     for grid in grids[1:]:
         assert grid.spec == grids[0].spec
         assert np.array_equal(grid.g_line, grids[0].g_line)
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["optimize", "--pi", "10", "--sigma-z", "-0.01"], "sigma_z"),
+        (["optimize", "--pi", "10", "--sigma-z", "0"], "sigma_z"),
+        (["sweep", "--pi", "10", "--sigma-z", "0"], "sigma_z"),
+        (["simulate", "--sigma-z", "nan", "--amplitude", "0.04", "--slots", "100"], "sigma_z"),
+        (["simulate", "--amplitude", "nan", "--slots", "100"], "amplitude"),
+        (["optimize", "--pi", "nan"], "budget on bus 0"),
+        (["sweep", "--pi", "2,nan,10"], "budget on bus 0"),
+    ],
+)
+def test_nonfinite_or_out_of_range_settings_are_config_errors(grid_file, capsys, argv, fragment):
+    assert main([argv[0], "--grid", grid_file, *argv[1:]]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_nonfinite_document_numbers_name_their_path():
+    doc = case_study_document()
+    doc["sim"]["sigma_z"] = float("nan")
+    with pytest.raises(SchemaError, match=r"sim\.sigma_z: expected a finite number"):
+        parse_config(json.dumps(doc))
+
+
+def test_nonpositive_rho_or_length_is_a_schema_error():
+    doc = case_study_document()
+    doc["lines"][0].update(rho=-0.641, length_km=-0.3)
+    with pytest.raises(SchemaError, match=r"lines\[0\]: 'rho' and 'length_km' must be positive"):
+        parse_config(json.dumps(doc))
