@@ -15,7 +15,6 @@ import time
 
 from powertalk import (
     SimConfig,
-    allocate_input_variance,
     capacity_sweep,
     case_study,
     linearize,
@@ -23,10 +22,9 @@ from powertalk import (
     nominal_droop,
     run_transmission,
     solve_steady_state,
-    vr_power_investment,
 )
 from powertalk.cases import CASE_STUDY_SIGMA_Z
-from powertalk.cli import SWEEP_COLUMNS
+from powertalk.cli import allocation, sweep_table
 
 
 def main() -> int:
@@ -34,9 +32,7 @@ def main() -> int:
     parser.add_argument("--outdir", default=str(pathlib.Path(__file__).parent / "out"))
     parser.add_argument("--slots", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--pi", default="2,5,10,15,20", help="comma-separated budget points [W]"
-    )
+    parser.add_argument("--pi", default="2,5,10,15,20", help="comma-separated budget points [W]")
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -60,39 +56,21 @@ def main() -> int:
     t0 = time.time()
     rows = capacity_sweep(grid, nominal, pi_values, CASE_STUDY_SIGMA_Z, tx, rx)
     print(f"budget sweep ({time.time() - t0:.1f} s):")
-    csv_lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         print(
             f"  pi={row.pi:5.1f} W  C_nom={row.capacity_nominal:.4f}  "
             f"C_opt={row.capacity_opt:.4f} bits/slot  r*="
             + "/".join(f"{row.r_star[bus]:.3f}" for bus in sorted(row.r_star))
         )
-        csv_lines.append(
-            ",".join(
-                f"{val:.9g}"
-                for val in (
-                    row.pi,
-                    row.capacity_nominal,
-                    row.capacity_opt,
-                    row.r_star[tx],
-                    row.r_star[rx],
-                    row.snr_nominal,
-                    row.snr_opt,
-                )
-            )
-        )
     sweep_path = outdir / "capacity_sweep.csv"
-    sweep_path.write_text("\n".join(csv_lines) + "\n")
+    sweep_path.write_text("\n".join(sweep_table(rows, tx, rx)) + "\n")
     print(f"wrote {sweep_path}")
 
     # close the loop at pi = 10 W: allocate, optimize, transmit, audit
     pi = {bus: 10.0 for bus in grid.vsc_buses}
     best = next(row for row in rows if row.pi == 10.0)
     tuned = nominal.with_r(best.r_star)
-    tuned_state = solve_steady_state(grid, tuned)
-    tuned_model = linearize(grid, tuned, tuned_state)
-    dp = vr_power_investment(grid, nominal, tuned)
-    alloc = allocate_input_variance(tuned_model.Phi, pi, dp, transmitters={tx})
+    tuned_model, alloc = allocation(grid, tuned, pi, tx)
     amplitude = math.sqrt(alloc.s[tx])
     cfg = SimConfig(
         slots=args.slots,

@@ -16,8 +16,8 @@ from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InfeasibleBudget
-from .grid import ValidatedGrid
+from .errors import InfeasibleBudget, InvalidArgument
+from .grid import ValidatedGrid, check_budgets
 from .steady_state import DroopState, solve_steady_state
 
 __all__ = [
@@ -39,7 +39,6 @@ class BudgetAllocation:
 
     dp_vr: Dict[int, float]    # static power investment per converter [W]
     s: Dict[int, float]        # input variance per transmitter [V^2]
-    feasible: bool
     slack: Dict[int, float]    # remaining budget per converter [W^2]
 
 
@@ -55,9 +54,7 @@ def vr_power_investment(
     converter output powers between the two solved operating points and
     is identically zero when the resistances match.
     """
-    if set(droop_nom.x) != set(droop_new.x) or any(
-        droop_new.x[bus] != droop_nom.x[bus] for bus in droop_nom.x
-    ):
+    if dict(droop_new.x) != dict(droop_nom.x):
         raise ValueError("droop states must share reference voltages")
     p_nom = solve_steady_state(grid, droop_nom).p
     p_new = solve_steady_state(grid, droop_new).p
@@ -79,33 +76,32 @@ def allocate_input_variance(
     headroom over its summed squared gains, which reduces to the
     tightest single-row ratio for one transmitter.
 
-    Raises InfeasibleBudget when any investment alone exceeds its
-    budget; a zero-slack budget (pi = |dp_vr|) is feasible with s = 0.
+    Raises InvalidBudget for a budget that is negative or not finite,
+    and InfeasibleBudget when any investment alone exceeds its budget;
+    a zero-slack budget (pi = |dp_vr|) is feasible with s = 0.
     """
+    check_budgets(pi)
     tx = sorted(set(transmitters))
     if not tx:
-        raise ValueError("at least one transmitter is required")
+        raise InvalidArgument("at least one transmitter is required")
     rows = sorted(pi)
     if not set(tx) <= set(rows):
-        raise ValueError(f"transmitters {sorted(set(tx) - set(rows))} carry no budget row")
-    headroom = {}
-    for bus in rows:
-        h = pi[bus] ** 2 - dp_vr.get(bus, 0.0) ** 2
+        raise InvalidArgument(f"transmitters {sorted(set(tx) - set(rows))} carry no budget row")
+    b = np.array([pi[n] ** 2 - dp_vr.get(n, 0.0) ** 2 for n in rows])  # headroom per row
+    for bus, h in zip(rows, b):
         if h < 0.0:
             raise InfeasibleBudget(
                 f"bus {bus}: investment {dp_vr[bus]:.6g} W exceeds budget {pi[bus]:.6g} W"
             )
-        headroom[bus] = h
     a = np.array([[phi[n, m] ** 2 for m in tx] for n in rows])
-    b = np.array([headroom[n] for n in rows])
 
     loads = a.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(loads > 0.0, b / loads, np.inf)
     common = float(np.min(ratios))
     if not np.isfinite(common):
-        raise ValueError("no budget row couples to the transmitters")
+        raise InvalidArgument("no budget row couples to the transmitters")
     s = dict.fromkeys(tx, common)
     used = a @ np.full(len(tx), common)
     slack = {n: float(b[i] - used[i]) for i, n in enumerate(rows)}
-    return BudgetAllocation(dp_vr=dict(dp_vr), s=s, feasible=True, slack=slack)
+    return BudgetAllocation(dp_vr=dict(dp_vr), s=s, slack=slack)

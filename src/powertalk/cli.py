@@ -6,8 +6,9 @@ Subcommands cover every pipeline stage: ``solve`` (steady state),
 ``simulate`` (Monte-Carlo transmission).  Outputs are deterministic
 given the seed, print every number with 9 significant digits, and go to
 stdout plus the ``--out`` file when given.  Exit codes: 0 ok, 2 config
-error, 3 numeric failure, 4 infeasible budget.  Set POWERTALK_LOG to a
-level name (debug, info, ...) for diagnostics on stderr.
+error, 3 numeric failure, 4 infeasible budget; any other exception is a
+fault and keeps its traceback (exit 1).  Set POWERTALK_LOG to a level
+name (debug, info, ...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .comsim import SimConfig, run_transmission
 from .errors import ConfigError, InfeasibleBudget, NumericError, ParseError, SchemaError
 from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, validate_grid
 # one_way_snr is unused here; perfbench/layers.py wraps it under this module's name
-from .optimizer import DEFAULT_STEP, capacity_sweep, maximize_snr_grid, one_way_snr
+from .optimizer import DEFAULT_STEP, SweepRow, capacity_sweep, maximize_snr_grid, one_way_snr
 from .steady_state import DroopState, nominal_droop, solve_steady_state
 
 logger = logging.getLogger(__name__)
@@ -109,10 +110,11 @@ def parse_config(text: str) -> RunConfig:
     The document carries ``buses`` (id, optional load, optional vsc),
     ``lines`` (endpoints with a direct resistance or rho times length)
     and an optional ``sim`` block.  Field names are checked strictly so
-    typos surface as :class:`SchemaError` with the offending path.
+    typos surface as :class:`SchemaError` with the offending path; a
+    key repeated within one object is a :class:`SchemaError` too.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -130,6 +132,15 @@ def parse_config(text: str) -> RunConfig:
     lines = tuple(_parse_line(entry, f"lines[{i}]") for i, entry in enumerate(doc["lines"]))
     sim = _read(doc.get("sim", {}), "sim", _SIM)
     return RunConfig(grid=GridSpec(buses=buses, lines=lines), sim=sim)
+
+
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def serialize(cfg: RunConfig) -> str:
@@ -276,13 +287,23 @@ def _sigma_z(cfg: RunConfig, args: argparse.Namespace) -> float:
     return args.sigma_z if args.sigma_z is not None else cfg.sim.sigma_z
 
 
-def _allocation(
+def allocation(
     grid: ValidatedGrid, droop: DroopState, pi: Mapping[int, float], tx: int
 ) -> Tuple[ChannelModel, BudgetAllocation]:
     """Channel model at ``droop`` and the input variance its budgets allow ``tx``."""
     model = linearize(grid, droop, solve_steady_state(grid, droop))
     dp = vr_power_investment(grid, nominal_droop(grid), droop)
     return model, allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
+
+
+def sweep_table(rows: List[SweepRow], tx: int, rx: int) -> List[str]:
+    """The budget-capacity table of a sweep: ``SWEEP_COLUMNS`` and one line per budget point."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in rows:
+        values = (row.pi, row.capacity_nominal, row.capacity_opt, row.r_star[tx], row.r_star[rx],
+                  row.snr_nominal, row.snr_opt)
+        lines.append(",".join(_fmt(value) for value in values))
+    return lines
 
 
 # -- subcommands --------------------------------------------------------------
@@ -319,7 +340,7 @@ def _cmd_budget(args: argparse.Namespace) -> List[str]:
     droop = _droop(grid, args)
     tx, _ = _link(grid, args)
     pi = _budgets(grid, args)
-    _, alloc = _allocation(grid, droop, pi, tx)
+    _, alloc = allocation(grid, droop, pi, tx)
     lines = ["# input variance per transmitter\nbus,s_V2"]
     lines += [f"{bus},{_fmt(s)}" for bus, s in sorted(alloc.s.items())]
     lines.append("# budget rows\nbus,pi_W,dp_vr_W,slack_W2")
@@ -349,12 +370,7 @@ def _cmd_sweep(args: argparse.Namespace) -> List[str]:
         raise ConfigError("sweep requires --pi with the list of budget points")
     pi_values = _float_list(args.pi, "--pi")
     rows = capacity_sweep(grid, nominal_droop(grid), pi_values, _sigma_z(cfg, args), tx, rx, step=args.step)
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        values = (row.pi, row.capacity_nominal, row.capacity_opt, row.r_star[tx], row.r_star[rx],
-                  row.snr_nominal, row.snr_opt)
-        lines.append(",".join(_fmt(value) for value in values))
-    return lines
+    return sweep_table(rows, tx, rx)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> List[str]:
@@ -365,7 +381,7 @@ def _cmd_simulate(args: argparse.Namespace) -> List[str]:
     if args.amplitude is not None:
         amplitude = args.amplitude
     elif args.pi is not None:
-        model, alloc = _allocation(grid, droop, _budgets(grid, args), tx)
+        model, alloc = allocation(grid, droop, _budgets(grid, args), tx)
         amplitude = math.sqrt(alloc.s[tx])
     else:
         raise ConfigError("simulate needs --amplitude or --pi to set the signal level")
@@ -454,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -27,9 +27,9 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Typ
 
 import numpy as np
 
-from .errors import BudgetExceededWarning
+from .errors import BudgetExceededWarning, InvalidArgument
 from .channel import ChannelModel
-from .grid import ValidatedGrid
+from .grid import ValidatedGrid, check_budgets
 from .steady_state import DroopState, nominal_droop, solve_steady_state
 
 logger = logging.getLogger(__name__)
@@ -67,13 +67,15 @@ class SimConfig:
 
     def validate(self, grid: ValidatedGrid) -> None:
         if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
+            raise InvalidArgument(f"slots must be >= 1, got {self.slots}")
         if not 0.0 <= self.amplitude < np.inf:
-            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+            raise InvalidArgument(f"amplitude must be finite and nonnegative, got {self.amplitude}")
         if not 0.0 <= self.sigma_z < np.inf:
-            raise ValueError(f"sigma_z must be finite and nonnegative, got {self.sigma_z}")
+            raise InvalidArgument(f"sigma_z must be finite and nonnegative, got {self.sigma_z}")
         if self.mode not in ("nonlinear", "linearized"):
-            raise ValueError(f"mode must be 'nonlinear' or 'linearized', got {self.mode!r}")
+            raise InvalidArgument(f"mode must be 'nonlinear' or 'linearized', got {self.mode!r}")
+        if not 0 <= self.rng_seed < 2**64:  # the first word of the Philox key
+            raise InvalidArgument(f"rng_seed must be in [0, 2**64), got {self.rng_seed}")
         grid.check_link(self.tx, self.rx)
 
 
@@ -210,26 +212,18 @@ def _hypothesis_points(
     re-solves the steady state per symbol; linearized mode offsets the
     operating point through the gain matrices.
     """
-    if cfg.mode == "nonlinear":
-        rx_mean = {}
-        power = {}
-        for symbol in (+1, -1):
-            shifted = droop.with_x({cfg.tx: droop.x[cfg.tx] + symbol * cfg.amplitude})
-            state = solve_steady_state(grid, shifted)
-            rx_mean[symbol] = float(state.v[cfg.rx])
-            power[symbol] = dict(state.p)
-        return rx_mean, power
-    if model is None:
+    if cfg.mode == "linearized" and model is None:
         raise ValueError("linearized mode requires a channel model")
-    base = model.operating_point
-    rx_mean = {}
-    power = {}
+    rx_mean, power = {}, {}
     for symbol in (+1, -1):
         dx = symbol * cfg.amplitude
-        rx_mean[symbol] = float(base.v[cfg.rx] + model.H[cfg.rx, cfg.tx] * dx)
-        power[symbol] = {
-            bus: base.p[bus] + float(model.Phi[bus, cfg.tx]) * dx for bus in base.p
-        }
+        if cfg.mode == "nonlinear":
+            state = solve_steady_state(grid, droop.with_x({cfg.tx: droop.x[cfg.tx] + dx}))
+            rx_mean[symbol], power[symbol] = float(state.v[cfg.rx]), dict(state.p)
+        else:
+            base, h, phi = model.operating_point, model.H[cfg.rx, cfg.tx], model.Phi[:, cfg.tx]
+            rx_mean[symbol] = float(base.v[cfg.rx] + h * dx)
+            power[symbol] = {bus: base.p[bus] + float(phi[bus]) * dx for bus in base.p}
     return rx_mean, power
 
 
@@ -274,10 +268,8 @@ def run_transmission(
     stats: Dict[int, SymbolStats] = {symbol: (0, 0.0, 0.0) for symbol in (+1, -1)}
     for chunk_errors, chunk_stats in _map_chunks(cfg.slots, work):
         errors += chunk_errors
-        for symbol in (+1, -1):
-            count, total, sumsq = stats[symbol]
-            chunk_count, chunk_sum, chunk_sumsq = chunk_stats[symbol]
-            stats[symbol] = (count + chunk_count, total + chunk_sum, sumsq + chunk_sumsq)
+        for symbol in (+1, -1):  # count, sum and sum of squares, each added in chunk order
+            stats[symbol] = tuple(a + b for a, b in zip(stats[symbol], chunk_stats[symbol]))
     ones = stats[+1][0]
 
     ber = errors / cfg.slots
@@ -286,7 +278,7 @@ def run_transmission(
     p_dev = _mean_sq_deviation(power, p_nom, ones, cfg.slots)
     for bus in p_nom:
         budget = grid.vsc(bus).pi_budget
-        if budget is not None and p_dev[bus] > (1.0 + COMPLIANCE_SLACK) * budget**2:
+        if budget is not None and not _complies(p_dev[bus], budget):
             warnings.warn(
                 f"bus {bus}: mean-square power deviation {p_dev[bus]:.6g} W^2 "
                 f"exceeds budget {budget**2:.6g} W^2 by more than {COMPLIANCE_SLACK:.0%}",
@@ -316,6 +308,11 @@ def _mean_sq_deviation(
               + (slots - ones) * (power[-1][bus] - p_nom[bus]) ** 2) / slots
         for bus in p_nom
     }
+
+
+def _complies(p_dev: float, pi: float) -> bool:
+    """A mean-square power deviation within ``COMPLIANCE_SLACK`` of the bound pi^2."""
+    return bool(p_dev <= (1.0 + COMPLIANCE_SLACK) * pi**2)
 
 
 def _empirical_snr(stats: Mapping[int, Tuple[int, float, float]]) -> float:
@@ -348,7 +345,8 @@ def measure_power_compliance(
     absorbs linearization error in the allocation.
     """
     if cfg.mode != "nonlinear":
-        raise ValueError("compliance audits run in nonlinear mode")
+        raise InvalidArgument("compliance audits run in nonlinear mode")
+    check_budgets(pi, grid)
     cfg.validate(grid)
     droop.validate(grid)
     _, power = _hypothesis_points(grid, droop, None, cfg)
@@ -360,9 +358,7 @@ def measure_power_compliance(
         )
     )
     p_dev = _mean_sq_deviation(power, p_nom, ones, cfg.slots)
-    rows = {}
-    for bus in sorted(pi):
-        bound = pi[bus] ** 2
-        ok = p_dev[bus] <= (1.0 + COMPLIANCE_SLACK) * bound
-        rows[bus] = ComplianceRow(empirical=float(p_dev[bus]), bound=float(bound), ok=ok)
-    return rows
+    return {
+        bus: ComplianceRow(float(p_dev[bus]), float(pi[bus] ** 2), _complies(p_dev[bus], pi[bus]))
+        for bus in sorted(pi)
+    }

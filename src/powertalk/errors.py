@@ -49,8 +49,16 @@ class EmptySearchSpace(ConfigError):
     """Optimization box is empty (upper resistance bound below nominal)."""
 
 
-class InvalidLink(ConfigError, ValueError):
-    """Transmitter and receiver are not two distinct converter buses (also a ValueError)."""
+class InvalidArgument(ConfigError, ValueError):
+    """A library argument is out of its range (also a ValueError, for library callers)."""
+
+
+class InvalidLink(InvalidArgument):
+    """Transmitter and receiver are not two distinct converter buses."""
+
+
+class InvalidBudget(InvalidArgument):
+    """A budget is not finite and non-negative, or sits on a bus without a converter."""
 
 
 class InputOnLoadBus(ConfigError):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     DisconnectedGraph,
     DuplicateLine,
+    InvalidBudget,
     InvalidGridSpec,
     InvalidLink,
     NoConverter,
@@ -113,6 +114,18 @@ class ValidatedGrid:
         return tuple(np.nonzero(self.g_line[bus])[0])
 
 
+def check_budgets(pi: Mapping[int, float], grid: Optional[ValidatedGrid] = None) -> None:
+    """Raise :class:`InvalidBudget` unless each budget is finite and >= 0.
+
+    Given ``grid``, each budget must also sit on a converter bus.
+    """
+    for bus, value in pi.items():
+        if grid is not None and not grid.has_vsc(bus):
+            raise InvalidBudget(f"budget on bus {bus}: the bus hosts no converter")
+        if not 0.0 <= value < math.inf:
+            raise InvalidBudget(f"budget on bus {bus} must be finite and nonnegative, got {value}")
+
+
 def _require_positive(value: float, what: str) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise NonpositiveResistance(f"{what} must be positive and finite, got {value}")
@@ -140,18 +153,15 @@ def _check_vsc(bus_id: int, vsc: VscSpec) -> None:
                 f"bus {bus_id} converter r_max must be >= r_nom, got {vsc.r_max}"
             )
     if vsc.pi_budget is not None:
-        if not (math.isfinite(vsc.pi_budget) and vsc.pi_budget >= 0.0):
-            raise InvalidGridSpec(
-                f"bus {bus_id} pi_budget must be finite and non-negative, got {vsc.pi_budget}"
-            )
+        check_budgets({bus_id: vsc.pi_budget})
 
 
 def validate_grid(spec: GridSpec) -> ValidatedGrid:
     """Check all structural invariants and assemble the index arrays.
 
     Raises :class:`DisconnectedGraph`, :class:`NonpositiveResistance`,
-    :class:`DuplicateLine`, :class:`NoConverter` or the generic
-    :class:`InvalidGridSpec` on violation.
+    :class:`DuplicateLine`, :class:`NoConverter`, :class:`InvalidBudget`
+    (a nameplate budget) or the generic :class:`InvalidGridSpec` on violation.
     """
     ids = [bus.id for bus in spec.buses]
     n = len(ids)

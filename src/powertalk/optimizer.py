@@ -28,8 +28,8 @@ import numpy as np
 
 from .budget import vr_power_investment
 from .channel import channel_gains, linearize
-from .errors import EmptySearchSpace, NoRealRoot
-from .grid import ValidatedGrid
+from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
+from .grid import ValidatedGrid, check_budgets
 from .steady_state import (
     BatchSolve,
     DroopState,
@@ -132,7 +132,8 @@ def one_way_snr(
     smallest g_n over sigma_z^2, clamped to zero once any investment
     exceeds its budget.
     """
-    _check_link(grid, pi, tx, rx)
+    grid.check_link(tx, rx)
+    check_budgets(pi, grid)
     _check_sigma_z(sigma_z)
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
@@ -168,8 +169,10 @@ def maximize_snr_grid(
     run-time checks fail or its best is not positive (pi = 0, say).
     ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
-    _check_budgets(grid, pi)
-    _check_link(grid, pi, tx, rx)
+    grid.check_link(tx, rx)
+    check_budgets(pi, grid)
+    if len(pi) != len(grid.vsc_buses):
+        raise InvalidBudget("budgets must cover every converter bus")
     _check_sigma_z(sigma_z)
     search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), pi)
     return search.best(pi, sigma_z, step)
@@ -192,18 +195,18 @@ def capacity_sweep(
     """
     pi_values = [float(p) for p in pi_range]
     if not pi_values:
-        raise ValueError("pi_range must be nonempty")
+        raise InvalidArgument("pi_range must be nonempty")
     if any(b < a for a, b in zip(pi_values, pi_values[1:])):
-        raise ValueError("pi_range must be ascending")
-    for pi in pi_values:
-        _check_link(grid, {bus: pi for bus in grid.vsc_buses}, tx, rx)
+        raise InvalidArgument("pi_range must be ascending")
+    grid.check_link(tx, rx)
+    budgets = [dict.fromkeys(grid.vsc_buses, pi) for pi in pi_values]
+    for budget in budgets:
+        check_budgets(budget)
     _check_sigma_z(sigma_z)
-    largest = {bus: pi_values[-1] for bus in grid.vsc_buses}
-    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), largest)
+    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), budgets[-1])
     rows = []
-    for pi in pi_values:
-        budgets = {bus: pi for bus in grid.vsc_buses}
-        best = search.best(budgets, sigma_z, step)
+    for pi, budget in zip(pi_values, budgets):
+        best = search.best(budget, sigma_z, step)
         rows.append(
             SweepRow(
                 pi=pi,
@@ -265,7 +268,8 @@ def concavity_probe(
     nominal lanes, is a lane of one pass through the batched Newton and
     channel-gain kernels that the lattice search uses.
     """
-    _check_link(grid, pi, tx, rx)
+    grid.check_link(tx, rx)
+    check_budgets(pi, grid)
     vsc = sorted(nominal.r)
     dim = len(vsc)
     p_nom = solve_steady_state(grid, nominal).p
@@ -327,28 +331,14 @@ def concavity_probe(
 
 # -- internals ----------------------------------------------------------------
 
-def _check_budgets(grid: ValidatedGrid, pi: Mapping[int, float]) -> None:
-    if set(pi) != set(grid.vsc_buses):
-        raise ValueError("budgets must cover every converter bus")
-
-
-def _check_link(grid: ValidatedGrid, pi: Mapping[int, float], tx: int, rx: int) -> None:
-    grid.check_link(tx, rx)
-    if not set(pi) <= set(grid.vsc_buses):
-        raise ValueError("budgets must be keyed by converter buses")
-    for bus, value in pi.items():
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"budget on bus {bus} must be finite and nonnegative, got {value}")
-
-
 def _check_sigma_z(sigma_z: float) -> None:
     if not 0.0 < sigma_z < math.inf:
-        raise ValueError(f"sigma_z must be finite and positive, got {sigma_z}")
+        raise InvalidArgument(f"sigma_z must be finite and positive, got {sigma_z}")
 
 
 def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, np.ndarray]:
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise InvalidArgument(f"step must be finite and positive, got {step}")
     axes = {}
     for bus in sorted(nominal.r):
         lo = nominal.r[bus]

@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from .errors import NonConvergence, NoRealRoot, TopologyMismatch
+from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
 from .grid import ValidatedGrid
 
 logger = logging.getLogger(__name__)
@@ -46,12 +46,12 @@ class DroopState:
     def validate(self, grid: ValidatedGrid) -> None:
         expected = set(grid.vsc_buses)
         if set(self.x) != expected or set(self.r) != expected:
-            raise ValueError(
+            raise InvalidArgument(
                 f"droop entries must exist exactly for converter buses {sorted(expected)}"
             )
         for bus, r in self.r.items():
             if not r > 0.0:
-                raise ValueError(f"virtual resistance on bus {bus} must be positive, got {r}")
+                raise InvalidArgument(f"virtual resistance on bus {bus} must be positive, got {r}")
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:
         """Per-bus 1/r, zero on buses without a converter."""
@@ -88,7 +88,6 @@ class SteadyState:
     i: Dict[int, float]       # converter output currents [A]
     p: Dict[int, float]       # converter output powers [W]
     kappa: np.ndarray         # (n,) constant-power-load correction, >= 1
-    r_bus: np.ndarray         # (n,) equivalent bus resistance [ohm]
     residual: float           # max current-balance error [A]
 
 
@@ -146,7 +145,7 @@ def solve_steady_state(
 
     kappa = _kappa(grid, xr, r_bus, v)
     i, p = vsc_outputs(grid, droop, v)
-    return SteadyState(v=v, i=i, p=p, kappa=kappa, r_bus=r_bus, residual=residual)
+    return SteadyState(v=v, i=i, p=p, kappa=kappa, residual=residual)
 
 
 def _gauss_seidel(

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +451,57 @@ def test_case_study_grid_document_and_config_file_agree():
 def test_nonfinite_or_out_of_range_settings_are_config_errors(grid_file, capsys, argv, fragment):
     assert main([argv[0], "--grid", grid_file, *argv[1:]]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["budget", "--pi=-10"],
+        ["budget", "--pi", "nan"],
+        ["simulate", "--pi", "nan", "--slots", "100"],
+    ],
+    ids=["budget-negative", "budget-nan", "simulate-nan"],
+)
+def test_invalid_budgets_exit_2_naming_the_budget(grid_file, capsys, argv):
+    assert main([argv[0], "--grid", grid_file, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "error: config: budget on bus 0 must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"buses": [{"id": 0, "id": 1}], "lines": %s}'
+         % json.dumps(case_study_document()["lines"]), "id"),
+        (CASE_TEXT[:-1] + ', "lines": []}', "lines"),
+    ],
+    ids=["bus-id", "top-level-lines"],
+)
+def test_a_repeated_key_exits_2_naming_it(tmp_path, capsys, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main(["solve", "--grid", str(path)]) == 2
+    assert f"error: config: repeated key '{key}'" in capsys.readouterr().err
+
+
+def test_an_unexpected_value_error_is_not_a_config_error(grid_file):
+    # a fault inside the program (a numpy shape bug, say) keeps its traceback
+    script = (
+        "import sys\n"
+        "from powertalk import cli\n"
+        "def fault(*args):\n"
+        "    raise ValueError('operands could not be broadcast together')\n"
+        "cli.solve_steady_state = fault\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--grid", grid_file],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode not in (0, 2)
+    assert "Traceback" in done.stderr and "error: config" not in done.stderr
 
 
 def test_nonfinite_document_numbers_name_their_path():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,9 @@ def test_config_validation(grid):
         make_cfg(rx=0).validate(grid)
     with pytest.raises(ValueError):
         make_cfg(rx=2).validate(grid)
+    for seed in (-1, 2**64):  # outside the Philox key word
+        with pytest.raises(ValueError, match="rng_seed"):
+            make_cfg(rng_seed=seed).validate(grid)
 
 
 def test_zero_amplitude_yields_zero_power_deviation(grid, nominal):
@@ -166,6 +170,42 @@ def test_compliance_requires_nonlinear_mode(grid, nominal):
         measure_power_compliance(
             grid, nominal, make_cfg(mode="linearized"), pi={0: 10.0, 1: 10.0}
         )
+
+
+def test_compliance_verdict_is_a_bool(grid, nominal):
+    for pi in (10.0, 0.1):
+        rows = measure_power_compliance(grid, nominal, make_cfg(slots=100), {0: pi, 1: pi})
+        assert all(type(row.ok) is bool for row in rows.values())
+
+
+def _nameplate_star(pi_budget):
+    return validate_grid(
+        GridSpec(
+            buses=(
+                Bus(0, LoadSpec(), VscSpec(400.0, 0.39, pi_budget=pi_budget)),
+                Bus(1, LoadSpec(), VscSpec(400.0, 0.39, pi_budget=pi_budget)),
+                Bus(2, LoadSpec(r_cr=50.0, d_cp=2500.0)),
+            ),
+            lines=(LineSpec(0, 2, 0.1923), LineSpec(1, 2, 0.641)),
+        )
+    )
+
+
+def test_budget_warning_and_compliance_audit_share_one_verdict():
+    cfg = make_cfg(amplitude=0.5, slots=500)
+    grid = _nameplate_star(None)
+    worst = max(row.empirical for row in measure_power_compliance(
+        grid, nominal_droop(grid), cfg, {0: 1.0, 1: 1.0}).values())
+    edge = math.sqrt(worst / (1.0 + comsim.COMPLIANCE_SLACK))
+    for pi in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 0.5, 50.0):
+        grid = _nameplate_star(float(pi))
+        ok = all(row.ok for row in measure_power_compliance(
+            grid, nominal_droop(grid), cfg, {0: pi, 1: pi}).values())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_transmission(grid, nominal_droop(grid), None, cfg)
+        warned = any(issubclass(w.category, BudgetExceededWarning) for w in caught)
+        assert warned == (not ok), pi
 
 
 def test_nameplate_budget_overrun_warns():

@@ -1,4 +1,5 @@
 import argparse
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from powertalk import (
     DisconnectedGraph,
     DuplicateLine,
     GridSpec,
+    InvalidBudget,
     InvalidGridSpec,
     InvalidLink,
     LineSpec,
@@ -19,10 +21,15 @@ from powertalk import (
     NonpositiveResistance,
     SimConfig,
     VscSpec,
+    allocate_input_variance,
+    capacity_sweep,
     cli,
+    concavity_probe,
     maximize_snr_grid,
+    measure_power_compliance,
     network_matrices,
     nominal_droop,
+    one_way_snr,
     validate_grid,
 )
 
@@ -201,6 +208,46 @@ def test_every_entry_point_checks_the_link_alike(grid, nominal, entry, tx, rx):
             cfg = SimConfig(slots=10, amplitude=0.1, sigma_z=0.01, mode="nonlinear",
                             rng_seed=0, tx=tx, rx=rx)
             cfg.validate(grid)
+
+
+def _budgets_at(entry, grid, nominal, model, pi):
+    """Hand the budgets ``pi`` to one entry point of the package."""
+    cfg = SimConfig(
+        slots=10, amplitude=0.1, sigma_z=0.01, mode="nonlinear", rng_seed=0, tx=0, rx=1
+    )
+    if entry == "search":
+        maximize_snr_grid(grid, nominal, pi, 0.01, 0, 1)
+    elif entry == "sweep":
+        capacity_sweep(grid, nominal, [pi[0]], 0.01, 0, 1)
+    elif entry == "one_way_snr":
+        one_way_snr(grid, nominal, nominal, pi, 0.01, 0, 1)
+    elif entry == "probe":
+        concavity_probe(grid, nominal, pi, 0, 1)
+    elif entry == "allocation":
+        allocate_input_variance(model.Phi, pi, {}, transmitters=[0])
+    elif entry == "compliance":
+        measure_power_compliance(grid, nominal, cfg, pi)
+    else:
+        bus = replace(grid.buses[0], vsc=replace(grid.buses[0].vsc, pi_budget=pi[0]))
+        validate_grid(replace(grid.spec, buses=(bus, *grid.buses[1:])))
+
+
+@pytest.mark.parametrize(
+    "value", [-10.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+)
+@pytest.mark.parametrize(
+    "entry", ["search", "sweep", "one_way_snr", "probe", "allocation", "compliance", "nameplate"]
+)
+def test_every_entry_point_checks_the_budget_values_alike(grid, nominal, model, entry, value):
+    assert issubclass(InvalidBudget, ConfigError) and issubclass(InvalidBudget, ValueError)
+    with pytest.raises(InvalidBudget, match="budget on bus 0 must be finite and nonnegative"):
+        _budgets_at(entry, grid, nominal, model, {0: value, 1: 10.0})
+
+
+@pytest.mark.parametrize("entry", ["search", "one_way_snr", "probe", "compliance"])
+def test_every_entry_point_rejects_a_budget_on_a_load_bus(grid, nominal, model, entry):
+    with pytest.raises(InvalidBudget, match="budget on bus 2: the bus hosts no converter"):
+        _budgets_at(entry, grid, nominal, model, {0: 10.0, 1: 10.0, 2: 10.0})
 
 
 @given(
