@@ -12,7 +12,9 @@ resistance lattice) are solved in fixed-size blocks of lanes, each lane
 certified to sit on the larger root of every bus quadratic, and a
 single configuration with ``method="newton"`` is a block of one lane.
 A single configuration is solved by default with a damped Gauss-Seidel
-fixed point that sweeps the per-bus update.  Solvers are pure functions
+fixed point that sweeps the per-bus update on Python floats, bit for bit
+a numpy sweep, and checks the residual once per block of sweeps; a sweep
+whose residual is not finite ends the solve.  Solvers are pure functions
 of their arguments and safe to run concurrently; every call solves.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
+SWEEP_BLOCK = 32         # Gauss-Seidel sweeps per vectorised residual pass
 BLOCK_BYTES = 1 << 20    # Jacobian bytes per block of the batched solve
 
 
@@ -50,8 +53,10 @@ class DroopState:
                 f"droop entries must exist exactly for converter buses {sorted(expected)}"
             )
         for bus, r in self.r.items():
-            if not r > 0.0:
-                raise InvalidArgument(f"virtual resistance on bus {bus} must be positive, got {r}")
+            if not 0.0 < r < math.inf:
+                raise InvalidArgument(
+                    f"virtual resistance on bus {bus} must be positive and finite, got {r}"
+                )
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:
         """Per-bus 1/r, zero on buses without a converter."""
@@ -99,13 +104,21 @@ class ViabilityViolation:
 
 
 def _residual(
-    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, degree: np.ndarray, v: np.ndarray
+    grid: ValidatedGrid,
+    xr: np.ndarray,
+    y: np.ndarray,
+    degree: np.ndarray,
+    v: np.ndarray,
+    inflow: np.ndarray,
 ) -> np.ndarray:
     """Current-balance error per bus: injection minus load minus line export.
 
-    ``degree`` is ``grid.g_line.sum(axis=1)``, the line conductance at each bus.
+    ``degree`` is ``grid.g_line.sum(axis=1)``, the line conductance at each
+    bus, and ``inflow`` is ``grid.g_line @ v``.  ``v`` and ``inflow`` are
+    (n,) or (sweeps, n); the figures are elementwise, so each row is bit
+    for bit its own (n,) residual.
     """
-    line_out = degree * v - grid.g_line @ v
+    line_out = degree * v - inflow
     return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
 
 
@@ -160,39 +173,82 @@ def _gauss_seidel(
 ) -> Tuple[np.ndarray, float]:
     """Damped sweeps of the per-bus larger root until the residual is within ``tol``.
 
-    The sweep runs on Python floats with the per-bus constants hoisted;
-    the row sum stays one BLAS dot per bus (``ndarray.dot``, the routine
-    behind ``np.dot``; a Python sum rounds differently), so every voltage
-    matches a numpy sweep bit for bit.  Returns the voltages and their
-    max residual.
+    The sweep runs on Python floats with the per-bus constants hoisted.  A
+    row with one line takes its inflow as the one product ``g * v_m``: the
+    other terms of its row sum are exact zeros, so that is the BLAS dot's
+    value while the voltages are finite.  A row with more lines stays one
+    BLAS dot (``ndarray.dot``, the routine behind ``np.dot``; a Python sum
+    rounds differently), so every voltage matches a numpy sweep bit for bit.
+    Sweeps run in blocks of ``SWEEP_BLOCK``, each sweep's voltages kept as
+    one row.  Once per block, a stacked ``g_line @ v`` (one BLAS gemv per
+    row) and one vectorised :func:`_residual` pass give every sweep's
+    residual, the same bits as a pass after each sweep.  The first sweep
+    within ``tol`` is returned; the sweeps after it in its block are
+    discarded, and so is a :class:`NoRealRoot` one of them raised.  A sweep
+    whose residual is not finite raises :class:`NonConvergence` naming it.
+    Returns the voltages and their max residual.
     """
     four_d = 4.0 * grid.d_cp / r_bus
-    buses = [
-        (bus, grid.g_line[bus].dot, float(xr[bus]), float(grid.i_cc[bus]), float(four_d[bus]),
-         float(0.5 * r_bus[bus]))
-        for bus in range(grid.n)
-    ]
+    buses = []
+    for bus in range(grid.n):
+        row = grid.g_line[bus]
+        (lines,) = np.nonzero(row)
+        if len(lines) == 1:  # (row_dot, g, m): inflow g * v_m
+            line_sum = (None, float(row[lines[0]]), int(lines[0]))
+        else:  # inflow row.dot(v)
+            line_sum = (row.dot, 0.0, 0)
+        buses.append((bus, *line_sum, float(xr[bus]), float(grid.i_cc[bus]), float(four_d[bus]),
+                      float(0.5 * r_bus[bus])))
+    sweep_v = np.empty((SWEEP_BLOCK, grid.n))
     v_old = v.tolist()
+    res = math.inf
+    with np.errstate(all="ignore"):  # a diverging sweep is stopped by its residual below
+        for start in range(0, max_iter, SWEEP_BLOCK):
+            count = min(SWEEP_BLOCK, max_iter - start)
+            done, failure = _sweep_block(buses, v, v_old, sweep_v, count)
+            swept = sweep_v[:done]
+            inflow = np.matmul(grid.g_line, swept[:, :, None])[:, :, 0]  # a BLAS gemv per sweep
+            block_res = np.max(np.abs(_residual(grid, xr, y, degree, swept, inflow)), axis=1)
+            (stops,) = np.nonzero((block_res <= tol) | ~np.isfinite(block_res))
+            if stops.size:
+                sweep, res = start + int(stops[0]) + 1, float(block_res[stops[0]])
+                if res <= tol:
+                    logger.debug("gauss_seidel converged in %d sweeps, residual %.3e", sweep, res)
+                    return sweep_v[stops[0]].copy(), res
+                raise NonConvergence(
+                    f"gauss_seidel: residual {res} A, not finite, after sweep {sweep}"
+                )
+            if failure is not None:
+                raise failure
+            res = float(block_res[-1])
+    raise NonConvergence(
+        f"gauss_seidel: residual {res:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
+    )
+
+
+def _sweep_block(
+    buses: List[tuple], v: np.ndarray, v_old: List[float], sweep_v: np.ndarray, count: int
+) -> Tuple[int, Optional[NoRealRoot]]:
+    """Up to ``count`` sweeps, each sweep's voltages stored as a row of ``sweep_v``.
+
+    ``v`` and ``v_old`` hold the same voltages as an array (for the BLAS
+    dots) and as Python floats.  Returns the sweeps completed and the
+    :class:`NoRealRoot` that cut the block short, if one did.
+    """
     damping, keep = DEFAULT_DAMPING, 1.0 - DEFAULT_DAMPING
     sqrt = math.sqrt
-    res = np.inf
-    for sweep in range(max_iter):
-        for bus, row_dot, xr_bus, i_cc, four_d_bus, half_r in buses:
-            b = xr_bus + float(row_dot(v)) - i_cc
-            disc = b * b - four_d_bus
+    for done in range(count):
+        for bus, row_dot, g, m, xr_bus, i_cc, four_d, half_r in buses:
+            b = xr_bus + (g * v_old[m] if row_dot is None else float(row_dot(v))) - i_cc
+            disc = b * b - four_d
             if disc < 0.0:
-                raise NoRealRoot(
+                return done, NoRealRoot(
                     f"bus {bus}: voltage quadratic has no real root "
                     f"(discriminant {disc:.3e}); droop parameters not viable"
                 )
             v[bus] = v_old[bus] = damping * (half_r * (b + sqrt(disc))) + keep * v_old[bus]
-        res = np.max(np.abs(_residual(grid, xr, y, degree, v)))
-        if res <= tol:
-            logger.debug("gauss_seidel converged in %d sweeps, residual %.3e", sweep + 1, res)
-            return v, float(res)
-    raise NonConvergence(
-        f"gauss_seidel: residual {res:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
-    )
+        sweep_v[done] = v
+    return count, None
 
 
 def _initial_voltages(grid: ValidatedGrid, x: np.ndarray) -> np.ndarray:

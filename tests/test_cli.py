@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,20 @@ def test_malformed_document_is_a_config_error(tmp_path, capsys):
 def test_nonviable_droop_is_a_numeric_error(grid_file, capsys):
     assert main(["solve", "--grid", grid_file, "--r", "3000,3000"]) == 3
     assert "error: numeric" in capsys.readouterr().err
+
+
+def test_a_diverging_solve_exits_3_at_its_first_sweep_without_warnings(grid_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--grid", grid_file, "--r", "1e-300,0.4"]) == 3
+    assert capsys.readouterr().err == (
+        "error: numeric: gauss_seidel: residual nan A, not finite, after sweep 1\n"
+    )
+
+
+def test_an_infinite_virtual_resistance_exits_2_naming_the_bus(grid_file, capsys):
+    assert main(["solve", "--grid", grid_file, "--r", "inf,0.4"]) == 2
+    assert "virtual resistance on bus 0 must be positive and finite" in capsys.readouterr().err
 
 
 def test_exhausted_budget_exits_with_code_4(grid_file, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from powertalk import (
     Bus,
     DroopState,
     GridSpec,
+    InvalidArgument,
     LineSpec,
     LoadSpec,
     NoRealRoot,
@@ -149,6 +151,12 @@ def test_droop_validation_rejects_wrong_buses(grid):
 def test_droop_validation_rejects_nonpositive_resistance(grid, nominal):
     with pytest.raises(ValueError):
         solve_steady_state(grid, nominal.with_r({0: 0.0}))
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan])
+def test_droop_validation_rejects_an_infinite_resistance(grid, nominal, r):
+    with pytest.raises(InvalidArgument, match="bus 1 must be positive and finite"):
+        solve_steady_state(grid, nominal.with_r({1: r}))
 
 
 def test_with_r_and_with_x_return_updated_copies(nominal):
@@ -329,17 +337,36 @@ def _numpy_gauss_seidel(grid, xr, y, r_bus, v, tol, max_iter, damping):
     raise NonConvergence(f"gauss_seidel: residual {res:.3e} A after {max_iter} sweeps")
 
 
-def _numpy_solve(grid, droop):
-    """``(v, residual)`` of the numpy sweep from the solver's starting point."""
+def _numpy_start(grid, droop):
+    """``(xr, y, r_bus, v0)``: the numpy sweep's inputs at the solver's starting point."""
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
     v0 = steady_state._initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
-    v = _numpy_gauss_seidel(
-        grid, xr, y, r_bus, v0, steady_state.DEFAULT_TOL, steady_state.DEFAULT_MAX_ITER,
-        steady_state.DEFAULT_DAMPING,
-    )
+    return xr, y, r_bus, v0
+
+
+def _numpy_solve(
+    grid, droop, tol=steady_state.DEFAULT_TOL, max_iter=steady_state.DEFAULT_MAX_ITER
+):
+    """``(v, residual)`` of the numpy sweep from the solver's starting point."""
+    xr, y, r_bus, v0 = _numpy_start(grid, droop)
+    v = _numpy_gauss_seidel(grid, xr, y, r_bus, v0, tol, max_iter, steady_state.DEFAULT_DAMPING)
     return v, float(np.max(np.abs(_numpy_residual(grid, xr, y, v))))
+
+
+def _numpy_residuals(grid, droop, sweeps):
+    """Each numpy sweep's residual, up to ``sweeps`` of them or the one that raises NoRealRoot."""
+    xr, y, r_bus, v = _numpy_start(grid, droop)
+    residuals = []
+    for _ in range(sweeps):
+        try:  # one sweep that never converges, continuing from ``v`` in place
+            _numpy_gauss_seidel(grid, xr, y, r_bus, v, -1.0, 1, steady_state.DEFAULT_DAMPING)
+        except NonConvergence:
+            residuals.append(float(np.max(np.abs(_numpy_residual(grid, xr, y, v)))))
+        except NoRealRoot:
+            break
+    return residuals
 
 
 def _radial_feeder():
@@ -388,6 +415,75 @@ def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count):
     with pytest.raises(NoRealRoot) as float_error:
         solve_steady_state(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
     assert str(float_error.value) == str(numpy_error.value)
+
+
+BLOCK = steady_state.SWEEP_BLOCK
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
+def test_convergence_at_every_block_offset_matches_numpy_sweep(make_grid):
+    # tol is the residual of a target sweep, so the solve stops there: at
+    # the first sweep, both ends of the first two blocks and inside the third
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    targets = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 3)
+    residuals = _numpy_residuals(grid, nominal, max(targets))
+    for target in targets:
+        tol = residuals[target - 1]
+        assert min(residuals[: target - 1], default=np.inf) > tol, target  # first sweep in tol
+        v, residual = _numpy_solve(grid, nominal, tol=tol)
+        state = solve_steady_state(grid, nominal, tol=tol)
+        assert state.v.tobytes() == v.tobytes(), target
+        assert state.residual == residual == tol, target
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
+@pytest.mark.parametrize("max_iter", [1, BLOCK - 1, BLOCK, BLOCK + 3, 3 * BLOCK + 5])
+def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, max_iter):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    with pytest.raises(NonConvergence) as numpy_error:
+        _numpy_solve(grid, nominal, max_iter=max_iter)
+    with pytest.raises(NonConvergence) as float_error:
+        solve_steady_state(grid, nominal, max_iter=max_iter)
+    assert str(float_error.value).startswith(str(numpy_error.value))
+
+
+def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal):
+    # at x = 50 V the star's residual falls to a minimum, then a later sweep
+    # of the same block meets a negative discriminant: a tol met by that
+    # minimum returns it, as the numpy sweep does, and a tighter tol raises
+    droop = nominal.with_x({0: 50.0, 1: 50.0})
+    residuals = _numpy_residuals(grid, droop, BLOCK)
+    failing = len(residuals) + 1
+    tol = min(residuals)
+    converged = residuals.index(tol) + 1
+    assert converged < failing <= BLOCK, (converged, failing)
+    v, residual = _numpy_solve(grid, droop, tol=tol)
+    state = solve_steady_state(grid, droop, tol=tol)
+    assert state.v.tobytes() == v.tobytes() and state.residual == residual == tol
+    with pytest.raises(NoRealRoot) as numpy_error:
+        _numpy_solve(grid, droop, tol=0.5 * tol)
+    with pytest.raises(NoRealRoot) as float_error:
+        solve_steady_state(grid, droop, tol=0.5 * tol)
+    assert str(float_error.value) == str(numpy_error.value)
+
+
+def test_no_real_root_in_the_first_sweep_of_a_block_surfaces(grid, nominal):
+    droop = nominal.with_x({0: 10.0, 1: 10.0})
+    assert _numpy_residuals(grid, droop, 1) == []
+    with pytest.raises(NoRealRoot) as numpy_error:
+        _numpy_solve(grid, droop)
+    with pytest.raises(NoRealRoot) as float_error:
+        solve_steady_state(grid, droop)
+    assert str(float_error.value) == str(numpy_error.value)
+
+
+def test_a_non_finite_residual_stops_the_sweep_without_warnings(grid, nominal):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match=r"not finite, after sweep 1$"):
+            solve_steady_state(grid, nominal.with_r({0: 1e-300}))
 
 
 # -- every call solves -------------------------------------------------------
