@@ -20,7 +20,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from .errors import InputOnLoadBus, NoRealRoot, SingularSystem
+from .errors import NoRealRoot, SingularSystem
 from .grid import LoadSpec, ValidatedGrid, VscSpec
 from .steady_state import BLOCK_BYTES, DroopState, SteadyState, _droop_lanes
 
@@ -29,7 +29,6 @@ __all__ = [
     "channel_gains",
     "linearize",
     "single_bus_channel",
-    "predict_outputs",
 ]
 
 
@@ -168,29 +167,3 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
         kappa = 0.5 * (1.0 + source / np.sqrt(disc))
     return kappa * r_bus / r, float(kappa)
 
-
-def predict_outputs(
-    model: ChannelModel,
-    dx: np.ndarray,
-    sigma_z: float,
-    rng_seed: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Predicted voltage deviations dv = H dx, clean and with observation noise.
-
-    ``dx`` must be zero on buses without a converter.  Noise is i.i.d.
-    zero-mean Gaussian with standard deviation ``sigma_z`` per bus; with
-    ``sigma_z = 0`` the noisy output equals the clean one exactly.
-    """
-    dx = np.asarray(dx, dtype=float)
-    n = model.H.shape[0]
-    if dx.shape != (n,):
-        raise ValueError(f"dx must have shape ({n},), got {dx.shape}")
-    vsc = set(model.vsc_buses())
-    offenders = [bus for bus in range(n) if bus not in vsc and dx[bus] != 0.0]
-    if offenders:
-        raise InputOnLoadBus(f"reference deviations set on load-only buses {offenders}")
-    dv = model.H @ dx
-    if sigma_z == 0.0:
-        return dv, dv.copy()
-    rng = np.random.default_rng(rng_seed)
-    return dv, dv + sigma_z * rng.standard_normal(n)

@@ -61,10 +61,6 @@ class InvalidBudget(InvalidArgument):
     """A budget is not finite and non-negative, or sits on a bus without a converter."""
 
 
-class InputOnLoadBus(ConfigError):
-    """Reference-voltage input requested on a bus without a converter."""
-
-
 class NumericError(PowerTalkError):
     """Numeric failure while solving or linearizing."""
 

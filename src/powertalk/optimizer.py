@@ -11,9 +11,10 @@ investments all fit the budgets, found per lattice row by batched
 bisection on the monotone investments.  Every other point scores 0, so
 the band's best is the lattice's best whenever it is positive; when it is
 not, or a run-time check of the band fails, the whole lattice is solved
-and scored instead.  All grid-point evaluations are pure, so the result
-is independent of evaluation order; ties resolve to the smallest
-resistances.
+and scored instead, in C-order blocks of bounded size that each keep
+every budget's first maximum.  All grid-point evaluations are pure, so
+the result is independent of evaluation order; ties resolve to the
+smallest resistances.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .channel import channel_gains, linearize
 from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
 from .grid import ValidatedGrid, check_budgets
 from .steady_state import (
+    BLOCK_BYTES,
     BatchSolve,
     DroopState,
     _droop_lanes,
@@ -165,8 +167,9 @@ def maximize_snr_grid(
     resistances in bus order.  Only the budget band, the lattice points
     with every |dp_n| <= pi_n, is solved and scored: every other point
     scores 0, so a positive best in the band is the lattice's first
-    maximum.  The search falls back to the whole lattice when the band's
-    run-time checks fail or its best is not positive (pi = 0, say).
+    maximum.  The search falls back to a blocked scan of the whole lattice
+    when the band's run-time checks fail or its best is not positive
+    (pi = 0, say).
     ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
     grid.check_link(tx, rx)
@@ -174,8 +177,7 @@ def maximize_snr_grid(
     if len(pi) != len(grid.vsc_buses):
         raise InvalidBudget("budgets must cover every converter bus")
     _check_sigma_z(sigma_z)
-    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), pi)
-    return search.best(pi, sigma_z, step)
+    return _search(grid, nominal, tx, rx, step, [pi], sigma_z)[0]
 
 
 def capacity_sweep(
@@ -191,7 +193,8 @@ def capacity_sweep(
 
     The channel table does not depend on the budgets, so it is built
     once, on the band of the largest budget, and re-scored per budget
-    point: the band of a smaller budget lies inside it.
+    point: the band of a smaller budget lies inside it.  The budget
+    points the band cannot answer share one blocked scan of the lattice.
     """
     pi_values = [float(p) for p in pi_range]
     if not pi_values:
@@ -203,21 +206,17 @@ def capacity_sweep(
     for budget in budgets:
         check_budgets(budget)
     _check_sigma_z(sigma_z)
-    search = _LatticeSearch(grid, nominal, tx, rx, _r_axes(grid, nominal, step), budgets[-1])
-    rows = []
-    for pi, budget in zip(pi_values, budgets):
-        best = search.best(budget, sigma_z, step)
-        rows.append(
-            SweepRow(
-                pi=pi,
-                snr_nominal=best.snr_nominal,
-                snr_opt=best.snr,
-                capacity_nominal=capacity(best.snr_nominal),
-                capacity_opt=best.capacity,
-                r_star=best.r_star,
-            )
+    return [
+        SweepRow(
+            pi=pi,
+            snr_nominal=best.snr_nominal,
+            snr_opt=best.snr,
+            capacity_nominal=capacity(best.snr_nominal),
+            capacity_opt=best.capacity,
+            r_star=best.r_star,
         )
-    return rows
+        for pi, best in zip(pi_values, _search(grid, nominal, tx, rx, step, budgets, sigma_z))
+    ]
 
 
 def default_r_max(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
@@ -413,66 +412,83 @@ def _channel_table(
     )
 
 
-class _LatticeSearch:
-    """First-max argmax over the resistance lattice, built on the budget band.
+def _search(
+    grid: ValidatedGrid,
+    nominal: DroopState,
+    tx: int,
+    rx: int,
+    step: float,
+    budgets: List[Mapping[int, float]],
+    sigma_z: float,
+) -> List[OptimizationResult]:
+    """First-max argmax over the resistance lattice at each budget, in order.
 
-    ``pi`` is the largest budget the search is scored at.  The band at
-    ``pi`` holds every lattice point whose score can be positive at that
-    budget or any smaller one; all other points score 0 (or -inf when
-    not viable).  So when the band's best score is positive it is the
-    whole lattice's first maximum, tie-break included.  When the band is
-    unknown (see :func:`_band_lanes`) or its best is not positive, the
-    same table is built on every lane of the lattice and scored instead.
-    A one-lane table on lattice index 0, the nominal resistances, gives
-    the nominal SNR at each budget.
+    The band at the last, largest, budget holds every lattice point whose
+    score can be positive at that budget or any smaller one; all other
+    points score 0 (or -inf when not viable).  So a budget whose best in
+    the band is positive has the whole lattice's first maximum there,
+    tie-break included.  The budgets left over, all of them when the band
+    is unknown (see :func:`_band_lanes`), are scored together in one pass
+    over the lattice in C-order blocks: each block's first maximum
+    replaces a budget's running best only when ``argmax`` prefers it, so
+    the pick is ``argmax`` over the whole lattice while no table outlives
+    its block.  A one-lane table on lattice index 0, the nominal
+    resistances, gives the nominal SNR at each budget.
     """
-
-    def __init__(
-        self,
-        grid: ValidatedGrid,
-        nominal: DroopState,
-        tx: int,
-        rx: int,
-        axes: Dict[int, np.ndarray],
-        pi: Mapping[int, float],
-    ) -> None:
-        p_nom = solve_steady_state(grid, nominal).p
-        self._link = (grid, nominal, p_nom, tx, rx)
-        self._axes = axes
-        self.size = int(np.prod([len(values) for values in axes.values()]))
-        band = _band_lanes(grid, nominal, p_nom, axes, pi)
-        self._band = None if band is None else self._table(*band)
-        self._nominal = self._table(np.zeros(1, dtype=int))
-        self._full: Optional[_ChannelTable] = None
-
-    def _table(self, lanes: np.ndarray, batch: Optional[BatchSolve] = None) -> _ChannelTable:
-        grid, nominal = self._link[:2]
-        r = _lattice_r(self._axes, lanes)
-        if batch is None:
-            batch = solve_steady_state_many(grid, dict(nominal.x), r)
-        return _channel_table(*self._link, r, batch)
-
-    def best(self, pi: Mapping[int, float], sigma_z: float, step: float) -> OptimizationResult:
-        table = self._band
-        if table is not None:
-            idx, snr, g = _first_max(table, pi, sigma_z)
-        if table is None or not snr > 0.0:
-            if self._full is None:
-                self._full = self._table(np.arange(self.size))
-            table = self._full
-            idx, snr, g = _first_max(table, pi, sigma_z)
-            if not np.isfinite(snr):
-                raise NoRealRoot("no viable operating point anywhere on the search lattice")
-        _, snr_nominal, _ = _first_max(self._nominal, pi, sigma_z)
-        return OptimizationResult(
-            r_star={bus: float(table.r[bus][idx]) for bus in table.vsc},
+    axes = _r_axes(grid, nominal, step)
+    size = int(np.prod([len(values) for values in axes.values()]))
+    p_nom = solve_steady_state(grid, nominal).p
+    link = (grid, nominal, p_nom, tx, rx)
+    picks = [None] * len(budgets)  # (r_star, snr, g_values) per budget, once found
+    band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1])
+    if band is not None:
+        table = _channel_table(*link, *band[1:])
+        for k, pi in enumerate(budgets):
+            pick = _first_max(table, pi, sigma_z)
+            if pick[1] > 0.0:
+                picks[k] = pick
+    corner = _lattice_r(axes, np.zeros(1, dtype=int))
+    batch = solve_steady_state_many(grid, dict(nominal.x), corner)
+    at_nominal = _channel_table(*link, corner, batch)
+    fallback = [k for k, pick in enumerate(picks) if pick is None]
+    if fallback:
+        for _, r, batch in _lattice_blocks(grid, nominal, axes):
+            table = _channel_table(*link, r, batch)
+            for k in fallback:
+                pick = _first_max(table, budgets[k], sigma_z)
+                # argmax over (running best, block best): strictly greater, or NaN first
+                if picks[k] is None or np.argmax([picks[k][1], pick[1]]) == 1:
+                    picks[k] = pick
+        if not all(np.isfinite(picks[k][1]) for k in fallback):
+            raise NoRealRoot("no viable operating point anywhere on the search lattice")
+    return [
+        OptimizationResult(
+            r_star=r_star,
             snr=snr,
-            snr_nominal=snr_nominal,
+            snr_nominal=_first_max(at_nominal, pi, sigma_z)[1],
             capacity=capacity(snr),
-            g_values={bus: float(g[j]) for j, bus in enumerate(table.vsc)},
+            g_values=g,
             grid_step=step,
-            evaluations=self.size,
+            evaluations=size,
         )
+        for pi, (r_star, snr, g) in zip(budgets, picks)
+    ]
+
+
+def _lattice_blocks(
+    grid: ValidatedGrid, nominal: DroopState, axes: Dict[int, np.ndarray]
+) -> Iterator[Tuple[np.ndarray, Dict[int, np.ndarray], BatchSolve]]:
+    """The whole lattice in C-order blocks of ``BLOCK_BYTES // (8 * grid.n)`` lanes.
+
+    Yields each block's flat indices, coordinates and solve, the shape
+    :func:`_band_lanes` returns, so memory stays bounded at any lattice size.
+    """
+    size = int(np.prod([len(values) for values in axes.values()]))
+    block = max(1, BLOCK_BYTES // (8 * grid.n))
+    for lo in range(0, size, block):
+        lanes = np.arange(lo, min(lo + block, size))
+        r = _lattice_r(axes, lanes)
+        yield lanes, r, solve_steady_state_many(grid, dict(nominal.x), r)
 
 
 def _band_lanes(
@@ -481,8 +497,8 @@ def _band_lanes(
     p_nom: Dict[int, float],
     axes: Dict[int, np.ndarray],
     pi: Mapping[int, float],
-) -> Optional[Tuple[np.ndarray, BatchSolve]]:
-    """Flat C-order indices of the lattice points with every |dp_n| <= pi_n, and their solve.
+) -> Optional[Tuple[np.ndarray, Dict[int, np.ndarray], BatchSolve]]:
+    """Flat C-order indices, coordinates and solve of the lattice points with every |dp_n| <= pi_n.
 
     Along the last lattice axis each investment is monotone in every
     row: raising one resistance shifts load off its converter onto the
@@ -494,9 +510,10 @@ def _band_lanes(
     run and its outside neighbours are then solved and checked: viable,
     strictly monotone in the row's direction, and in the band exactly
     from lo to hi; that check's solve of the band comes back with the
-    indices.  Returns None, meaning "search the whole lattice",
-    when a probed point is not viable, a row's end points tie, a check
-    fails or the band is empty.
+    indices, in the shape of one block of :func:`_lattice_blocks`.
+    Returns None, meaning "search the whole lattice", when a probed
+    point is not viable, a row's end points tie, a check fails or the
+    band is empty.
     """
     vsc = sorted(axes)
     width = len(axes[vsc[-1]])
@@ -565,7 +582,7 @@ def _band_lanes(
     if np.any((after & before) != inside) or not _runs_monotone(dp, rising[row], row):
         return None
     kept = BatchSolve(batch.v[inside], batch.feasible[inside], batch.residual[inside], batch.sweeps)
-    return row[inside] * width + col[inside], kept
+    return row[inside] * width + col[inside], {bus: r[bus][inside] for bus in vsc}, kept
 
 
 def _runs_monotone(dp: np.ndarray, rising: np.ndarray, row: np.ndarray) -> bool:
@@ -613,15 +630,16 @@ def _score(
 
 def _first_max(
     table: _ChannelTable, pi: Mapping[int, float], sigma_z: float
-) -> Tuple[int, float, np.ndarray]:
-    """Index, SNR and gain terms of the table's first best lane; -inf SNR when none is viable."""
+) -> Tuple[Dict[int, float], float, Dict[int, float]]:
+    """Resistances, SNR and gain terms at the table's first best lane; -inf SNR when none viable."""
     pi_vec = np.array([pi[bus] for bus in table.vsc])
     snr, g = _score(table.h_rx, table.phi, table.dp, pi_vec, sigma_z)
     snr = np.where(table.feasible, snr, -np.inf)
     # lanes in C order over ascending axes: the first maximum is the
     # smallest-resistance tie-break in bus order
     idx = int(np.argmax(snr))
-    return idx, float(snr[idx]), g[idx]
+    r_star = {bus: float(table.r[bus][idx]) for bus in table.vsc}
+    return r_star, float(snr[idx]), {bus: float(g[idx, j]) for j, bus in enumerate(table.vsc)}
 
 
 def _band_interior(
@@ -641,8 +659,9 @@ def _band_interior(
     largest Jacobian gain.  Its feasible points are found by
     :func:`_band_lanes`, converters without a budget counting as
     unbounded, with their solved lanes; only when that band is unknown is
-    the whole box solved.  Returns up to ``PROBE_SAMPLES`` points as rows
-    of resistances in ``vsc`` order.
+    the whole box solved, block by block through :func:`_lattice_blocks`.
+    Returns up to ``PROBE_SAMPLES`` points as rows of resistances in
+    ``vsc`` order.
     """
     dim = len(vsc)
     r_nom = np.array([nominal.r[bus] for bus in vsc])
@@ -688,13 +707,10 @@ def _band_interior(
         for i, bus in enumerate(vsc)
     }
     band = _band_lanes(grid, nominal, p_nom, axes, budgets)
-    lanes, batch = band or (np.arange(int(np.prod(counts))), None)
-    r = _lattice_r(axes, lanes)
-    if batch is None:
-        batch = solve_steady_state_many(grid, dict(nominal.x), r)
-    dp = np.nan_to_num(_investment(grid, nominal, p_nom, r, batch.v), nan=np.inf)
     feas = np.zeros(counts, dtype=bool)
-    feas.flat[lanes] = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
+    for lanes, r, batch in [band] if band is not None else _lattice_blocks(grid, nominal, axes):
+        dp = np.nan_to_num(_investment(grid, nominal, p_nom, r, batch.v), nan=np.inf)
+        feas.flat[lanes] = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
     inner = np.zeros_like(feas)
     inner[(slice(1, -1),) * dim] = True
     for axis in range(dim):

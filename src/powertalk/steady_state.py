@@ -53,9 +53,10 @@ class DroopState:
                 f"droop entries must exist exactly for converter buses {sorted(expected)}"
             )
         for bus, r in self.r.items():
-            if not 0.0 < r < math.inf:
+            if not (0.0 < r < math.inf and 1.0 / float(r) < math.inf):
                 raise InvalidArgument(
-                    f"virtual resistance on bus {bus} must be positive and finite, got {r}"
+                    f"virtual resistance on bus {bus} must be positive and finite, "
+                    f"with a finite inverse, got {r}"
                 )
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:

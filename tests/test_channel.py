@@ -8,7 +8,6 @@ import tracemalloc
 from powertalk import (
     Bus,
     GridSpec,
-    InputOnLoadBus,
     LineSpec,
     LoadSpec,
     NoRealRoot,
@@ -17,7 +16,6 @@ from powertalk import (
     linearize,
     network_matrices,
     nominal_droop,
-    predict_outputs,
     single_bus_channel,
     solve_steady_state,
     validate_grid,
@@ -140,24 +138,6 @@ def test_single_bus_input_validation():
         single_bus_channel([], LoadSpec())
     with pytest.raises(ValueError):
         single_bus_channel([VscSpec(400.0, -0.5)], LoadSpec())
-
-
-def test_predict_outputs_noiseless_and_reproducible(model):
-    dx = np.array([0.2, -0.1, 0.0])
-    clean, silent = predict_outputs(model, dx, sigma_z=0.0, rng_seed=3)
-    assert np.array_equal(clean, silent)
-    assert np.allclose(clean, model.H @ dx)
-    _, noisy_a = predict_outputs(model, dx, sigma_z=0.05, rng_seed=3)
-    _, noisy_b = predict_outputs(model, dx, sigma_z=0.05, rng_seed=3)
-    assert np.array_equal(noisy_a, noisy_b)
-    assert not np.array_equal(noisy_a, clean)
-
-
-def test_predict_outputs_rejects_bad_inputs(model):
-    with pytest.raises(ValueError):
-        predict_outputs(model, np.zeros(5), sigma_z=0.0, rng_seed=0)
-    with pytest.raises(InputOnLoadBus):
-        predict_outputs(model, np.array([0.0, 0.0, 0.3]), sigma_z=0.0, rng_seed=0)
 
 
 # -- the batched gain kernel against the matrix form --------------------------

@@ -284,6 +284,17 @@ def test_an_infinite_virtual_resistance_exits_2_naming_the_bus(grid_file, capsys
     assert "virtual resistance on bus 0 must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_a_subnormal_virtual_resistance_exits_2_without_warnings(grid_file, capsys, command):
+    argv = [command, "--grid", grid_file, "--r", "1e-320,0.4"]
+    if command == "simulate":
+        argv += ["--amplitude", "0.1", "--slots", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "virtual resistance on bus 0 must be positive and finite" in capsys.readouterr().err
+
+
 def test_exhausted_budget_exits_with_code_4(grid_file, capsys):
     code = main(["budget", "--grid", grid_file, "--r", "0.6,0.39", "--pi", "1"])
     assert code == 4

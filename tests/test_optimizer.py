@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from powertalk import (
     GridSpec,
     LineSpec,
     LoadSpec,
+    NoRealRoot,
     VscSpec,
     capacity,
     capacity_sweep,
@@ -49,6 +51,11 @@ def _boxed(r_max):
         for bus in spec.buses
     )
     return validate_grid(replace(spec, buses=buses))
+
+
+def _blocks_of(lanes, grid, monkeypatch):
+    """Make the whole-lattice scan run in blocks of ``lanes`` lanes."""
+    monkeypatch.setattr(optimizer, "BLOCK_BYTES", lanes * 8 * grid.n)
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +264,7 @@ def test_concavity_probe_validates_inputs(grid, nominal, budgets):
 def test_concavity_probe_band_equals_the_box_fallback(grid, nominal, pi, monkeypatch):
     report = concavity_probe(grid, nominal, pi, tx=0, rx=1)
     monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)  # band unknown
+    _blocks_of(997, grid, monkeypatch)  # the box is scanned in blocks
     assert concavity_probe(grid, nominal, pi, tx=0, rx=1) == report
 
 
@@ -270,6 +278,17 @@ def test_concavity_probe_samples_inside_the_nameplate_box(nominal):
 
 # -- the band search against a full-lattice oracle ------------------------------
 
+def _lattice(grid, nominal, step, r_max):
+    """Every point of the search lattice, per converter, in C order."""
+    vsc = list(grid.vsc_buses)
+    axes = [
+        nominal.r[bus]
+        + step * np.arange(int(np.floor((r_max[bus] - nominal.r[bus]) / step + 1e-9)) + 1)
+        for bus in vsc
+    ]
+    return {bus: m.reshape(-1) for bus, m in zip(vsc, np.meshgrid(*axes, indexing="ij"))}
+
+
 def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
     """First maximum of the SNR over every point of the lattice, from public kernels.
 
@@ -277,12 +296,7 @@ def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
     and the lattice's feasible mask.
     """
     vsc = list(grid.vsc_buses)
-    axes = [
-        nominal.r[bus]
-        + step * np.arange(int(np.floor((r_max[bus] - nominal.r[bus]) / step + 1e-9)) + 1)
-        for bus in vsc
-    ]
-    r = {bus: m.reshape(-1) for bus, m in zip(vsc, np.meshgrid(*axes, indexing="ij"))}
+    r = _lattice(grid, nominal, step, r_max)
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     xr = np.zeros((len(batch.v), grid.n))
     y = np.zeros_like(xr)
@@ -308,6 +322,21 @@ def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
     best = int(np.argmax(snr))
     r_star = {bus: float(r[bus][best]) for bus in vsc}
     return r_star, float(snr[best]), {bus: float(g[best, j]) for j, bus in enumerate(vsc)}, feasible
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The resistance lanes of each batched solve the optimizer makes while the test runs."""
+    calls = []
+
+    def recording(grid, x, r, *args, **kwargs):
+        batch = solve_steady_state_many(grid, x, r, *args, **kwargs)
+        lanes = len(batch.v)
+        calls.append({bus: np.broadcast_to(values, lanes).copy() for bus, values in r.items()})
+        return batch
+
+    monkeypatch.setattr(optimizer, "solve_steady_state_many", recording)
+    return calls
 
 
 @pytest.fixture
@@ -428,8 +457,18 @@ def test_band_search_equals_the_full_lattice_over_budgets_and_steps(
     )
 
 
+def _assert_last_solves_cover(solves, lattice):
+    """The trailing batched solves, taken together, are every lattice lane once, in C order."""
+    size = next(iter(lattice.values())).size
+    tail = []
+    while sum(next(iter(r.values())).size for r in tail) < size:
+        tail.insert(0, solves[len(solves) - 1 - len(tail)])
+    for bus, values in lattice.items():
+        assert np.concatenate([r[bus] for r in tail]).tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("case", ["zero budget", "past viability", "row check fails"])
-def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solved_lanes, monkeypatch):
+def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solves, monkeypatch):
     budgets, step, box = {0: 10.0, 1: 10.0}, DEFAULT_STEP, BOX
     if case == "zero budget":
         budgets = {0: 0.0, 1: 0.0}
@@ -437,15 +476,79 @@ def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solved_
         step, box = 0.5, {0: 40.0, 1: 40.0}
     else:
         monkeypatch.setattr(optimizer, "_runs_monotone", lambda *args: False)
+    _blocks_of(97, grid, monkeypatch)  # block edges fall inside lattice rows
     result = maximize_snr_grid(_boxed(box), nominal, budgets, SIGMA_Z, 0, 1, step=step)
     oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, step, box)
     _assert_matches_oracle(result, oracle)
     feasible = oracle[3]
-    assert solved_lanes[-1] == feasible.size  # the last solve is the whole lattice
+    # the fallback's solves cover every lattice lane exactly once
+    _assert_last_solves_cover(solves, _lattice(grid, nominal, step, box))
     if case == "past viability":
         assert not feasible.all()
     if case == "zero budget":
         assert result.r_star == {0: 0.39, 1: 0.39}
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 8])
+@pytest.mark.parametrize("case", ["zero budget", "past viability"])
+def test_streamed_fallback_equals_the_materialised_argmax(grid, nominal, case, lanes, monkeypatch):
+    # zero budget: every viable lane scores 0, a tie across every block edge
+    # that the first lane must win; past viability: blocks of non-viable lanes
+    if case == "zero budget":
+        budgets, step, box = {0: 0.0, 1: 0.0}, DEFAULT_STEP, {0: 0.42, 1: 0.42}
+    else:
+        budgets, step, box = {0: 10.0, 1: 10.0}, 1.0, {0: 30.0, 1: 30.0}
+    _blocks_of(lanes, grid, monkeypatch)
+    result = maximize_snr_grid(_boxed(box), nominal, budgets, SIGMA_Z, 0, 1, step=step)
+    oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, step, box)
+    _assert_matches_oracle(result, oracle)
+    if case == "zero budget":
+        assert result.r_star == {0: 0.39, 1: 0.39}
+    else:
+        assert not oracle[3].all()
+
+
+def test_sweep_scores_band_and_fallback_budgets_alike(grid, boxed, nominal, solves, monkeypatch):
+    _blocks_of(50, grid, monkeypatch)
+    pis = [0.0, 2.0, 10.0]  # 0 takes the fallback, 2 and 10 the band
+    rows = capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)
+    _assert_last_solves_cover(solves, _lattice(grid, nominal, DEFAULT_STEP, BOX))
+    for pi, row in zip(pis, rows):
+        budgets = {0: pi, 1: pi}
+        oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX)
+        assert (row.r_star, row.snr_opt) == oracle[:2]
+        alone = maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, 0, 1)
+        assert (row.r_star, row.snr_opt, row.snr_nominal) == (
+            alone.r_star, alone.snr, alone.snr_nominal
+        )
+
+
+def test_streamed_fallback_raises_when_no_lane_is_viable(boxed, nominal, monkeypatch):
+    def nowhere_viable(grid, x, r):
+        batch = solve_steady_state_many(grid, x, r)
+        nan = np.full_like(batch.v, np.nan)
+        return steady_state.BatchSolve(nan, np.zeros_like(batch.feasible), batch.residual, 0)
+
+    monkeypatch.setattr(optimizer, "solve_steady_state_many", nowhere_viable)
+    _blocks_of(7, boxed, monkeypatch)
+    with pytest.raises(NoRealRoot, match="anywhere on the search lattice"):
+        maximize_snr_grid(boxed, nominal, {0: 10.0, 1: 10.0}, SIGMA_Z, 0, 1)
+    with pytest.raises(NoRealRoot, match="anywhere on the search lattice"):
+        capacity_sweep(boxed, nominal, [0.0, 10.0], SIGMA_Z, 0, 1)
+
+
+def test_streamed_fallback_memory_does_not_grow_with_the_lattice(grid, boxed, nominal, monkeypatch):
+    _blocks_of(200, grid, monkeypatch)
+    peaks = []
+    for step in (DEFAULT_STEP, DEFAULT_STEP / 2):  # 43 x 63, then 85 x 125 lanes
+        tracemalloc.start()
+        try:
+            maximize_snr_grid(boxed, nominal, {0: 0.0, 1: 0.0}, SIGMA_Z, 0, 1, step=step)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a whole-lattice table grows 3.9x with the lanes; the blocks do not
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, solved_lanes):

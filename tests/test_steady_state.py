@@ -159,6 +159,14 @@ def test_droop_validation_rejects_an_infinite_resistance(grid, nominal, r):
         solve_steady_state(grid, nominal.with_r({1: r}))
 
 
+def test_droop_validation_rejects_a_subnormal_resistance(grid, nominal):
+    # 1/r overflows to inf, which would reach the solve's setup as inf/inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="bus 0 must be positive and finite"):
+            solve_steady_state(grid, nominal.with_r({0: 1e-320}))
+
+
 def test_with_r_and_with_x_return_updated_copies(nominal):
     tweaked = nominal.with_r({0: 0.5}).with_x({1: 401.0})
     assert tweaked.r == {0: 0.5, 1: 0.39}
