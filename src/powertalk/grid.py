@@ -5,13 +5,17 @@ current, constant power in parallel) and optionally a droop-controlled
 voltage source converter (VSC).  Buses are joined by resistive
 distribution lines.  Validation produces an immutable :class:`ValidatedGrid`
 whose arrays are read-only, so they are safe to share across threads.
+It also fixes, once per grid, the two structures the batched solver
+walks instead of dense (n, n) products: a table of each bus's lines for
+the line sums, and an elimination schedule for the Newton steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,12 +81,67 @@ class GridSpec:
     lines: Sequence[LineSpec]
 
 
+Index = Union[slice, np.ndarray]  # columns: a slice where they run up by one, else an index array
+
+
+class LineTable(NamedTuple):
+    """Each bus's lines, so that line sums need no (n, n) product.
+
+    Slot j holds the j-th neighbour, in ascending bus id, of every bus with
+    more than j lines (slot 0 holds every bus): ``sum_m g_line[n, m] v_m``
+    is one gather, product and add per slot, taken in the order of a row
+    sum over ascending ids.
+    """
+
+    degree: np.ndarray  # (n,) g_line.sum(axis=1), the line conductance at each bus
+    slots: Tuple[Tuple[Index, Index, np.ndarray], ...]  # (buses, neighbours, conductances)
+
+
+class EliminationLevel(NamedTuple):
+    """Buses that are eliminated in one array step; no two of them share an entry.
+
+    A spoke is an off-diagonal entry (k, i) of the filled line graph, kept
+    by k, the one of its buses that goes first.  Spokes within a level,
+    the pivots of ``gather`` and the spokes a, b of ``fill`` are numbered
+    from the level's first spoke; entries and buses are global.  Within a
+    round no target, entry or pivot repeats, so one fancy-indexed update
+    applies it; repeats go to later rounds, in spoke order.
+    """
+
+    pivots: Index                                 # the level's buses
+    spokes: slice                                 # their spokes, in pivot order
+    pivot: Index                                  # each spoke's bus k
+    target: Index                                 # each spoke's later bus i
+    scatter: Tuple[Tuple[Index, Index], ...]      # rounds of (spokes, targets)
+    fill: Tuple[Tuple[Index, Index, Index], ...]  # rounds of (entry, spoke a, spoke b)
+    first: Index                                  # each pivot's first spoke
+    gather: Tuple[Tuple[Index, Index], ...]       # rounds of (spokes, pivots) for the other spokes
+
+
+class Elimination(NamedTuple):
+    """A fixed elimination order of the line graph, grouped into levels.
+
+    Buses go in minimum-degree order, ties to the lower bus id, and each
+    joins its remaining neighbours pairwise (the fill): scheme 2 of Tinney
+    & Walker, "Direct solutions of sparse network equations by optimally
+    ordered triangular factorization", Proc. IEEE 1967.  A bus's level is
+    its height in the elimination tree, so the buses of a level have no
+    entry in common and their eliminations commute.  On a radial grid every
+    bus goes as a leaf with one spoke, to its parent, and nothing fills.
+    """
+
+    levels: Tuple[EliminationLevel, ...]
+    values: np.ndarray  # (spokes,) line conductance of each spoke, 0 where it is fill
+    updates: bool       # whether any elimination changes a later spoke (meshed grids)
+
+
 @dataclass(frozen=True)
 class ValidatedGrid:
     """A :class:`GridSpec` with all invariants checked and arrays assembled.
 
     Arrays are indexed by bus id (dense 0..n-1).  ``g_line[n, m]`` is the
     line conductance 1/r between buses n and m (0 when no line exists).
+    Radial and meshed grids are both accepted.
     """
 
     spec: GridSpec
@@ -93,6 +152,9 @@ class ValidatedGrid:
     r_cr_inv: np.ndarray  # (n,) 1/r_cr, 0 where the resistive load is absent
     i_cc: np.ndarray      # (n,) constant current loads [A]
     d_cp: np.ndarray      # (n,) constant power loads [W]
+    constant_power: Index  # buses with a constant-power load, d_cp > 0
+    lines: LineTable      # line sums by neighbour slots
+    elimination: Elimination  # Newton-step elimination schedule
 
     def vsc(self, bus: int) -> VscSpec:
         if not self.has_vsc(bus):
@@ -196,8 +258,14 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
         g = 1.0 / line.r_line
         g_line[a, b] = g
         g_line[b, a] = g
+    neighbours: List[List[int]] = [[] for _ in range(n)]
+    for a, b in sorted(seen):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    for ends in neighbours:
+        ends.sort()
 
-    _check_connected(n, g_line)
+    _check_connected(n, neighbours)
 
     arrays = {
         "g_line": g_line,
@@ -207,21 +275,124 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
     }
     for array in arrays.values():
         array.flags.writeable = False
-    return ValidatedGrid(spec=spec, n=n, buses=buses, vsc_buses=vsc_buses, **arrays)
+    return ValidatedGrid(
+        spec=spec,
+        n=n,
+        buses=buses,
+        vsc_buses=vsc_buses,
+        constant_power=_index(np.flatnonzero(arrays["d_cp"]).tolist()),
+        lines=_line_table(g_line, neighbours),
+        elimination=_elimination(g_line, neighbours),
+        **arrays,
+    )
 
 
-def _check_connected(n: int, g_line: np.ndarray) -> None:
+def _check_connected(n: int, neighbours: List[List[int]]) -> None:
     reached = {0}
     frontier = [0]
     while frontier:
         node = frontier.pop()
-        for other in np.nonzero(g_line[node])[0]:
+        for other in neighbours[node]:
             if other not in reached:
-                reached.add(int(other))
-                frontier.append(int(other))
+                reached.add(other)
+                frontier.append(other)
     if len(reached) != n:
         missing = sorted(set(range(n)) - reached)
         raise DisconnectedGraph(f"buses {missing} are not connected to bus 0")
+
+
+def _read_only(values: Sequence, dtype: type) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _index(items: Sequence[int]) -> Index:
+    """Columns ``items`` as a slice when they run up by one, else as an index array."""
+    if items and list(items) == list(range(items[0], items[0] + len(items))):
+        return slice(items[0], items[0] + len(items))
+    return _read_only(items, np.intp)
+
+
+def _rounds(keys: Sequence[int]) -> List[List[int]]:
+    """Positions of ``keys`` in rounds in which no key repeats: round r holds each key's r-th."""
+    rounds: List[List[int]] = []
+    seen: Dict[int, int] = {}
+    for position, key in enumerate(keys):
+        rank = seen[key] = seen.get(key, -1) + 1
+        if rank == len(rounds):
+            rounds.append([])
+        rounds[rank].append(position)
+    return rounds
+
+
+def _line_table(g_line: np.ndarray, neighbours: List[List[int]]) -> LineTable:
+    # a bus without lines (a one-bus grid) reads itself at conductance 0, so
+    # that slot 0 holds every bus
+    lines = [ends or [bus] for bus, ends in enumerate(neighbours)]
+    slots = []
+    for j in range(max(map(len, lines))):
+        buses = [bus for bus, ends in enumerate(lines) if len(ends) > j]
+        ends = [lines[bus][j] for bus in buses]
+        slots.append((_index(buses), _index(ends), _read_only(g_line[buses, ends], float)))
+    return LineTable(degree=_read_only(g_line.sum(axis=1), float), slots=tuple(slots))
+
+
+def _elimination(g_line: np.ndarray, neighbours: List[List[int]]) -> Elimination:
+    adjacent = [set(ends) for ends in neighbours]
+    remaining = set(range(len(g_line)))
+    order: List[int] = []
+    later: Dict[int, List[int]] = {}  # each bus's neighbours when it goes
+    while remaining:
+        bus = min(remaining, key=lambda b: (len(adjacent[b]), b))
+        remaining.remove(bus)
+        order.append(bus)
+        later[bus] = sorted(adjacent[bus])
+        for other in later[bus]:
+            adjacent[other].discard(bus)
+            adjacent[other].update(m for m in later[bus] if m != other)
+    position = {bus: p for p, bus in enumerate(order)}
+    height = dict.fromkeys(order, 0)
+    for bus in order:  # a child goes before its parent, the first of its later neighbours
+        if later[bus]:
+            parent = min(later[bus], key=position.__getitem__)
+            height[parent] = max(height[parent], height[bus] + 1)
+    by_level = [[bus for bus in order if height[bus] == h] for h in range(max(height.values()) + 1)]
+
+    pairs = [[(k, i) for k in buses for i in later[k]] for buses in by_level]
+    spoke = {pair: s for s, pair in enumerate(p for level in pairs for p in level)}
+    levels, start = [], 0
+    for buses, level in zip(by_level, pairs):
+        local = {pair: s for s, pair in enumerate(level)}
+        place = {k: p for p, k in enumerate(buses)}
+        first, *rounds = _rounds([k for k, _ in level]) or [[]]
+        updates = [
+            (spoke[(a, b) if position[a] < position[b] else (b, a)], local[k, a], local[k, b])
+            for k in buses
+            for a, b in itertools.combinations(later[k], 2)
+        ]
+        levels.append(EliminationLevel(
+            pivots=_index(buses),
+            spokes=slice(start, start + len(level)),
+            pivot=_index([k for k, _ in level]),
+            target=_index([i for _, i in level]),
+            scatter=tuple(
+                (_index(r), _index([level[s][1] for s in r]))
+                for r in _rounds([i for _, i in level])
+            ),
+            fill=tuple(
+                tuple(_index([updates[u][c] for u in r]) for c in range(3))
+                for r in _rounds([entry for entry, _, _ in updates])
+            ),
+            first=_index(first),
+            gather=tuple((_index(r), _index([place[level[s][0]] for s in r])) for r in rounds),
+        ))
+        start += len(level)
+    return Elimination(
+        levels=tuple(levels),
+        values=_read_only([g_line[pair] for pair in spoke], float),
+        updates=any(level.fill for level in levels),
+    )
 
 
 def network_matrices(grid: ValidatedGrid, droop: "DroopState") -> Tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,10 @@ exact but solves only the budget band: the lattice points whose
 investments all fit the budgets, found per lattice row by batched
 bisection on the monotone investments.  Every other point scores 0, so
 the band's best is the lattice's best whenever it is positive; when it is
-not, or a run-time check of the band fails, the whole lattice is solved
-and scored instead, in C-order blocks of bounded size that each keep
-every budget's first maximum.  All grid-point evaluations are pure, so
+not, every viable point scores 0 and the nominal resistances win the
+tie.  Only when a run-time check of the band fails is the whole lattice
+solved and scored instead, in C-order blocks of bounded size that each
+keep every budget's first maximum.  All grid-point evaluations are pure, so
 the result is independent of evaluation order; ties resolve to the
 smallest resistances.
 """
@@ -167,9 +168,10 @@ def maximize_snr_grid(
     resistances in bus order.  Only the budget band, the lattice points
     with every |dp_n| <= pi_n, is solved and scored: every other point
     scores 0, so a positive best in the band is the lattice's first
-    maximum.  The search falls back to a blocked scan of the whole lattice
-    when the band's run-time checks fail or its best is not positive
-    (pi = 0, say).
+    maximum; a best that is not positive (pi = 0, say) makes every viable
+    point score 0, and the nominal resistances are the answer.  The
+    search falls back to a blocked scan of the whole lattice when the
+    band's run-time checks fail.
     ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
     grid.check_link(tx, rx)
@@ -427,29 +429,41 @@ def _search(
     score can be positive at that budget or any smaller one; all other
     points score 0 (or -inf when not viable).  So a budget whose best in
     the band is positive has the whole lattice's first maximum there,
-    tie-break included.  The budgets left over, all of them when the band
-    is unknown (see :func:`_band_lanes`), are scored together in one pass
-    over the lattice in C-order blocks: each block's first maximum
-    replaces a budget's running best only when ``argmax`` prefers it, so
-    the pick is ``argmax`` over the whole lattice while no table outlives
-    its block.  A one-lane table on lattice index 0, the nominal
-    resistances, gives the nominal SNR at each budget.
+    tie-break included.  A budget whose best in the band is not positive
+    (-inf included; an empty band has none) has every viable lane scoring
+    exactly 0, so its first maximum is the first viable lane: lattice
+    index 0, the nominal resistances, whenever that lane is viable.  No
+    lane can score NaN there: outside the band some headroom is negative,
+    which clamps the score to 0, and a NaN inside it would have been the
+    band's best, since ``argmax`` picks the first NaN.  A one-lane table on
+    index 0 gives that pick, and the nominal SNR at each budget.  The
+    budgets left over, all of them when the band is unknown (see
+    :func:`_band_lanes`), are scored together in one pass over the lattice
+    in C-order blocks: each block's first maximum replaces a budget's
+    running best only when ``argmax`` prefers it, so the pick is
+    ``argmax`` over the whole lattice while no table outlives its block.
     """
     axes = _r_axes(grid, nominal, step)
     size = int(np.prod([len(values) for values in axes.values()]))
     p_nom = solve_steady_state(grid, nominal).p
     link = (grid, nominal, p_nom, tx, rx)
     picks = [None] * len(budgets)  # (r_star, snr, g_values) per budget, once found
+    zero = []  # budgets at which every viable lane scores 0
     band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1])
     if band is not None:
         table = _channel_table(*link, *band[1:])
         for k, pi in enumerate(budgets):
-            pick = _first_max(table, pi, sigma_z)
-            if pick[1] > 0.0:
+            pick = _first_max(table, pi, sigma_z) if len(band[0]) else None
+            if pick is None or pick[1] <= 0.0:
+                zero.append(k)
+            elif pick[1] > 0.0:
                 picks[k] = pick
     corner = _lattice_r(axes, np.zeros(1, dtype=int))
     batch = solve_steady_state_many(grid, dict(nominal.x), corner)
     at_nominal = _channel_table(*link, corner, batch)
+    if at_nominal.feasible[0]:
+        for k in zero:
+            picks[k] = _first_max(at_nominal, budgets[k], sigma_z)
     fallback = [k for k, pick in enumerate(picks) if pick is None]
     if fallback:
         for _, r, batch in _lattice_blocks(grid, nominal, axes):
@@ -511,9 +525,11 @@ def _band_lanes(
     strictly monotone in the row's direction, and in the band exactly
     from lo to hi; that check's solve of the band comes back with the
     indices, in the shape of one block of :func:`_lattice_blocks`.
-    Returns None, meaning "search the whole lattice", when a probed
-    point is not viable, a row's end points tie, a check fails or the
-    band is empty.
+    An empty band, every row's run empty, comes back with no lanes: every
+    lane then has an investment outside its budget, on the same premise of
+    monotone rows that the band's edges rest on.  Returns None, meaning
+    "search the whole lattice", when a probed point is not viable, a row's
+    end points tie or a check fails.
     """
     vsc = sorted(axes)
     width = len(axes[vsc[-1]])
@@ -566,8 +582,6 @@ def _band_lanes(
 
     lo, hi = a_hi, b_lo
     band = np.flatnonzero(lo <= hi)
-    if band.size == 0:
-        return None
     start = np.maximum(lo[band] - 1, 0)
     length = np.minimum(hi[band] + 1, width - 1) + 1 - start
     row = np.repeat(band, length)

@@ -8,13 +8,17 @@ current-balance equation coupled to its neighbors:
 The physically viable operating point is the larger root (the smaller
 one is the voltage-collapse branch).  Newton on the current-balance
 residual is the one solver kernel: many configurations at once (a
-resistance lattice) are solved in fixed-size blocks of lanes, each lane
-certified to sit on the larger root of every bus quadratic, and a
-single configuration with ``method="newton"`` is a block of one lane.
-A single configuration is solved by default with a damped Gauss-Seidel
-fixed point that sweeps the per-bus update on Python floats, bit for bit
-a numpy sweep, and checks the residual once per block of sweeps; a sweep
-whose residual is not finite ends the solve.  Solvers are pure functions
+resistance lattice) are solved in blocks of lanes, each lane certified
+to sit on the larger root of every bus quadratic, and a single
+configuration with ``method="newton"`` is a block of one lane.  A
+Newton step eliminates the Jacobian in the grid's fixed minimum-degree
+order, one array step per level of the schedule, and line sums run over
+the grid's neighbour slots, so a lane costs O(n + fill) work and memory
+where a dense solve costs O(n**3) and O(n**2).  A single configuration
+is solved by default with a damped Gauss-Seidel fixed point that sweeps
+the per-bus update on Python floats, bit for bit a numpy sweep, and
+checks the residual once per block of sweeps; a sweep whose residual is
+not finite ends the solve.  Solvers are pure functions
 of their arguments and safe to run concurrently; every call solves.
 """
 
@@ -28,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import ValidatedGrid
+from .grid import Elimination, ValidatedGrid
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +40,8 @@ DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 SWEEP_BLOCK = 32         # Gauss-Seidel sweeps per vectorised residual pass
-BLOCK_BYTES = 1 << 20    # Jacobian bytes per block of the batched solve
+BLOCK_BYTES = 1 << 20    # working bytes per block of the batched solve
+LANE_ROWS = 8            # bound on a Newton lane's working floats, in units of buses + spokes
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ def solve_steady_state(
     droop.validate(grid)
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
-    degree = grid.g_line.sum(axis=1)
+    degree = grid.lines.degree
     r_bus = 1.0 / (grid.r_cr_inv + degree + y)
 
     v0 = _initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
@@ -319,7 +324,7 @@ def check_viability(
     """
     droop.validate(grid)
     y = droop.conductances(grid)
-    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
+    r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     violations = []
     for bus in grid.vsc_buses:
         inflow = grid.g_line[bus] @ v_neighbors
@@ -350,9 +355,10 @@ def solve_steady_state_many(
 
     ``r`` maps each converter bus to a scalar or a (batch,) array; arrays
     are broadcast together.  Reference voltages are shared across the
-    batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` worth of
-    Jacobians, each lane independently of the others, so a lane's
-    voltages do not depend on the batch it is solved in.  A lane is
+    batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` of working
+    memory, O(n + fill) per lane (:func:`_block_lanes`), each lane
+    independently of the others, so a lane's voltages do not depend on the
+    batch it is solved in.  A lane is
     feasible when its residual is at most ``DEFAULT_TOL`` with every voltage
     positive and every constant-power bus on the larger root of its
     quadratic; other lanes surface as ``feasible=False`` with NaN
@@ -360,18 +366,16 @@ def solve_steady_state_many(
     """
     if set(x) != set(grid.vsc_buses) or set(r) != set(grid.vsc_buses):
         raise ValueError("x and r must provide entries exactly for converter buses")
-    batch = np.broadcast_shapes(*(np.shape(np.asarray(val)) for val in r.values()), (1,))
-    size = int(np.prod(batch)) if batch else 1
-    r_lanes = {
-        bus: np.broadcast_to(np.asarray(val, dtype=float), batch).reshape(size)
-        for bus, val in r.items()
-    }
+    arrays = {bus: np.asarray(val, dtype=float) for bus, val in r.items()}
+    batch = np.broadcast_shapes(*(a.shape for a in arrays.values()), (1,))
+    size = math.prod(batch)
+    r_lanes = {bus: np.broadcast_to(a, batch).reshape(size) for bus, a in arrays.items()}
     v0 = _initial_voltages(grid, np.array([x.get(bus, 0.0) for bus in range(grid.n)]))
 
     v = np.empty((size, grid.n))
     feasible = np.empty(size, dtype=bool)
     residual = np.empty(size)
-    block = max(1, BLOCK_BYTES // (8 * grid.n * grid.n))
+    block = _block_lanes(grid)
     sweeps = 0
     for lo in range(0, size, block):
         lanes = slice(lo, min(lo + block, size))
@@ -383,6 +387,17 @@ def solve_steady_state_many(
     return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
 
 
+def _block_lanes(grid: ValidatedGrid) -> int:
+    """Lanes per block of :func:`_newton_block`: ``BLOCK_BYTES`` over a lane's working memory.
+
+    A lane's peak is about 13 floats per bus on a radial grid (measured
+    with ``tracemalloc``, block inputs included), plus a row of spokes (the
+    schedule's off-diagonal entries, fill included) on a meshed one;
+    ``LANE_ROWS`` floats per bus and spoke bounds both.
+    """
+    return max(1, BLOCK_BYTES // (8 * LANE_ROWS * (grid.n + len(grid.elimination.values))))
+
+
 def _newton_block(
     grid: ValidatedGrid,
     xr: np.ndarray,
@@ -391,41 +406,88 @@ def _newton_block(
     tol: float,
     max_iter: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Newton on one block of lanes; only lanes still above ``tol`` iterate.
+    """Newton on one block of lanes; a lane iterates until it is certified or strays.
 
-    Each iteration solves the (lanes, n, n) Jacobian
-    ``g_line - diag(degree + y + 1/r_cr - d_cp/v**2)``.  A lane leaves the
-    iteration as soon as it is converged or off the physical branch, so
-    a lane without a viable operating point stops the moment it strays
-    instead of running to ``max_iter``.  Returns the voltages (NaN where
-    not feasible), the feasible mask, the residuals, the iterations run
-    and the indices of the lanes still iterating when ``max_iter`` ran out.
+    Each step solves ``J dv = f`` for the Jacobian ``J = g_line -
+    diag(g_bus - d_cp/v**2)`` by :func:`_eliminate` on the grid's
+    elimination schedule, vectorised over lanes, without pivoting.  A lane
+    leaves as soon as its residual is within ``tol`` (certified, if every
+    voltage is positive and every constant-power bus is on its larger
+    root) or it is off the physical branch, so a lane without a viable
+    operating point stops the moment it strays instead of running to
+    ``max_iter``; a poor or zero pivot costs a lane an iteration or its
+    feasibility, never a wrong answer.  The working arrays are stored bus
+    by bus (Fortran order), so reductions over a lane's buses and per-bus
+    gathers read contiguous memory, and they shrink to the lanes still
+    iterating only when one leaves.  Returns the voltages (NaN where not
+    feasible), the feasible mask, the residuals, the iterations run and
+    the indices of the lanes still iterating when ``max_iter`` ran out.
     """
-    g_bus = grid.g_line.sum(axis=1) + y + grid.r_cr_inv  # 1/r_bus per lane
-    v = np.broadcast_to(v0, xr.shape).copy()
-    feasible = np.zeros(len(v), dtype=bool)
-    residual = np.full(len(v), np.inf)
-    live = np.arange(len(v))
-    diag = np.arange(grid.n)
+    lanes = len(xr)
+    v_out = np.full((lanes, grid.n), np.nan)
+    feasible = np.zeros(lanes, dtype=bool)
+    residual = np.empty(lanes)
+    xr = np.asfortranarray(xr)
+    g_bus = grid.lines.degree + np.asfortranarray(y) + grid.r_cr_inv  # 1/r_bus per lane
+    v = np.empty_like(xr)
+    v[...] = v0
+    index = np.arange(lanes)  # the block lane of each working row
     its = 0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         while True:
-            v_live = v[live]
-            b, f = _balance(grid, xr[live], g_bus[live], v_live)
-            residual[live] = np.max(np.abs(f), axis=1)
-            physical = _on_upper_branch(grid, g_bus[live], b, v_live)
-            done = physical & (residual[live] <= tol)
-            feasible[live[done]] = True
-            keep = physical & ~done
-            live, f = live[keep], f[keep]
-            if live.size == 0 or its == max_iter:
+            b, f = _balance(grid, xr, g_bus, v)
+            res = np.abs(f).max(axis=1)
+            physical = _on_upper_branch(grid, g_bus, b, v)
+            stays = physical & ~(res <= tol)
+            if not stays.all():  # certified, or off the branch
+                leaving = ~stays
+                residual[index[leaving]] = res[leaving]
+                done = physical & leaving
+                feasible[index[done]] = True
+                v_out[index[done]] = v[done]
+                index, res = index[stays], res[stays]
+                if index.size == 0:
+                    break
+                xr, g_bus, v, f = (a.T.compress(stays, axis=1).T for a in (xr, g_bus, v, f))
+            if its == max_iter:
                 break
             its += 1
-            jac = np.broadcast_to(grid.g_line, (live.size, grid.n, grid.n)).copy()
-            jac[:, diag, diag] -= g_bus[live] - grid.d_cp / v[live] ** 2
-            v[live] -= np.linalg.solve(jac, f[:, :, None])[:, :, 0]
-    v[~feasible] = np.nan
-    return v, feasible, residual, its, live
+            v -= _eliminate(grid.elimination, grid.d_cp / v**2 - g_bus, f)
+    residual[index] = res
+    return v_out, feasible, residual, its, index
+
+
+def _eliminate(schedule: Elimination, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(g_line + diag(diag)) x = rhs`` per lane; ``diag`` ends as the pivots, ``rhs`` as x.
+
+    Forward, level by level, each pivot k's spokes (k, i) take
+    ``w = e_ki / d_k`` off its later buses: ``d_i -= w e_ki``, ``rhs_i -= w
+    rhs_k`` and, on meshed grids, ``e_ij -= w_ki e_kj`` for each pair of
+    them.  Backward, ``x_k = (rhs_k - sum_i e_ki x_i) / d_k``.  Rounds
+    apply repeated targets one after another, and every step is
+    elementwise over lanes, so a lane's solution does not depend on the
+    others.  No pivoting: a zero pivot gives that lane a non-finite x.
+    """
+    values = schedule.values[None, :]
+    e = np.repeat(values, len(rhs), axis=0) if schedule.updates else values
+    for level in schedule.levels[:-1]:  # the last level is the root, with no spokes
+        spoke = e[:, level.spokes]
+        w = spoke / diag[:, level.pivot]
+        on_diag, on_rhs = w * spoke, w * rhs[:, level.pivot]
+        for spokes, targets in level.scatter:
+            diag[:, targets] -= on_diag[:, spokes]
+            rhs[:, targets] -= on_rhs[:, spokes]
+        for entry, a, b in level.fill:
+            e[:, entry] -= w[:, a] * spoke[:, b]
+    root = schedule.levels[-1].pivots
+    rhs[:, root] /= diag[:, root]
+    for level in reversed(schedule.levels[:-1]):
+        known = e[:, level.spokes] * rhs[:, level.target]
+        x = rhs[:, level.pivots] - known[:, level.first]
+        for spokes, pivots in level.gather:
+            x[:, pivots] -= known[:, spokes]
+        rhs[:, level.pivots] = x / diag[:, level.pivots]
+    return rhs
 
 
 def _balance(
@@ -434,10 +496,15 @@ def _balance(
     """Linear coefficient ``b`` of each bus quadratic, and the residual, per lane.
 
     ``b = x/r + sum_m v_m/r_{n,m} - i_cc`` and the current-balance error
-    is ``b - v/r_bus - d_cp/v``.  The line sum is taken row by row, so a
-    lane's figures do not depend on the other lanes in the batch.
+    is ``b - v/r_bus - d_cp/v``.  The line sum runs over the grid's
+    neighbour slots, elementwise over lanes, so a lane's figures do not
+    depend on the other lanes in the batch.
     """
-    b = xr + (v[:, None, :] * grid.g_line).sum(axis=2) - grid.i_cc
+    (_, ends, g), *slots = grid.lines.slots
+    line_sum = g * v[:, ends]  # the first slot holds every bus
+    for buses, ends, g in slots:
+        line_sum[:, buses] += g * v[:, ends]
+    b = xr + line_sum - grid.i_cc
     return b, b - g_bus * v - grid.d_cp / v
 
 
@@ -451,9 +518,11 @@ def _on_upper_branch(
     vertex ``b r_bus/2``; a voltage below the vertex is on the collapse
     branch.
     """
-    disc = b * b - 4.0 * grid.d_cp * g_bus
-    upper = (disc >= 0.0) & (2.0 * v * g_bus >= b)
-    return np.all((v > 0.0) & ((grid.d_cp == 0.0) | upper), axis=1)
+    ok = (v > 0.0).all(axis=1)
+    cp = grid.constant_power
+    b, g_bus, v = b[:, cp], g_bus[:, cp], v[:, cp]
+    disc = b * b - 4.0 * grid.d_cp[cp] * g_bus
+    return ok & ((disc >= 0.0) & (2.0 * v * g_bus >= b)).all(axis=1)
 
 
 # -- closed form for the two-source star --------------------------------------

@@ -470,8 +470,8 @@ def _assert_last_solves_cover(solves, lattice):
 @pytest.mark.parametrize("case", ["zero budget", "past viability", "row check fails"])
 def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solves, monkeypatch):
     budgets, step, box = {0: 10.0, 1: 10.0}, DEFAULT_STEP, BOX
-    if case == "zero budget":
-        budgets = {0: 0.0, 1: 0.0}
+    if case == "zero budget":  # scanned only when the band is unknown: a box past viability
+        budgets, step, box = {0: 0.0, 1: 0.0}, 0.5, {0: 40.0, 1: 40.0}
     elif case == "past viability":
         step, box = 0.5, {0: 40.0, 1: 40.0}
     else:
@@ -483,7 +483,7 @@ def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solves,
     feasible = oracle[3]
     # the fallback's solves cover every lattice lane exactly once
     _assert_last_solves_cover(solves, _lattice(grid, nominal, step, box))
-    if case == "past viability":
+    if case != "row check fails":
         assert not feasible.all()
     if case == "zero budget":
         assert result.r_star == {0: 0.39, 1: 0.39}
@@ -493,9 +493,11 @@ def test_band_search_falls_back_to_the_full_lattice(grid, nominal, case, solves,
 @pytest.mark.parametrize("case", ["zero budget", "past viability"])
 def test_streamed_fallback_equals_the_materialised_argmax(grid, nominal, case, lanes, monkeypatch):
     # zero budget: every viable lane scores 0, a tie across every block edge
-    # that the first lane must win; past viability: blocks of non-viable lanes
+    # that the first lane must win (scanned with the band taken as unknown);
+    # past viability: blocks of non-viable lanes
     if case == "zero budget":
         budgets, step, box = {0: 0.0, 1: 0.0}, DEFAULT_STEP, {0: 0.42, 1: 0.42}
+        monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)
     else:
         budgets, step, box = {0: 10.0, 1: 10.0}, 1.0, {0: 30.0, 1: 30.0}
     _blocks_of(lanes, grid, monkeypatch)
@@ -510,10 +512,14 @@ def test_streamed_fallback_equals_the_materialised_argmax(grid, nominal, case, l
 
 def test_sweep_scores_band_and_fallback_budgets_alike(grid, boxed, nominal, solves, monkeypatch):
     _blocks_of(50, grid, monkeypatch)
-    pis = [0.0, 2.0, 10.0]  # 0 takes the fallback, 2 and 10 the band
+    pis = [0.0, 2.0, 10.0]  # 0 takes the nominal lane, 2 and 10 the band
     rows = capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)
+    with monkeypatch.context() as unknown:  # the band unknown: all three are scanned
+        unknown.setattr(optimizer, "_band_lanes", lambda *args: None)
+        scanned = capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)
     _assert_last_solves_cover(solves, _lattice(grid, nominal, DEFAULT_STEP, BOX))
-    for pi, row in zip(pis, rows):
+    for pi, row, scan in zip(pis, rows, scanned):
+        assert row == scan
         budgets = {0: pi, 1: pi}
         oracle = _lattice_oracle(grid, nominal, budgets, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX)
         assert (row.r_star, row.snr_opt) == oracle[:2]
@@ -537,8 +543,31 @@ def test_streamed_fallback_raises_when_no_lane_is_viable(boxed, nominal, monkeyp
         capacity_sweep(boxed, nominal, [0.0, 10.0], SIGMA_Z, 0, 1)
 
 
+@pytest.mark.parametrize("box", [BOX, {0: 0.42, 1: 0.42}])
+def test_zero_budgets_pick_the_nominal_lane_without_scanning(grid, nominal, box, monkeypatch):
+    # at pi = 0 every headroom is -dp**2 <= 0, so every viable lane scores 0 and
+    # the first maximum is lane 0; a known band whose best is 0 says the same
+    def no_scan(*args):
+        raise AssertionError("the lattice was scanned")
+
+    monkeypatch.setattr(optimizer, "_lattice_blocks", no_scan)
+    boxed = _boxed(box)
+    zero = {0: 0.0, 1: 0.0}
+    result = maximize_snr_grid(boxed, nominal, zero, SIGMA_Z, 0, 1)
+    _assert_matches_oracle(
+        result, _lattice_oracle(grid, nominal, zero, SIGMA_Z, 0, 1, DEFAULT_STEP, box)
+    )
+    assert result.r_star == {0: 0.39, 1: 0.39}
+    assert result.snr == 0.0
+    pis = [0.0, 2.0, 10.0]
+    for pi, row in zip(pis, capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)):
+        oracle = _lattice_oracle(grid, nominal, {0: pi, 1: pi}, SIGMA_Z, 0, 1, DEFAULT_STEP, box)
+        assert (row.r_star, row.snr_opt) == oracle[:2]
+
+
 def test_streamed_fallback_memory_does_not_grow_with_the_lattice(grid, boxed, nominal, monkeypatch):
     _blocks_of(200, grid, monkeypatch)
+    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)  # every budget is scanned
     peaks = []
     for step in (DEFAULT_STEP, DEFAULT_STEP / 2):  # 43 x 63, then 85 x 125 lanes
         tracemalloc.start()

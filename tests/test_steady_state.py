@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -266,7 +268,7 @@ def _case_study_lattice(grid, nominal):
 
 
 def test_batch_lanes_do_not_depend_on_their_block(grid, nominal):
-    block = steady_state.BLOCK_BYTES // (8 * grid.n * grid.n)
+    block = steady_state._block_lanes(grid)
     lanes = 3 * block + 17
     r = {0: np.linspace(0.39, 3.9, lanes), 1: np.linspace(3.9, 0.39, lanes)}
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
@@ -492,6 +494,187 @@ def test_a_non_finite_residual_stops_the_sweep_without_warnings(grid, nominal):
         warnings.simplefilter("error")
         with pytest.raises(NonConvergence, match=r"not finite, after sweep 1$"):
             solve_steady_state(grid, nominal.with_r({0: 1e-300}))
+
+
+# -- the Newton step: elimination on the line graph ---------------------------
+
+def _meshed_grid():
+    """An 8-bus ring with a chord from bus 1 to bus 5: meshed, so its elimination fills."""
+    vsc = {0: (400.0, 0.39), 4: (399.0, 0.45)}
+    buses = [
+        Bus(bus, LoadSpec(), VscSpec(*vsc[bus])) if bus in vsc
+        else Bus(bus, LoadSpec(r_cr=60.0 + 10.0 * bus, d_cp=800.0 + 150.0 * bus))
+        for bus in range(8)
+    ]
+    edges = [(k, (k + 1) % 8) for k in range(8)] + [(1, 5)]
+    lines = [
+        LineSpec.from_length(a, b, rho=0.641, length_km=0.1 + 0.05 * (k % 3))
+        for k, (a, b) in enumerate(edges)
+    ]
+    return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+
+
+def _chain(n):
+    """An n-bus radial chain with a converter at each end.
+
+    Loads are 400-1,600 ohm plus 60-180 W of constant power; the powers and
+    line lengths are scaled by 24/n, so the totals match a 24-bus chain.
+    """
+    scale = 24.0 / n
+    buses = [
+        Bus(bus, LoadSpec(), VscSpec(400.0, 0.39)) if bus in (0, n - 1)
+        else Bus(bus, LoadSpec(r_cr=400.0 + 120.0 * ((7 * bus) % 11),
+                               d_cp=scale * (60.0 + 20.0 * ((5 * bus) % 7))))
+        for bus in range(n)
+    ]
+    lines = [
+        LineSpec.from_length(k, k + 1, rho=0.641, length_km=scale * (0.05 + 0.05 * ((3 * k) % 5)))
+        for k in range(n - 1)
+    ]
+    return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+
+
+def _dense_jacobians(grid, diag):
+    jac = np.repeat(grid.g_line[None], len(diag), axis=0)
+    bus = np.arange(grid.n)
+    jac[:, bus, bus] = diag
+    return jac
+
+
+def test_the_schedule_fills_only_meshed_grids():
+    for make_grid in (_case_study_config, _radial_feeder, lambda: _chain(12)):
+        grid = make_grid()
+        assert not grid.elimination.updates
+        assert len(grid.elimination.values) == grid.n - 1  # one spoke per line
+        assert np.all(grid.elimination.values > 0.0)
+    grid = _meshed_grid()
+    assert grid.elimination.updates
+    assert len(grid.elimination.values) > 9  # 9 lines plus the fill
+    assert len(grid.elimination.levels[-1].target) == 0  # the root goes last, alone
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder, _meshed_grid])
+def test_elimination_solves_the_dense_jacobian(make_grid):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    rng = np.random.default_rng(7)
+    lanes = 64
+    r = {bus: nominal.r[bus] * rng.uniform(1.0, 2.0, lanes) for bus in grid.vsc_buses}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    assert batch.feasible.all()
+    _, y = steady_state._droop_lanes(grid, nominal.x, r, lanes)
+    v = batch.v * rng.uniform(0.98, 1.02, batch.v.shape)  # an iterate short of the root
+    diag = grid.d_cp / v**2 - (grid.lines.degree + y + grid.r_cr_inv)
+    rhs = rng.standard_normal((lanes, grid.n))
+    want = np.linalg.solve(_dense_jacobians(grid, diag), rhs[:, :, None])[:, :, 0]
+    got = steady_state._eliminate(grid.elimination, diag.copy(), rhs.copy())
+    rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert rel.max() <= 1e-12, rel.max()
+
+
+def _dense_newton_flags(grid, xr, y, v0, max_iter=100):
+    """Per lane, whether Newton with dense Jacobians and LAPACK certifies it: the reference."""
+    flags = []
+    for lane in range(len(xr)):
+        g_bus = grid.g_line.sum(axis=1) + y[lane] + grid.r_cr_inv
+        v, certified = v0.copy(), False
+        for _ in range(max_iter):
+            b = xr[lane] + grid.g_line @ v - grid.i_cc
+            f = b - g_bus * v - grid.d_cp / v
+            disc = b * b - 4.0 * grid.d_cp * g_bus
+            upper = (grid.d_cp == 0.0) | ((disc >= 0.0) & (2.0 * v * g_bus >= b))
+            if not np.all((v > 0.0) & upper):
+                break
+            if np.max(np.abs(f)) <= steady_state.DEFAULT_TOL:
+                certified = True
+                break
+            v = v - np.linalg.solve(grid.g_line - np.diag(g_bus - grid.d_cp / v**2), f)
+        flags.append(certified)
+    return flags
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _meshed_grid])
+def test_feasibility_flags_match_dense_newton_across_the_viability_edge(make_grid):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    scale = np.geomspace(1.0, 5000.0, 301)  # every virtual resistance times 1 ... 5000
+    r = {bus: nominal.r[bus] * scale for bus in grid.vsc_buses}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    xr, y = steady_state._droop_lanes(grid, nominal.x, r, len(scale))
+    x = np.array([nominal.x.get(bus, 0.0) for bus in range(grid.n)])
+    v0 = steady_state._initial_voltages(grid, x)
+    with np.errstate(all="ignore"):
+        want = _dense_newton_flags(grid, xr, y, v0)
+    assert batch.feasible.tolist() == want
+    assert batch.feasible[0] and not batch.feasible[-1]  # the lanes cross the edge
+    assert np.isnan(batch.v[~batch.feasible]).all()
+
+
+def test_a_zero_pivot_flags_its_lane_and_leaves_the_others_alone():
+    # bus 0 goes first; at the starting voltages (400, 1200) V its pivot
+    # d_cp/v**2 - g_bus is exactly 0 when r_0 = 0.5 ohm, while that lane is
+    # still on the physical branch (its discriminant exactly 0) and short of
+    # the root.  A stiff bus 1 keeps the lanes beside it viable.
+    stiff = 2.0**-10
+    grid = validate_grid(GridSpec(
+        buses=(Bus(0, LoadSpec(d_cp=640000.0), VscSpec(400.0, 0.5)),
+               Bus(1, LoadSpec(), VscSpec(1200.0, stiff))),
+        lines=(LineSpec(0, 1, 0.5),),
+    ))
+    x = {0: 400.0, 1: 1200.0}
+    r = {0: np.array([0.3, 0.5, 0.4]), 1: stiff}
+    xr, y = steady_state._droop_lanes(grid, x, {0: r[0], 1: np.full(3, stiff)}, 3)
+    g_bus = grid.lines.degree + y + grid.r_cr_inv
+    v0 = np.tile(steady_state._initial_voltages(grid, np.array([400.0, 1200.0])), (3, 1))
+    b, f = steady_state._balance(grid, xr, g_bus, v0)
+    assert (grid.d_cp / v0**2 - g_bus)[1, 0] == 0.0
+    assert steady_state._on_upper_branch(grid, g_bus, b, v0)[1]
+    assert np.max(np.abs(f[1])) > steady_state.DEFAULT_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_steady_state_many(grid, x, r)
+    assert batch.feasible.tolist() == [True, False, True]
+    assert np.isnan(batch.v[1]).all()
+    for lane in (0, 2):
+        alone = solve_steady_state_many(grid, x, {0: r[0][lane : lane + 1], 1: stiff})
+        assert alone.v[0].tobytes() == batch.v[lane].tobytes()
+        assert alone.residual[0] == batch.residual[lane]
+    with pytest.raises(NoRealRoot):
+        solve_steady_state(grid, DroopState(x=x, r={0: 0.5, 1: stiff}), method="newton")
+
+
+def test_batched_newton_on_a_192_bus_chain():
+    # the dense (lanes, n, n) Jacobian solve took ~6.5 s here
+    grid = _chain(192)
+    nominal = nominal_droop(grid)
+    axis = 0.39 + 0.005 * np.arange(51)
+    r = {0: np.repeat(axis, 51), 191: np.tile(axis, 51)}  # the 51 x 51 lattice
+    start = time.perf_counter()
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    elapsed = time.perf_counter() - start
+    assert batch.feasible.all()
+    assert batch.residual.max() <= steady_state.DEFAULT_TOL
+    assert solve_steady_state(grid, nominal, method="newton").residual <= steady_state.DEFAULT_TOL
+    assert elapsed <= 2.0, f"{elapsed:.2f} s for 2,601 lanes"
+
+
+def test_newton_block_memory_grows_linearly_with_the_buses():
+    lanes, peaks = 32, {}
+    for n in (96, 192):
+        grid = _chain(n)
+        nominal = nominal_droop(grid)
+        r = {0: np.full(lanes, 0.4), n - 1: np.full(lanes, 0.45)}
+        xr, y = steady_state._droop_lanes(grid, nominal.x, r, lanes)
+        v0 = steady_state._initial_voltages(grid, xr[0] / np.where(y[0] > 0.0, y[0], 1.0))
+        tracemalloc.start()
+        try:
+            steady_state._newton_block(grid, xr, y, v0, steady_state.DEFAULT_TOL, 50)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # within the per-lane memory that sizes the blocks
+        assert peaks[n] <= 8 * steady_state.LANE_ROWS * (n + len(grid.elimination.values)) * lanes
+    assert peaks[192] < 2.5 * peaks[96]  # a dense (lanes, n, n) Jacobian grows 4x
 
 
 # -- every call solves -------------------------------------------------------
