@@ -10,7 +10,9 @@ correction on the Laplacian diagonal.
 
 One batched kernel, :func:`channel_gains`, gives the gains of chosen
 input buses at many operating points (the optimizer's resistance
-lattice); :func:`linearize` is that kernel on one lane.
+lattice); :func:`linearize` is that kernel on one lane.  It solves by
+the Newton steps' elimination, with no dense (n, n) system, and a lane
+without a viable operating point (a non-finite kappa) gets NaN gains.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from .errors import NoRealRoot, SingularSystem
+from .errors import NoRealRoot
 from .grid import LoadSpec, ValidatedGrid, VscSpec
-from .steady_state import BLOCK_BYTES, DroopState, SteadyState, _droop_lanes
+from .steady_state import DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate
 
 __all__ = [
     "ChannelModel",
@@ -82,10 +84,11 @@ def channel_gains(
     p_n = v_n (x_n - v_n) / r_n, Phi[n, m] = (H[n, m] (x_n - 2 v_n) + [m == n] v_n) / r_n.
     Returns ``h`` (lanes, n, k), the H columns of ``inputs``, and ``phi``
     (lanes, n_vsc, k), their Phi rows for the converter buses in grid
-    order.  A lane with a non-finite kappa (not viable) gets NaN gains.
-    The (lanes, n, n) system is built and solved in blocks of
-    ``BLOCK_BYTES``, each lane on its own, so a lane's gains do not depend
-    on the block it falls in and memory beyond the outputs stays bounded.
+    order.  A lane with a non-finite kappa at any bus (not viable) gets
+    NaN gains.  Each (lane, input) pair is one row of ``_eliminate`` on the
+    grid's schedule, with no (lanes, n, n) system, in blocks the size of
+    the Newton steps', so a column depends on neither its block nor the
+    other inputs, and memory beyond the outputs stays bounded.
     """
     inputs = list(inputs)
     lanes = len(v)
@@ -93,7 +96,7 @@ def channel_gains(
     r = {bus: np.broadcast_to(np.asarray(r[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
     h = np.empty((lanes, grid.n, len(inputs)))
     phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
-    block = max(1, BLOCK_BYTES // (8 * grid.n * grid.n))
+    block = max(1, _block_lanes(grid) // max(1, len(inputs)))
     for lo in range(0, lanes, block):
         blk = slice(lo, lo + block)
         h[blk], phi[blk] = _gains_block(
@@ -115,22 +118,16 @@ def _gains_block(
     kappa: np.ndarray,
     inputs: List[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`channel_gains` on one block of (lanes,) droop values, each lane on its own."""
-    lanes = len(v)
+    """:func:`channel_gains` on one block: per lane, (g_line - diag(g_bus / kappa)) H = -Y."""
+    lanes, k = len(v), len(inputs)
     _, y = _droop_lanes(grid, x, r, lanes)
-    degree = grid.g_line.sum(axis=1)
-    m = np.repeat((np.diag(degree) - grid.g_line)[None], lanes, axis=0)
-    diag = np.arange(grid.n)
-    m[:, diag, diag] = (degree + y + grid.r_cr_inv) / kappa
-    singular = ~np.isfinite(kappa).all(axis=1)
-    m[singular] = np.eye(grid.n)  # placeholder: keeps the batched solve regular
-    rhs = np.zeros((lanes, grid.n, len(inputs)))
-    rhs[:, inputs, np.arange(len(inputs))] = y[:, inputs]
-    try:
-        h = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - connected grids are regular
-        raise SingularSystem(f"channel matrix solve failed: {exc}") from exc
-    h[singular] = np.nan
+    diag = np.repeat(-(grid.lines.degree + y + grid.r_cr_inv) / kappa, k, axis=0)
+    rhs = np.zeros((lanes, k, grid.n))
+    rhs[:, np.arange(k), inputs] = -y[:, inputs]
+    with np.errstate(all="ignore"):  # non-viable lanes are overwritten below
+        h = _eliminate(grid.elimination, diag, rhs.reshape(lanes * k, grid.n))
+    h = h.reshape(lanes, k, grid.n).transpose(0, 2, 1)
+    h[~np.isfinite(kappa).all(axis=1)] = np.nan  # finite if kappa is inf at one bus only
 
     phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
     for i, bus in enumerate(grid.vsc_buses):

@@ -220,8 +220,11 @@ def _emit(lines: List[str], out_path: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out_path!r}: {exc}") from exc
 
 
 # -- argument plumbing --------------------------------------------------------

@@ -74,10 +74,6 @@ class NonConvergence(NumericError):
     """Iteration budget exhausted before reaching the residual tolerance."""
 
 
-class SingularSystem(NumericError):
-    """Linearized system matrix is not invertible."""
-
-
 class InfeasibleBudget(PowerTalkError):
     """Power deviation budget already exhausted by the virtual
     resistance investment."""

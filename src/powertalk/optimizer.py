@@ -402,7 +402,7 @@ def _channel_table(
     logger.info("channel table: %d lattice points", size)
 
     xr, y = _droop_lanes(grid, nominal.x, r, size)
-    kappa = _kappa(grid, xr, 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y), batch.v)
+    kappa = _kappa(grid, xr, 1.0 / (grid.r_cr_inv + grid.lines.degree + y), batch.v)
     h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
     return _ChannelTable(
         vsc=tuple(vsc),

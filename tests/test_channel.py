@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from powertalk import (
     GridSpec,
     LineSpec,
     LoadSpec,
+    NonConvergence,
     NoRealRoot,
     VscSpec,
     channel_gains,
@@ -20,9 +23,9 @@ from powertalk import (
     solve_steady_state,
     validate_grid,
 )
-from powertalk import channel
+from powertalk import steady_state
 from powertalk.steady_state import BLOCK_BYTES
-from test_steady_state import _case_study_config, _radial_feeder
+from test_steady_state import _case_study_config, _meshed_grid, _radial_feeder
 
 
 def finite_difference_gains(grid, droop, h=1e-3):
@@ -169,16 +172,45 @@ def _random_droops(grid, count, seed):
     ]
 
 
-@pytest.mark.parametrize("make_grid, count", [(_case_study_config, 25), (_radial_feeder, 5)])
-def test_linearize_matches_the_matrix_form_bit_for_bit(make_grid, count):
+def _assert_matches_the_matrix_form(grid, droop, state):
+    """Gains within 1e-12 relative of the oracle, entry by entry; kappa carried byte for byte."""
+    model = linearize(grid, droop, state)
+    h, phi = _matrix_linearize(grid, droop, state)
+    np.testing.assert_allclose(model.H, h, rtol=1e-12, atol=0.0, err_msg=str(droop))
+    np.testing.assert_allclose(model.Phi, phi, rtol=1e-12, atol=0.0, err_msg=str(droop))
+    assert model.K.tobytes() == state.kappa.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_grid, count", [(_case_study_config, 25), (_radial_feeder, 5), (_meshed_grid, 5)]
+)
+def test_linearize_matches_the_matrix_form(make_grid, count):
     grid = make_grid()
     for droop in _random_droops(grid, count, seed=20160102):
-        state = solve_steady_state(grid, droop)
-        model = linearize(grid, droop, state)
-        h, phi = _matrix_linearize(grid, droop, state)
-        assert model.H.tobytes() == h.tobytes(), droop
-        assert model.Phi.tobytes() == phi.tobytes(), droop
-        assert model.K.tobytes() == state.kappa.tobytes()
+        _assert_matches_the_matrix_form(grid, droop, solve_steady_state(grid, droop))
+
+
+# Scale of every constant-power load at which the nominal operating point
+# collapses, to six digits: the largest scale where Newton finds a viable point.
+COLLAPSE_SCALE = {_case_study_config: 42.6785, _radial_feeder: 38.7548, _meshed_grid: 19.9695}
+
+
+def _scale_constant_power(grid, scale):
+    buses = tuple(
+        replace(bus, load=replace(bus.load, d_cp=scale * bus.load.d_cp)) for bus in grid.spec.buses
+    )
+    return validate_grid(replace(grid.spec, buses=buses))
+
+
+@pytest.mark.parametrize("make_grid", list(COLLAPSE_SCALE))
+def test_linearize_matches_the_matrix_form_near_collapse(make_grid):
+    grid = make_grid()
+    beyond = _scale_constant_power(grid, 1.0001 * COLLAPSE_SCALE[make_grid])
+    with pytest.raises((NoRealRoot, NonConvergence)):
+        solve_steady_state(beyond, nominal_droop(beyond), method="newton")
+    grid = _scale_constant_power(grid, 0.9999 * COLLAPSE_SCALE[make_grid])
+    droop = nominal_droop(grid)
+    _assert_matches_the_matrix_form(grid, droop, solve_steady_state(grid, droop, method="newton"))
 
 
 @pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
@@ -200,24 +232,40 @@ def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
         assert h[lane].tobytes() == model.H[:, vsc].tobytes(), lane
         assert phi[lane].tobytes() == model.Phi[np.ix_(vsc, vsc)].tobytes(), lane
 
-    # one input column, as the optimizer's table asks for: equal to rounding
+    # one input column, as the optimizer's table asks for: each input is its own row
     droop = droops[0].with_x(x)
     tx = vsc[0]
     h_tx, phi_tx = channel_gains(grid, x, r, v, kappa, [tx])
     for lane, state in enumerate(states):
         model = linearize(grid, droop.with_r({bus: r[bus][lane] for bus in vsc}), state)
-        np.testing.assert_allclose(h_tx[lane, :, 0], model.H[:, tx], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(phi_tx[lane, :, 0], model.Phi[vsc, tx], rtol=1e-13, atol=0.0)
+        assert h_tx[lane, :, 0].tobytes() == model.H[:, tx].tobytes(), lane
+        assert phi_tx[lane, :, 0].tobytes() == model.Phi[vsc, tx].tobytes(), lane
 
 
 def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state):
-    v = np.stack([state.v, np.full(grid.n, np.nan), state.v])
-    kappa = np.stack([state.kappa, np.full(grid.n, np.nan), state.kappa])
-    r = {bus: np.full(3, nominal.r[bus]) for bus in grid.vsc_buses}
+    # lane 3: kappa infinite at the one constant-power bus only, which
+    # elimination alone would turn into finite gains
+    (cp,) = np.flatnonzero(grid.d_cp)
+    one_bus = state.kappa.copy()
+    one_bus[cp] = np.inf
+    v = np.stack([state.v, np.full(grid.n, np.nan), state.v, state.v])
+    kappa = np.stack([state.kappa, np.full(grid.n, np.nan), state.kappa, one_bus])
+    r = {bus: np.full(4, nominal.r[bus]) for bus in grid.vsc_buses}
     h, phi = channel_gains(grid, nominal.x, r, v, kappa, [0])
-    assert np.isnan(h[1]).all() and np.isnan(phi[1]).all()
+    for lane in (1, 3):
+        assert np.isnan(h[lane]).all() and np.isnan(phi[lane]).all(), lane
     alone, _ = channel_gains(grid, nominal.x, nominal.r, state.v[None], state.kappa[None], [0])
     assert h[0].tobytes() == h[2].tobytes() == alone[0].tobytes()
+
+    # on the feeder, constant-power bus 16 is a leaf, so its zero pivot is
+    # divided by first: still NaN gains, and no numpy warning
+    feeder = _radial_feeder()
+    droop = nominal_droop(feeder)
+    solved = solve_steady_state(feeder, droop)
+    kappa = solved.kappa.copy()
+    kappa[16] = np.inf
+    h, phi = channel_gains(feeder, droop.x, droop.r, solved.v[None], kappa[None], [0])
+    assert np.isnan(h).all() and np.isnan(phi).all()
 
 
 def _lattice_state(grid, nominal, lanes):
@@ -241,7 +289,9 @@ def test_channel_gains_do_not_depend_on_the_block(make_grid, monkeypatch):
     x = {bus: np.full(23, nominal.x[bus]) for bus in grid.vsc_buses}
     inputs = list(grid.vsc_buses)
     h, phi = channel_gains(grid, x, r, v, kappa, inputs)
-    monkeypatch.setattr(channel, "BLOCK_BYTES", 3 * 8 * grid.n * grid.n)  # blocks of 3 lanes
+    lane_bytes = 8 * steady_state.LANE_ROWS * (grid.n + len(grid.elimination.values))
+    monkeypatch.setattr(steady_state, "BLOCK_BYTES", 3 * len(inputs) * lane_bytes)  # 3 lanes
+    assert steady_state._block_lanes(grid) // len(inputs) == 3
     h_3, phi_3 = channel_gains(grid, x, r, v, kappa, inputs)
     assert h_3.tobytes() == h.tobytes()
     assert phi_3.tobytes() == phi.tobytes()

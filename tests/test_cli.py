@@ -171,6 +171,15 @@ def test_out_file_duplicates_stdout(grid_file, tmp_path, capsys):
     assert out_path.read_text() == capsys.readouterr().out
 
 
+def test_unwritable_out_file_is_a_config_error(grid_file, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "table.csv"
+    assert main(["solve", "--grid", grid_file, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("bus,v_V")  # the table still reaches stdout
+    assert "error: config: cannot write output file" in captured.err
+    assert str(out_path) in captured.err
+
+
 def test_channel_sections_are_labelled(grid_file, capsys):
     assert main(["channel", "--grid", grid_file]) == 0
     out = capsys.readouterr().out
