@@ -49,9 +49,6 @@ class ChannelModel:
     operating_point: SteadyState
     droop: DroopState
 
-    def vsc_buses(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.droop.r))
-
 
 def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> ChannelModel:
     """Build the channel model at a solved operating point.

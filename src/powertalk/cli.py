@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -442,7 +443,9 @@ _COMMANDS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="powertalk",
         description="Droop-controlled DC grids as communication channels.",

@@ -33,11 +33,9 @@ from .channel import channel_gains, linearize
 from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
 from .grid import ValidatedGrid, check_budgets
 from .steady_state import (
-    BLOCK_BYTES,
     BatchSolve,
     DroopState,
-    _droop_lanes,
-    _kappa,
+    _block_lanes,
     solve_steady_state,
     solve_steady_state_many,
     vsc_outputs,
@@ -398,16 +396,12 @@ def _channel_table(
 ) -> _ChannelTable:
     """Score the lanes ``r``, solved in ``batch``; a lane's figures do not depend on its batch."""
     vsc = sorted(r)
-    size = r[vsc[0]].size
-    logger.info("channel table: %d lattice points", size)
-
-    xr, y = _droop_lanes(grid, nominal.x, r, size)
-    kappa = _kappa(grid, xr, 1.0 / (grid.r_cr_inv + grid.lines.degree + y), batch.v)
-    h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
+    logger.info("channel table: %d lattice points", r[vsc[0]].size)
+    h, phi = channel_gains(grid, nominal.x, r, batch.v, batch.kappa, [tx])
     return _ChannelTable(
         vsc=tuple(vsc),
         r=r,
-        feasible=batch.feasible & np.all(np.isfinite(kappa), axis=1),
+        feasible=batch.feasible & np.all(np.isfinite(batch.kappa), axis=1),
         h_rx=h[:, rx, 0],
         phi=phi[:, :, 0],
         dp=_investment(grid, nominal, p_nom, r, batch.v),
@@ -492,13 +486,14 @@ def _search(
 def _lattice_blocks(
     grid: ValidatedGrid, nominal: DroopState, axes: Dict[int, np.ndarray]
 ) -> Iterator[Tuple[np.ndarray, Dict[int, np.ndarray], BatchSolve]]:
-    """The whole lattice in C-order blocks of ``BLOCK_BYTES // (8 * grid.n)`` lanes.
+    """The whole lattice in C-order blocks of ``_block_lanes(grid)`` lanes.
 
     Yields each block's flat indices, coordinates and solve, the shape
-    :func:`_band_lanes` returns, so memory stays bounded at any lattice size.
+    :func:`_band_lanes` returns, so memory stays bounded at any lattice size;
+    each is one Newton block, sized as those and :func:`channel_gains`' are.
     """
     size = int(np.prod([len(values) for values in axes.values()]))
-    block = max(1, BLOCK_BYTES // (8 * grid.n))
+    block = _block_lanes(grid)
     for lo in range(0, size, block):
         lanes = np.arange(lo, min(lo + block, size))
         r = _lattice_r(axes, lanes)
@@ -595,7 +590,8 @@ def _band_lanes(
     inside = (col >= lo[row]) & (col <= hi[row])
     if np.any((after & before) != inside) or not _runs_monotone(dp, rising[row], row):
         return None
-    kept = BatchSolve(batch.v[inside], batch.feasible[inside], batch.residual[inside], batch.sweeps)
+    kept = BatchSolve(*(a[inside] for a in (batch.v, batch.kappa, batch.feasible, batch.residual)),
+                      batch.sweeps)
     return row[inside] * width + col[inside], {bus: r[bus][inside] for bus in vsc}, kept
 
 

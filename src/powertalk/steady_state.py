@@ -10,7 +10,8 @@ one is the voltage-collapse branch).  Newton on the current-balance
 residual is the one solver kernel: many configurations at once (a
 resistance lattice) are solved in blocks of lanes, each lane certified
 to sit on the larger root of every bus quadratic, and a single
-configuration with ``method="newton"`` is a block of one lane.  A
+configuration with ``method="newton"`` is bit for bit a batch of one
+lane, started like every lane from the configured set-points x.  A
 Newton step eliminates the Jacobian in the grid's fixed minimum-degree
 order, one array step per level of the schedule, and line sums run over
 the grid's neighbour slots, so a lane costs O(n + fill) work and memory
@@ -18,8 +19,9 @@ where a dense solve costs O(n**3) and O(n**2).  A single configuration
 is solved by default with a damped Gauss-Seidel fixed point that sweeps
 the per-bus update on Python floats, bit for bit a numpy sweep, and
 checks the residual once per block of sweeps; a sweep whose residual is
-not finite ends the solve.  Solvers are pure functions
-of their arguments and safe to run concurrently; every call solves.
+not finite ends the solve.  Every solve takes kappa from the Newton
+steps' line sums.  Solvers are pure functions of their arguments and
+safe to run concurrently; every call solves.
 """
 
 from __future__ import annotations
@@ -57,12 +59,7 @@ class DroopState:
             raise InvalidArgument(
                 f"droop entries must exist exactly for converter buses {sorted(expected)}"
             )
-        for bus, r in self.r.items():
-            if not (0.0 < r < math.inf and 1.0 / float(r) < math.inf):
-                raise InvalidArgument(
-                    f"virtual resistance on bus {bus} must be positive and finite, "
-                    f"with a finite inverse, got {r}"
-                )
+        _check_resistances(self.r)
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:
         """Per-bus 1/r, zero on buses without a converter."""
@@ -81,6 +78,19 @@ class DroopState:
         merged = dict(self.x)
         merged.update(updates)
         return replace(self, x=merged)
+
+
+def _check_resistances(r: Mapping[int, object]) -> None:
+    """Raise :class:`InvalidArgument` unless every resistance (scalar or array) is usable."""
+    with np.errstate(divide="ignore", over="ignore"):
+        for bus, values in r.items():
+            values = np.asarray(values, dtype=float)
+            bad = ~((0.0 < values) & (values < math.inf) & (1.0 / values < math.inf))
+            if bad.any():
+                raise InvalidArgument(
+                    f"virtual resistance on bus {bus} must be positive and finite, "
+                    f"with a finite inverse, got {values[bad].flat[0]}"
+                )
 
 
 def nominal_droop(grid: ValidatedGrid) -> DroopState:
@@ -113,18 +123,16 @@ def _residual(
     grid: ValidatedGrid,
     xr: np.ndarray,
     y: np.ndarray,
-    degree: np.ndarray,
     v: np.ndarray,
     inflow: np.ndarray,
 ) -> np.ndarray:
     """Current-balance error per bus: injection minus load minus line export.
 
-    ``degree`` is ``grid.g_line.sum(axis=1)``, the line conductance at each
-    bus, and ``inflow`` is ``grid.g_line @ v``.  ``v`` and ``inflow`` are
-    (n,) or (sweeps, n); the figures are elementwise, so each row is bit
-    for bit its own (n,) residual.
+    ``inflow`` is ``grid.g_line @ v``.  ``v`` and ``inflow`` are (n,) or
+    (sweeps, n); the figures are elementwise, so each row is bit for bit
+    its own (n,) residual.
     """
-    line_out = degree * v - inflow
+    line_out = grid.lines.degree * v - inflow
     return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
 
 
@@ -146,12 +154,10 @@ def solve_steady_state(
     droop.validate(grid)
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
-    degree = grid.lines.degree
-    r_bus = 1.0 / (grid.r_cr_inv + degree + y)
 
-    v0 = _initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
+    v0 = _initial_voltages(grid, droop.x)
     if method == "gauss_seidel":
-        v, residual = _gauss_seidel(grid, xr, y, degree, r_bus, v0, tol, max_iter)
+        v, residual = _gauss_seidel(grid, xr, y, v0, tol, max_iter)
     elif method == "newton":
         lane, feasible, res, _, stalled = _newton_block(grid, xr[None], y[None], v0, tol, max_iter)
         if stalled.size:
@@ -162,7 +168,7 @@ def solve_steady_state(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    kappa = _kappa(grid, xr, r_bus, v)
+    kappa = _kappa(grid, xr[None], grid.lines.degree + y + grid.r_cr_inv, v[None])[0]
     i, p = vsc_outputs(grid, droop, v)
     return SteadyState(v=v, i=i, p=p, kappa=kappa, residual=residual)
 
@@ -171,8 +177,6 @@ def _gauss_seidel(
     grid: ValidatedGrid,
     xr: np.ndarray,
     y: np.ndarray,
-    degree: np.ndarray,
-    r_bus: np.ndarray,
     v: np.ndarray,
     tol: float,
     max_iter: int,
@@ -194,6 +198,7 @@ def _gauss_seidel(
     whose residual is not finite raises :class:`NonConvergence` naming it.
     Returns the voltages and their max residual.
     """
+    r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     four_d = 4.0 * grid.d_cp / r_bus
     buses = []
     for bus in range(grid.n):
@@ -214,7 +219,7 @@ def _gauss_seidel(
             done, failure = _sweep_block(buses, v, v_old, sweep_v, count)
             swept = sweep_v[:done]
             inflow = np.matmul(grid.g_line, swept[:, :, None])[:, :, 0]  # a BLAS gemv per sweep
-            block_res = np.max(np.abs(_residual(grid, xr, y, degree, swept, inflow)), axis=1)
+            block_res = np.max(np.abs(_residual(grid, xr, y, swept, inflow)), axis=1)
             (stops,) = np.nonzero((block_res <= tol) | ~np.isfinite(block_res))
             if stops.size:
                 sweep, res = start + int(stops[0]) + 1, float(block_res[stops[0]])
@@ -257,13 +262,13 @@ def _sweep_block(
     return count, None
 
 
-def _initial_voltages(grid: ValidatedGrid, x: np.ndarray) -> np.ndarray:
-    # Converter buses start at their set-point x (read on converter buses
-    # only); load buses start at the mean of their converter neighbors'
+def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
+    # Converter buses start at their set-point x[bus] (x a mapping or an
+    # array); load buses start at the mean of their converter neighbors'
     # set-points (global mean as fallback).
     v = np.zeros(grid.n)
     vsc = np.array(grid.vsc_buses)
-    v[vsc] = x[vsc]
+    v[vsc] = [x[bus] for bus in grid.vsc_buses]
     mean_x = float(np.mean(v[vsc]))
     for bus in range(grid.n):
         if grid.has_vsc(bus):
@@ -273,12 +278,11 @@ def _initial_voltages(grid: ValidatedGrid, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def _kappa(grid: ValidatedGrid, xr: np.ndarray, r_bus: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Linearization correction per bus, exactly 1 where d_cp = 0; (n,) or (lanes, n) arrays."""
-    b = xr + v @ grid.g_line.T - grid.i_cc
-    disc = b * b - 4.0 * grid.d_cp / r_bus
+def _kappa(grid: ValidatedGrid, xr: np.ndarray, g_bus: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Linearization correction per lane from :func:`_balance`'s ``b``, 1 where d_cp = 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        kappa = 0.5 * (1.0 + b / np.sqrt(disc))
+        b, _ = _balance(grid, xr, g_bus, v)
+        kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
     return np.where(grid.d_cp == 0.0, 1.0, kappa)
 
 
@@ -338,9 +342,10 @@ def check_viability(
 
 @dataclass(frozen=True)
 class BatchSolve:
-    """Result of solving many droop configurations at once."""
+    """Result of solving many droop configurations at once; each lane as if solved alone."""
 
     v: np.ndarray         # (batch, n) voltages, NaN where not viable
+    kappa: np.ndarray     # (batch, n) corrections of :func:`_kappa`, NaN where not viable
     feasible: np.ndarray  # (batch,) bool, converged on the larger root
     residual: np.ndarray  # (batch,) max current-balance error [A]
     sweeps: int           # Newton iterations, the most any block needed
@@ -358,21 +363,24 @@ def solve_steady_state_many(
     batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` of working
     memory, O(n + fill) per lane (:func:`_block_lanes`), each lane
     independently of the others, so a lane's voltages do not depend on the
-    batch it is solved in.  A lane is
+    batch it is solved in, nor do its kappa corrections.  A lane is
     feasible when its residual is at most ``DEFAULT_TOL`` with every voltage
     positive and every constant-power bus on the larger root of its
     quadratic; other lanes surface as ``feasible=False`` with NaN
-    voltages instead of raising, so a grid search can skip them.
+    voltages and kappa instead of raising, so a grid search can skip them.
+    Keys and resistances are checked as :meth:`DroopState.validate` does.
     """
     if set(x) != set(grid.vsc_buses) or set(r) != set(grid.vsc_buses):
-        raise ValueError("x and r must provide entries exactly for converter buses")
+        raise InvalidArgument("x and r must provide entries exactly for converter buses")
     arrays = {bus: np.asarray(val, dtype=float) for bus, val in r.items()}
+    _check_resistances(arrays)
     batch = np.broadcast_shapes(*(a.shape for a in arrays.values()), (1,))
     size = math.prod(batch)
     r_lanes = {bus: np.broadcast_to(a, batch).reshape(size) for bus, a in arrays.items()}
-    v0 = _initial_voltages(grid, np.array([x.get(bus, 0.0) for bus in range(grid.n)]))
+    v0 = _initial_voltages(grid, x)
 
     v = np.empty((size, grid.n))
+    kappa = np.empty_like(v)
     feasible = np.empty(size, dtype=bool)
     residual = np.empty(size)
     block = _block_lanes(grid)
@@ -383,8 +391,10 @@ def solve_steady_state_many(
         xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
         v_blk, ok, res, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
         v[lanes], feasible[lanes], residual[lanes] = v_blk, ok, res
+        g_bus = grid.lines.degree + y + grid.r_cr_inv
+        kappa[lanes] = np.where(ok[:, None], _kappa(grid, xr, g_bus, v_blk), np.nan)
         sweeps = max(sweeps, its)
-    return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
+    return BatchSolve(v=v, kappa=kappa, feasible=feasible, residual=residual, sweeps=sweeps)
 
 
 def _block_lanes(grid: ValidatedGrid) -> int:

@@ -432,6 +432,10 @@ CLI_FLAGS = {
 }
 
 
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_every_subcommand_keeps_its_flags():
     sub = next(
         action for action in cli.build_parser()._actions

@@ -38,6 +38,7 @@ from powertalk import (
     vsc_outputs,
 )
 from powertalk.optimizer import DEFAULT_STEP
+from test_steady_state import _case_study_config, _jittered, _meshed_grid, _radial_feeder
 
 SIGMA_Z = 0.01
 BOX = {0: 0.6, 1: 0.7}
@@ -54,8 +55,10 @@ def _boxed(r_max):
 
 
 def _blocks_of(lanes, grid, monkeypatch):
-    """Make the whole-lattice scan run in blocks of ``lanes`` lanes."""
-    monkeypatch.setattr(optimizer, "BLOCK_BYTES", lanes * 8 * grid.n)
+    """Make the Newton blocks, and so the whole-lattice scan's blocks, ``lanes`` lanes each."""
+    lane_bytes = 8 * steady_state.LANE_ROWS * (grid.n + len(grid.elimination.values))
+    monkeypatch.setattr(steady_state, "BLOCK_BYTES", lanes * lane_bytes)
+    assert steady_state._block_lanes(grid) == lanes
 
 
 @pytest.fixture(scope="module")
@@ -303,10 +306,14 @@ def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
     for bus in vsc:
         y[:, bus] = 1.0 / r[bus]
         xr[:, bus] = nominal.x[bus] / r[bus]
-    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
-    b = xr + batch.v @ grid.g_line.T - grid.i_cc
+    g_bus = grid.lines.degree + y + grid.r_cr_inv
+    (_, ends, g), *slots = grid.lines.slots  # line sums over the neighbour slots
+    line_sum = g * batch.v[:, ends]
+    for buses, ends, g in slots:
+        line_sum[:, buses] += g * batch.v[:, ends]
+    b = xr + line_sum - grid.i_cc
     with np.errstate(invalid="ignore", divide="ignore"):
-        kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp / r_bus))
+        kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
     kappa = np.where(grid.d_cp == 0.0, 1.0, kappa)
     h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
     p_nom = solve_steady_state(grid, nominal).p
@@ -533,7 +540,7 @@ def test_streamed_fallback_raises_when_no_lane_is_viable(boxed, nominal, monkeyp
     def nowhere_viable(grid, x, r):
         batch = solve_steady_state_many(grid, x, r)
         nan = np.full_like(batch.v, np.nan)
-        return steady_state.BatchSolve(nan, np.zeros_like(batch.feasible), batch.residual, 0)
+        return steady_state.BatchSolve(nan, nan, np.zeros_like(batch.feasible), batch.residual, 0)
 
     monkeypatch.setattr(optimizer, "solve_steady_state_many", nowhere_viable)
     _blocks_of(7, boxed, monkeypatch)
@@ -541,6 +548,26 @@ def test_streamed_fallback_raises_when_no_lane_is_viable(boxed, nominal, monkeyp
         maximize_snr_grid(boxed, nominal, {0: 10.0, 1: 10.0}, SIGMA_Z, 0, 1)
     with pytest.raises(NoRealRoot, match="anywhere on the search lattice"):
         capacity_sweep(boxed, nominal, [0.0, 10.0], SIGMA_Z, 0, 1)
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder, _meshed_grid])
+def test_channel_table_lanes_do_not_depend_on_their_batch(make_grid):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    p_nom = solve_steady_state(grid, nominal).p
+    link = (grid, nominal, p_nom, grid.vsc_buses[0], grid.vsc_buses[-1])
+
+    def table_of(r):
+        return optimizer._channel_table(*link, r, solve_steady_state_many(grid, dict(nominal.x), r))
+
+    r = _jittered(grid, nominal, 300)
+    table = table_of(r)
+    assert table.feasible.all()
+    for lane in range(300):
+        alone = table_of({bus: values[lane : lane + 1] for bus, values in r.items()})
+        for field in ("h_rx", "phi", "dp"):
+            got, want = getattr(table, field)[lane], getattr(alone, field)[0]
+            assert got.tobytes() == want.tobytes(), (lane, field)
 
 
 @pytest.mark.parametrize("box", [BOX, {0: 0.42, 1: 0.42}])

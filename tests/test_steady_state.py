@@ -248,13 +248,24 @@ def test_batch_solve_flags_nonviable_lanes(grid, nominal):
         r={0: np.array([0.39, 3000.0, 0.8]), 1: np.array([0.39, 3000.0, 0.39])},
     )
     assert list(batch.feasible) == [True, False, True]
-    assert np.isnan(batch.v[1]).all()
+    assert np.isnan(batch.v[1]).all() and np.isnan(batch.kappa[1]).all()
     assert batch.sweeps <= 10  # the stray lane leaves at once, not at max_iter
 
 
 def test_batch_solve_rejects_wrong_bus_keys(grid, nominal):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         solve_steady_state_many(grid, x=dict(nominal.x), r={0: 0.39})
+
+
+@pytest.mark.parametrize("bad", [-0.39, 0.0, np.inf, np.nan, 1e-320])
+def test_batch_solve_rejects_invalid_resistances(grid, nominal, bad):
+    # no such lane may be solved: a negative one would be "feasible", and 0 or
+    # a subnormal one would overflow 1/r with a warning
+    r = {0: np.array([0.39, bad, 0.5]), 1: 0.39}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="bus 0 must be positive and finite"):
+            solve_steady_state_many(grid, dict(nominal.x), r)
 
 
 def _case_study_lattice(grid, nominal):
@@ -352,7 +363,7 @@ def _numpy_start(grid, droop):
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
-    v0 = steady_state._initial_voltages(grid, xr / np.where(y > 0.0, y, 1.0))
+    v0 = steady_state._initial_voltages(grid, droop.x)
     return xr, y, r_bus, v0
 
 
@@ -403,6 +414,12 @@ def _radial_feeder():
 def _case_study_config():
     document = (ROOT / "configs" / "case_study.json").read_text()
     return cli.validate_grid(cli.parse_config(document).grid)
+
+
+def _jittered(grid, nominal, lanes):
+    """``lanes`` resistances r_nom * (1 + U(0, 0.05)) per converter, drawn at seed 1."""
+    jitter = np.random.default_rng(1).uniform(0.0, 0.05, (lanes, len(grid.vsc_buses)))
+    return {bus: nominal.r[bus] * (1.0 + jitter[:, j]) for j, bus in enumerate(grid.vsc_buses)}
 
 
 @pytest.mark.parametrize("make_grid, count", [(_case_study_config, 25), (_radial_feeder, 5)])
@@ -641,6 +658,21 @@ def test_a_zero_pivot_flags_its_lane_and_leaves_the_others_alone():
         assert alone.residual[0] == batch.residual[lane]
     with pytest.raises(NoRealRoot):
         solve_steady_state(grid, DroopState(x=x, r={0: 0.5, 1: stiff}), method="newton")
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder, _meshed_grid])
+def test_scalar_newton_is_its_batched_lane(make_grid):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    r = _jittered(grid, nominal, 50)
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    assert batch.feasible.all()
+    for lane in range(50):
+        droop = nominal.with_r({bus: float(values[lane]) for bus, values in r.items()})
+        state = solve_steady_state(grid, droop, method="newton")
+        assert state.v.tobytes() == batch.v[lane].tobytes(), lane
+        assert state.kappa.tobytes() == batch.kappa[lane].tobytes(), lane
+        assert state.residual == batch.residual[lane], lane
 
 
 def test_batched_newton_on_a_192_bus_chain():
