@@ -55,7 +55,7 @@ def vr_power_investment(
     is identically zero when the resistances match.
     """
     if dict(droop_new.x) != dict(droop_nom.x):
-        raise ValueError("droop states must share reference voltages")
+        raise InvalidArgument("droop states must share reference voltages")
     p_nom = solve_steady_state(grid, droop_nom).p
     p_new = solve_steady_state(grid, droop_new).p
     return {bus: p_new[bus] - p_nom[bus] for bus in sorted(p_nom)}

@@ -22,7 +22,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from .errors import NoRealRoot
+from .errors import InvalidArgument, NoRealRoot
 from .grid import LoadSpec, ValidatedGrid, VscSpec
 from .steady_state import DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate
 
@@ -143,10 +143,10 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
     load kappa = 1 and the gains sum to less than one.
     """
     if not units:
-        raise ValueError("at least one converter unit is required")
+        raise InvalidArgument("at least one converter unit is required")
     r = np.array([unit.r_nom for unit in units])
-    if np.any(r <= 0.0):
-        raise ValueError("unit virtual resistances must be positive")
+    if not np.all((r > 0.0) & (r < np.inf)):
+        raise InvalidArgument(f"unit virtual resistances must be positive and finite, got {r}")
     g_cr = 0.0 if load.r_cr is None else 1.0 / load.r_cr
     r_bus = 1.0 / (g_cr + np.sum(1.0 / r))
     source = float(np.sum([unit.x_nom for unit in units] / r)) - load.i_cc

@@ -213,7 +213,7 @@ def _hypothesis_points(
     operating point through the gain matrices.
     """
     if cfg.mode == "linearized" and model is None:
-        raise ValueError("linearized mode requires a channel model")
+        raise InvalidArgument("linearized mode requires a channel model")
     rx_mean, power = {}, {}
     for symbol in (+1, -1):
         dx = symbol * cfg.amplitude

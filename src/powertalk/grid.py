@@ -153,6 +153,7 @@ class ValidatedGrid:
     i_cc: np.ndarray      # (n,) constant current loads [A]
     d_cp: np.ndarray      # (n,) constant power loads [W]
     constant_power: Index  # buses with a constant-power load, d_cp > 0
+    adjacent: Tuple[Tuple[int, ...], ...]  # each bus's neighbours, ascending
     lines: LineTable      # line sums by neighbour slots
     elimination: Elimination  # Newton-step elimination schedule
 
@@ -173,19 +174,22 @@ class ValidatedGrid:
                 raise InvalidLink(f"bus {bus} hosts no converter")
 
     def neighbors(self, bus: int) -> Tuple[int, ...]:
-        return tuple(np.nonzero(self.g_line[bus])[0])
+        return self.adjacent[bus]
 
 
 def check_budgets(pi: Mapping[int, float], grid: Optional[ValidatedGrid] = None) -> None:
-    """Raise :class:`InvalidBudget` unless each budget is finite and >= 0.
+    """Raise :class:`InvalidBudget` unless each budget is finite and >= 0, with a finite square.
 
     Given ``grid``, each budget must also sit on a converter bus.
     """
     for bus, value in pi.items():
         if grid is not None and not grid.has_vsc(bus):
             raise InvalidBudget(f"budget on bus {bus}: the bus hosts no converter")
-        if not 0.0 <= value < math.inf:
-            raise InvalidBudget(f"budget on bus {bus} must be finite and nonnegative, got {value}")
+        if not (0.0 <= value < math.inf and float(value) * float(value) < math.inf):
+            raise InvalidBudget(
+                f"budget on bus {bus} must be finite and nonnegative, with a finite square, "
+                f"got {value}"
+            )
 
 
 def _require_positive(value: float, what: str) -> None:
@@ -281,6 +285,7 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
         buses=buses,
         vsc_buses=vsc_buses,
         constant_power=_index(np.flatnonzero(arrays["d_cp"]).tolist()),
+        adjacent=tuple(map(tuple, neighbours)),
         lines=_line_table(g_line, neighbours),
         elimination=_elimination(g_line, neighbours),
         **arrays,

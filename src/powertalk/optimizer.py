@@ -5,17 +5,16 @@ per-converter gain terms g_n: the squared voltage gain at the receiver,
 divided by the squared power sensitivity of converter n, times that
 converter's remaining budget headroom.  The binding constraint is the
 smallest g_n, so tuning maximizes min_n g_n over a lattice on the
-virtual-resistance box, with the step the deployment uses.  The search is
-exact but solves only the budget band: the lattice points whose
-investments all fit the budgets, found per lattice row by batched
-bisection on the monotone investments.  Every other point scores 0, so
-the band's best is the lattice's best whenever it is positive; when it is
-not, every viable point scores 0 and the nominal resistances win the
-tie.  Only when a run-time check of the band fails is the whole lattice
-solved and scored instead, in C-order blocks of bounded size that each
-keep every budget's first maximum.  All grid-point evaluations are pure, so
-the result is independent of evaluation order; ties resolve to the
-smallest resistances.
+virtual-resistance box, with the step the deployment uses; the noise
+sigma_z only scales the SNR, min_n g_n / sigma_z^2, and not the
+maximizer.  The exact search keeps a running first maximum over blocks
+of lanes in C order: the nominal resistances, then the budget band, the
+points whose investments all fit the budgets, found per lattice row by
+batched bisection on the monotone investments.  Every other point scores
+0.  When a run-time check of the band fails, or the nominal point is not
+viable, the blocks are the whole lattice instead.  All grid-point
+evaluations are pure, so the result is independent of evaluation order;
+ties resolve to the smallest resistances.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ class ConcavityReport:
 def capacity(snr: float) -> float:
     """Bits per slot of the scalar Gaussian channel: 0.5 * log2(1 + snr)."""
     if snr < 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
+        raise InvalidArgument(f"snr must be nonnegative, got {snr}")
     return 0.5 * math.log2(1.0 + snr)
 
 
@@ -140,14 +139,13 @@ def one_way_snr(
     model = linearize(grid, droop, state)
     dp = vr_power_investment(grid, nominal, droop)
     buses = sorted(pi)
-    snr, g = _score(
+    score, g = _score(
         model.H[rx, tx, None],
         model.Phi[buses, tx][None],
         np.array([[dp[bus] for bus in buses]]),
         np.array([pi[bus] for bus in buses]),
-        sigma_z,
     )
-    return float(snr[0]), {bus: float(g[0, j]) for j, bus in enumerate(buses)}
+    return float(score[0]) / sigma_z**2, {bus: float(g[0, j]) for j, bus in enumerate(buses)}
 
 
 def maximize_snr_grid(
@@ -163,13 +161,11 @@ def maximize_snr_grid(
 
     Returns the maximizer of min_n g_n over the per-converter lattice
     r_nom, r_nom + step, ..., r_max; ties break toward the smallest
-    resistances in bus order.  Only the budget band, the lattice points
-    with every |dp_n| <= pi_n, is solved and scored: every other point
-    scores 0, so a positive best in the band is the lattice's first
-    maximum; a best that is not positive (pi = 0, say) makes every viable
-    point score 0, and the nominal resistances are the answer.  The
-    search falls back to a blocked scan of the whole lattice when the
-    band's run-time checks fail.
+    resistances in bus order, and do not depend on ``sigma_z``, which
+    only scales the SNR.  Only the nominal resistances and the budget
+    band, the lattice points with every |dp_n| <= pi_n, are solved and
+    scored: every other point scores 0.  The search scans the whole
+    lattice in blocks when the band's run-time checks fail.
     ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
     grid.check_link(tx, rx)
@@ -193,8 +189,8 @@ def capacity_sweep(
 
     The channel table does not depend on the budgets, so it is built
     once, on the band of the largest budget, and re-scored per budget
-    point: the band of a smaller budget lies inside it.  The budget
-    points the band cannot answer share one blocked scan of the lattice.
+    point: the band of a smaller budget lies inside it.  When the band is
+    unknown, every budget point shares one blocked scan of the lattice.
     """
     pi_values = [float(p) for p in pi_range]
     if not pi_values:
@@ -296,7 +292,7 @@ def concavity_probe(
     buses = sorted(pi)
     cols = [grid.vsc_buses.index(bus) for bus in buses]
     pi_vec = np.array([pi[bus] for bus in buses])
-    _, g = _score(table.h_rx, table.phi[:, cols], table.dp[:, cols], pi_vec, 1.0)
+    _, g = _score(table.h_rx, table.phi[:, cols], table.dp[:, cols], pi_vec)
     stencil, at_nominal = np.split(g, [len(points) * len(offsets)])
 
     stencil = stencil.reshape(len(points), len(offsets), len(buses))
@@ -331,8 +327,10 @@ def concavity_probe(
 # -- internals ----------------------------------------------------------------
 
 def _check_sigma_z(sigma_z: float) -> None:
-    if not 0.0 < sigma_z < math.inf:
-        raise InvalidArgument(f"sigma_z must be finite and positive, got {sigma_z}")
+    if not (sigma_z > 0.0 and 0.0 < float(sigma_z) * float(sigma_z) < math.inf):
+        raise InvalidArgument(
+            f"sigma_z must be positive with a positive, finite square, got {sigma_z}"
+        )
 
 
 def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, np.ndarray]:
@@ -417,69 +415,51 @@ def _search(
     budgets: List[Mapping[int, float]],
     sigma_z: float,
 ) -> List[OptimizationResult]:
-    """First-max argmax over the resistance lattice at each budget, in order.
+    """First-max argmax of min_n g_n over the resistance lattice at each budget, in order.
 
-    The band at the last, largest, budget holds every lattice point whose
-    score can be positive at that budget or any smaller one; all other
-    points score 0 (or -inf when not viable).  So a budget whose best in
-    the band is positive has the whole lattice's first maximum there,
-    tie-break included.  A budget whose best in the band is not positive
-    (-inf included; an empty band has none) has every viable lane scoring
-    exactly 0, so its first maximum is the first viable lane: lattice
-    index 0, the nominal resistances, whenever that lane is viable.  No
-    lane can score NaN there: outside the band some headroom is negative,
-    which clamps the score to 0, and a NaN inside it would have been the
-    band's best, since ``argmax`` picks the first NaN.  A one-lane table on
-    index 0 gives that pick, and the nominal SNR at each budget.  The
-    budgets left over, all of them when the band is unknown (see
-    :func:`_band_lanes`), are scored together in one pass over the lattice
-    in C-order blocks: each block's first maximum replaces a budget's
-    running best only when ``argmax`` prefers it, so the pick is
-    ``argmax`` over the whole lattice while no table outlives its block.
+    Each budget's running pick is replaced by a block's first maximum only
+    when ``argmax`` over the two prefers it: strictly greater, or NaN
+    first.  Lane 0, the nominal resistances, goes first, alone; its picks
+    are the nominal scores.  Then comes the band at the last, largest,
+    budget (no block when it is empty), which holds every lane that can
+    score above 0 at any of the budgets.  Every other lane scores 0, or
+    -inf when not viable, so the viable lane 0 keeps a tie at 0.  When
+    the band is unknown (see :func:`_band_lanes`) or lane 0 is not
+    viable, the whole lattice follows instead, in :func:`_lattice_blocks`.
     """
     axes = _r_axes(grid, nominal, step)
     size = int(np.prod([len(values) for values in axes.values()]))
     p_nom = solve_steady_state(grid, nominal).p
     link = (grid, nominal, p_nom, tx, rx)
-    picks = [None] * len(budgets)  # (r_star, snr, g_values) per budget, once found
-    zero = []  # budgets at which every viable lane scores 0
-    band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1])
-    if band is not None:
-        table = _channel_table(*link, *band[1:])
-        for k, pi in enumerate(budgets):
-            pick = _first_max(table, pi, sigma_z) if len(band[0]) else None
-            if pick is None or pick[1] <= 0.0:
-                zero.append(k)
-            elif pick[1] > 0.0:
-                picks[k] = pick
     corner = _lattice_r(axes, np.zeros(1, dtype=int))
-    batch = solve_steady_state_many(grid, dict(nominal.x), corner)
-    at_nominal = _channel_table(*link, corner, batch)
-    if at_nominal.feasible[0]:
-        for k in zero:
-            picks[k] = _first_max(at_nominal, budgets[k], sigma_z)
-    fallback = [k for k, pick in enumerate(picks) if pick is None]
-    if fallback:
-        for _, r, batch in _lattice_blocks(grid, nominal, axes):
-            table = _channel_table(*link, r, batch)
-            for k in fallback:
-                pick = _first_max(table, budgets[k], sigma_z)
-                # argmax over (running best, block best): strictly greater, or NaN first
-                if picks[k] is None or np.argmax([picks[k][1], pick[1]]) == 1:
-                    picks[k] = pick
-        if not all(np.isfinite(picks[k][1]) for k in fallback):
-            raise NoRealRoot("no viable operating point anywhere on the search lattice")
+    at_nominal = _channel_table(*link, corner, solve_steady_state_many(grid, nominal.x, corner))
+    picks = [_first_max(at_nominal, pi) for pi in budgets]  # (r_star, score, g_values)
+    nominal_scores = [score for _, score, _ in picks]
+    band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1]) if at_nominal.feasible[0] else None
+    if band is None:
+        blocks = (block[1:] for block in _lattice_blocks(grid, nominal, axes))
+    else:
+        blocks = [band[1:]] if len(band[0]) else []
+    for r, batch in blocks:
+        table = _channel_table(*link, r, batch)
+        for k, pi in enumerate(budgets):
+            pick = _first_max(table, pi)
+            if np.argmax([picks[k][1], pick[1]]) == 1:
+                picks[k] = pick
+    if not all(np.isfinite(score) for _, score, _ in picks):
+        raise NoRealRoot("no viable operating point anywhere on the search lattice")
+    noise = sigma_z**2
     return [
         OptimizationResult(
             r_star=r_star,
-            snr=snr,
-            snr_nominal=_first_max(at_nominal, pi, sigma_z)[1],
-            capacity=capacity(snr),
+            snr=score / noise,
+            snr_nominal=at_nominal_score / noise,
+            capacity=capacity(score / noise),
             g_values=g,
             grid_step=step,
             evaluations=size,
         )
-        for pi, (r_star, snr, g) in zip(budgets, picks)
+        for (r_star, score, g), at_nominal_score in zip(picks, nominal_scores)
     ]
 
 
@@ -623,33 +603,33 @@ def _lane_investments(
 
 
 def _score(
-    h: np.ndarray, phi: np.ndarray, dp: np.ndarray, pi: np.ndarray, sigma_z: float
+    h: np.ndarray, phi: np.ndarray, dp: np.ndarray, pi: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Received SNR and gain terms g_n = (h / phi_n)^2 (pi_n^2 - dp_n^2) per lane.
+    """Score min_n g_n and gain terms g_n = (h / phi_n)^2 (pi_n^2 - dp_n^2) per lane.
 
     ``h`` is (lanes,), ``phi`` and ``dp`` are (lanes, k) and ``pi`` is
-    (k,) over the same converters.  The SNR is min_n g_n / sigma_z^2,
-    clamped at zero, and zero once any investment exceeds its budget.
+    (k,) over the same converters.  The score is the received SNR times
+    sigma_z^2: min_n g_n clamped at zero, and zero once any investment
+    exceeds its budget.
     """
     headroom = pi**2 - dp**2
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (h[:, None] / phi) ** 2 * headroom
-        snr = np.min(g, axis=1) / sigma_z**2
-    return np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(snr, 0.0)), g
+    return np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(np.min(g, axis=1), 0.0)), g
 
 
 def _first_max(
-    table: _ChannelTable, pi: Mapping[int, float], sigma_z: float
+    table: _ChannelTable, pi: Mapping[int, float]
 ) -> Tuple[Dict[int, float], float, Dict[int, float]]:
-    """Resistances, SNR and gain terms at the table's first best lane; -inf SNR when none viable."""
+    """Resistances, score and gain terms at the table's first best lane; -inf when none viable."""
     pi_vec = np.array([pi[bus] for bus in table.vsc])
-    snr, g = _score(table.h_rx, table.phi, table.dp, pi_vec, sigma_z)
-    snr = np.where(table.feasible, snr, -np.inf)
+    score, g = _score(table.h_rx, table.phi, table.dp, pi_vec)
+    score = np.where(table.feasible, score, -np.inf)
     # lanes in C order over ascending axes: the first maximum is the
     # smallest-resistance tie-break in bus order
-    idx = int(np.argmax(snr))
+    idx = int(np.argmax(score))
     r_star = {bus: float(table.r[bus][idx]) for bus in table.vsc}
-    return r_star, float(snr[idx]), {bus: float(g[idx, j]) for j, bus in enumerate(table.vsc)}
+    return r_star, float(score[idx]), {bus: float(g[idx, j]) for j, bus in enumerate(table.vsc)}
 
 
 def _band_interior(

@@ -166,7 +166,7 @@ def solve_steady_state(
             raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
         v, residual = lane[0], float(res[0])
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
 
     kappa = _kappa(grid, xr[None], grid.lines.degree + y + grid.r_cr_inv, v[None])[0]
     i, p = vsc_outputs(grid, droop, v)

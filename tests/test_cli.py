@@ -485,6 +485,11 @@ def test_case_study_grid_document_and_config_file_agree():
         (["simulate", "--amplitude", "nan", "--slots", "100"], "amplitude"),
         (["optimize", "--pi", "nan"], "budget on bus 0"),
         (["sweep", "--pi", "2,nan,10"], "budget on bus 0"),
+        # a budget or noise whose square overflows, or a noise whose square is 0
+        (["budget", "--pi", "1e155"], "budget on bus 0"),
+        (["optimize", "--pi", "1e155"], "budget on bus 0"),
+        (["optimize", "--pi", "10", "--sigma-z", "1e-300"], "sigma_z"),
+        (["optimize", "--pi", "10", "--sigma-z", "1e200"], "sigma_z"),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_are_config_errors(grid_file, capsys, argv, fragment):

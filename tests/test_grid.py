@@ -233,7 +233,9 @@ def _budgets_at(entry, grid, nominal, model, pi):
 
 
 @pytest.mark.parametrize(
-    "value", [-10.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+    "value",
+    [-10.0, float("nan"), float("inf"), 1e155],
+    ids=["negative", "nan", "inf", "square-overflows"],
 )
 @pytest.mark.parametrize(
     "entry", ["search", "sweep", "one_way_snr", "probe", "allocation", "compliance", "nameplate"]

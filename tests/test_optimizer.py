@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from powertalk import (
     Bus,
     EmptySearchSpace,
     GridSpec,
+    InvalidArgument,
     LineSpec,
     LoadSpec,
     NoRealRoot,
@@ -617,6 +619,45 @@ def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, so
     assert sum(solved_lanes) <= 0.05 * size
 
 
+@pytest.mark.parametrize(
+    "search, calls, lanes",
+    [
+        (lambda grid, nominal: capacity_sweep(grid, nominal, [2.0, 5.0, 10.0, 15.0, 20.0],
+                                              SIGMA_Z, 0, 1), 15, 4_899),
+        (lambda grid, nominal: maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0},
+                                                 SIGMA_Z, 0, 1), 15, 4_332),
+        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 55, 3_772),
+    ],
+    ids=["sweep", "optimize", "probe"],
+)
+def test_the_case_study_solves_each_lane_once(grid, nominal, search, calls, lanes, solved_lanes):
+    # the batched solves the search makes, box sizing included: one more lane
+    # here would be a lane solved twice
+    search(grid, nominal)
+    assert (len(solved_lanes), sum(solved_lanes)) == (calls, lanes)
+
+
+def test_the_optimum_does_not_depend_on_the_noise(grid, nominal):
+    # sigma_z scales the SNR only; 1e-160 squares to a subnormal
+    budgets = {0: 10.0, 1: 10.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [maximize_snr_grid(grid, nominal, budgets, sigma_z, 0, 1)
+                   for sigma_z in (SIGMA_Z, 1.0, 1e-160)]
+    assert results[0].r_star == {0: 0.44, 1: 0.48}
+    for result in results[1:]:
+        assert (result.r_star, result.g_values) == (results[0].r_star, results[0].g_values)
+    assert results[1].snr == pytest.approx(results[0].snr * SIGMA_Z**2, rel=1e-15)
+
+
+@pytest.mark.parametrize("sigma_z", [1e200, 1e-300])
+def test_sigma_z_needs_a_positive_finite_square(boxed, nominal, budgets, sigma_z):
+    with pytest.raises(InvalidArgument, match="sigma_z"):
+        maximize_snr_grid(boxed, nominal, budgets, sigma_z, 0, 1)
+    with pytest.raises(InvalidArgument, match="sigma_z"):
+        one_way_snr(boxed, nominal, nominal, budgets, sigma_z, 0, 1)
+
+
 # -- the concavity probe against the scalar finite-difference probe ------------
 
 def _fd_hessians(g_at, point, vsc, h):
@@ -765,7 +806,7 @@ def test_concavity_probe_lanes_match_one_way_snr(grid, nominal, budgets, probe_t
     table = probe_tables[-1]
     assert len(table.feasible) == 25 * 9 + 2 * 2 + 1  # every stencil, then the nominal lanes
     pi = np.array([budgets[bus] for bus in table.vsc])
-    _, g = optimizer._score(table.h_rx, table.phi, table.dp, pi, 1.0)
+    _, g = optimizer._score(table.h_rx, table.phi, table.dp, pi)
     for lane in range(len(g)):
         droop = nominal.with_r({bus: float(table.r[bus][lane]) for bus in table.vsc})
         _, expected = one_way_snr(grid, droop, nominal, budgets, 1.0, 0, 1)
