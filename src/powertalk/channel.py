@@ -23,7 +23,7 @@ from typing import Iterable, List, Mapping, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NoRealRoot
-from .grid import LoadSpec, ValidatedGrid, VscSpec
+from .grid import LoadSpec, ValidatedGrid, VscSpec, check_resistances
 from .steady_state import DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate
 
 __all__ = [
@@ -40,12 +40,12 @@ class ChannelModel:
 
     ``H[n, m]`` is the voltage gain dv_n/dx_m; columns for buses without
     a converter are zero.  ``Phi[n, m]`` is the supplied-power gain
-    dp_n/dx_m; rows for buses without a converter are zero.
+    dp_n/dx_m; rows for buses without a converter are zero.  The kappa
+    corrections are ``operating_point.kappa``.
     """
 
     H: np.ndarray              # (n, n) voltage gains [V/V]
     Phi: np.ndarray            # (n, n) power gains [W/V]
-    K: np.ndarray              # (n,) kappa corrections, >= 1
     operating_point: SteadyState
     droop: DroopState
 
@@ -60,7 +60,7 @@ def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> Cha
     h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], state.kappa[None], range(grid.n))
     power = np.zeros((grid.n, grid.n))
     power[list(grid.vsc_buses)] = phi[0]
-    return ChannelModel(H=h[0], Phi=power, K=state.kappa, operating_point=state, droop=droop)
+    return ChannelModel(H=h[0], Phi=power, operating_point=state, droop=droop)
 
 
 def channel_gains(
@@ -144,9 +144,11 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
     """
     if not units:
         raise InvalidArgument("at least one converter unit is required")
+    resistances = {f"unit {k} r_nom": unit.r_nom for k, unit in enumerate(units)}
+    if load.r_cr is not None:
+        resistances["load r_cr"] = load.r_cr
+    check_resistances(resistances)
     r = np.array([unit.r_nom for unit in units])
-    if not np.all((r > 0.0) & (r < np.inf)):
-        raise InvalidArgument(f"unit virtual resistances must be positive and finite, got {r}")
     g_cr = 0.0 if load.r_cr is None else 1.0 / load.r_cr
     r_bus = 1.0 / (g_cr + np.sum(1.0 / r))
     source = float(np.sum([unit.x_nom for unit in units] / r)) - load.i_cc

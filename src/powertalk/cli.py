@@ -14,7 +14,6 @@ name (debug, info, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
@@ -144,20 +143,6 @@ def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
     return doc
 
 
-def serialize(cfg: RunConfig) -> str:
-    """Render a config back to a document that parses to an equal config.
-
-    Fields equal to their dataclass default are left out, except in the
-    ``sim`` block, which is written in full.
-    """
-    doc = {
-        "buses": [_unparse(bus, _BUS) for bus in cfg.grid.buses],
-        "lines": [_unparse(line, _LINE) for line in cfg.grid.lines],
-        "sim": dataclasses.asdict(cfg.sim),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _fields(doc: Any, path: str, obj: _Object) -> Dict[str, Any]:
     """Check one object of the document and read its keys as dataclass attributes."""
     if not isinstance(doc, dict):
@@ -179,20 +164,6 @@ def _read(value: Any, path: str, reader: Any) -> Any:
     if isinstance(reader, _Object):
         return reader.cls(**_fields(value, path, reader))
     return reader(value, path)
-
-
-def _unparse(value: Any, obj: _Object) -> Dict[str, Any]:
-    """``value`` as a document object, leaving out the fields equal to their default."""
-    defaults = {
-        f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        for f in dataclasses.fields(value)
-    }
-    doc = {}
-    for key, (attr, reader) in obj.keys.items():
-        item = getattr(value, attr, None)
-        if attr in defaults and item != defaults[attr]:
-            doc[key] = _unparse(item, reader) if isinstance(reader, _Object) else item
-    return doc
 
 
 def _parse_line(entry: Any, path: str) -> LineSpec:
@@ -335,7 +306,7 @@ def _cmd_channel(args: argparse.Namespace) -> List[str]:
         lines.append(f"# {title}\nbus,{header}")
         lines += [f"{bus}," + ",".join(_fmt(gain) for gain in gains[bus]) for bus in range(grid.n)]
     lines.append("# load correction\nbus,kappa")
-    lines += [f"{bus},{_fmt(kappa)}" for bus, kappa in enumerate(model.K)]
+    lines += [f"{bus},{_fmt(kappa)}" for bus, kappa in enumerate(state.kappa)]
     return lines
 
 

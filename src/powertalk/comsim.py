@@ -212,8 +212,8 @@ def _hypothesis_points(
     re-solves the steady state per symbol; linearized mode offsets the
     operating point through the gain matrices.
     """
-    if cfg.mode == "linearized" and model is None:
-        raise InvalidArgument("linearized mode requires a channel model")
+    if cfg.mode == "linearized" and (model is None or model.droop != droop):
+        raise InvalidArgument("linearized mode requires a channel model built at this droop state")
     rx_mean, power = {}, {}
     for symbol in (+1, -1):
         dx = symbol * cfg.amplitude
@@ -241,6 +241,7 @@ def run_transmission(
     pooled within-symbol variance.  Power deviations are measured about
     nominal (nameplate) operation; converters with a nameplate budget
     trigger :class:`BudgetExceededWarning` when exceeded beyond ``COMPLIANCE_SLACK``.
+    Linearized mode reads ``model``, which must be built at ``droop``.
 
     Chunks run on every available CPU (see the module docstring); each
     yields its error count and per-symbol count, sum and sum of squares,

@@ -29,10 +29,6 @@ class DisconnectedGraph(InvalidGridSpec):
     """The line graph does not connect all buses."""
 
 
-class NonpositiveResistance(InvalidGridSpec):
-    """A resistance that must be positive is zero or negative."""
-
-
 class DuplicateLine(InvalidGridSpec):
     """More than one line between the same pair of buses."""
 
@@ -55,6 +51,10 @@ class InvalidArgument(ConfigError, ValueError):
 
 class InvalidLink(InvalidArgument):
     """Transmitter and receiver are not two distinct converter buses."""
+
+
+class NonpositiveResistance(InvalidGridSpec, InvalidArgument):
+    """A resistance in a grid or a library call is not positive and finite with a finite inverse."""
 
 
 class InvalidBudget(InvalidArgument):

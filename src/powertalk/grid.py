@@ -173,9 +173,6 @@ class ValidatedGrid:
             if not self.has_vsc(bus):
                 raise InvalidLink(f"bus {bus} hosts no converter")
 
-    def neighbors(self, bus: int) -> Tuple[int, ...]:
-        return self.adjacent[bus]
-
 
 def check_budgets(pi: Mapping[int, float], grid: Optional[ValidatedGrid] = None) -> None:
     """Raise :class:`InvalidBudget` unless each budget is finite and >= 0, with a finite square.
@@ -192,14 +189,28 @@ def check_budgets(pi: Mapping[int, float], grid: Optional[ValidatedGrid] = None)
             )
 
 
-def _require_positive(value: float, what: str) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise NonpositiveResistance(f"{what} must be positive and finite, got {value}")
+def check_resistances(resistances: Mapping[str, object]) -> None:
+    """Raise :class:`NonpositiveResistance` unless every resistance is usable.
+
+    A usable resistance is positive and finite, with a finite inverse (1/r
+    of a subnormal r overflows).  ``resistances`` maps what each value is,
+    as the error names the first unusable one, to a scalar or an array of
+    values; all of them are checked in one array pass.
+    """
+    values = [np.asarray(value, dtype=float).ravel() for value in resistances.values()]
+    flat = np.concatenate(values) if values else np.empty(0)
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = ~((0.0 < flat) & (flat < math.inf) & (1.0 / flat < math.inf))
+    if bad.any():
+        first = int(np.argmax(bad))
+        owner = int(np.searchsorted(np.cumsum([len(v) for v in values]), first, side="right"))
+        raise NonpositiveResistance(
+            f"{list(resistances)[owner]} must be positive and finite, with a finite inverse, "
+            f"got {flat[first]}"
+        )
 
 
 def _check_load(bus_id: int, load: LoadSpec) -> None:
-    if load.r_cr is not None:
-        _require_positive(load.r_cr, f"bus {bus_id} load resistance")
     for name, value in (("i_cc", load.i_cc), ("d_cp", load.d_cp)):
         if not (math.isfinite(value) and value >= 0.0):
             raise InvalidGridSpec(
@@ -212,7 +223,6 @@ def _check_vsc(bus_id: int, vsc: VscSpec) -> None:
         raise InvalidGridSpec(
             f"bus {bus_id} converter x_nom must be positive, got {vsc.x_nom}"
         )
-    _require_positive(vsc.r_nom, f"bus {bus_id} converter r_nom")
     if vsc.r_max is not None:
         if not (math.isfinite(vsc.r_max) and vsc.r_max >= vsc.r_nom):
             raise InvalidGridSpec(
@@ -237,6 +247,11 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
         raise InvalidGridSpec(f"bus ids must be dense 0..{n - 1}, got {sorted(ids)}")
 
     buses = tuple(sorted(spec.buses, key=lambda bus: bus.id))
+    check_resistances({
+        **{f"bus {b.id} load r_cr": b.load.r_cr for b in buses if b.load.r_cr is not None},
+        **{f"bus {b.id} converter r_nom": b.vsc.r_nom for b in buses if b.vsc is not None},
+        **{f"line ({line.a}, {line.b}) resistance": line.r_line for line in spec.lines},
+    })
     for bus in buses:
         _check_load(bus.id, bus.load)
         if bus.vsc is not None:
@@ -254,7 +269,6 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
             raise InvalidGridSpec(f"line endpoints ({a}, {b}) reference unknown buses")
         if a == b:
             raise InvalidGridSpec(f"line endpoints must be distinct, got ({a}, {b})")
-        _require_positive(line.r_line, f"line ({a}, {b}) resistance")
         key = (min(a, b), max(a, b))
         if key in seen:
             raise DuplicateLine(f"more than one line between buses {key[0]} and {key[1]}")
@@ -266,8 +280,6 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
     for a, b in sorted(seen):
         neighbours[a].append(b)
         neighbours[b].append(a)
-    for ends in neighbours:
-        ends.sort()
 
     _check_connected(n, neighbours)
 

@@ -336,15 +336,19 @@ def _check_sigma_z(sigma_z: float) -> None:
 def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, np.ndarray]:
     if not 0.0 < step < math.inf:
         raise InvalidArgument(f"step must be finite and positive, got {step}")
-    axes = {}
+    counts = {}
     for bus in sorted(nominal.r):
         lo = nominal.r[bus]
         hi = _r_limit(grid, nominal, bus)
         if hi < lo:
             raise EmptySearchSpace(f"bus {bus}: r_max {hi:.6g} < nominal {lo:.6g}")
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        axes[bus] = lo + step * np.arange(count)
-    return axes
+        span = (float(hi) - float(lo)) / float(step)
+        if not span < math.inf:
+            raise InvalidArgument(f"step {step} is too fine to count the lattice on bus {bus}")
+        counts[bus] = math.floor(span + 1e-9) + 1
+    if math.prod(counts.values()) > np.iinfo(np.intp).max:
+        raise InvalidArgument(f"step {step} gives more lattice points than an index can count")
+    return {bus: nominal.r[bus] + step * np.arange(count) for bus, count in counts.items()}
 
 
 def _r_limit(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
@@ -428,7 +432,7 @@ def _search(
     viable, the whole lattice follows instead, in :func:`_lattice_blocks`.
     """
     axes = _r_axes(grid, nominal, step)
-    size = int(np.prod([len(values) for values in axes.values()]))
+    size = math.prod(len(values) for values in axes.values())
     p_nom = solve_steady_state(grid, nominal).p
     link = (grid, nominal, p_nom, tx, rx)
     corner = _lattice_r(axes, np.zeros(1, dtype=int))
@@ -472,7 +476,7 @@ def _lattice_blocks(
     :func:`_band_lanes` returns, so memory stays bounded at any lattice size;
     each is one Newton block, sized as those and :func:`channel_gains`' are.
     """
-    size = int(np.prod([len(values) for values in axes.values()]))
+    size = math.prod(len(values) for values in axes.values())
     block = _block_lanes(grid)
     for lo in range(0, size, block):
         lanes = np.arange(lo, min(lo + block, size))
@@ -508,7 +512,7 @@ def _band_lanes(
     """
     vsc = sorted(axes)
     width = len(axes[vsc[-1]])
-    rows = np.arange(int(np.prod([len(axes[bus]) for bus in vsc[:-1]])))
+    rows = np.arange(math.prod(len(axes[bus]) for bus in vsc[:-1]))
     pi_vec = np.array([pi[bus] for bus in vsc])
 
     def probe(row: np.ndarray, col: np.ndarray) -> Optional[np.ndarray]:

@@ -9,7 +9,8 @@ The physically viable operating point is the larger root (the smaller
 one is the voltage-collapse branch).  Newton on the current-balance
 residual is the one solver kernel: many configurations at once (a
 resistance lattice) are solved in blocks of lanes, each lane certified
-to sit on the larger root of every bus quadratic, and a single
+to sit on the larger root of every bus quadratic, within a residual
+threshold that grows with its largest current term, and a single
 configuration with ``method="newton"`` is bit for bit a batch of one
 lane, started like every lane from the configured set-points x.  A
 Newton step eliminates the Jacobian in the grid's fixed minimum-degree
@@ -34,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import Elimination, ValidatedGrid
+from .grid import Elimination, ValidatedGrid, check_resistances
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +45,7 @@ DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 SWEEP_BLOCK = 32         # Gauss-Seidel sweeps per vectorised residual pass
 BLOCK_BYTES = 1 << 20    # working bytes per block of the batched solve
 LANE_ROWS = 8            # bound on a Newton lane's working floats, in units of buses + spokes
+ROUNDING_TERMS = 8       # Newton's residual floor, in units of eps times the largest balance term
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class DroopState:
             raise InvalidArgument(
                 f"droop entries must exist exactly for converter buses {sorted(expected)}"
             )
-        _check_resistances(self.r)
+        check_resistances({f"virtual resistance on bus {bus}": r for bus, r in self.r.items()})
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:
         """Per-bus 1/r, zero on buses without a converter."""
@@ -78,19 +80,6 @@ class DroopState:
         merged = dict(self.x)
         merged.update(updates)
         return replace(self, x=merged)
-
-
-def _check_resistances(r: Mapping[int, object]) -> None:
-    """Raise :class:`InvalidArgument` unless every resistance (scalar or array) is usable."""
-    with np.errstate(divide="ignore", over="ignore"):
-        for bus, values in r.items():
-            values = np.asarray(values, dtype=float)
-            bad = ~((0.0 < values) & (values < math.inf) & (1.0 / values < math.inf))
-            if bad.any():
-                raise InvalidArgument(
-                    f"virtual resistance on bus {bus} must be positive and finite, "
-                    f"with a finite inverse, got {values[bad].flat[0]}"
-                )
 
 
 def nominal_droop(grid: ValidatedGrid) -> DroopState:
@@ -145,7 +134,9 @@ def solve_steady_state(
 ) -> SteadyState:
     """Solve the coupled bus equations at the given droop configuration.
 
-    ``tol`` bounds the final max current-balance residual in amps.
+    ``tol`` bounds the final max current-balance residual in amps; Newton
+    raises it to the balance's rounding floor where that is larger (see
+    :func:`_newton_block`).
     Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
     (droop parameters outside the viable range) and :class:`NonConvergence`
     when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
@@ -273,7 +264,7 @@ def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
     for bus in range(grid.n):
         if grid.has_vsc(bus):
             continue
-        neighbor_x = [v[m] for m in grid.neighbors(bus) if grid.has_vsc(m)]
+        neighbor_x = [v[m] for m in grid.adjacent[bus] if grid.has_vsc(m)]
         v[bus] = float(np.mean(neighbor_x)) if neighbor_x else mean_x
     return v
 
@@ -364,16 +355,15 @@ def solve_steady_state_many(
     memory, O(n + fill) per lane (:func:`_block_lanes`), each lane
     independently of the others, so a lane's voltages do not depend on the
     batch it is solved in, nor do its kappa corrections.  A lane is
-    feasible when its residual is at most ``DEFAULT_TOL`` with every voltage
+    feasible when its residual is within its threshold (``DEFAULT_TOL``, or
+    the rounding floor of :func:`_newton_block`) with every voltage
     positive and every constant-power bus on the larger root of its
     quadratic; other lanes surface as ``feasible=False`` with NaN
     voltages and kappa instead of raising, so a grid search can skip them.
-    Keys and resistances are checked as :meth:`DroopState.validate` does.
+    Keys and resistances are checked by :meth:`DroopState.validate`.
     """
-    if set(x) != set(grid.vsc_buses) or set(r) != set(grid.vsc_buses):
-        raise InvalidArgument("x and r must provide entries exactly for converter buses")
     arrays = {bus: np.asarray(val, dtype=float) for bus, val in r.items()}
-    _check_resistances(arrays)
+    DroopState(x=x, r=arrays).validate(grid)
     batch = np.broadcast_shapes(*(a.shape for a in arrays.values()), (1,))
     size = math.prod(batch)
     r_lanes = {bus: np.broadcast_to(a, batch).reshape(size) for bus, a in arrays.items()}
@@ -421,8 +411,8 @@ def _newton_block(
     Each step solves ``J dv = f`` for the Jacobian ``J = g_line -
     diag(g_bus - d_cp/v**2)`` by :func:`_eliminate` on the grid's
     elimination schedule, vectorised over lanes, without pivoting.  A lane
-    leaves as soon as its residual is within ``tol`` (certified, if every
-    voltage is positive and every constant-power bus is on its larger
+    leaves as soon as its residual is within its threshold (certified, if
+    every voltage is positive and every constant-power bus is on its larger
     root) or it is off the physical branch, so a lane without a viable
     operating point stops the moment it strays instead of running to
     ``max_iter``; a poor or zero pivot costs a lane an iteration or its
@@ -432,6 +422,15 @@ def _newton_block(
     iterating only when one leaves.  Returns the voltages (NaN where not
     feasible), the feasible mask, the residuals, the iterations run and
     the indices of the lanes still iterating when ``max_iter`` ran out.
+
+    A lane's threshold is ``tol``, or its rounding floor where that is
+    larger: ``ROUNDING_TERMS`` times eps times its largest ``g_bus v`` at
+    the start point, the largest term of :func:`_balance`, since a sum
+    cannot be computed closer than about eps times its largest term
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, §3.1).  The floor grows with the line conductances: it stays
+    below 1e-10 A on the case study and feeders of a few dozen buses, and
+    passes it on chains of a few hundred.
     """
     lanes = len(xr)
     v_out = np.full((lanes, grid.n), np.nan)
@@ -441,6 +440,7 @@ def _newton_block(
     g_bus = grid.lines.degree + np.asfortranarray(y) + grid.r_cr_inv  # 1/r_bus per lane
     v = np.empty_like(xr)
     v[...] = v0
+    stop = np.maximum(tol, ROUNDING_TERMS * np.finfo(float).eps * (g_bus * v).max(axis=1))
     index = np.arange(lanes)  # the block lane of each working row
     its = 0
     with np.errstate(all="ignore"):
@@ -448,14 +448,14 @@ def _newton_block(
             b, f = _balance(grid, xr, g_bus, v)
             res = np.abs(f).max(axis=1)
             physical = _on_upper_branch(grid, g_bus, b, v)
-            stays = physical & ~(res <= tol)
+            stays = physical & ~(res <= stop)
             if not stays.all():  # certified, or off the branch
                 leaving = ~stays
                 residual[index[leaving]] = res[leaving]
                 done = physical & leaving
                 feasible[index[done]] = True
                 v_out[index[done]] = v[done]
-                index, res = index[stays], res[stays]
+                index, res, stop = index[stays], res[stays], stop[stays]
                 if index.size == 0:
                     break
                 xr, g_bus, v, f = (a.T.compress(stays, axis=1).T for a in (xr, g_bus, v, f))

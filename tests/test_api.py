@@ -27,11 +27,26 @@ def test_every_public_name_resolves_once():
             powertalk.SimConfig(slots=10, amplitude=0.04, sigma_z=0.01, mode="linearized",
                                 rng_seed=1, tx=0, rx=1),
         ),
+        # a subnormal resistance, whose inverse overflows
+        lambda grid, nominal: powertalk.single_bus_channel(
+            [powertalk.VscSpec(400.0, 1e-320)], powertalk.LoadSpec()
+        ),
+        lambda grid, nominal: powertalk.single_bus_channel(
+            [powertalk.VscSpec(400.0, 0.39)], powertalk.LoadSpec(r_cr=1e-320)
+        ),
+        # a channel model built at the nominal droop, run at another
+        lambda grid, nominal: powertalk.run_transmission(
+            grid, nominal.with_r({0: 0.44, 1: 0.48}),
+            powertalk.linearize(grid, nominal, powertalk.solve_steady_state(grid, nominal)),
+            powertalk.SimConfig(slots=10, amplitude=0.04, sigma_z=0.01, mode="linearized",
+                                rng_seed=1, tx=0, rx=1),
+        ),
         lambda grid, nominal: powertalk.capacity(-1.0),
         lambda grid, nominal: powertalk.solve_steady_state(grid, nominal, method="secant"),
     ],
     ids=["investment-references", "single-bus-no-units", "single-bus-nan-resistance",
-         "linearized-without-model", "negative-snr", "unknown-method"],
+         "linearized-without-model", "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr",
+         "linearized-model-of-another-droop", "negative-snr", "unknown-method"],
 )
 def test_library_input_checks_raise_invalid_argument(grid, nominal, call):
     with pytest.raises(powertalk.InvalidArgument):

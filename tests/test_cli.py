@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertalk import (
+    Bus,
+    LineSpec,
+    LoadSpec,
     ParseError,
     SchemaError,
+    VscSpec,
     case_study,
     case_study_document,
     nominal_droop,
@@ -21,7 +25,7 @@ from powertalk import (
     validate_grid,
 )
 from powertalk import cli
-from powertalk.cli import RunConfig, SWEEP_COLUMNS, main, parse_config, serialize
+from powertalk.cli import SWEEP_COLUMNS, main, parse_config
 
 CASE_TEXT = json.dumps(case_study_document())
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,11 +103,6 @@ def test_schema_violations_name_the_offending_path(doc, fragment):
         parse_config(doc)
 
 
-def test_serialize_round_trips_the_case_document():
-    cfg = parse_config(CASE_TEXT)
-    assert parse_config(serialize(cfg)) == cfg
-
-
 load_docs = st.fixed_dictionaries(
     {},
     optional={
@@ -130,7 +129,7 @@ vsc_docs = st.fixed_dictionaries(
     vsc=vsc_docs,
     r_line=st.floats(min_value=0.01, max_value=10.0),
 )
-def test_serialize_round_trips_random_documents(loads, vsc, r_line):
+def test_parse_config_reads_random_documents(loads, vsc, r_line):
     buses = [{"id": 0, "vsc": vsc}]
     lines = []
     for k, load in enumerate(loads):
@@ -140,7 +139,12 @@ def test_serialize_round_trips_random_documents(loads, vsc, r_line):
         buses.append(entry)
         lines.append({"a": k, "b": k + 1, "r": r_line})
     cfg = parse_config(json.dumps({"buses": buses, "lines": lines}))
-    assert parse_config(serialize(cfg)) == cfg
+    nameplate = VscSpec(vsc["x_nom"], vsc["r_nom"], vsc.get("r_max"), vsc.get("pi"))
+    assert cfg.grid.buses == (
+        Bus(0, vsc=nameplate), *(Bus(k + 1, LoadSpec(**load)) for k, load in enumerate(loads))
+    )
+    assert cfg.grid.lines == tuple(LineSpec(k, k + 1, r_line) for k in range(len(loads)))
+    assert cfg.sim == cli.SimDefaults()
 
 
 def test_solve_outputs_voltages_matching_the_closed_form(grid_file, capsys):
@@ -291,6 +295,23 @@ def test_a_diverging_solve_exits_3_at_its_first_sweep_without_warnings(grid_file
 def test_an_infinite_virtual_resistance_exits_2_naming_the_bus(grid_file, capsys):
     assert main(["solve", "--grid", grid_file, "--r", "inf,0.4"]) == 2
     assert "virtual resistance on bus 0 must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["line r", "load r_cr"])
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+def test_a_subnormal_document_resistance_exits_2_without_warnings(tmp_path, capsys, command, field):
+    doc = json.loads(CASE_TEXT)
+    if field == "line r":
+        doc["lines"][0] = {"a": doc["lines"][0]["a"], "b": doc["lines"][0]["b"], "r": 1e-320}
+    else:
+        doc["buses"][2]["load"]["r_cr"] = 1e-320
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--grid", str(path)] + (["--pi", "10"] if command == "optimize" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "must be positive and finite, with a finite inverse" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])
@@ -490,6 +511,9 @@ def test_case_study_grid_document_and_config_file_agree():
         (["optimize", "--pi", "1e155"], "budget on bus 0"),
         (["optimize", "--pi", "10", "--sigma-z", "1e-300"], "sigma_z"),
         (["optimize", "--pi", "10", "--sigma-z", "1e200"], "sigma_z"),
+        # a lattice step too fine to count the points, or to index them
+        (["optimize", "--pi", "10", "--step", "1e-320"], "step 1e-320"),
+        (["optimize", "--pi", "10", "--step", "1e-200"], "step 1e-200"),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_are_config_errors(grid_file, capsys, argv, fragment):

@@ -1,4 +1,5 @@
 import argparse
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_validate_accepts_the_star():
     assert grid.n == 3
     assert grid.vsc_buses == (0, 1)
     assert grid.has_vsc(0) and not grid.has_vsc(2)
-    assert grid.neighbors(2) == (0, 1)
+    assert grid.adjacent == ((2,), (2,), (0, 1))
     assert grid.r_cr_inv[2] == pytest.approx(0.02)
     assert grid.d_cp[2] == 2500.0
 
@@ -110,22 +111,56 @@ def test_duplicate_line_rejected():
         validate_grid(spec)
 
 
-def test_nonpositive_line_resistance_rejected():
-    spec = GridSpec(
-        buses=(Bus(0, LoadSpec(), VscSpec(400.0, 0.39)), Bus(1, LoadSpec(r_cr=50.0))),
-        lines=(LineSpec(0, 1, 0.0),),
+# a subnormal resistance's inverse overflows, so it is as unusable as 0
+UNUSABLE_RESISTANCES = (0.0, -0.1, np.inf, np.nan, 1e-320)
+
+
+def _two_bus(r_nom=0.39, r_cr=50.0, r_line=0.19):
+    return GridSpec(
+        buses=(Bus(0, LoadSpec(), VscSpec(400.0, r_nom)), Bus(1, LoadSpec(r_cr=r_cr))),
+        lines=(LineSpec(0, 1, r_line),),
     )
-    with pytest.raises(NonpositiveResistance):
-        validate_grid(spec)
+
+
+def test_nonpositive_line_resistance_rejected():
+    for r in UNUSABLE_RESISTANCES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonpositiveResistance, match=r"line \(0, 1\) resistance"):
+                validate_grid(_two_bus(r_line=r))
 
 
 def test_nonpositive_droop_resistance_rejected():
-    spec = GridSpec(
-        buses=(Bus(0, LoadSpec(), VscSpec(400.0, -0.1)), Bus(1, LoadSpec(r_cr=50.0))),
-        lines=(LineSpec(0, 1, 0.19),),
-    )
-    with pytest.raises(NonpositiveResistance):
-        validate_grid(spec)
+    for r in UNUSABLE_RESISTANCES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonpositiveResistance, match="bus 0 converter r_nom"):
+                validate_grid(_two_bus(r_nom=r))
+
+
+def test_nonpositive_load_resistance_rejected():
+    for r in UNUSABLE_RESISTANCES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonpositiveResistance, match="bus 1 load r_cr"):
+                validate_grid(_two_bus(r_cr=r))
+
+
+@given(st.data())
+def test_neighbour_lists_ascend_without_a_sort(data):
+    # validate_grid appends each bus's neighbours from the sorted line pairs:
+    # the lower ones, from pairs (a, bus), come before the higher, from (bus, b)
+    n = data.draw(st.integers(2, 12))
+    tree = [(data.draw(st.integers(0, bus - 1)), bus) for bus in range(1, n)]
+    extra = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    pairs = set(tree) | {(a, b) for a, b in extra if a < b}
+    order = data.draw(st.permutations(sorted(pairs)))
+    lines = tuple(LineSpec(*(pair if k % 2 else pair[::-1]), 0.1) for k, pair in enumerate(order))
+    buses = (Bus(0, LoadSpec(), VscSpec(400.0, 0.39)),) + tuple(Bus(b) for b in range(1, n))
+    grid = validate_grid(GridSpec(buses=buses, lines=lines))
+    for bus, ends in enumerate(grid.adjacent):
+        lower, higher = {a for a, b in pairs if b == bus}, {b for a, b in pairs if a == bus}
+        assert ends == tuple(sorted(lower | higher))
 
 
 def test_disconnected_grid_rejected():

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 import warnings
@@ -688,6 +689,56 @@ def test_batched_newton_on_a_192_bus_chain():
     assert batch.residual.max() <= steady_state.DEFAULT_TOL
     assert solve_steady_state(grid, nominal, method="newton").residual <= steady_state.DEFAULT_TOL
     assert elapsed <= 2.0, f"{elapsed:.2f} s for 2,601 lanes"
+
+
+def _rounding_floor(grid, y, v0):
+    """Newton's residual floor for a lane with converter conductances ``y``, from ``v0``."""
+    g_bus = grid.lines.degree + y + grid.r_cr_inv
+    return steady_state.ROUNDING_TERMS * np.finfo(float).eps * np.max(g_bus * v0)
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder, _meshed_grid])
+def test_the_rounding_floor_stays_below_the_tolerance_on_small_grids(make_grid):
+    # at r_nom, the largest conductances of the lattice: every lane there stops
+    # where the absolute DEFAULT_TOL alone stops it
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    v0 = steady_state._initial_voltages(grid, nominal.x)
+    assert _rounding_floor(grid, nominal.conductances(grid), v0) < steady_state.DEFAULT_TOL
+
+
+def _exact_residual(grid, xr, y, v):
+    """Max current-balance error over the buses, each bus's terms summed exactly (math.fsum)."""
+    worst = 0.0
+    for bus in range(grid.n):
+        terms = [xr[bus], -y[bus] * v[bus], -grid.r_cr_inv[bus] * v[bus], -grid.i_cc[bus],
+                 -grid.d_cp[bus] / v[bus]]
+        for m in grid.adjacent[bus]:
+            terms += [grid.g_line[bus, m] * v[m], -grid.g_line[bus, m] * v[bus]]
+        worst = max(worst, abs(math.fsum(terms)))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_newton_certifies_long_chains_at_their_rounding_floor(monkeypatch, n):
+    # The line conductances, and with them the balance's largest terms, grow
+    # with n: Newton's residual bottoms out at 1.5-3.6e-10 A here, so the
+    # absolute 1e-10 A alone would never certify a lane.
+    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", 50)  # stop a lane that never certifies
+    grid = _chain(n)
+    nominal = nominal_droop(grid)
+    state = solve_steady_state(grid, nominal, method="newton", max_iter=8)
+    r = {0: np.array([0.39, 0.45, 0.6]), n - 1: np.array([0.39, 0.5, 0.42])}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    assert batch.feasible.all() and batch.sweeps <= 8
+    assert state.v.tobytes() == batch.v[0].tobytes()
+
+    xr, y = steady_state._droop_lanes(grid, nominal.x, r, 3)
+    v0 = steady_state._initial_voltages(grid, nominal.x)
+    for lane in range(3):
+        threshold = max(steady_state.DEFAULT_TOL, _rounding_floor(grid, y[lane], v0))
+        assert batch.residual[lane] <= threshold
+        assert _exact_residual(grid, xr[lane], y[lane], batch.v[lane]) <= threshold, lane
 
 
 def test_newton_block_memory_grows_linearly_with_the_buses():
