@@ -115,7 +115,7 @@ def _gains_block(
     kappa: np.ndarray,
     inputs: List[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`channel_gains` on one block: per lane, (g_line - diag(g_bus / kappa)) H = -Y."""
+    """:func:`channel_gains` on one block: per lane, (G - diag(g_bus / kappa)) H = -Y."""
     lanes, k = len(v), len(inputs)
     _, y = _droop_lanes(grid, x, r, lanes)
     diag = np.repeat(-(grid.lines.degree + y + grid.r_cr_inv) / kappa, k, axis=0)

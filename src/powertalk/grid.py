@@ -5,13 +5,16 @@ current, constant power in parallel) and optionally a droop-controlled
 voltage source converter (VSC).  Buses are joined by resistive
 distribution lines.  Validation produces an immutable :class:`ValidatedGrid`
 whose arrays are read-only, so they are safe to share across threads.
-It also fixes, once per grid, the two structures the batched solver
-walks instead of dense (n, n) products: a table of each bus's lines for
-the line sums, and an elimination schedule for the Newton steps.
+It describes the lines once, with no (n, n) array: a table of each
+bus's lines for the line sums, and an elimination schedule for the
+Newton steps, both fixed once per grid in O((n + fill) log n).  The
+dense line conductances are built from the table on demand, for
+Gauss-Seidel's BLAS row dots and the :func:`network_matrices` oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -82,18 +85,19 @@ class GridSpec:
 
 
 Index = Union[slice, np.ndarray]  # columns: a slice where they run up by one, else an index array
+Conductances = Dict[Tuple[int, int], float]  # 1/r of each line, keyed by (a, b) and by (b, a)
 
 
 class LineTable(NamedTuple):
     """Each bus's lines, so that line sums need no (n, n) product.
 
     Slot j holds the j-th neighbour, in ascending bus id, of every bus with
-    more than j lines (slot 0 holds every bus): ``sum_m g_line[n, m] v_m``
+    more than j lines (slot 0 holds every bus): ``sum_m v_m / r_{n,m}``
     is one gather, product and add per slot, taken in the order of a row
     sum over ascending ids.
     """
 
-    degree: np.ndarray  # (n,) g_line.sum(axis=1), the line conductance at each bus
+    degree: np.ndarray  # (n,) the line conductance at each bus, summed slot by slot
     slots: Tuple[Tuple[Index, Index, np.ndarray], ...]  # (buses, neighbours, conductances)
 
 
@@ -121,8 +125,9 @@ class EliminationLevel(NamedTuple):
 class Elimination(NamedTuple):
     """A fixed elimination order of the line graph, grouped into levels.
 
-    Buses go in minimum-degree order, ties to the lower bus id, and each
-    joins its remaining neighbours pairwise (the fill): scheme 2 of Tinney
+    Buses go in minimum-degree order, ties to the lower bus id (a heap
+    keyed on (degree, bus)), and each joins its remaining neighbours
+    pairwise (the fill): scheme 2 of Tinney
     & Walker, "Direct solutions of sparse network equations by optimally
     ordered triangular factorization", Proc. IEEE 1967.  A bus's level is
     its height in the elimination tree, so the buses of a level have no
@@ -139,16 +144,14 @@ class Elimination(NamedTuple):
 class ValidatedGrid:
     """A :class:`GridSpec` with all invariants checked and arrays assembled.
 
-    Arrays are indexed by bus id (dense 0..n-1).  ``g_line[n, m]`` is the
-    line conductance 1/r between buses n and m (0 when no line exists).
-    Radial and meshed grids are both accepted.
+    Arrays are indexed by bus id (dense 0..n-1); none is (n, n).  Radial
+    and meshed grids are both accepted.
     """
 
     spec: GridSpec
     n: int
     buses: Tuple[Bus, ...]
     vsc_buses: Tuple[int, ...]
-    g_line: np.ndarray    # (n, n) line conductances [1/ohm]
     r_cr_inv: np.ndarray  # (n,) 1/r_cr, 0 where the resistive load is absent
     i_cc: np.ndarray      # (n,) constant current loads [A]
     d_cp: np.ndarray      # (n,) constant power loads [W]
@@ -261,30 +264,23 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
     if not vsc_buses:
         raise NoConverter("at least one bus must host a converter")
 
-    g_line = np.zeros((n, n))
-    seen = set()
+    conductance: Conductances = {}
     for line in spec.lines:
         a, b = line.a, line.b
         if not (0 <= a < n and 0 <= b < n):
             raise InvalidGridSpec(f"line endpoints ({a}, {b}) reference unknown buses")
         if a == b:
             raise InvalidGridSpec(f"line endpoints must be distinct, got ({a}, {b})")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise DuplicateLine(f"more than one line between buses {key[0]} and {key[1]}")
-        seen.add(key)
-        g = 1.0 / line.r_line
-        g_line[a, b] = g
-        g_line[b, a] = g
+        if (a, b) in conductance:
+            raise DuplicateLine(f"more than one line between buses {min(a, b)} and {max(a, b)}")
+        conductance[a, b] = conductance[b, a] = 1.0 / line.r_line
     neighbours: List[List[int]] = [[] for _ in range(n)]
-    for a, b in sorted(seen):
+    for a, b in sorted(conductance):
         neighbours[a].append(b)
-        neighbours[b].append(a)
 
     _check_connected(n, neighbours)
 
     arrays = {
-        "g_line": g_line,
         "r_cr_inv": np.array([0.0 if b.load.r_cr is None else 1.0 / b.load.r_cr for b in buses]),
         "i_cc": np.array([b.load.i_cc for b in buses]),
         "d_cp": np.array([b.load.d_cp for b in buses]),
@@ -298,8 +294,8 @@ def validate_grid(spec: GridSpec) -> ValidatedGrid:
         vsc_buses=vsc_buses,
         constant_power=_index(np.flatnonzero(arrays["d_cp"]).tolist()),
         adjacent=tuple(map(tuple, neighbours)),
-        lines=_line_table(g_line, neighbours),
-        elimination=_elimination(g_line, neighbours),
+        lines=_line_table(conductance, neighbours),
+        elimination=_elimination(conductance, neighbours),
         **arrays,
     )
 
@@ -343,38 +339,50 @@ def _rounds(keys: Sequence[int]) -> List[List[int]]:
     return rounds
 
 
-def _line_table(g_line: np.ndarray, neighbours: List[List[int]]) -> LineTable:
-    # a bus without lines (a one-bus grid) reads itself at conductance 0, so
-    # that slot 0 holds every bus
-    lines = [ends or [bus] for bus, ends in enumerate(neighbours)]
-    slots = []
-    for j in range(max(map(len, lines))):
-        buses = [bus for bus, ends in enumerate(lines) if len(ends) > j]
-        ends = [lines[bus][j] for bus in buses]
-        slots.append((_index(buses), _index(ends), _read_only(g_line[buses, ends], float)))
-    return LineTable(degree=_read_only(g_line.sum(axis=1), float), slots=tuple(slots))
+def _line_table(conductance: Conductances, neighbours: List[List[int]]) -> LineTable:
+    slots: List[Tuple[List[int], List[int], List[float]]] = []  # (buses, neighbours, conductances)
+    for bus, ends in enumerate(neighbours):
+        # a bus without lines (a one-bus grid) reads itself at conductance 0, so
+        # that slot 0 holds every bus
+        for j, end in enumerate(ends or [bus]):
+            if j == len(slots):
+                slots.append(([], [], []))
+            for column, item in zip(slots[j], (bus, end, conductance.get((bus, end), 0.0))):
+                column.append(item)
+    degree = np.array(slots[0][2])
+    for buses, _, g in slots[1:]:  # in ascending neighbour order, the order of a line sum
+        degree[buses] += g
+    return LineTable(
+        degree=_read_only(degree, float),
+        slots=tuple((_index(b), _index(ends), _read_only(g, float)) for b, ends, g in slots),
+    )
 
 
-def _elimination(g_line: np.ndarray, neighbours: List[List[int]]) -> Elimination:
+def _elimination(conductance: Conductances, neighbours: List[List[int]]) -> Elimination:
     adjacent = [set(ends) for ends in neighbours]
-    remaining = set(range(len(g_line)))
+    heap = [(len(ends), bus) for bus, ends in enumerate(adjacent)]
+    heapq.heapify(heap)
     order: List[int] = []
     later: Dict[int, List[int]] = {}  # each bus's neighbours when it goes
-    while remaining:
-        bus = min(remaining, key=lambda b: (len(adjacent[b]), b))
-        remaining.remove(bus)
+    while heap:
+        degree, bus = heapq.heappop(heap)
+        if bus in later or degree != len(adjacent[bus]):
+            continue  # gone already, or a key its degree has left
         order.append(bus)
         later[bus] = sorted(adjacent[bus])
         for other in later[bus]:
             adjacent[other].discard(bus)
             adjacent[other].update(m for m in later[bus] if m != other)
+            heapq.heappush(heap, (len(adjacent[other]), other))
     position = {bus: p for p, bus in enumerate(order)}
     height = dict.fromkeys(order, 0)
     for bus in order:  # a child goes before its parent, the first of its later neighbours
         if later[bus]:
             parent = min(later[bus], key=position.__getitem__)
             height[parent] = max(height[parent], height[bus] + 1)
-    by_level = [[bus for bus in order if height[bus] == h] for h in range(max(height.values()) + 1)]
+    by_level: List[List[int]] = [[] for _ in range(max(height.values()) + 1)]
+    for bus in order:
+        by_level[height[bus]].append(bus)
 
     pairs = [[(k, i) for k in buses for i in later[k]] for buses in by_level]
     spoke = {pair: s for s, pair in enumerate(p for level in pairs for p in level)}
@@ -407,7 +415,7 @@ def _elimination(g_line: np.ndarray, neighbours: List[List[int]]) -> Elimination
         start += len(level)
     return Elimination(
         levels=tuple(levels),
-        values=_read_only([g_line[pair] for pair in spoke], float),
+        values=_read_only([conductance.get(pair, 0.0) for pair in spoke], float),
         updates=any(level.fill for level in levels),
     )
 
@@ -421,8 +429,22 @@ def network_matrices(grid: ValidatedGrid, droop: "DroopState") -> Tuple[np.ndarr
     combination of the bus's resistive load, its incident lines, and, on
     converter buses, the virtual resistance.
     """
-    degree = grid.g_line.sum(axis=1)
-    psi = np.diag(degree) - grid.g_line
+    psi = _line_matrix(grid)
+    np.subtract(0.0, psi, out=psi)  # in place; 0.0 - 0.0 keeps +0.0 where no line runs
+    psi[np.diag_indices(grid.n)] = grid.lines.degree
     y = droop.conductances(grid)
-    r_bus = 1.0 / (grid.r_cr_inv + degree + y)
+    r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     return psi, r_bus
+
+
+def _line_matrix(grid: ValidatedGrid) -> np.ndarray:
+    """The (n, n) line conductances 1/r, 0 where no line runs, from the line table.
+
+    The package's one (n, n) array, for Gauss-Seidel's BLAS row dots and
+    the :func:`network_matrices` oracle.
+    """
+    g_line = np.zeros((grid.n, grid.n))
+    ids = np.arange(grid.n)
+    for buses, ends, g in grid.lines.slots:
+        g_line[ids[buses], ids[ends]] = g  # a slice beside an array would index an outer product
+    return g_line

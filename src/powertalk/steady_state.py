@@ -20,8 +20,9 @@ where a dense solve costs O(n**3) and O(n**2).  A single configuration
 is solved by default with a damped Gauss-Seidel fixed point that sweeps
 the per-bus update on Python floats, bit for bit a numpy sweep, and
 checks the residual once per block of sweeps; a sweep whose residual is
-not finite ends the solve.  Every solve takes kappa from the Newton
-steps' line sums.  Solvers are pure functions of their arguments and
+not finite ends the solve; it alone builds the dense line conductances,
+once per solve.  Every solve takes kappa from the Newton steps' line
+sums.  Solvers are pure functions of their arguments and
 safe to run concurrently; every call solves.
 """
 
@@ -35,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import Elimination, ValidatedGrid, check_resistances
+from .grid import Elimination, ValidatedGrid, _line_matrix, check_resistances
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +118,7 @@ def _residual(
 ) -> np.ndarray:
     """Current-balance error per bus: injection minus load minus line export.
 
-    ``inflow`` is ``grid.g_line @ v``.  ``v`` and ``inflow`` are (n,) or
+    ``inflow`` is ``sum_m v_m/r_{n,m}``.  ``v`` and ``inflow`` are (n,) or
     (sweeps, n); the figures are elementwise, so each row is bit for bit
     its own (n,) residual.
     """
@@ -187,13 +188,15 @@ def _gauss_seidel(
     within ``tol`` is returned; the sweeps after it in its block are
     discarded, and so is a :class:`NoRealRoot` one of them raised.  A sweep
     whose residual is not finite raises :class:`NonConvergence` naming it.
-    Returns the voltages and their max residual.
+    ``g_line`` is the dense line matrix, built once per solve.  Returns the
+    voltages and their max residual.
     """
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     four_d = 4.0 * grid.d_cp / r_bus
+    g_line = _line_matrix(grid)
     buses = []
     for bus in range(grid.n):
-        row = grid.g_line[bus]
+        row = g_line[bus]
         (lines,) = np.nonzero(row)
         if len(lines) == 1:  # (row_dot, g, m): inflow g * v_m
             line_sum = (None, float(row[lines[0]]), int(lines[0]))
@@ -209,7 +212,7 @@ def _gauss_seidel(
             count = min(SWEEP_BLOCK, max_iter - start)
             done, failure = _sweep_block(buses, v, v_old, sweep_v, count)
             swept = sweep_v[:done]
-            inflow = np.matmul(grid.g_line, swept[:, :, None])[:, :, 0]  # a BLAS gemv per sweep
+            inflow = np.matmul(g_line, swept[:, :, None])[:, :, 0]  # a BLAS gemv per sweep
             block_res = np.max(np.abs(_residual(grid, xr, y, swept, inflow)), axis=1)
             (stops,) = np.nonzero((block_res <= tol) | ~np.isfinite(block_res))
             if stops.size:
@@ -314,16 +317,16 @@ def check_viability(
     """Reference-voltage lower bounds for a real operating point.
 
     For each converter bus the root of the bus quadratic is real only if
-    x >= r * (sqrt(4 d_cp / r_bus) - sum_m v_m / r_{n,m}) given the
+    x >= r * (sqrt(4 d_cp / r_bus) - sum_m v_m / r_{n,m} + i_cc) given the
     neighbor voltages.  Violations are returned as data, not raised.
     """
     droop.validate(grid)
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
+    net_inflow = _line_sum(grid, np.asarray(v_neighbors, dtype=float)[None])[0] - grid.i_cc
     violations = []
     for bus in grid.vsc_buses:
-        inflow = grid.g_line[bus] @ v_neighbors
-        bound = droop.r[bus] * (np.sqrt(4.0 * grid.d_cp[bus] / r_bus[bus]) - inflow)
+        bound = droop.r[bus] * (np.sqrt(4.0 * grid.d_cp[bus] / r_bus[bus]) - net_inflow[bus])
         if droop.x[bus] < bound:
             violations.append(ViabilityViolation(bus=bus, x=droop.x[bus], bound=float(bound)))
     return violations
@@ -408,9 +411,9 @@ def _newton_block(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Newton on one block of lanes; a lane iterates until it is certified or strays.
 
-    Each step solves ``J dv = f`` for the Jacobian ``J = g_line -
-    diag(g_bus - d_cp/v**2)`` by :func:`_eliminate` on the grid's
-    elimination schedule, vectorised over lanes, without pivoting.  A lane
+    Each step solves ``J dv = f`` for the Jacobian ``J = G - diag(g_bus -
+    d_cp/v**2)``, ``G`` the line conductances, by :func:`_eliminate` on the
+    grid's elimination schedule, vectorised over lanes, without pivoting.  A lane
     leaves as soon as its residual is within its threshold (certified, if
     every voltage is positive and every constant-power bus is on its larger
     root) or it is off the physical branch, so a lane without a viable
@@ -468,7 +471,7 @@ def _newton_block(
 
 
 def _eliminate(schedule: Elimination, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(g_line + diag(diag)) x = rhs`` per lane; ``diag`` ends as the pivots, ``rhs`` as x.
+    """Solve ``(G + diag(diag)) x = rhs`` per lane; ``diag`` ends as the pivots, ``rhs`` as x.
 
     Forward, level by level, each pivot k's spokes (k, i) take
     ``w = e_ki / d_k`` off its later buses: ``d_i -= w e_ki``, ``rhs_i -= w
@@ -510,12 +513,17 @@ def _balance(
     neighbour slots, elementwise over lanes, so a lane's figures do not
     depend on the other lanes in the batch.
     """
+    b = xr + _line_sum(grid, v) - grid.i_cc
+    return b, b - g_bus * v - grid.d_cp / v
+
+
+def _line_sum(grid: ValidatedGrid, v: np.ndarray) -> np.ndarray:
+    """``sum_m v_m/r_{n,m}`` per lane, in ascending neighbour order (as ``lines.degree``)."""
     (_, ends, g), *slots = grid.lines.slots
     line_sum = g * v[:, ends]  # the first slot holds every bus
     for buses, ends, g in slots:
         line_sum[:, buses] += g * v[:, ends]
-    b = xr + line_sum - grid.i_cc
-    return b, b - g_bus * v - grid.d_cp / v
+    return line_sum
 
 
 def _on_upper_branch(
@@ -549,18 +557,19 @@ def two_source_closed_form(grid: ValidatedGrid, droop: DroopState) -> np.ndarray
     droop.validate(grid)
     if grid.n != 3 or len(grid.vsc_buses) != 2:
         raise TopologyMismatch("expected exactly 3 buses with converters on 2 of them")
+    g_line = _line_matrix(grid)
     load_bus = next(bus for bus in range(3) if not grid.has_vsc(bus))
     sources = list(grid.vsc_buses)
     for bus in sources:
         load = grid.buses[bus].load
         if load.r_cr is not None or load.i_cc != 0.0 or load.d_cp != 0.0:
             raise TopologyMismatch(f"source bus {bus} must carry no local load")
-        if grid.g_line[bus, load_bus] == 0.0:
+        if g_line[bus, load_bus] == 0.0:
             raise TopologyMismatch(f"source bus {bus} must connect to the load bus")
-    if grid.g_line[sources[0], sources[1]] != 0.0:
+    if g_line[sources[0], sources[1]] != 0.0:
         raise TopologyMismatch("source buses must not be directly connected")
 
-    r_leg = {bus: droop.r[bus] + 1.0 / grid.g_line[bus, load_bus] for bus in sources}
+    r_leg = {bus: droop.r[bus] + 1.0 / g_line[bus, load_bus] for bus in sources}
     g_total = sum(1.0 / r_leg[bus] for bus in sources) + grid.r_cr_inv[load_bus]
     b = sum(droop.x[bus] / r_leg[bus] for bus in sources) - grid.i_cc[load_bus]
     disc = b * b - 4.0 * grid.d_cp[load_bus] * g_total
@@ -569,7 +578,7 @@ def two_source_closed_form(grid: ValidatedGrid, droop: DroopState) -> np.ndarray
     v = np.zeros(3)
     v[load_bus] = (b + np.sqrt(disc)) / (2.0 * g_total)
     for bus in sources:
-        g_line = grid.g_line[bus, load_bus]
-        r_bus = 1.0 / (1.0 / droop.r[bus] + g_line)
-        v[bus] = r_bus * (droop.x[bus] / droop.r[bus] + v[load_bus] * g_line)
+        g = g_line[bus, load_bus]
+        r_bus = 1.0 / (1.0 / droop.r[bus] + g)
+        v[bus] = r_bus * (droop.x[bus] / droop.r[bus] + v[load_bus] * g)
     return v

@@ -1,5 +1,6 @@
 """Shared fixtures: the two-converter star grid and its solved artifacts."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -23,6 +24,14 @@ settings.load_profile("default")
 
 # acceptance tests append (criterion, ok, detail) here; printed after the run
 ACCEPTANCE_LINES = []
+
+
+def dense_lines(grid):
+    """The (n, n) line conductances 1/r, 0 where no line runs, from the line specs: the oracle."""
+    g_line = np.zeros((grid.n, grid.n))
+    for line in grid.spec.lines:
+        g_line[line.a, line.b] = g_line[line.b, line.a] = 1.0 / line.r_line
+    return g_line
 
 
 def pytest_terminal_summary(terminalreporter):

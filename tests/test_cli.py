@@ -27,6 +27,8 @@ from powertalk import (
 from powertalk import cli
 from powertalk.cli import SWEEP_COLUMNS, main, parse_config
 
+from conftest import dense_lines
+
 CASE_TEXT = json.dumps(case_study_document())
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -493,7 +495,8 @@ def test_case_study_grid_document_and_config_file_agree():
     grids = [case_study(), validate_grid(file_cfg.grid), validate_grid(doc_cfg.grid)]
     for grid in grids[1:]:
         assert grid.spec == grids[0].spec
-        assert np.array_equal(grid.g_line, grids[0].g_line)
+        assert np.array_equal(dense_lines(grid), dense_lines(grids[0]))
+        assert grid.lines.degree.tobytes() == grids[0].lines.degree.tobytes()
 
 
 @pytest.mark.parametrize(

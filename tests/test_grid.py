@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertalk import (
@@ -33,6 +33,10 @@ from powertalk import (
     one_way_snr,
     validate_grid,
 )
+from powertalk.grid import _line_matrix
+
+from conftest import dense_lines
+from test_steady_state import _case_study_config, _chain, _meshed_grid, _radial_feeder
 
 
 def star(d_cp=2500.0):
@@ -78,8 +82,7 @@ def test_bus_ids_must_be_dense_and_ordered():
 
 def test_validated_arrays_are_read_only():
     grid = validate_grid(star())
-    for name in ("g_line", "r_cr_inv", "i_cc", "d_cp"):
-        array = getattr(grid, name)
+    for array in (grid.lines.degree, grid.r_cr_inv, grid.i_cc, grid.d_cp):
         with pytest.raises(ValueError):
             array[0] = 1.0
 
@@ -146,21 +149,100 @@ def test_nonpositive_load_resistance_rejected():
                 validate_grid(_two_bus(r_cr=r))
 
 
-@given(st.data())
-def test_neighbour_lists_ascend_without_a_sort(data):
-    # validate_grid appends each bus's neighbours from the sorted line pairs:
-    # the lower ones, from pairs (a, bus), come before the higher, from (bus, b)
-    n = data.draw(st.integers(2, 12))
+def _random_grid(data, max_buses=12):
+    """A connected grid of 1 to ``max_buses`` buses drawn by hypothesis: a random tree plus
+    random chords, its lines in random order and orientation, with random resistances."""
+    n = data.draw(st.integers(1, max_buses))
     tree = [(data.draw(st.integers(0, bus - 1)), bus) for bus in range(1, n)]
     extra = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     pairs = set(tree) | {(a, b) for a, b in extra if a < b}
     order = data.draw(st.permutations(sorted(pairs)))
-    lines = tuple(LineSpec(*(pair if k % 2 else pair[::-1]), 0.1) for k, pair in enumerate(order))
+    r = data.draw(st.lists(st.floats(0.01, 5.0), min_size=len(order), max_size=len(order)))
+    lines = tuple(LineSpec(*(pair if k % 2 else pair[::-1]), r[k]) for k, pair in enumerate(order))
     buses = (Bus(0, LoadSpec(), VscSpec(400.0, 0.39)),) + tuple(Bus(b) for b in range(1, n))
-    grid = validate_grid(GridSpec(buses=buses, lines=lines))
+    return validate_grid(GridSpec(buses=buses, lines=lines))
+
+
+@given(st.data())
+def test_neighbour_lists_ascend_without_a_sort(data):
+    # validate_grid appends each bus's neighbours from the sorted (bus,
+    # neighbour) pairs, which hold every line in both orders
+    grid = _random_grid(data)
+    pairs = {(min(line.a, line.b), max(line.a, line.b)) for line in grid.spec.lines}
     for bus, ends in enumerate(grid.adjacent):
         lower, higher = {a for a, b in pairs if b == bus}, {b for a, b in pairs if a == bus}
         assert ends == tuple(sorted(lower | higher))
+
+
+@given(st.data())
+def test_the_line_table_holds_the_line_specs(data):
+    # the dense matrix is the slot table scattered back, a one-bus grid's self
+    # slot at conductance 0 included, and degree adds each bus's lines in
+    # ascending neighbour order, the order of a line sum
+    grid = _random_grid(data)
+    dense = dense_lines(grid)
+    assert _line_matrix(grid).tobytes() == dense.tobytes()
+    for bus, ends in enumerate(grid.adjacent):
+        degree = 0.0
+        for m in ends:
+            degree += dense[bus, m]
+        assert grid.lines.degree[bus] == degree, bus
+
+
+def _quadratic_schedule(grid):
+    """Per level, each pivot and its later neighbours, every bus picked by ``min`` over the
+    remaining ones in O(n) (so O(n**2) in all): the oracle of the heap in ``validate_grid``."""
+    adjacent = [set(ends) for ends in grid.adjacent]
+    remaining = set(range(grid.n))
+    order, later = [], {}
+    while remaining:
+        bus = min(remaining, key=lambda b: (len(adjacent[b]), b))
+        remaining.remove(bus)
+        order.append(bus)
+        later[bus] = sorted(adjacent[bus])
+        for other in later[bus]:
+            adjacent[other].discard(bus)
+            adjacent[other].update(m for m in later[bus] if m != other)
+    position = {bus: p for p, bus in enumerate(order)}
+    height = dict.fromkeys(order, 0)
+    for bus in order:
+        if later[bus]:
+            parent = min(later[bus], key=position.__getitem__)
+            height[parent] = max(height[parent], height[bus] + 1)
+    return [
+        [(bus, later[bus]) for bus in order if height[bus] == h]
+        for h in range(max(height.values()) + 1)
+    ]
+
+
+def _assert_schedule_matches_the_quadratic_order(grid):
+    ids = np.arange(grid.n)
+    want = _quadratic_schedule(grid)
+    got = []
+    for level in grid.elimination.levels:
+        pivot, target = ids[level.pivot].tolist(), ids[level.target].tolist()
+        got.append([
+            (k, [i for p, i in zip(pivot, target) if p == k]) for k in ids[level.pivots].tolist()
+        ])
+    assert got == want
+    dense = dense_lines(grid)  # a spoke's value is its line's conductance, 0 for fill
+    values = [dense[k, i] for level in want for k, ends in level for i in ends]
+    assert grid.elimination.values.tolist() == values
+
+
+@pytest.mark.parametrize(
+    "make_grid",
+    [_case_study_config, _radial_feeder, _meshed_grid, lambda: _chain(192)],
+    ids=["case-study", "feeder", "meshed", "chain-192"],
+)
+def test_the_schedule_follows_the_quadratic_minimum_degree_order(make_grid):
+    _assert_schedule_matches_the_quadratic_order(make_grid())
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_the_schedule_follows_the_quadratic_order_on_random_grids(data):
+    _assert_schedule_matches_the_quadratic_order(_random_grid(data, max_buses=30))
 
 
 def test_disconnected_grid_rejected():

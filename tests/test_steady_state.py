@@ -30,6 +30,8 @@ from powertalk import (
 )
 from powertalk.optimizer import DEFAULT_STEP, default_r_max
 
+from conftest import dense_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 r_values = st.floats(min_value=0.2, max_value=2.0)
 
@@ -93,7 +95,7 @@ def test_power_balance(grid, nominal, state):
         + np.sum(grid.d_cp)
     )
     dv = state.v[:, None] - state.v[None, :]
-    losses = 0.5 * float(np.sum(grid.g_line * dv**2))
+    losses = 0.5 * float(np.sum(dense_lines(grid) * dv**2))
     assert injected == pytest.approx(load + losses, rel=1e-9)
 
 
@@ -177,16 +179,25 @@ def test_with_r_and_with_x_return_updated_copies(nominal):
     assert nominal.r[0] == 0.39 and nominal.x[1] == 400.0  # originals untouched
 
 
-def test_check_viability_flags_low_reference():
-    grid = validate_grid(
-        GridSpec(buses=(Bus(0, LoadSpec(d_cp=150_000.0), VscSpec(400.0, 0.39)),), lines=())
-    )
+@pytest.mark.parametrize(
+    "load, bound",
+    [
+        (LoadSpec(d_cp=150_000.0), 0.39 * math.sqrt(4.0 * 150_000.0 / 0.39)),
+        # the constant-current draw raises the bound: r (sqrt(4 d_cp/r_bus) + i_cc)
+        (LoadSpec(i_cc=100.0, d_cp=90_000.0), 0.39 * (math.sqrt(4.0 * 90_000.0 / 0.39) + 100.0)),
+    ],
+    ids=["constant-power", "constant-current"],
+)
+def test_check_viability_flags_low_reference(load, bound):
+    grid = validate_grid(GridSpec(buses=(Bus(0, load, VscSpec(400.0, 0.39)),), lines=()))
     droop = nominal_droop(grid)
     violations = check_viability(grid, droop, np.zeros(1))
     assert [v.bus for v in violations] == [0]
+    assert violations[0].bound == pytest.approx(bound, rel=1e-12)
     assert violations[0].bound > violations[0].x
-    with pytest.raises(NoRealRoot):
-        solve_steady_state(grid, droop)
+    for method in ("gauss_seidel", "newton"):
+        with pytest.raises(NoRealRoot):
+            solve_steady_state(grid, droop, method=method)
 
 
 def test_check_viability_quiet_at_nominal(grid, nominal, state):
@@ -307,21 +318,21 @@ def test_batch_matches_closed_form_on_case_study_lattice(grid, nominal):
 
 def _collapse_root(grid, droop):
     """Star voltages on the smaller root of the load-bus quadratic."""
-    load, sources = 2, (0, 1)
-    r_leg = {bus: droop.r[bus] + 1.0 / grid.g_line[bus, load] for bus in sources}
+    load, sources, g_line = 2, (0, 1), dense_lines(grid)
+    r_leg = {bus: droop.r[bus] + 1.0 / g_line[bus, load] for bus in sources}
     g_total = sum(1.0 / r_leg[bus] for bus in sources) + grid.r_cr_inv[load]
     b = sum(droop.x[bus] / r_leg[bus] for bus in sources) - grid.i_cc[load]
     v = np.zeros(3)
     v[load] = (b - np.sqrt(b * b - 4.0 * grid.d_cp[load] * g_total)) / (2.0 * g_total)
     for bus in sources:
-        g_line = grid.g_line[bus, load]
-        v[bus] = (droop.x[bus] / droop.r[bus] + v[load] * g_line) / (1.0 / droop.r[bus] + g_line)
+        g = g_line[bus, load]
+        v[bus] = (droop.x[bus] / droop.r[bus] + v[load] * g) / (1.0 / droop.r[bus] + g)
     return v
 
 
 def test_branch_certificate_rejects_collapse_root(grid, nominal):
     xr = nominal.source_terms(grid)[None, :]
-    g_bus = (grid.g_line.sum(axis=1) + nominal.conductances(grid) + grid.r_cr_inv)[None, :]
+    g_bus = (grid.lines.degree + nominal.conductances(grid) + grid.r_cr_inv)[None, :]
     upper = two_source_closed_form(grid, nominal)[None, :]
     lower = _collapse_root(grid, nominal)[None, :]
     assert 0.0 < lower[0, 2] < upper[0, 2]
@@ -334,17 +345,18 @@ def test_branch_certificate_rejects_collapse_root(grid, nominal):
 # -- the Gauss-Seidel sweep against its numpy form ----------------------------
 
 def _numpy_residual(grid, xr, y, v):
-    line_out = grid.g_line.sum(axis=1) * v - grid.g_line @ v
+    line_out = grid.lines.degree * v - dense_lines(grid) @ v
     return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
 
 
 def _numpy_gauss_seidel(grid, xr, y, r_bus, v, tol, max_iter, damping):
     """The sweep as numpy scalar code: the reference for the float sweep."""
     four_d = 4.0 * grid.d_cp / r_bus
+    g_line = dense_lines(grid)
     res = np.inf
     for _ in range(max_iter):
         for bus in range(grid.n):
-            b = xr[bus] + grid.g_line[bus] @ v - grid.i_cc[bus]
+            b = xr[bus] + g_line[bus] @ v - grid.i_cc[bus]
             disc = b * b - four_d[bus]
             if disc < 0.0:
                 raise NoRealRoot(
@@ -363,7 +375,7 @@ def _numpy_start(grid, droop):
     """``(xr, y, r_bus, v0)``: the numpy sweep's inputs at the solver's starting point."""
     xr = droop.source_terms(grid)
     y = droop.conductances(grid)
-    r_bus = 1.0 / (grid.r_cr_inv + grid.g_line.sum(axis=1) + y)
+    r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     v0 = steady_state._initial_voltages(grid, droop.x)
     return xr, y, r_bus, v0
 
@@ -553,7 +565,7 @@ def _chain(n):
 
 
 def _dense_jacobians(grid, diag):
-    jac = np.repeat(grid.g_line[None], len(diag), axis=0)
+    jac = np.repeat(dense_lines(grid)[None], len(diag), axis=0)
     bus = np.arange(grid.n)
     jac[:, bus, bus] = diag
     return jac
@@ -592,12 +604,12 @@ def test_elimination_solves_the_dense_jacobian(make_grid):
 
 def _dense_newton_flags(grid, xr, y, v0, max_iter=100):
     """Per lane, whether Newton with dense Jacobians and LAPACK certifies it: the reference."""
-    flags = []
+    flags, g_line = [], dense_lines(grid)
     for lane in range(len(xr)):
-        g_bus = grid.g_line.sum(axis=1) + y[lane] + grid.r_cr_inv
+        g_bus = grid.lines.degree + y[lane] + grid.r_cr_inv
         v, certified = v0.copy(), False
         for _ in range(max_iter):
-            b = xr[lane] + grid.g_line @ v - grid.i_cc
+            b = xr[lane] + g_line @ v - grid.i_cc
             f = b - g_bus * v - grid.d_cp / v
             disc = b * b - 4.0 * grid.d_cp * g_bus
             upper = (grid.d_cp == 0.0) | ((disc >= 0.0) & (2.0 * v * g_bus >= b))
@@ -606,7 +618,7 @@ def _dense_newton_flags(grid, xr, y, v0, max_iter=100):
             if np.max(np.abs(f)) <= steady_state.DEFAULT_TOL:
                 certified = True
                 break
-            v = v - np.linalg.solve(grid.g_line - np.diag(g_bus - grid.d_cp / v**2), f)
+            v = v - np.linalg.solve(g_line - np.diag(g_bus - grid.d_cp / v**2), f)
         flags.append(certified)
     return flags
 
@@ -709,14 +721,16 @@ def test_the_rounding_floor_stays_below_the_tolerance_on_small_grids(make_grid):
 
 def _exact_residual(grid, xr, y, v):
     """Max current-balance error over the buses, each bus's terms summed exactly (math.fsum)."""
-    worst = 0.0
-    for bus in range(grid.n):
-        terms = [xr[bus], -y[bus] * v[bus], -grid.r_cr_inv[bus] * v[bus], -grid.i_cc[bus],
-                 -grid.d_cp[bus] / v[bus]]
-        for m in grid.adjacent[bus]:
-            terms += [grid.g_line[bus, m] * v[m], -grid.g_line[bus, m] * v[bus]]
-        worst = max(worst, abs(math.fsum(terms)))
-    return worst
+    terms = [
+        [xr[bus], -y[bus] * v[bus], -grid.r_cr_inv[bus] * v[bus], -grid.i_cc[bus],
+         -grid.d_cp[bus] / v[bus]]
+        for bus in range(grid.n)
+    ]
+    for line in grid.spec.lines:
+        g = 1.0 / line.r_line
+        for bus, m in ((line.a, line.b), (line.b, line.a)):
+            terms[bus] += [g * v[m], -g * v[bus]]
+    return max(abs(math.fsum(bus_terms)) for bus_terms in terms)
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -739,6 +753,20 @@ def test_newton_certifies_long_chains_at_their_rounding_floor(monkeypatch, n):
         threshold = max(steady_state.DEFAULT_TOL, _rounding_floor(grid, y[lane], v0))
         assert batch.residual[lane] <= threshold
         assert _exact_residual(grid, xr[lane], y[lane], batch.v[lane]) <= threshold, lane
+
+
+def test_a_6000_bus_chain_validates_without_an_n_by_n_array():
+    # a dense (n, n) line matrix alone would take 275 MB here
+    tracemalloc.start()
+    try:
+        grid = _chain(6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"validation peaked at {peak / 2**20:.1f} MB"
+    nominal = nominal_droop(grid)
+    r = {0: np.array([0.39, 0.45, 0.6]), 5999: np.array([0.39, 0.5, 0.42])}
+    assert solve_steady_state_many(grid, dict(nominal.x), r).feasible.all()
 
 
 def test_newton_block_memory_grows_linearly_with_the_buses():
