@@ -10,9 +10,9 @@ correction on the Laplacian diagonal.
 
 One batched kernel, :func:`channel_gains`, gives the gains of chosen
 input buses at many operating points (the optimizer's resistance
-lattice); :func:`linearize` is that kernel on one lane.  It solves by
-the Newton steps' elimination, with no dense (n, n) system, and a lane
-without a viable operating point (a non-finite kappa) gets NaN gains.
+lattice); :func:`linearize` is that kernel on one lane and the converter
+inputs.  It eliminates each lane once for all its inputs, with no dense
+(n, n) system; a lane without a viable operating point gets NaN gains.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ class ChannelModel:
 def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> ChannelModel:
     """Build the channel model at a solved operating point.
 
-    :func:`channel_gains` on one lane with every bus as an input, its
-    converter power gains scattered into the rows of an (n, n) Phi.
+    :func:`channel_gains` on one lane with the converter buses as inputs,
+    scattered into (n, n) H and Phi; the other columns are +0.0.
     ``state`` must come from the same grid and droop configuration.
     """
-    h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], state.kappa[None], range(grid.n))
-    power = np.zeros((grid.n, grid.n))
-    power[list(grid.vsc_buses)] = phi[0]
-    return ChannelModel(H=h[0], Phi=power, operating_point=state, droop=droop)
+    vsc = list(grid.vsc_buses)
+    h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], state.kappa[None], vsc)
+    gains, power = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
+    gains[:, vsc], power[np.ix_(vsc, vsc)] = h[0], phi[0]
+    return ChannelModel(H=gains, Phi=power, operating_point=state, droop=droop)
 
 
 def channel_gains(
@@ -82,10 +83,10 @@ def channel_gains(
     Returns ``h`` (lanes, n, k), the H columns of ``inputs``, and ``phi``
     (lanes, n_vsc, k), their Phi rows for the converter buses in grid
     order.  A lane with a non-finite kappa at any bus (not viable) gets
-    NaN gains.  Each (lane, input) pair is one row of ``_eliminate`` on the
-    grid's schedule, with no (lanes, n, n) system, in blocks the size of
-    the Newton steps', so a column depends on neither its block nor the
-    other inputs, and memory beyond the outputs stays bounded.
+    NaN gains.  Each lane is eliminated once on the grid's schedule for all
+    of its inputs (``_eliminate``), with no (lanes, n, n) system, in blocks
+    the size of the Newton steps', so a column depends on neither its block
+    nor the other inputs, and memory beyond the outputs stays bounded.
     """
     inputs = list(inputs)
     lanes = len(v)
@@ -96,14 +97,8 @@ def channel_gains(
     block = max(1, _block_lanes(grid) // max(1, len(inputs)))
     for lo in range(0, lanes, block):
         blk = slice(lo, lo + block)
-        h[blk], phi[blk] = _gains_block(
-            grid,
-            {bus: values[blk] for bus, values in x.items()},
-            {bus: values[blk] for bus, values in r.items()},
-            v[blk],
-            kappa[blk],
-            inputs,
-        )
+        x_blk, r_blk = ({bus: values[blk] for bus, values in d.items()} for d in (x, r))
+        h[blk], phi[blk] = _gains_block(grid, x_blk, r_blk, v[blk], kappa[blk], inputs)
     return h, phi
 
 
@@ -116,17 +111,15 @@ def _gains_block(
     inputs: List[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`channel_gains` on one block: per lane, (G - diag(g_bus / kappa)) H = -Y."""
-    lanes, k = len(v), len(inputs)
-    _, y = _droop_lanes(grid, x, r, lanes)
-    diag = np.repeat(-(grid.lines.degree + y + grid.r_cr_inv) / kappa, k, axis=0)
-    rhs = np.zeros((lanes, k, grid.n))
-    rhs[:, np.arange(k), inputs] = -y[:, inputs]
+    _, y = _droop_lanes(grid, x, r, len(v))
+    diag = -(grid.lines.degree + y + grid.r_cr_inv) / kappa
+    rhs = np.zeros((len(inputs), len(v), grid.n))
+    rhs[np.arange(len(inputs)), :, inputs] = -y[:, inputs].T  # (inputs, lanes)
     with np.errstate(all="ignore"):  # non-viable lanes are overwritten below
-        h = _eliminate(grid.elimination, diag, rhs.reshape(lanes * k, grid.n))
-    h = h.reshape(lanes, k, grid.n).transpose(0, 2, 1)
+        h = _eliminate(grid.elimination, diag, rhs).transpose(1, 2, 0)
     h[~np.isfinite(kappa).all(axis=1)] = np.nan  # finite if kappa is inf at one bus only
 
-    phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
+    phi = np.empty((len(v), len(grid.vsc_buses), len(inputs)))
     for i, bus in enumerate(grid.vsc_buses):
         x_col, r_col = x[bus][:, None], r[bus][:, None]
         phi[:, i] = h[:, bus] * (x_col - 2.0 * v[:, bus, None]) / r_col

@@ -27,7 +27,7 @@ from .budget import BudgetAllocation, allocate_input_variance, vr_power_investme
 from .channel import ChannelModel, linearize
 from .comsim import SimConfig, run_transmission
 from .errors import ConfigError, InfeasibleBudget, NumericError, ParseError, SchemaError
-from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, validate_grid
+from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, _floats, validate_grid
 # one_way_snr is unused here; perfbench/layers.py wraps it under this module's name
 from .optimizer import DEFAULT_STEP, SweepRow, capacity_sweep, maximize_snr_grid, one_way_snr
 from .steady_state import DroopState, nominal_droop, solve_steady_state
@@ -60,7 +60,7 @@ class RunConfig:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    if not math.isfinite(_floats(value)):
         raise SchemaError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -117,6 +117,8 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or too many digits
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     unknown = set(doc) - {"buses", "lines", "sim"}
@@ -203,10 +205,12 @@ def _emit(lines: List[str], out_path: Optional[str]) -> None:
 
 def _load(args: argparse.Namespace) -> Tuple[ValidatedGrid, RunConfig]:
     try:
-        with open(args.grid) as handle:
+        with open(args.grid, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read grid file {args.grid!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"grid file {args.grid!r} is not UTF-8: {exc}") from exc
     cfg = parse_config(text)
     return validate_grid(cfg.grid), cfg
 

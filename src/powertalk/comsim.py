@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededWarning, InvalidArgument
 from .channel import ChannelModel
-from .grid import ValidatedGrid, check_budgets
+from .grid import ValidatedGrid, _floats, check_budgets
 from .steady_state import DroopState, nominal_droop, solve_steady_state
 
 logger = logging.getLogger(__name__)
@@ -68,9 +68,9 @@ class SimConfig:
     def validate(self, grid: ValidatedGrid) -> None:
         if self.slots < 1:
             raise InvalidArgument(f"slots must be >= 1, got {self.slots}")
-        if not 0.0 <= self.amplitude < np.inf:
+        if not 0.0 <= _floats(self.amplitude) < np.inf:
             raise InvalidArgument(f"amplitude must be finite and nonnegative, got {self.amplitude}")
-        if not 0.0 <= self.sigma_z < np.inf:
+        if not 0.0 <= _floats(self.sigma_z) < np.inf:
             raise InvalidArgument(f"sigma_z must be finite and nonnegative, got {self.sigma_z}")
         if self.mode not in ("nonlinear", "linearized"):
             raise InvalidArgument(f"mode must be 'nonlinear' or 'linearized', got {self.mode!r}")

@@ -185,7 +185,8 @@ def check_budgets(pi: Mapping[int, float], grid: Optional[ValidatedGrid] = None)
     for bus, value in pi.items():
         if grid is not None and not grid.has_vsc(bus):
             raise InvalidBudget(f"budget on bus {bus}: the bus hosts no converter")
-        if not (0.0 <= value < math.inf and float(value) * float(value) < math.inf):
+        number = float(_floats(value))
+        if not (0.0 <= number and number * number < math.inf):
             raise InvalidBudget(
                 f"budget on bus {bus} must be finite and nonnegative, with a finite square, "
                 f"got {value}"
@@ -200,7 +201,7 @@ def check_resistances(resistances: Mapping[str, object]) -> None:
     as the error names the first unusable one, to a scalar or an array of
     values; all of them are checked in one array pass.
     """
-    values = [np.asarray(value, dtype=float).ravel() for value in resistances.values()]
+    values = [_floats(value).ravel() for value in resistances.values()]
     flat = np.concatenate(values) if values else np.empty(0)
     with np.errstate(divide="ignore", over="ignore"):
         bad = ~((0.0 < flat) & (flat < math.inf) & (1.0 / flat < math.inf))
@@ -213,21 +214,29 @@ def check_resistances(resistances: Mapping[str, object]) -> None:
         )
 
 
+def _floats(value: object) -> np.ndarray:
+    """``value`` as a float array; an int beyond float range, on which ``float`` raises, is inf."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.asarray(math.inf)
+
+
 def _check_load(bus_id: int, load: LoadSpec) -> None:
     for name, value in (("i_cc", load.i_cc), ("d_cp", load.d_cp)):
-        if not (math.isfinite(value) and value >= 0.0):
+        if not (math.isfinite(_floats(value)) and value >= 0.0):
             raise InvalidGridSpec(
                 f"bus {bus_id} load {name} must be finite and non-negative, got {value}"
             )
 
 
 def _check_vsc(bus_id: int, vsc: VscSpec) -> None:
-    if not (math.isfinite(vsc.x_nom) and vsc.x_nom > 0.0):
+    if not (math.isfinite(_floats(vsc.x_nom)) and vsc.x_nom > 0.0):
         raise InvalidGridSpec(
             f"bus {bus_id} converter x_nom must be positive, got {vsc.x_nom}"
         )
     if vsc.r_max is not None:
-        if not (math.isfinite(vsc.r_max) and vsc.r_max >= vsc.r_nom):
+        if not (math.isfinite(_floats(vsc.r_max)) and vsc.r_max >= vsc.r_nom):
             raise InvalidGridSpec(
                 f"bus {bus_id} converter r_max must be >= r_nom, got {vsc.r_max}"
             )

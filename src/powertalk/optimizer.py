@@ -30,7 +30,7 @@ import numpy as np
 from .budget import vr_power_investment
 from .channel import channel_gains, linearize
 from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
-from .grid import ValidatedGrid, check_budgets
+from .grid import ValidatedGrid, _floats, check_budgets
 from .steady_state import (
     BatchSolve,
     DroopState,
@@ -327,7 +327,8 @@ def concavity_probe(
 # -- internals ----------------------------------------------------------------
 
 def _check_sigma_z(sigma_z: float) -> None:
-    if not (sigma_z > 0.0 and 0.0 < float(sigma_z) * float(sigma_z) < math.inf):
+    sigma = float(_floats(sigma_z))
+    if not (sigma > 0.0 and 0.0 < sigma * sigma < math.inf):
         raise InvalidArgument(
             f"sigma_z must be positive with a positive, finite square, got {sigma_z}"
         )

@@ -21,9 +21,10 @@ is solved by default with a damped Gauss-Seidel fixed point that sweeps
 the per-bus update on Python floats, bit for bit a numpy sweep, and
 checks the residual once per block of sweeps; a sweep whose residual is
 not finite ends the solve; it alone builds the dense line conductances,
-once per solve.  Every solve takes kappa from the Newton steps' line
-sums.  Solvers are pure functions of their arguments and
-safe to run concurrently; every call solves.
+once per solve.  Each solve takes kappa from the line sums of the
+balance that certified its Newton lane, or of one balance of
+Gauss-Seidel's voltages.  Solvers are pure functions of their arguments and safe to run
+concurrently; every call solves.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import Elimination, ValidatedGrid, _line_matrix, check_resistances
+from .grid import Elimination, ValidatedGrid, _floats, _line_matrix, check_resistances
 
 logger = logging.getLogger(__name__)
 
@@ -68,19 +69,11 @@ class DroopState:
         """Per-bus 1/r, zero on buses without a converter."""
         return _droop_lanes(grid, self.x, self.r, 1)[1][0]
 
-    def source_terms(self, grid: ValidatedGrid) -> np.ndarray:
-        """Per-bus x/r, zero on buses without a converter."""
-        return _droop_lanes(grid, self.x, self.r, 1)[0][0]
-
     def with_r(self, updates: Mapping[int, float]) -> "DroopState":
-        merged = dict(self.r)
-        merged.update(updates)
-        return replace(self, r=merged)
+        return replace(self, r={**self.r, **updates})
 
     def with_x(self, updates: Mapping[int, float]) -> "DroopState":
-        merged = dict(self.x)
-        merged.update(updates)
-        return replace(self, x=merged)
+        return replace(self, x={**self.x, **updates})
 
 
 def nominal_droop(grid: ValidatedGrid) -> DroopState:
@@ -144,23 +137,23 @@ def solve_steady_state(
     when its iterate leaves the larger root.
     """
     droop.validate(grid)
-    xr = droop.source_terms(grid)
-    y = droop.conductances(grid)
+    xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
 
     v0 = _initial_voltages(grid, droop.x)
     if method == "gauss_seidel":
-        v, residual = _gauss_seidel(grid, xr, y, v0, tol, max_iter)
+        v, residual = _gauss_seidel(grid, xr[0], y[0], v0, tol, max_iter)
+        g_bus = grid.lines.degree + y + grid.r_cr_inv
+        kappa = _kappa(grid, _balance(grid, xr, g_bus, v[None])[0], g_bus)[0]
     elif method == "newton":
-        lane, feasible, res, _, stalled = _newton_block(grid, xr[None], y[None], v0, tol, max_iter)
+        lane, kappa, feasible, res, _, stalled = _newton_block(grid, xr, y, v0, tol, max_iter)
         if stalled.size:
             raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
         if not feasible[0]:
             raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
-        v, residual = lane[0], float(res[0])
+        v, kappa, residual = lane[0], kappa[0], float(res[0])
     else:
         raise InvalidArgument(f"unknown method {method!r}")
 
-    kappa = _kappa(grid, xr[None], grid.lines.degree + y + grid.r_cr_inv, v[None])[0]
     i, p = vsc_outputs(grid, droop, v)
     return SteadyState(v=v, i=i, p=p, kappa=kappa, residual=residual)
 
@@ -272,10 +265,9 @@ def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
     return v
 
 
-def _kappa(grid: ValidatedGrid, xr: np.ndarray, g_bus: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _kappa(grid: ValidatedGrid, b: np.ndarray, g_bus: np.ndarray) -> np.ndarray:
     """Linearization correction per lane from :func:`_balance`'s ``b``, 1 where d_cp = 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        b, _ = _balance(grid, xr, g_bus, v)
         kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
     return np.where(grid.d_cp == 0.0, 1.0, kappa)
 
@@ -356,16 +348,15 @@ def solve_steady_state_many(
     are broadcast together.  Reference voltages are shared across the
     batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` of working
     memory, O(n + fill) per lane (:func:`_block_lanes`), each lane
-    independently of the others, so a lane's voltages do not depend on the
-    batch it is solved in, nor do its kappa corrections.  A lane is
-    feasible when its residual is within its threshold (``DEFAULT_TOL``, or
-    the rounding floor of :func:`_newton_block`) with every voltage
-    positive and every constant-power bus on the larger root of its
-    quadratic; other lanes surface as ``feasible=False`` with NaN
+    independently of the others, so no figure of a lane depends on its
+    batch.  A lane is feasible when its residual is within its threshold
+    (``DEFAULT_TOL``, or the rounding floor of :func:`_newton_block`) with
+    every voltage positive and every constant-power bus on the larger root
+    of its quadratic; other lanes surface as ``feasible=False`` with NaN
     voltages and kappa instead of raising, so a grid search can skip them.
     Keys and resistances are checked by :meth:`DroopState.validate`.
     """
-    arrays = {bus: np.asarray(val, dtype=float) for bus, val in r.items()}
+    arrays = {bus: _floats(val) for bus, val in r.items()}
     DroopState(x=x, r=arrays).validate(grid)
     batch = np.broadcast_shapes(*(a.shape for a in arrays.values()), (1,))
     size = math.prod(batch)
@@ -382,10 +373,8 @@ def solve_steady_state_many(
         lanes = slice(lo, min(lo + block, size))
         r_blk = {bus: r_vals[lanes] for bus, r_vals in r_lanes.items()}
         xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
-        v_blk, ok, res, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
-        v[lanes], feasible[lanes], residual[lanes] = v_blk, ok, res
-        g_bus = grid.lines.degree + y + grid.r_cr_inv
-        kappa[lanes] = np.where(ok[:, None], _kappa(grid, xr, g_bus, v_blk), np.nan)
+        *solved, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        v[lanes], kappa[lanes], feasible[lanes], residual[lanes] = solved
         sweeps = max(sweeps, its)
     return BatchSolve(v=v, kappa=kappa, feasible=feasible, residual=residual, sweeps=sweeps)
 
@@ -408,7 +397,7 @@ def _newton_block(
     v0: np.ndarray,
     tol: float,
     max_iter: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Newton on one block of lanes; a lane iterates until it is certified or strays.
 
     Each step solves ``J dv = f`` for the Jacobian ``J = G - diag(g_bus -
@@ -422,7 +411,8 @@ def _newton_block(
     feasibility, never a wrong answer.  The working arrays are stored bus
     by bus (Fortran order), so reductions over a lane's buses and per-bus
     gathers read contiguous memory, and they shrink to the lanes still
-    iterating only when one leaves.  Returns the voltages (NaN where not
+    iterating only when one leaves.  Returns the voltages and the
+    :func:`_kappa` of the balance that certified them (NaN where not
     feasible), the feasible mask, the residuals, the iterations run and
     the indices of the lanes still iterating when ``max_iter`` ran out.
 
@@ -436,7 +426,7 @@ def _newton_block(
     passes it on chains of a few hundred.
     """
     lanes = len(xr)
-    v_out = np.full((lanes, grid.n), np.nan)
+    v_out, kappa = np.full((2, lanes, grid.n), np.nan)
     feasible = np.zeros(lanes, dtype=bool)
     residual = np.empty(lanes)
     xr = np.asfortranarray(xr)
@@ -458,6 +448,7 @@ def _newton_block(
                 done = physical & leaving
                 feasible[index[done]] = True
                 v_out[index[done]] = v[done]
+                kappa[index[done]] = _kappa(grid, b[done], g_bus[done])
                 index, res, stop = index[stays], res[stays], stop[stays]
                 if index.size == 0:
                     break
@@ -467,39 +458,41 @@ def _newton_block(
             its += 1
             v -= _eliminate(grid.elimination, grid.d_cp / v**2 - g_bus, f)
     residual[index] = res
-    return v_out, feasible, residual, its, index
+    return v_out, kappa, feasible, residual, its, index
 
 
 def _eliminate(schedule: Elimination, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(G + diag(diag)) x = rhs`` per lane; ``diag`` ends as the pivots, ``rhs`` as x.
 
-    Forward, level by level, each pivot k's spokes (k, i) take
-    ``w = e_ki / d_k`` off its later buses: ``d_i -= w e_ki``, ``rhs_i -= w
-    rhs_k`` and, on meshed grids, ``e_ij -= w_ki e_kj`` for each pair of
-    them.  Backward, ``x_k = (rhs_k - sum_i e_ki x_i) / d_k``.  Rounds
-    apply repeated targets one after another, and every step is
-    elementwise over lanes, so a lane's solution does not depend on the
-    others.  No pivoting: a zero pivot gives that lane a non-finite x.
+    ``rhs`` is (lanes, n), or (k, lanes, n) for k right-hand sides that
+    share one elimination of each lane (Golub & Van Loan, *Matrix
+    Computations*, §3.1).  Forward, level by level, each pivot k's spokes
+    (k, i) take ``w = e_ki / d_k`` off its later buses: ``d_i -= w e_ki``,
+    ``rhs_i -= w rhs_k`` and, on meshed grids, ``e_ij -= w_ki e_kj`` for
+    each pair of them.  Backward, ``x_k = (rhs_k - sum_i e_ki x_i) /
+    d_k``.  Rounds apply repeated targets one after another, and every
+    step is elementwise, so no lane or right-hand side depends on another.
+    No pivoting: a zero pivot gives that lane a non-finite x.
     """
     values = schedule.values[None, :]
-    e = np.repeat(values, len(rhs), axis=0) if schedule.updates else values
+    e = np.repeat(values, len(diag), axis=0) if schedule.updates else values
     for level in schedule.levels[:-1]:  # the last level is the root, with no spokes
         spoke = e[:, level.spokes]
         w = spoke / diag[:, level.pivot]
-        on_diag, on_rhs = w * spoke, w * rhs[:, level.pivot]
+        on_diag, on_rhs = w * spoke, w * rhs[..., level.pivot]
         for spokes, targets in level.scatter:
             diag[:, targets] -= on_diag[:, spokes]
-            rhs[:, targets] -= on_rhs[:, spokes]
+            rhs[..., targets] -= on_rhs[..., spokes]
         for entry, a, b in level.fill:
             e[:, entry] -= w[:, a] * spoke[:, b]
     root = schedule.levels[-1].pivots
-    rhs[:, root] /= diag[:, root]
+    rhs[..., root] /= diag[:, root]
     for level in reversed(schedule.levels[:-1]):
-        known = e[:, level.spokes] * rhs[:, level.target]
-        x = rhs[:, level.pivots] - known[:, level.first]
+        known = e[:, level.spokes] * rhs[..., level.target]
+        x = rhs[..., level.pivots] - known[..., level.first]
         for spokes, pivots in level.gather:
-            x[:, pivots] -= known[:, spokes]
-        rhs[:, level.pivots] = x / diag[:, level.pivots]
+            x[..., pivots] -= known[..., spokes]
+        rhs[..., level.pivots] = x / diag[:, level.pivots]
     return rhs
 
 

@@ -3,6 +3,9 @@ import math
 import pytest
 
 import powertalk
+from powertalk.grid import check_budgets, check_resistances
+
+HUGE = 10**400  # an int beyond float range: float() of it raises OverflowError
 
 
 def test_every_public_name_resolves_once():
@@ -43,11 +46,37 @@ def test_every_public_name_resolves_once():
         ),
         lambda grid, nominal: powertalk.capacity(-1.0),
         lambda grid, nominal: powertalk.solve_steady_state(grid, nominal, method="secant"),
+        lambda grid, nominal: check_budgets({0: HUGE}),
+        lambda grid, nominal: powertalk.maximize_snr_grid(
+            grid, nominal, {0: HUGE, 1: 10.0}, 0.01, 0, 1
+        ),
+        lambda grid, nominal: check_resistances({"r": HUGE}),
+        lambda grid, nominal: powertalk.solve_steady_state(grid, nominal.with_r({0: HUGE})),
+        lambda grid, nominal: powertalk.solve_steady_state_many(grid, nominal.x, {0: HUGE, 1: 0.4}),
+        lambda grid, nominal: powertalk.validate_grid(powertalk.GridSpec(
+            grid.spec.buses, (grid.spec.lines[0], powertalk.LineSpec(1, 2, HUGE))
+        )),
+        lambda grid, nominal: powertalk.one_way_snr(grid, nominal, nominal, {0: 10.0}, HUGE, 0, 1),
+        lambda grid, nominal: powertalk.run_transmission(
+            grid, nominal, None,
+            powertalk.SimConfig(slots=10, amplitude=HUGE, sigma_z=0.01, mode="nonlinear",
+                                rng_seed=1, tx=0, rx=1),
+        ),
     ],
     ids=["investment-references", "single-bus-no-units", "single-bus-nan-resistance",
          "linearized-without-model", "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr",
-         "linearized-model-of-another-droop", "negative-snr", "unknown-method"],
+         "linearized-model-of-another-droop", "negative-snr", "unknown-method",
+         "huge-int-budget", "huge-int-search-budget", "huge-int-resistance",
+         "huge-int-virtual-resistance", "huge-int-batch-resistance", "huge-int-line-resistance",
+         "huge-int-sigma-z", "huge-int-amplitude"],
 )
 def test_library_input_checks_raise_invalid_argument(grid, nominal, call):
     with pytest.raises(powertalk.InvalidArgument):
         call(grid, nominal)
+
+
+def test_an_int_beyond_float_range_fails_the_check_that_names_it():
+    with pytest.raises(powertalk.InvalidBudget, match="budget on bus 0"):
+        check_budgets({0: HUGE})
+    with pytest.raises(powertalk.NonpositiveResistance, match="finite inverse, got inf$"):
+        check_resistances({"r": HUGE})

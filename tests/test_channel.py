@@ -212,7 +212,7 @@ def test_linearize_matches_the_matrix_form_near_collapse(make_grid):
     _assert_matches_the_matrix_form(grid, droop, solve_steady_state(grid, droop, method="newton"))
 
 
-@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder, _meshed_grid])
 def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
     grid = make_grid()
     vsc = list(grid.vsc_buses)
@@ -231,7 +231,7 @@ def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
         assert h[lane].tobytes() == model.H[:, vsc].tobytes(), lane
         assert phi[lane].tobytes() == model.Phi[np.ix_(vsc, vsc)].tobytes(), lane
 
-    # one input column, as the optimizer's table asks for: each input is its own row
+    # one input column, as the optimizer's table asks for: no column depends on the others
     droop = droops[0].with_x(x)
     tx = vsc[0]
     h_tx, phi_tx = channel_gains(grid, x, r, v, kappa, [tx])
@@ -239,6 +239,16 @@ def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
         model = linearize(grid, droop.with_r({bus: r[bus][lane] for bus in vsc}), state)
         assert h_tx[lane, :, 0].tobytes() == model.H[:, tx].tobytes(), lane
         assert phi_tx[lane, :, 0].tobytes() == model.Phi[vsc, tx].tobytes(), lane
+
+
+@pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder, _meshed_grid])
+def test_linearize_leaves_the_columns_of_buses_without_a_converter_at_plus_zero(make_grid):
+    grid = make_grid()
+    droop = nominal_droop(grid)
+    model = linearize(grid, droop, solve_steady_state(grid, droop))
+    loads = [bus for bus in range(grid.n) if not grid.has_vsc(bus)]
+    for matrix in (model.H, model.Phi):
+        assert (matrix[:, loads] == 0.0).all() and not np.signbit(matrix[:, loads]).any()
 
 
 def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state):

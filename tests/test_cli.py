@@ -280,6 +280,25 @@ def test_malformed_document_is_a_config_error(tmp_path, capsys):
     assert "error: config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe" + CASE_TEXT.encode(), "is not UTF-8"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        (CASE_TEXT.replace('"d_cp": 2500.0', '"d_cp": 1' + "0" * 400).encode(),
+         "buses[2].load.d_cp: expected a finite number, got 1000"),
+        (CASE_TEXT.replace('"d_cp": 2500.0', '"d_cp": 1' + "0" * 5000).encode(),
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["not-utf-8", "deeply-nested", "int-beyond-float-range", "int-beyond-digit-limit"],
+)
+def test_an_unreadable_document_exits_2_without_a_traceback(tmp_path, capsys, data, message):
+    path = tmp_path / "grid.json"
+    path.write_bytes(data)
+    assert main(["solve", "--grid", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_nonviable_droop_is_a_numeric_error(grid_file, capsys):
     assert main(["solve", "--grid", grid_file, "--r", "3000,3000"]) == 3
     assert "error: numeric" in capsys.readouterr().err

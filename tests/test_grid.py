@@ -115,7 +115,7 @@ def test_duplicate_line_rejected():
 
 
 # a subnormal resistance's inverse overflows, so it is as unusable as 0
-UNUSABLE_RESISTANCES = (0.0, -0.1, np.inf, np.nan, 1e-320)
+UNUSABLE_RESISTANCES = (0.0, -0.1, np.inf, np.nan, 1e-320, 10**400)  # 10**400: beyond float
 
 
 def _two_bus(r_nom=0.39, r_cr=50.0, r_line=0.19):
@@ -275,6 +275,20 @@ def test_negative_load_fields_rejected():
         )
         with pytest.raises(InvalidGridSpec):
             validate_grid(spec)
+
+
+@pytest.mark.parametrize(
+    "bus",
+    [Bus(1, LoadSpec(i_cc=10**400)), Bus(1, LoadSpec(d_cp=10**400)),
+     Bus(1, LoadSpec(), VscSpec(10**400, 0.39)), Bus(1, LoadSpec(), VscSpec(400.0, 0.39, 10**400))],
+    ids=["i_cc", "d_cp", "x_nom", "r_max"],
+)
+def test_an_int_beyond_float_range_is_an_invalid_grid_spec(bus):
+    spec = GridSpec(
+        buses=(Bus(0, LoadSpec(), VscSpec(400.0, 0.39)), bus), lines=(LineSpec(0, 1, 0.19),)
+    )
+    with pytest.raises(InvalidGridSpec, match="bus 1"):
+        validate_grid(spec)
 
 
 def test_single_bus_grid_is_valid():

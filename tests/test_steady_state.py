@@ -331,8 +331,8 @@ def _collapse_root(grid, droop):
 
 
 def test_branch_certificate_rejects_collapse_root(grid, nominal):
-    xr = nominal.source_terms(grid)[None, :]
-    g_bus = (grid.lines.degree + nominal.conductances(grid) + grid.r_cr_inv)[None, :]
+    xr, y = steady_state._droop_lanes(grid, nominal.x, nominal.r, 1)
+    g_bus = grid.lines.degree + y + grid.r_cr_inv
     upper = two_source_closed_form(grid, nominal)[None, :]
     lower = _collapse_root(grid, nominal)[None, :]
     assert 0.0 < lower[0, 2] < upper[0, 2]
@@ -373,8 +373,7 @@ def _numpy_gauss_seidel(grid, xr, y, r_bus, v, tol, max_iter, damping):
 
 def _numpy_start(grid, droop):
     """``(xr, y, r_bus, v0)``: the numpy sweep's inputs at the solver's starting point."""
-    xr = droop.source_terms(grid)
-    y = droop.conductances(grid)
+    (xr,), (y,) = steady_state._droop_lanes(grid, droop.x, droop.r, 1)
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     v0 = steady_state._initial_voltages(grid, droop.x)
     return xr, y, r_bus, v0
