@@ -5,8 +5,8 @@ Linearizing the bus equations in the reference-voltage deviations gives
 buses to voltage deviations on every bus.  The companion matrix Phi maps
 the same inputs to converter supplied-power deviations and is what the
 power budgets constrain.  With purely linear loads (all d_cp = 0) the
-model is exact; constant-power loads enter through the per-bus kappa
-correction on the Laplacian diagonal.
+model is exact.  Its matrix is the Jacobian that Newton eliminates: the
+paper's Laplacian with the kappa-corrected diagonal, kappa reported only.
 
 One batched kernel, :func:`channel_gains`, gives the gains of chosen
 input buses at many operating points (the optimizer's resistance
@@ -23,8 +23,9 @@ from typing import Iterable, List, Mapping, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NoRealRoot
-from .grid import LoadSpec, ValidatedGrid, VscSpec, check_resistances
-from .steady_state import DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate
+from .grid import LoadSpec, ValidatedGrid, VscSpec, check_finite, check_resistances
+from .steady_state import (DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate,
+                           _jacobian_diagonal)
 
 __all__ = [
     "ChannelModel",
@@ -41,7 +42,7 @@ class ChannelModel:
     ``H[n, m]`` is the voltage gain dv_n/dx_m; columns for buses without
     a converter are zero.  ``Phi[n, m]`` is the supplied-power gain
     dp_n/dx_m; rows for buses without a converter are zero.  The kappa
-    corrections are ``operating_point.kappa``.
+    corrections, reported only, are ``operating_point.kappa``.
     """
 
     H: np.ndarray              # (n, n) voltage gains [V/V]
@@ -58,7 +59,7 @@ def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> Cha
     ``state`` must come from the same grid and droop configuration.
     """
     vsc = list(grid.vsc_buses)
-    h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], state.kappa[None], vsc)
+    h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], vsc)
     gains, power = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
     gains[:, vsc], power[np.ix_(vsc, vsc)] = h[0], phi[0]
     return ChannelModel(H=gains, Phi=power, operating_point=state, droop=droop)
@@ -69,25 +70,26 @@ def channel_gains(
     x: Mapping[int, float],
     r: Mapping[int, np.ndarray],
     v: np.ndarray,
-    kappa: np.ndarray,
     inputs: Iterable[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Voltage and power gains of the input buses at many operating points.
 
     ``x`` and ``r`` map each converter bus to a scalar or a (lanes,)
-    array; ``v`` and ``kappa`` are the solved (lanes, n) voltages and
-    load corrections.  Per lane, H solves (Psi_k + K^-1 (Y + Y_cr)) H = Y:
+    array, checked by :meth:`DroopState.validate`; ``v`` holds the solved
+    (lanes, n) voltages.  Per lane, H solves J H = -Y for Newton's Jacobian
+    J (``_jacobian_diagonal``), at a solved point -(Psi_k + K^-1 (Y + Y_cr)):
     Psi_k is the line Laplacian with its diagonal divided by kappa, Y and
     Y_cr the virtual-resistance and resistive-load conductances.  As
     p_n = v_n (x_n - v_n) / r_n, Phi[n, m] = (H[n, m] (x_n - 2 v_n) + [m == n] v_n) / r_n.
     Returns ``h`` (lanes, n, k), the H columns of ``inputs``, and ``phi``
     (lanes, n_vsc, k), their Phi rows for the converter buses in grid
-    order.  A lane with a non-finite kappa at any bus (not viable) gets
-    NaN gains.  Each lane is eliminated once on the grid's schedule for all
-    of its inputs (``_eliminate``), with no (lanes, n, n) system, in blocks
-    the size of the Newton steps', so a column depends on neither its block
-    nor the other inputs, and memory beyond the outputs stays bounded.
+    order.  NaN voltages (not viable) give NaN gains, a zero pivot of J
+    non-finite ones.  Each lane is eliminated once on the grid's schedule
+    for all of its inputs (``_eliminate``), with no (lanes, n, n) system,
+    in blocks the size of the Newton steps', so a column depends on neither
+    its block nor the other inputs, and memory beyond the outputs stays bounded.
     """
+    DroopState(x, r).validate(grid)
     inputs = list(inputs)
     lanes = len(v)
     x = {bus: np.broadcast_to(np.asarray(x[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
@@ -98,7 +100,7 @@ def channel_gains(
     for lo in range(0, lanes, block):
         blk = slice(lo, lo + block)
         x_blk, r_blk = ({bus: values[blk] for bus, values in d.items()} for d in (x, r))
-        h[blk], phi[blk] = _gains_block(grid, x_blk, r_blk, v[blk], kappa[blk], inputs)
+        h[blk], phi[blk] = _gains_block(grid, x_blk, r_blk, v[blk], inputs)
     return h, phi
 
 
@@ -107,17 +109,15 @@ def _gains_block(
     x: Mapping[int, np.ndarray],
     r: Mapping[int, np.ndarray],
     v: np.ndarray,
-    kappa: np.ndarray,
     inputs: List[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`channel_gains` on one block: per lane, (G - diag(g_bus / kappa)) H = -Y."""
+    """:func:`channel_gains` on one block: per lane, J H = -Y."""
     _, y = _droop_lanes(grid, x, r, len(v))
-    diag = -(grid.lines.degree + y + grid.r_cr_inv) / kappa
     rhs = np.zeros((len(inputs), len(v), grid.n))
     rhs[np.arange(len(inputs)), :, inputs] = -y[:, inputs].T  # (inputs, lanes)
-    with np.errstate(all="ignore"):  # non-viable lanes are overwritten below
+    with np.errstate(all="ignore"):  # NaN voltages or a zero pivot give non-finite gains
+        diag = _jacobian_diagonal(grid, grid.lines.degree + y + grid.r_cr_inv, v)
         h = _eliminate(grid.elimination, diag, rhs).transpose(1, 2, 0)
-    h[~np.isfinite(kappa).all(axis=1)] = np.nan  # finite if kappa is inf at one bus only
 
     phi = np.empty((len(v), len(grid.vsc_buses), len(inputs)))
     for i, bus in enumerate(grid.vsc_buses):
@@ -137,6 +137,7 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
     """
     if not units:
         raise InvalidArgument("at least one converter unit is required")
+    check_finite({f"unit {k} x_nom": unit.x_nom for k, unit in enumerate(units)})
     resistances = {f"unit {k} r_nom": unit.r_nom for k, unit in enumerate(units)}
     if load.r_cr is not None:
         resistances["load r_cr"] = load.r_cr

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DisconnectedGraph,
     DuplicateLine,
+    InvalidArgument,
     InvalidBudget,
     InvalidGridSpec,
     InvalidLink,
@@ -212,6 +213,14 @@ def check_resistances(resistances: Mapping[str, object]) -> None:
             f"{list(resistances)[owner]} must be positive and finite, with a finite inverse, "
             f"got {flat[first]}"
         )
+
+
+def check_finite(values: Mapping[str, object]) -> None:
+    """Raise :class:`InvalidArgument` unless every value (a scalar or an array) is finite."""
+    for name, value in values.items():
+        array = _floats(value)
+        if not np.isfinite(array).all():
+            raise InvalidArgument(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
 
 
 def _floats(value: object) -> np.ndarray:
@@ -449,8 +458,8 @@ def network_matrices(grid: ValidatedGrid, droop: "DroopState") -> Tuple[np.ndarr
 def _line_matrix(grid: ValidatedGrid) -> np.ndarray:
     """The (n, n) line conductances 1/r, 0 where no line runs, from the line table.
 
-    The package's one (n, n) array, for Gauss-Seidel's BLAS row dots and
-    the :func:`network_matrices` oracle.
+    Built on demand for Gauss-Seidel's BLAS row dots and the
+    :func:`network_matrices` oracle; the grid itself keeps no (n, n) array.
     """
     g_line = np.zeros((grid.n, grid.n))
     ids = np.arange(grid.n)

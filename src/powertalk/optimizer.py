@@ -375,7 +375,7 @@ class _ChannelTable:
 
     vsc: Tuple[int, ...]
     r: Dict[int, np.ndarray]   # lane coordinates per converter, C order of the lattice
-    feasible: np.ndarray       # (B,) viable operating point found
+    feasible: np.ndarray       # (B,) viable operating point found, with finite gains
     h_rx: np.ndarray           # (B,) voltage gain receiver <- transmitter
     phi: np.ndarray            # (B, n_vsc) power gains d p_n / d x_tx
     dp: np.ndarray             # (B, n_vsc) static investment per converter [W]
@@ -400,11 +400,11 @@ def _channel_table(
     """Score the lanes ``r``, solved in ``batch``; a lane's figures do not depend on its batch."""
     vsc = sorted(r)
     logger.info("channel table: %d lattice points", r[vsc[0]].size)
-    h, phi = channel_gains(grid, nominal.x, r, batch.v, batch.kappa, [tx])
+    h, phi = channel_gains(grid, nominal.x, r, batch.v, [tx])
     return _ChannelTable(
         vsc=tuple(vsc),
         r=r,
-        feasible=batch.feasible & np.all(np.isfinite(batch.kappa), axis=1),
+        feasible=batch.feasible & np.isfinite(h[:, rx, 0]) & np.isfinite(phi[:, :, 0]).all(axis=1),
         h_rx=h[:, rx, 0],
         phi=phi[:, :, 0],
         dp=_investment(grid, nominal, p_nom, r, batch.v),
@@ -575,8 +575,7 @@ def _band_lanes(
     inside = (col >= lo[row]) & (col <= hi[row])
     if np.any((after & before) != inside) or not _runs_monotone(dp, rising[row], row):
         return None
-    kept = BatchSolve(*(a[inside] for a in (batch.v, batch.kappa, batch.feasible, batch.residual)),
-                      batch.sweeps)
+    kept = BatchSolve(*(a[inside] for a in (batch.v, batch.feasible, batch.residual)), batch.sweeps)
     return row[inside] * width + col[inside], {bus: r[bus][inside] for bus in vsc}, kept
 
 

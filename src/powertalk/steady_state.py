@@ -21,10 +21,10 @@ is solved by default with a damped Gauss-Seidel fixed point that sweeps
 the per-bus update on Python floats, bit for bit a numpy sweep, and
 checks the residual once per block of sweeps; a sweep whose residual is
 not finite ends the solve; it alone builds the dense line conductances,
-once per solve.  Each solve takes kappa from the line sums of the
-balance that certified its Newton lane, or of one balance of
-Gauss-Seidel's voltages.  Solvers are pure functions of their arguments and safe to run
-concurrently; every call solves.
+once per solve.  A Newton step's Jacobian is also the channel matrix
+(:func:`_jacobian_diagonal`); a solve reports kappa from one balance of
+its voltages.  Solvers are pure functions of their arguments and safe to
+run concurrently; every call solves.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import Elimination, ValidatedGrid, _floats, _line_matrix, check_resistances
+from .grid import Elimination, ValidatedGrid, _floats, _line_matrix, check_finite, check_resistances
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +63,7 @@ class DroopState:
             raise InvalidArgument(
                 f"droop entries must exist exactly for converter buses {sorted(expected)}"
             )
+        check_finite({f"reference voltage on bus {bus}": x for bus, x in self.x.items()})
         check_resistances({f"virtual resistance on bus {bus}": r for bus, r in self.r.items()})
 
     def conductances(self, grid: ValidatedGrid) -> np.ndarray:
@@ -142,18 +143,18 @@ def solve_steady_state(
     v0 = _initial_voltages(grid, droop.x)
     if method == "gauss_seidel":
         v, residual = _gauss_seidel(grid, xr[0], y[0], v0, tol, max_iter)
-        g_bus = grid.lines.degree + y + grid.r_cr_inv
-        kappa = _kappa(grid, _balance(grid, xr, g_bus, v[None])[0], g_bus)[0]
     elif method == "newton":
-        lane, kappa, feasible, res, _, stalled = _newton_block(grid, xr, y, v0, tol, max_iter)
+        lane, feasible, res, _, stalled = _newton_block(grid, xr, y, v0, tol, max_iter)
         if stalled.size:
             raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
         if not feasible[0]:
             raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
-        v, kappa, residual = lane[0], kappa[0], float(res[0])
+        v, residual = lane[0], float(res[0])
     else:
         raise InvalidArgument(f"unknown method {method!r}")
 
+    g_bus = grid.lines.degree + y + grid.r_cr_inv
+    kappa = _kappa(grid, _balance(grid, xr, g_bus, v[None])[0], g_bus)[0]
     i, p = vsc_outputs(grid, droop, v)
     return SteadyState(v=v, i=i, p=p, kappa=kappa, residual=residual)
 
@@ -266,7 +267,7 @@ def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
 
 
 def _kappa(grid: ValidatedGrid, b: np.ndarray, g_bus: np.ndarray) -> np.ndarray:
-    """Linearization correction per lane from :func:`_balance`'s ``b``, 1 where d_cp = 0."""
+    """The reported load correction per lane from :func:`_balance`'s ``b``, 1 where d_cp = 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
         kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
     return np.where(grid.d_cp == 0.0, 1.0, kappa)
@@ -331,7 +332,6 @@ class BatchSolve:
     """Result of solving many droop configurations at once; each lane as if solved alone."""
 
     v: np.ndarray         # (batch, n) voltages, NaN where not viable
-    kappa: np.ndarray     # (batch, n) corrections of :func:`_kappa`, NaN where not viable
     feasible: np.ndarray  # (batch,) bool, converged on the larger root
     residual: np.ndarray  # (batch,) max current-balance error [A]
     sweeps: int           # Newton iterations, the most any block needed
@@ -353,8 +353,8 @@ def solve_steady_state_many(
     (``DEFAULT_TOL``, or the rounding floor of :func:`_newton_block`) with
     every voltage positive and every constant-power bus on the larger root
     of its quadratic; other lanes surface as ``feasible=False`` with NaN
-    voltages and kappa instead of raising, so a grid search can skip them.
-    Keys and resistances are checked by :meth:`DroopState.validate`.
+    voltages instead of raising, so a grid search can skip them.
+    Keys, reference voltages and resistances are checked by :meth:`DroopState.validate`.
     """
     arrays = {bus: _floats(val) for bus, val in r.items()}
     DroopState(x=x, r=arrays).validate(grid)
@@ -364,7 +364,6 @@ def solve_steady_state_many(
     v0 = _initial_voltages(grid, x)
 
     v = np.empty((size, grid.n))
-    kappa = np.empty_like(v)
     feasible = np.empty(size, dtype=bool)
     residual = np.empty(size)
     block = _block_lanes(grid)
@@ -374,9 +373,9 @@ def solve_steady_state_many(
         r_blk = {bus: r_vals[lanes] for bus, r_vals in r_lanes.items()}
         xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
         *solved, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
-        v[lanes], kappa[lanes], feasible[lanes], residual[lanes] = solved
+        v[lanes], feasible[lanes], residual[lanes] = solved
         sweeps = max(sweeps, its)
-    return BatchSolve(v=v, kappa=kappa, feasible=feasible, residual=residual, sweeps=sweeps)
+    return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
 
 
 def _block_lanes(grid: ValidatedGrid) -> int:
@@ -397,12 +396,12 @@ def _newton_block(
     v0: np.ndarray,
     tol: float,
     max_iter: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Newton on one block of lanes; a lane iterates until it is certified or strays.
 
-    Each step solves ``J dv = f`` for the Jacobian ``J = G - diag(g_bus -
-    d_cp/v**2)``, ``G`` the line conductances, by :func:`_eliminate` on the
-    grid's elimination schedule, vectorised over lanes, without pivoting.  A lane
+    Each step solves ``J dv = f`` for the Jacobian ``J`` of
+    :func:`_jacobian_diagonal` by :func:`_eliminate` on the grid's
+    elimination schedule, vectorised over lanes, without pivoting.  A lane
     leaves as soon as its residual is within its threshold (certified, if
     every voltage is positive and every constant-power bus is on its larger
     root) or it is off the physical branch, so a lane without a viable
@@ -411,10 +410,9 @@ def _newton_block(
     feasibility, never a wrong answer.  The working arrays are stored bus
     by bus (Fortran order), so reductions over a lane's buses and per-bus
     gathers read contiguous memory, and they shrink to the lanes still
-    iterating only when one leaves.  Returns the voltages and the
-    :func:`_kappa` of the balance that certified them (NaN where not
-    feasible), the feasible mask, the residuals, the iterations run and
-    the indices of the lanes still iterating when ``max_iter`` ran out.
+    iterating only when one leaves.  Returns the voltages (NaN where not
+    feasible), the feasible mask, the residuals, the iterations run and the
+    indices of the lanes still iterating when ``max_iter`` ran out.
 
     A lane's threshold is ``tol``, or its rounding floor where that is
     larger: ``ROUNDING_TERMS`` times eps times its largest ``g_bus v`` at
@@ -426,7 +424,7 @@ def _newton_block(
     passes it on chains of a few hundred.
     """
     lanes = len(xr)
-    v_out, kappa = np.full((2, lanes, grid.n), np.nan)
+    v_out = np.full((lanes, grid.n), np.nan)
     feasible = np.zeros(lanes, dtype=bool)
     residual = np.empty(lanes)
     xr = np.asfortranarray(xr)
@@ -448,7 +446,6 @@ def _newton_block(
                 done = physical & leaving
                 feasible[index[done]] = True
                 v_out[index[done]] = v[done]
-                kappa[index[done]] = _kappa(grid, b[done], g_bus[done])
                 index, res, stop = index[stays], res[stays], stop[stays]
                 if index.size == 0:
                     break
@@ -456,9 +453,14 @@ def _newton_block(
             if its == max_iter:
                 break
             its += 1
-            v -= _eliminate(grid.elimination, grid.d_cp / v**2 - g_bus, f)
+            v -= _eliminate(grid.elimination, _jacobian_diagonal(grid, g_bus, v), f)
     residual[index] = res
-    return v_out, kappa, feasible, residual, its, index
+    return v_out, feasible, residual, its, index
+
+
+def _jacobian_diagonal(grid: ValidatedGrid, g_bus: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Diagonal of J = df/dv (:func:`_balance`); -g_bus/kappa at a solved point (:func:`_kappa`)."""
+    return grid.d_cp / v**2 - g_bus
 
 
 def _eliminate(schedule: Elimination, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:

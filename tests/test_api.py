@@ -62,13 +62,26 @@ def test_every_public_name_resolves_once():
             powertalk.SimConfig(slots=10, amplitude=HUGE, sigma_z=0.01, mode="nonlinear",
                                 rng_seed=1, tx=0, rx=1),
         ),
+        # finite gains (1.470, 0.468, 1.238) came back for a negative resistance
+        lambda grid, nominal: powertalk.channel_gains(
+            grid, nominal.x, {0: -0.39, 1: 0.39},
+            powertalk.solve_steady_state(grid, nominal).v[None], [0],
+        ),
+        lambda grid, nominal: powertalk.channel_gains(
+            grid, nominal.x, nominal.with_r({0: HUGE}).r,
+            powertalk.solve_steady_state(grid, nominal).v[None], [0],
+        ),
+        lambda grid, nominal: powertalk.single_bus_channel(
+            [powertalk.VscSpec(HUGE, 0.39)], powertalk.LoadSpec()
+        ),
     ],
     ids=["investment-references", "single-bus-no-units", "single-bus-nan-resistance",
          "linearized-without-model", "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr",
          "linearized-model-of-another-droop", "negative-snr", "unknown-method",
          "huge-int-budget", "huge-int-search-budget", "huge-int-resistance",
          "huge-int-virtual-resistance", "huge-int-batch-resistance", "huge-int-line-resistance",
-         "huge-int-sigma-z", "huge-int-amplitude"],
+         "huge-int-sigma-z", "huge-int-amplitude", "channel-negative-resistance",
+         "huge-int-channel-resistance", "huge-int-single-bus-x-nom"],
 )
 def test_library_input_checks_raise_invalid_argument(grid, nominal, call):
     with pytest.raises(powertalk.InvalidArgument):
@@ -80,3 +93,5 @@ def test_an_int_beyond_float_range_fails_the_check_that_names_it():
         check_budgets({0: HUGE})
     with pytest.raises(powertalk.NonpositiveResistance, match="finite inverse, got inf$"):
         check_resistances({"r": HUGE})
+    with pytest.raises(powertalk.InvalidArgument, match="unit 0 x_nom must be finite, got inf$"):
+        powertalk.single_bus_channel([powertalk.VscSpec(HUGE, 0.39)], powertalk.LoadSpec())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracemalloc
+import warnings
 
 from powertalk import (
     Bus,
@@ -21,11 +22,13 @@ from powertalk import (
     nominal_droop,
     single_bus_channel,
     solve_steady_state,
+    solve_steady_state_many,
     validate_grid,
 )
 from powertalk import steady_state
 from powertalk.steady_state import BLOCK_BYTES
-from test_steady_state import _case_study_config, _meshed_grid, _radial_feeder
+from conftest import dense_lines
+from test_steady_state import _case_study_config, _chain, _meshed_grid, _radial_feeder
 
 
 def finite_difference_gains(grid, droop, h=1e-3):
@@ -221,9 +224,8 @@ def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
     x = droops[0].x
     r = {bus: np.array([droop.r[bus] for droop in droops]) for bus in vsc}
     v = np.stack([state.v for state in states])
-    kappa = np.stack([state.kappa for state in states])
     x_lanes = {bus: np.array([droop.x[bus] for droop in droops]) for bus in vsc}
-    h, phi = channel_gains(grid, x_lanes, r, v, kappa, vsc)
+    h, phi = channel_gains(grid, x_lanes, r, v, vsc)
     assert h.shape == (len(droops), grid.n, len(vsc))
     assert phi.shape == (len(droops), len(vsc), len(vsc))
     for lane, (droop, state) in enumerate(zip(droops, states)):
@@ -234,7 +236,7 @@ def test_channel_gains_lanes_equal_per_lane_linearize(make_grid):
     # one input column, as the optimizer's table asks for: no column depends on the others
     droop = droops[0].with_x(x)
     tx = vsc[0]
-    h_tx, phi_tx = channel_gains(grid, x, r, v, kappa, [tx])
+    h_tx, phi_tx = channel_gains(grid, x, r, v, [tx])
     for lane, state in enumerate(states):
         model = linearize(grid, droop.with_r({bus: r[bus][lane] for bus in vsc}), state)
         assert h_tx[lane, :, 0].tobytes() == model.H[:, tx].tobytes(), lane
@@ -252,33 +254,98 @@ def test_linearize_leaves_the_columns_of_buses_without_a_converter_at_plus_zero(
 
 
 def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state):
-    # lane 3: kappa infinite at the one constant-power bus only, which
-    # elimination alone would turn into finite gains
-    (cp,) = np.flatnonzero(grid.d_cp)
-    one_bus = state.kappa.copy()
-    one_bus[cp] = np.inf
-    v = np.stack([state.v, np.full(grid.n, np.nan), state.v, state.v])
-    kappa = np.stack([state.kappa, np.full(grid.n, np.nan), state.kappa, one_bus])
-    r = {bus: np.full(4, nominal.r[bus]) for bus in grid.vsc_buses}
-    h, phi = channel_gains(grid, nominal.x, r, v, kappa, [0])
-    for lane in (1, 3):
-        assert np.isnan(h[lane]).all() and np.isnan(phi[lane]).all(), lane
-    alone, _ = channel_gains(grid, nominal.x, nominal.r, state.v[None], state.kappa[None], [0])
-    assert h[0].tobytes() == h[2].tobytes() == alone[0].tobytes()
+    # lane 1 has no viable point: its NaN voltages give NaN gains on every
+    # bus, those without a constant-power load too, and its neighbours keep
+    # the bytes they have alone
+    v = np.stack([state.v, np.full(grid.n, np.nan), state.v])
+    r = {bus: np.full(3, nominal.r[bus]) for bus in grid.vsc_buses}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, phi = channel_gains(grid, nominal.x, r, v, [0])
+    assert np.isnan(h[1]).all() and np.isnan(phi[1]).all()
+    alone_h, alone_phi = channel_gains(grid, nominal.x, nominal.r, state.v[None], [0])
+    assert h[0].tobytes() == h[2].tobytes() == alone_h[0].tobytes()
+    assert phi[0].tobytes() == phi[2].tobytes() == alone_phi[0].tobytes()
 
-    # on the feeder, constant-power bus 16 is a leaf, so its zero pivot is
-    # divided by first: still NaN gains, and no numpy warning
+    # on the feeder, constant-power bus 16 is a leaf, eliminated first; at
+    # d_cp/v**2 == g_bus its Jacobian pivot is zero: NaN gains, and no warning
     feeder = _radial_feeder()
     droop = nominal_droop(feeder)
-    solved = solve_steady_state(feeder, droop)
-    kappa = solved.kappa.copy()
-    kappa[16] = np.inf
-    h, phi = channel_gains(feeder, droop.x, droop.r, solved.v[None], kappa[None], [0])
+    v = solve_steady_state(feeder, droop).v.copy()
+    g_bus = feeder.lines.degree[16] + feeder.r_cr_inv[16]
+    v[16] = np.sqrt(feeder.d_cp[16] / g_bus)
+    assert feeder.d_cp[16] / v[16] ** 2 == g_bus
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, phi = channel_gains(feeder, droop.x, droop.r, v[None], [0])
     assert np.isnan(h).all() and np.isnan(phi).all()
 
 
+# -- the gains against a dense solve of the Newton Jacobian -------------------
+
+def _dense_jacobian_gains(grid, x, r, v, inputs):
+    """``(h, phi)`` of one lane from ``np.linalg.solve`` of J built from the line specs: the oracle.
+
+    The current balance f_n = x_n/r_n + sum_m g_nm (v_m - v_n) - v_n/r_n
+    - v_n/r_cr_n - i_cc_n - d_cp_n/v_n has J = df/dv and df/dx = Y, so
+    J dv = -Y dx.
+    """
+    g_line = dense_lines(grid)
+    y = np.zeros(grid.n)
+    for bus in grid.vsc_buses:
+        y[bus] = 1.0 / r[bus]
+    jacobian = g_line - np.diag(g_line.sum(axis=1) + y + grid.r_cr_inv - grid.d_cp / v**2)
+    h = np.linalg.solve(jacobian, -np.diag(y)[:, inputs])
+    phi = np.array([h[bus] * (x[bus] - 2.0 * v[bus]) / r[bus] for bus in grid.vsc_buses])
+    for i, bus in enumerate(grid.vsc_buses):
+        if bus in inputs:
+            phi[i, inputs.index(bus)] += v[bus] / r[bus]
+    return h, phi
+
+
+@pytest.mark.parametrize(
+    "make_grid", [_case_study_config, _radial_feeder, _meshed_grid, lambda: _chain(192)],
+    ids=["star", "radial", "meshed", "chain-192"],
+)
+def test_channel_gains_equal_a_dense_solve_of_the_newton_jacobian(make_grid):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    vsc = list(grid.vsc_buses)
+    rng = np.random.default_rng(26)
+    lanes = 24
+    scale = np.where(np.arange(lanes) % 3 == 2, 60.0, 3.0)  # every third lane up to 60x nominal
+    r = {bus: nominal.r[bus] * rng.uniform(1.0, scale) for bus in vsc}
+    r[vsc[0]][-1] = 3000.0  # past any viable point
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    assert batch.feasible.any() and not batch.feasible.all()
+    h, phi = channel_gains(grid, nominal.x, r, batch.v, vsc)
+    for lane in range(lanes):
+        if not batch.feasible[lane]:
+            assert np.isnan(h[lane]).all() and np.isnan(phi[lane]).all(), lane
+            continue
+        r_lane = {bus: r[bus][lane] for bus in vsc}
+        dense_h, dense_phi = _dense_jacobian_gains(grid, nominal.x, r_lane, batch.v[lane], vsc)
+        np.testing.assert_allclose(h[lane], dense_h, rtol=1e-11, atol=0.0, err_msg=str(lane))
+        np.testing.assert_allclose(phi[lane], dense_phi, rtol=1e-11, atol=0.0, err_msg=str(lane))
+
+
+@pytest.mark.parametrize(
+    "make_grid", [_case_study_config, _radial_feeder, _meshed_grid, lambda: _chain(192)],
+    ids=["star", "radial", "meshed", "chain-192"],
+)
+def test_the_kappa_corrected_diagonal_is_the_jacobian_diagonal(make_grid):
+    # the paper's g_bus/kappa and Newton's g_bus - d_cp/v**2 at solved points
+    grid = make_grid()
+    for droop in _random_droops(grid, 5, seed=26):
+        state = solve_steady_state(grid, droop, method="newton")
+        g_bus = grid.lines.degree + droop.conductances(grid) + grid.r_cr_inv
+        paper = g_bus / state.kappa
+        jacobian = -steady_state._jacobian_diagonal(grid, g_bus, state.v)
+        assert np.all(np.abs(paper - jacobian) <= 4 * np.spacing(g_bus)), droop
+
+
 def _lattice_state(grid, nominal, lanes):
-    """Resistances on a ramp of ``lanes`` points, with the nominal voltages and corrections.
+    """Resistances on a ramp of ``lanes`` points, with the nominal voltages.
 
     The kernel's arithmetic needs no solved state, only finite inputs.
     """
@@ -287,33 +354,33 @@ def _lattice_state(grid, nominal, lanes):
         for k, bus in enumerate(grid.vsc_buses)
     }
     state = solve_steady_state(grid, nominal)
-    return r, np.repeat(state.v[None], lanes, axis=0), np.repeat(state.kappa[None], lanes, axis=0)
+    return r, np.repeat(state.v[None], lanes, axis=0)
 
 
 @pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
 def test_channel_gains_do_not_depend_on_the_block(make_grid, monkeypatch):
     grid = make_grid()
     nominal = nominal_droop(grid)
-    r, v, kappa = _lattice_state(grid, nominal, 23)
+    r, v = _lattice_state(grid, nominal, 23)
     x = {bus: np.full(23, nominal.x[bus]) for bus in grid.vsc_buses}
     inputs = list(grid.vsc_buses)
-    h, phi = channel_gains(grid, x, r, v, kappa, inputs)
+    h, phi = channel_gains(grid, x, r, v, inputs)
     lane_bytes = 8 * steady_state.LANE_ROWS * (grid.n + len(grid.elimination.values))
     monkeypatch.setattr(steady_state, "BLOCK_BYTES", 3 * len(inputs) * lane_bytes)  # 3 lanes
     assert steady_state._block_lanes(grid) // len(inputs) == 3
-    h_3, phi_3 = channel_gains(grid, x, r, v, kappa, inputs)
+    h_3, phi_3 = channel_gains(grid, x, r, v, inputs)
     assert h_3.tobytes() == h.tobytes()
     assert phi_3.tobytes() == phi.tobytes()
-    h_1, phi_1 = channel_gains(grid, nominal.x, r, v, kappa, inputs)  # scalar x, same values
+    h_1, phi_1 = channel_gains(grid, nominal.x, r, v, inputs)  # scalar x, same values
     assert h_1.tobytes() == h.tobytes() and phi_1.tobytes() == phi.tobytes()
 
 
 def test_channel_gains_memory_is_bounded_beyond_the_outputs(grid, nominal):
     lanes = 200_000
-    r, v, kappa = _lattice_state(grid, nominal, lanes)
+    r, v = _lattice_state(grid, nominal, lanes)
     tracemalloc.start()
     try:
-        h, phi = channel_gains(grid, nominal.x, r, v, kappa, [0])
+        h, phi = channel_gains(grid, nominal.x, r, v, [0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

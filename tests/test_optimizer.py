@@ -303,21 +303,7 @@ def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
     vsc = list(grid.vsc_buses)
     r = _lattice(grid, nominal, step, r_max)
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
-    xr = np.zeros((len(batch.v), grid.n))
-    y = np.zeros_like(xr)
-    for bus in vsc:
-        y[:, bus] = 1.0 / r[bus]
-        xr[:, bus] = nominal.x[bus] / r[bus]
-    g_bus = grid.lines.degree + y + grid.r_cr_inv
-    (_, ends, g), *slots = grid.lines.slots  # line sums over the neighbour slots
-    line_sum = g * batch.v[:, ends]
-    for buses, ends, g in slots:
-        line_sum[:, buses] += g * batch.v[:, ends]
-    b = xr + line_sum - grid.i_cc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
-    kappa = np.where(grid.d_cp == 0.0, 1.0, kappa)
-    h, phi = channel_gains(grid, nominal.x, r, batch.v, kappa, [tx])
+    h, phi = channel_gains(grid, nominal.x, r, batch.v, [tx])
     p_nom = solve_steady_state(grid, nominal).p
     _, p = vsc_outputs(grid, nominal.with_r(r), batch.v.T)
     dp = np.stack([p[bus] - p_nom[bus] for bus in vsc], axis=1)
@@ -326,7 +312,7 @@ def _lattice_oracle(grid, nominal, pi, sigma_z, tx, rx, step, r_max):
         g = (h[:, rx, 0, None] / phi[:, :, 0]) ** 2 * headroom
         snr = np.min(g, axis=1) / sigma_z**2
     snr = np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(snr, 0.0))
-    feasible = batch.feasible & np.all(np.isfinite(kappa), axis=1)
+    feasible = batch.feasible & np.isfinite(h[:, rx, 0]) & np.all(np.isfinite(phi[:, :, 0]), axis=1)
     snr = np.where(feasible, snr, -np.inf)
     best = int(np.argmax(snr))
     r_star = {bus: float(r[bus][best]) for bus in vsc}
@@ -542,7 +528,7 @@ def test_streamed_fallback_raises_when_no_lane_is_viable(boxed, nominal, monkeyp
     def nowhere_viable(grid, x, r):
         batch = solve_steady_state_many(grid, x, r)
         nan = np.full_like(batch.v, np.nan)
-        return steady_state.BatchSolve(nan, nan, np.zeros_like(batch.feasible), batch.residual, 0)
+        return steady_state.BatchSolve(nan, np.zeros_like(batch.feasible), batch.residual, 0)
 
     monkeypatch.setattr(optimizer, "solve_steady_state_many", nowhere_viable)
     _blocks_of(7, boxed, monkeypatch)
@@ -570,6 +556,24 @@ def test_channel_table_lanes_do_not_depend_on_their_batch(make_grid):
         for field in ("h_rx", "phi", "dp"):
             got, want = getattr(table, field)[lane], getattr(alone, field)[0]
             assert got.tobytes() == want.tobytes(), (lane, field)
+
+
+def test_a_lane_with_non_finite_gains_is_not_feasible_in_the_table():
+    # lane 1 claims a viable point, but constant-power bus 16, a leaf, sits
+    # where d_cp/v**2 == g_bus: its Jacobian pivot is zero and its gains NaN,
+    # which would score NaN and win the first maximum
+    grid = _radial_feeder()
+    nominal = nominal_droop(grid)
+    r = {bus: np.full(3, nominal.r[bus]) for bus in grid.vsc_buses}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    v = batch.v.copy()
+    v[1, 16] = np.sqrt(grid.d_cp[16] / (grid.lines.degree[16] + grid.r_cr_inv[16]))
+    hand_built = steady_state.BatchSolve(v, batch.feasible, batch.residual, batch.sweeps)
+    assert hand_built.feasible.all()
+    p_nom = solve_steady_state(grid, nominal).p
+    table = optimizer._channel_table(grid, nominal, p_nom, 0, 18, r, hand_built)
+    assert not np.isfinite(table.h_rx[1])
+    assert table.feasible.tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("box", [BOX, {0: 0.42, 1: 0.42}])
