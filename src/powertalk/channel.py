@@ -39,10 +39,11 @@ __all__ = [
 class ChannelModel:
     """Linearized voltage and power response at one operating point.
 
-    ``H[n, m]`` is the voltage gain dv_n/dx_m; columns for buses without
-    a converter are zero.  ``Phi[n, m]`` is the supplied-power gain
-    dp_n/dx_m; rows for buses without a converter are zero.  The kappa
-    corrections, reported only, are ``operating_point.kappa``.
+    ``H[n, m]`` is the voltage gain dv_n/dx_m; columns for buses without a
+    converter are zero.  ``Phi[n, m]`` is the supplied-power gain dp_n/dx_m,
+    and -i_m Phi[n, m] is dp_n/dr_m (dr_m acts as dx_m = -i_m dr_m); rows for
+    buses without a converter are zero.  The kappa corrections g_bus / -J_nn,
+    reported only, are ``operating_point.kappa``.
     """
 
     H: np.ndarray              # (n, n) voltage gains [V/V]
@@ -91,7 +92,20 @@ def channel_gains(
     """
     DroopState(x, r).validate(grid)
     inputs = list(inputs)
+    for bus in inputs:
+        if not grid.has_vsc(bus):
+            raise InvalidArgument(f"input bus {bus} hosts no converter")
+    v = np.asarray(v)
+    if v.ndim != 2 or v.shape[1] != grid.n:
+        raise InvalidArgument(f"v must have shape (lanes, {grid.n}), got {v.shape}")
     lanes = len(v)
+    for name, values in (("x", x), ("r", r)):
+        for bus in grid.vsc_buses:
+            if np.shape(values[bus]) not in ((), (1,), (lanes,)):
+                raise InvalidArgument(
+                    f"{name} on bus {bus} has shape {np.shape(values[bus])}, not ({lanes},) "
+                    "as the lanes of v"
+                )
     x = {bus: np.broadcast_to(np.asarray(x[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
     r = {bus: np.broadcast_to(np.asarray(r[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
     h = np.empty((lanes, grid.n, len(inputs)))

@@ -34,6 +34,7 @@ from .grid import ValidatedGrid, _floats, check_budgets
 from .steady_state import (
     BatchSolve,
     DroopState,
+    SteadyState,
     _block_lanes,
     solve_steady_state,
     solve_steady_state_many,
@@ -134,6 +135,8 @@ def one_way_snr(
     """
     grid.check_link(tx, rx)
     check_budgets(pi, grid)
+    if not pi:
+        raise InvalidBudget("at least one budget is required")
     _check_sigma_z(sigma_z)
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
@@ -246,29 +249,30 @@ def concavity_probe(
 ) -> ConcavityReport:
     """Check concavity of the gain terms at interior points of the region.
 
-    The feasible region is a narrow band around the equal-increase
-    diagonal: raising one resistance alone shifts load to the other
-    converter and burns the budget within millohms, while raising both
-    together largely cancels.  The probe therefore lattices a box around
-    the band's bisected diagonal extent, inside the search box, finds the
-    box's band as the lattice search does, keeps band points whose lattice
-    neighbors are in the band too, and forms central-difference Hessians
-    (step ``PROBE_FD_STEP``) of each g_n at up to ``PROBE_SAMPLES`` of them,
-    flagging eigenvalues above ``PROBE_REL_TOL`` times the Hessian norm.
-    The gradient at the
-    nominal corner uses central differences, which cancel the
-    headroom's quadratic dip (the investment vanishes at nominal) and
-    expose the first-order growth that pulls the optimum above nominal.
-    Every point scored, the stencils of all sample points and the
-    nominal lanes, is a lane of one pass through the batched Newton and
-    channel-gain kernels that the lattice search uses.
+    The feasible region is a narrow band around the equal-increase diagonal:
+    raising one resistance alone shifts load to the other converter and burns
+    the budget within millohms, while raising both together largely cancels.  The
+    probe therefore lattices a box around the band's bisected extent along the
+    direction that the investment Jacobian, the gains at nominal (dr = -i dx),
+    maps closest to zero, inside the search box, finds the box's band as the
+    lattice search does, keeps band points whose lattice neighbors are in the
+    band too, and forms central-difference Hessians (step ``PROBE_FD_STEP``) of
+    each g_n at up to ``PROBE_SAMPLES`` of them, flagging eigenvalues above
+    ``PROBE_REL_TOL`` times the Hessian norm.  The gradient at the nominal corner
+    uses central differences, which cancel the headroom's quadratic dip (the
+    investment vanishes at nominal) and expose the first-order growth that pulls
+    the optimum above nominal.  Every point scored, the stencils of all sample
+    points and the nominal lanes, is a lane of one pass through the batched
+    Newton and channel-gain kernels that the lattice search uses.
     """
     grid.check_link(tx, rx)
     check_budgets(pi, grid)
+    if not pi:
+        raise InvalidBudget("at least one budget is required")
     vsc = sorted(nominal.r)
     dim = len(vsc)
-    p_nom = solve_steady_state(grid, nominal).p
-    points = _band_interior(grid, nominal, p_nom, pi, vsc)
+    state = solve_steady_state(grid, nominal)
+    points = _band_interior(grid, nominal, state, pi, vsc)
 
     # stencil offsets in units of PROBE_FD_STEP: the centre, +e_i and -e_i per
     # axis, then the corners (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) per plane
@@ -286,7 +290,7 @@ def concavity_probe(
     lanes = np.concatenate([stencils, r_nom + np.concatenate([eye, -eye]) * h_nom, r_nom[None]])
     r = dict(zip(vsc, lanes.T))
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
-    table = _channel_table(grid, nominal, p_nom, tx, rx, r, batch)
+    table = _channel_table(grid, nominal, state.p, tx, rx, r, batch)
     if not table.feasible.all():
         raise NoRealRoot("a point of the concavity probe has no viable operating point")
     buses = sorted(pi)
@@ -598,6 +602,14 @@ def _investment(
     return np.stack([p[bus] - p_nom[bus] for bus in grid.vsc_buses], axis=1)
 
 
+def _investment_jacobian(
+    grid: ValidatedGrid, droop: DroopState, state: SteadyState, vsc: List[int]
+) -> np.ndarray:
+    """dp_n/dr_m = -i_m Phi[n, m] at ``state``, (n_vsc, len(vsc)): dr_m acts as dx_m = -i_m dr_m."""
+    _, phi = channel_gains(grid, droop.x, droop.r, state.v[None], vsc)
+    return -phi[0] * [state.i[bus] for bus in vsc]
+
+
 def _lane_investments(
     grid: ValidatedGrid, nominal: DroopState, p_nom: Dict[int, float], r: Mapping[int, np.ndarray]
 ) -> Optional[np.ndarray]:
@@ -639,36 +651,31 @@ def _first_max(
 def _band_interior(
     grid: ValidatedGrid,
     nominal: DroopState,
-    p_nom: Dict[int, float],
+    state: SteadyState,
     pi: Mapping[int, float],
     vsc: List[int],
 ) -> np.ndarray:
     """Feasible lattice points of the region with all lattice neighbors feasible.
 
-    Raising one resistance alone moves investments at thousands of watts
-    per ohm, so the region hugs the direction that the investment
-    Jacobian maps closest to zero (equal-increase on a symmetric grid).
-    A box lattice inside the search box is sized from the bisected extent
-    along that direction and from the band halfwidth implied by the
-    largest Jacobian gain.  Its feasible points are found by
-    :func:`_band_lanes`, converters without a budget counting as
-    unbounded, with their solved lanes; only when that band is unknown is
-    the whole box solved, block by block through :func:`_lattice_blocks`.
-    Returns up to ``PROBE_SAMPLES`` points as rows of resistances in
-    ``vsc`` order.
+    Raising one resistance alone moves investments at thousands of watts per
+    ohm, so the region hugs the direction that the investment Jacobian maps
+    closest to zero (equal-increase on a symmetric grid), the Jacobian
+    :func:`_investment_jacobian` at the nominal ``state``: a step dr_m acts as
+    dx_m = -i_m dr_m, so it is the channel gains, with no solve.  A box
+    lattice inside the search box is sized from the bisected extent along
+    that direction and from the band halfwidth implied by the largest
+    Jacobian gain.  Its feasible points are found by :func:`_band_lanes`,
+    converters without a budget counting as unbounded, with their solved
+    lanes; only when that band is unknown is the whole box solved, block by
+    block through :func:`_lattice_blocks`.  Returns up to ``PROBE_SAMPLES``
+    points as rows of resistances in ``vsc`` order.
     """
     dim = len(vsc)
     r_nom = np.array([nominal.r[bus] for bus in vsc])
     cap = np.array([_r_limit(grid, nominal, bus) for bus in vsc]) - r_nom
     budgets = {bus: pi.get(bus, np.inf) for bus in grid.vsc_buses}
     pi_vec = np.array(list(budgets.values()))
-    h = 1e-5  # central differences of the investments at nominal
-    shifted = r_nom + np.concatenate([np.eye(dim), -np.eye(dim)]) * h
-    dp = _lane_investments(grid, nominal, p_nom, dict(zip(vsc, shifted.T)))
-    if dp is None:
-        raise NoRealRoot("no viable operating point next to the nominal resistances")
-    jac = ((dp[:dim] - dp[dim:]) / (2.0 * h)).T  # d(investment_i)/d(r_j)
-    _, singulars, vt = np.linalg.svd(jac)
+    _, singulars, vt = np.linalg.svd(_investment_jacobian(grid, nominal, state, vsc))
     direction = vt[-1]
     if direction.sum() < 0.0:
         direction = -direction
@@ -679,7 +686,7 @@ def _band_interior(
     def feasible_shift(t: float) -> bool:
         if np.any(t * direction > cap):
             return False
-        dp = _lane_investments(grid, nominal, p_nom, dict(zip(vsc, r_nom + t * direction)))
+        dp = _lane_investments(grid, nominal, state.p, dict(zip(vsc, r_nom + t * direction)))
         return dp is not None and bool(np.all(dp**2 <= pi_vec**2))
 
     pushable = direction > 0.0
@@ -700,10 +707,10 @@ def _band_interior(
         bus: nominal.r[bus] + np.linspace(0.0, widths[i], counts[i])
         for i, bus in enumerate(vsc)
     }
-    band = _band_lanes(grid, nominal, p_nom, axes, budgets)
+    band = _band_lanes(grid, nominal, state.p, axes, budgets)
     feas = np.zeros(counts, dtype=bool)
     for lanes, r, batch in [band] if band is not None else _lattice_blocks(grid, nominal, axes):
-        dp = np.nan_to_num(_investment(grid, nominal, p_nom, r, batch.v), nan=np.inf)
+        dp = np.nan_to_num(_investment(grid, nominal, state.p, r, batch.v), nan=np.inf)
         feas.flat[lanes] = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
     inner = np.zeros_like(feas)
     inner[(slice(1, -1),) * dim] = True

@@ -22,8 +22,8 @@ the per-bus update on Python floats, bit for bit a numpy sweep, and
 checks the residual once per block of sweeps; a sweep whose residual is
 not finite ends the solve; it alone builds the dense line conductances,
 once per solve.  A Newton step's Jacobian is also the channel matrix
-(:func:`_jacobian_diagonal`); a solve reports kappa from one balance of
-its voltages.  Solvers are pure functions of their arguments and safe to
+(:func:`_jacobian_diagonal`); a solve reports kappa = g_bus / -J_nn from
+its diagonal.  Solvers are pure functions of their arguments and safe to
 run concurrently; every call solves.
 """
 
@@ -92,7 +92,7 @@ class SteadyState:
     v: np.ndarray             # (n,) bus voltages [V]
     i: Dict[int, float]       # converter output currents [A]
     p: Dict[int, float]       # converter output powers [W]
-    kappa: np.ndarray         # (n,) constant-power-load correction, >= 1
+    kappa: np.ndarray         # (n,) constant-power-load correction g_bus / -J_nn, >= 1
     residual: float           # max current-balance error [A]
 
 
@@ -153,8 +153,9 @@ def solve_steady_state(
     else:
         raise InvalidArgument(f"unknown method {method!r}")
 
-    g_bus = grid.lines.degree + y + grid.r_cr_inv
-    kappa = _kappa(grid, _balance(grid, xr, g_bus, v[None])[0], g_bus)[0]
+    g_bus = grid.lines.degree + y[0] + grid.r_cr_inv
+    with np.errstate(divide="ignore"):
+        kappa = g_bus / -_jacobian_diagonal(grid, g_bus, v)
     i, p = vsc_outputs(grid, droop, v)
     return SteadyState(v=v, i=i, p=p, kappa=kappa, residual=residual)
 
@@ -264,13 +265,6 @@ def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
         neighbor_x = [v[m] for m in grid.adjacent[bus] if grid.has_vsc(m)]
         v[bus] = float(np.mean(neighbor_x)) if neighbor_x else mean_x
     return v
-
-
-def _kappa(grid: ValidatedGrid, b: np.ndarray, g_bus: np.ndarray) -> np.ndarray:
-    """The reported load correction per lane from :func:`_balance`'s ``b``, 1 where d_cp = 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kappa = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
-    return np.where(grid.d_cp == 0.0, 1.0, kappa)
 
 
 def vsc_outputs(
@@ -459,7 +453,7 @@ def _newton_block(
 
 
 def _jacobian_diagonal(grid: ValidatedGrid, g_bus: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Diagonal of J = df/dv (:func:`_balance`); -g_bus/kappa at a solved point (:func:`_kappa`)."""
+    """Diagonal of J = df/dv (:func:`_balance`), -g_bus/kappa: the paper's kappa is g_bus / -J_nn."""
     return grid.d_cp / v**2 - g_bus
 
 

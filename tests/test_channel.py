@@ -11,6 +11,7 @@ import warnings
 from powertalk import (
     Bus,
     GridSpec,
+    InvalidArgument,
     LineSpec,
     LoadSpec,
     NonConvergence,
@@ -281,6 +282,35 @@ def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state
     assert np.isnan(h).all() and np.isnan(phi).all()
 
 
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        # bus n - 1's gains came back for input -1
+        (lambda x, r, v: (x, r, v, [-1]), "input bus -1 hosts no converter"),
+        (lambda x, r, v: (x, r, v, [0, 99]), "input bus 99 hosts no converter"),
+        (lambda x, r, v: (x, r, v, [2]), "input bus 2 hosts no converter"),
+        (lambda x, r, v: (x, r, v[0], [0]), r"v must have shape \(lanes, 3\), got \(3,\)"),
+        (lambda x, r, v: (x, r, v[:, :2], [0]), r"got \(4, 2\)"),
+        (lambda x, r, v: (x, r, v[None], [0]), r"got \(1, 4, 3\)"),
+        (lambda x, r, v: (x, {0: r[0][:3], 1: r[1]}, v, [0]),
+         r"r on bus 0 has shape \(3,\), not \(4,\) as the lanes of v"),
+        (lambda x, r, v: ({0: np.full(5, x[0]), 1: x[1]}, r, v, [0]),
+         r"x on bus 0 has shape \(5,\)"),
+        (lambda x, r, v: (x, {0: r[0][:, None], 1: r[1]}, v, [0]), r"shape \(4, 1\)"),
+    ],
+    ids=["negative-input", "input-beyond-the-grid", "input-without-converter", "one-lane-vector",
+         "too-few-buses", "three-dimensional", "r-lanes", "x-lanes", "r-two-dimensional"],
+)
+def test_channel_gains_inputs_that_do_not_fit_are_an_invalid_argument(
+    grid, nominal, state, case, match
+):
+    r = {bus: np.full(4, nominal.r[bus]) for bus in grid.vsc_buses}
+    v = np.repeat(state.v[None], 4, axis=0)
+    x, r, v, inputs = case(dict(nominal.x), r, v)
+    with pytest.raises(InvalidArgument, match=match):
+        channel_gains(grid, x, r, v, inputs)
+
+
 # -- the gains against a dense solve of the Newton Jacobian -------------------
 
 def _dense_jacobian_gains(grid, x, r, v, inputs):
@@ -330,18 +360,26 @@ def test_channel_gains_equal_a_dense_solve_of_the_newton_jacobian(make_grid):
 
 
 @pytest.mark.parametrize(
-    "make_grid", [_case_study_config, _radial_feeder, _meshed_grid, lambda: _chain(192)],
-    ids=["star", "radial", "meshed", "chain-192"],
+    "make_grid, method",
+    [(_case_study_config, "newton"), (_radial_feeder, "newton"), (_meshed_grid, "newton"),
+     (lambda: _chain(192), "newton"), (_case_study_config, "gauss_seidel"),
+     (_radial_feeder, "gauss_seidel"), (_meshed_grid, "gauss_seidel")],
+    ids=["star", "radial", "meshed", "chain-192", "star-gauss-seidel", "radial-gauss-seidel",
+         "meshed-gauss-seidel"],  # Gauss-Seidel needs over 100,000 sweeps on the chain
 )
-def test_the_kappa_corrected_diagonal_is_the_jacobian_diagonal(make_grid):
-    # the paper's g_bus/kappa and Newton's g_bus - d_cp/v**2 at solved points
+def test_the_kappa_corrected_diagonal_is_the_jacobian_diagonal(make_grid, method):
+    # the reported g_bus / -J_nn against the larger root's discriminant form
+    # 0.5 (1 + b / sqrt(b**2 - 4 d_cp g_bus)), b the linear coefficient of
+    # each bus quadratic, at solved points
     grid = make_grid()
     for droop in _random_droops(grid, 5, seed=26):
-        state = solve_steady_state(grid, droop, method="newton")
-        g_bus = grid.lines.degree + droop.conductances(grid) + grid.r_cr_inv
-        paper = g_bus / state.kappa
-        jacobian = -steady_state._jacobian_diagonal(grid, g_bus, state.v)
-        assert np.all(np.abs(paper - jacobian) <= 4 * np.spacing(g_bus)), droop
+        state = solve_steady_state(grid, droop, method=method)
+        xr, y = steady_state._droop_lanes(grid, droop.x, droop.r, 1)
+        g_bus = grid.lines.degree + y[0] + grid.r_cr_inv
+        b = steady_state._balance(grid, xr, g_bus[None], state.v[None])[0][0]
+        paper = 0.5 * (1.0 + b / np.sqrt(b * b - 4.0 * grid.d_cp * g_bus))
+        paper[grid.d_cp == 0.0] = 1.0
+        assert np.all(np.abs(state.kappa - paper) <= 4 * np.spacing(paper)), droop  # 1 measured
 
 
 def _lattice_state(grid, nominal, lanes):

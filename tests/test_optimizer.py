@@ -14,6 +14,7 @@ from powertalk import (
     EmptySearchSpace,
     GridSpec,
     InvalidArgument,
+    InvalidBudget,
     LineSpec,
     LoadSpec,
     NoRealRoot,
@@ -40,7 +41,9 @@ from powertalk import (
     vsc_outputs,
 )
 from powertalk.optimizer import DEFAULT_STEP
-from test_steady_state import _case_study_config, _jittered, _meshed_grid, _radial_feeder
+from conftest import dense_lines
+from test_channel import _random_droops
+from test_steady_state import _case_study_config, _chain, _jittered, _meshed_grid, _radial_feeder
 
 SIGMA_Z = 0.01
 BOX = {0: 0.6, 1: 0.7}
@@ -263,6 +266,93 @@ def test_concavity_probe_report_structure(grid, nominal, budgets):
 def test_concavity_probe_validates_inputs(grid, nominal, budgets):
     with pytest.raises(ValueError):
         concavity_probe(grid, nominal, budgets, tx=0, rx=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid, nominal: one_way_snr(grid, nominal, nominal, {}, SIGMA_Z, 0, 1),
+        lambda grid, nominal: concavity_probe(grid, nominal, {}, 0, 1),
+    ],
+    ids=["one-way-snr", "concavity-probe"],
+)
+def test_empty_budgets_are_an_invalid_budget(grid, nominal, call):
+    # both took a reduction over no converters: a bare ValueError from numpy or max()
+    with pytest.raises(InvalidBudget, match="at least one budget is required"):
+        call(grid, nominal)
+
+
+# -- the investment Jacobian: dp_n/dr_m = -i_m Phi[n, m] ------------------------
+
+def _star_powers(mp, grid, droop, r):
+    """Converter powers of the two-source star in closed form, in mpmath at its precision."""
+    g_line = dense_lines(grid)
+    load = next(bus for bus in range(grid.n) if not grid.has_vsc(bus))
+    x = {bus: mp.mpf(droop.x[bus]) for bus in grid.vsc_buses}
+    g = {bus: mp.mpf(g_line[bus, load]) for bus in grid.vsc_buses}
+    r_leg = {bus: r[bus] + 1 / g[bus] for bus in grid.vsc_buses}
+    g_total = sum(1 / r_leg[bus] for bus in grid.vsc_buses) + mp.mpf(grid.r_cr_inv[load])
+    b = sum(x[bus] / r_leg[bus] for bus in grid.vsc_buses) - mp.mpf(grid.i_cc[load])
+    v_load = (b + mp.sqrt(b * b - 4 * mp.mpf(grid.d_cp[load]) * g_total)) / (2 * g_total)
+    powers = {}
+    for bus in grid.vsc_buses:
+        v = (x[bus] / r[bus] + v_load * g[bus]) / (1 / r[bus] + g[bus])
+        powers[bus] = v * (x[bus] - v) / r[bus]
+    return powers
+
+
+@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
+def test_the_investment_jacobian_is_the_star_closed_form_derivative(method):
+    mp = pytest.importorskip("mpmath")
+    grid = _case_study_config()
+    vsc = list(grid.vsc_buses)
+    for droop in _random_droops(grid, 6, seed=27):  # nominal, then off-nominal r and x
+        state = solve_steady_state(grid, droop, method=method)
+        jac = optimizer._investment_jacobian(grid, droop, state, vsc)
+        with mp.workdps(50):
+            r = {bus: mp.mpf(droop.r[bus]) for bus in vsc}
+            exact = np.array([
+                [float(mp.diff(lambda t: _star_powers(mp, grid, droop, {**r, m: t})[n], r[m]))
+                 for m in vsc]
+                for n in vsc
+            ])
+        # the solver's stopping residual, not the identity: 1.2e-11 measured
+        np.testing.assert_allclose(jac, exact, rtol=1e-10, atol=0.0, err_msg=str(droop))
+
+
+@pytest.mark.parametrize(
+    "make_grid", [_radial_feeder, _meshed_grid, lambda: _chain(192)],
+    ids=["radial", "meshed", "chain-192"],
+)
+def test_the_investment_jacobian_matches_central_differences(make_grid):
+    grid = make_grid()
+    vsc = sorted(grid.vsc_buses)
+    dim, h = len(vsc), 1e-4
+    for droop in _random_droops(grid, 4, seed=27):  # nominal, then off-nominal r and x
+        state = solve_steady_state(grid, droop, method="newton")
+        jac = optimizer._investment_jacobian(grid, droop, state, vsc)
+        r = np.array([droop.r[bus] for bus in vsc])
+        shifted = r + np.concatenate([np.eye(dim), -np.eye(dim)]) * h
+        dp = optimizer._lane_investments(grid, droop, state.p, dict(zip(vsc, shifted.T)))
+        fd = ((dp[:dim] - dp[dim:]) / (2.0 * h)).T
+        # truncation and the solves' stopping errors: 2.4e-8 of the largest entry measured
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd)), droop
+
+
+def test_the_probe_sizes_its_box_from_the_investment_jacobian(grid, nominal, budgets, monkeypatch):
+    # one Jacobian, at the nominal operating point the probe solved: no solve of its own
+    calls = []
+    original = optimizer._investment_jacobian
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "_investment_jacobian", recorded)
+    concavity_probe(grid, nominal, budgets, tx=0, rx=1)
+    [(_, droop, state, vsc)] = calls
+    assert (droop, vsc) == (nominal, [0, 1])
+    assert state.v.tobytes() == solve_steady_state(grid, nominal).v.tobytes()
 
 
 @pytest.mark.parametrize("pi", [{0: 10.0, 1: 10.0}, {0: 10.0}])
@@ -630,7 +720,7 @@ def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, so
                                               SIGMA_Z, 0, 1), 15, 4_899),
         (lambda grid, nominal: maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0},
                                                  SIGMA_Z, 0, 1), 15, 4_332),
-        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 55, 3_772),
+        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 54, 3_768),
     ],
     ids=["sweep", "optimize", "probe"],
 )
@@ -793,14 +883,14 @@ def probe_tables(monkeypatch):
 def test_concavity_probe_matches_the_scalar_probe(grid, nominal, budgets):
     report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     points, flagged, max_rel, grad = _scalar_probe(grid, nominal, budgets, 0, 1)
-    # The sample points follow the direction of a finite-difference Jacobian
-    # (step 1e-5 ohm) whose entries carry each solver's stopping error, ~1e-8
-    # relative: batched Newton lanes against scalar Gauss-Seidel moves the
-    # points by up to 1.5e-8 ohm.
+    # The sample points follow the direction of the investment Jacobian; the
+    # oracle's is a finite difference (step 1e-5 ohm) whose entries carry each
+    # solver's stopping error, ~1e-8 relative, against the probe's from the
+    # channel gains, which moves the points by up to 1.3e-8 ohm.
     assert len(report.points) == len(points) == 25
     np.testing.assert_allclose(report.points, points, rtol=0.0, atol=5e-8)
     assert [(report.points.index(p), bus) for p, bus, _ in report.violations] == flagged
-    assert report.max_rel_eig == pytest.approx(max_rel, rel=1e-5)  # 8.5e-7 apart
+    assert report.max_rel_eig == pytest.approx(max_rel, rel=1e-5)  # 1.1e-6 apart
     for bus, parts in grad.items():
         assert report.grad_nominal[bus] == pytest.approx(parts, rel=0.0, abs=1e-9)  # 1.4e-10
 
@@ -843,10 +933,11 @@ def test_concavity_probe_scores_its_points_in_batches(
     monkeypatch.setattr(optimizer, "solve_steady_state", counted)
     report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     assert len(report.points) == 25
-    # the viability lane of each converter's default r_max, the investment
-    # Jacobian, the band's end, 40 bisection rounds, the box's row ends, 9
-    # rounds of the row bisection, the rows' runs (whose band lanes the
-    # probe keeps, solved) and the stencils of every point
-    assert len(solved_lanes) <= 55
-    assert sum(solved_lanes) <= 4_000  # 3,772: the box has 30,400 lanes
-    assert len(scalar_solves) <= 1  # the nominal powers
+    # the viability lane of each converter's default r_max, the band's end,
+    # 40 bisection rounds, the box's row ends, 9 rounds of the row bisection,
+    # the rows' runs (whose band lanes the probe keeps, solved) and the
+    # stencils of every point; the investment Jacobian comes from the
+    # channel gains at the nominal point, with no solve of its own
+    assert len(solved_lanes) <= 54
+    assert sum(solved_lanes) <= 4_000  # 3,768: the box has 30,400 lanes
+    assert len(scalar_solves) <= 1  # the nominal operating point
