@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -167,7 +168,11 @@ class ValidatedGrid:
         return self.buses[bus].vsc
 
     def has_vsc(self, bus: int) -> bool:
-        return 0 <= bus < self.n and self.buses[bus].vsc is not None  # ids are 0..n-1
+        try:
+            bus = operator.index(bus)  # ids are integers 0..n-1, numpy integers too
+        except TypeError:
+            return False
+        return 0 <= bus < self.n and self.buses[bus].vsc is not None
 
     def check_link(self, tx: int, rx: int) -> None:
         """Raise :class:`InvalidLink` unless ``tx`` and ``rx`` are distinct converter buses."""

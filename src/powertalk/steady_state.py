@@ -21,7 +21,10 @@ is solved by default with a damped Gauss-Seidel fixed point that sweeps
 the per-bus update on Python floats, bit for bit a numpy sweep, and
 checks the residual once per block of sweeps; a sweep whose residual is
 not finite ends the solve; it alone builds the dense line conductances,
-once per solve.  A Newton step's Jacobian is also the channel matrix
+once per solve.  Its sweep count grows with the grid and near voltage
+collapse, so after ``GS_SWEEPS`` sweeps Newton finishes the solve from
+the last one (the load-flow hybrid of Stott, Proc. IEEE 62(7), 1974).
+A Newton step's Jacobian is also the channel matrix
 (:func:`_jacobian_diagonal`); a solve reports kappa = g_bus / -J_nn from
 its diagonal.  Solvers are pure functions of their arguments and safe to
 run concurrently; every call solves.
@@ -45,6 +48,7 @@ DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 SWEEP_BLOCK = 32         # Gauss-Seidel sweeps per vectorised residual pass
+GS_SWEEPS = 16 * SWEEP_BLOCK  # Gauss-Seidel's budget before Newton finishes a scalar solve
 BLOCK_BYTES = 1 << 20    # working bytes per block of the batched solve
 LANE_ROWS = 8            # bound on a Newton lane's working floats, in units of buses + spokes
 ROUNDING_TERMS = 8       # Newton's residual floor, in units of eps times the largest balance term
@@ -131,7 +135,11 @@ def solve_steady_state(
 
     ``tol`` bounds the final max current-balance residual in amps; Newton
     raises it to the balance's rounding floor where that is larger (see
-    :func:`_newton_block`).
+    :func:`_newton_block`).  ``method="gauss_seidel"`` (the default) sweeps
+    up to ``min(max_iter, GS_SWEEPS)`` times.  If no sweep is within ``tol``,
+    a ``max_iter`` at or below ``GS_SWEEPS`` raises :class:`NonConvergence`;
+    a larger one hands the last sweep to Newton, with ``method="newton"``'s
+    certificate and errors and ``max_iter`` bounding its iterations.
     Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
     (droop parameters outside the viable range) and :class:`NonConvergence`
     when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
@@ -140,18 +148,25 @@ def solve_steady_state(
     droop.validate(grid)
     xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
 
-    v0 = _initial_voltages(grid, droop.x)
+    v = _initial_voltages(grid, droop.x)
     if method == "gauss_seidel":
-        v, residual = _gauss_seidel(grid, xr[0], y[0], v0, tol, max_iter)
-    elif method == "newton":
-        lane, feasible, res, _, stalled = _newton_block(grid, xr, y, v0, tol, max_iter)
+        v, residual = _gauss_seidel(grid, xr[0], y[0], v, tol, min(max_iter, GS_SWEEPS))
+        if not residual <= tol and max_iter <= GS_SWEEPS:  # not <=: a NaN tol is never met
+            raise NonConvergence(
+                f"gauss_seidel: residual {residual:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
+            )
+    elif method != "newton":
+        raise InvalidArgument(f"unknown method {method!r}")
+    if method == "newton" or not residual <= tol:
+        lane, feasible, res, its, stalled = _newton_block(grid, xr, y, v, tol, max_iter)
+        if method == "gauss_seidel":
+            logger.debug("gauss_seidel: residual %.3e A after %d sweeps; newton ran %d iterations",
+                         residual, GS_SWEEPS, its)
         if stalled.size:
             raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
         if not feasible[0]:
             raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
         v, residual = lane[0], float(res[0])
-    else:
-        raise InvalidArgument(f"unknown method {method!r}")
 
     g_bus = grid.lines.degree + y[0] + grid.r_cr_inv
     with np.errstate(divide="ignore"):
@@ -184,7 +199,8 @@ def _gauss_seidel(
     discarded, and so is a :class:`NoRealRoot` one of them raised.  A sweep
     whose residual is not finite raises :class:`NonConvergence` naming it.
     ``g_line`` is the dense line matrix, built once per solve.  Returns the
-    voltages and their max residual.
+    voltages and their max residual: the first sweep within ``tol``, or
+    else the last of ``max_iter`` sweeps.
     """
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     four_d = 4.0 * grid.d_cp / r_bus
@@ -221,9 +237,7 @@ def _gauss_seidel(
             if failure is not None:
                 raise failure
             res = float(block_res[-1])
-    raise NonConvergence(
-        f"gauss_seidel: residual {res:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
-    )
+    return v, res
 
 
 def _sweep_block(

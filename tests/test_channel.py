@@ -289,6 +289,10 @@ def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state
         (lambda x, r, v: (x, r, v, [-1]), "input bus -1 hosts no converter"),
         (lambda x, r, v: (x, r, v, [0, 99]), "input bus 99 hosts no converter"),
         (lambda x, r, v: (x, r, v, [2]), "input bus 2 hosts no converter"),
+        # bus ids that are not integers raised a bare TypeError
+        (lambda x, r, v: (x, r, v, [1.0]), "input bus 1.0 hosts no converter"),
+        (lambda x, r, v: (x, r, v, [1.5]), "input bus 1.5 hosts no converter"),
+        (lambda x, r, v: (x, r, v, ["0"]), "input bus 0 hosts no converter"),
         (lambda x, r, v: (x, r, v[0], [0]), r"v must have shape \(lanes, 3\), got \(3,\)"),
         (lambda x, r, v: (x, r, v[:, :2], [0]), r"got \(4, 2\)"),
         (lambda x, r, v: (x, r, v[None], [0]), r"got \(1, 4, 3\)"),
@@ -298,7 +302,8 @@ def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state
          r"x on bus 0 has shape \(5,\)"),
         (lambda x, r, v: (x, {0: r[0][:, None], 1: r[1]}, v, [0]), r"shape \(4, 1\)"),
     ],
-    ids=["negative-input", "input-beyond-the-grid", "input-without-converter", "one-lane-vector",
+    ids=["negative-input", "input-beyond-the-grid", "input-without-converter", "float-input",
+         "fractional-input", "string-input", "one-lane-vector",
          "too-few-buses", "three-dimensional", "r-lanes", "x-lanes", "r-two-dimensional"],
 )
 def test_channel_gains_inputs_that_do_not_fit_are_an_invalid_argument(

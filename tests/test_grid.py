@@ -33,7 +33,7 @@ from powertalk import (
     one_way_snr,
     validate_grid,
 )
-from powertalk.grid import _line_matrix
+from powertalk.grid import _line_matrix, check_budgets
 
 from conftest import dense_lines
 from test_steady_state import _case_study_config, _chain, _meshed_grid, _radial_feeder
@@ -324,6 +324,16 @@ def test_bus_ids_outside_the_grid_host_no_converter(grid, bus):
     assert not grid.has_vsc(bus)
     with pytest.raises(InvalidGridSpec):
         grid.vsc(bus)
+
+
+@pytest.mark.parametrize("bus", [1.0, 1.5, "0", None])
+def test_bus_ids_that_are_not_integers_host_no_converter(grid, bus):
+    # they raised a bare TypeError; numpy integers stay ids
+    assert grid.has_vsc(np.int64(1)) and not grid.has_vsc(bus)
+    with pytest.raises(InvalidLink, match="hosts no converter"):
+        grid.check_link(bus, 0)
+    with pytest.raises(InvalidBudget, match="hosts no converter"):
+        check_budgets({bus: 1.0}, grid)
 
 
 @pytest.mark.parametrize("tx, rx", [(0, 0), (0, 2), (99, 1)], ids=["self-link", "load-bus", "id-99"])

@@ -1,7 +1,10 @@
+import json
+import logging
 import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -445,8 +448,29 @@ def _jittered(grid, nominal, lanes):
     return {bus: nominal.r[bus] * (1.0 + jitter[:, j]) for j, bus in enumerate(grid.vsc_buses)}
 
 
-@pytest.mark.parametrize("make_grid, count", [(_case_study_config, 25), (_radial_feeder, 5)])
-def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count):
+def _numpy_then_newton(grid, droop):
+    """``(v, residual)`` of the numpy sweep run for ``GS_SWEEPS`` sweeps, then Newton from it."""
+    xr, y, r_bus, v = _numpy_start(grid, droop)
+    with pytest.raises(NonConvergence):  # the budget runs out
+        _numpy_gauss_seidel(grid, xr, y, r_bus, v, steady_state.DEFAULT_TOL,
+                            steady_state.GS_SWEEPS, steady_state.DEFAULT_DAMPING)
+    lane, feasible, residual, _, stalled = steady_state._newton_block(
+        grid, xr[None], y[None], v, steady_state.DEFAULT_TOL, steady_state.DEFAULT_MAX_ITER
+    )
+    assert stalled.size == 0
+    if not feasible[0]:
+        raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
+    return lane[0], float(residual[0])
+
+
+# Every case-study solve converges inside Gauss-Seidel's budget, so it is
+# the numpy sweep; the radial feeder's needs more sweeps, so Newton finishes it.
+@pytest.mark.parametrize(
+    "make_grid, count, reference",
+    [(_case_study_config, 25, _numpy_solve), (_radial_feeder, 5, _numpy_then_newton)],
+    ids=["_case_study_config-25", "_radial_feeder-5"],
+)
+def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference):
     grid = make_grid()
     nominal = nominal_droop(grid)
     rng = np.random.default_rng(20160101)
@@ -456,12 +480,12 @@ def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count):
         for _ in range(count - 1)
     ]
     for droop in droops:
-        v, residual = _numpy_solve(grid, droop)
+        v, residual = reference(grid, droop)
         state = solve_steady_state(grid, droop)
         assert state.v.tobytes() == v.tobytes(), droop
         assert state.residual == residual, droop
     with pytest.raises(NoRealRoot) as numpy_error:
-        _numpy_solve(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
+        reference(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
     with pytest.raises(NoRealRoot) as float_error:
         solve_steady_state(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
     assert str(float_error.value) == str(numpy_error.value)
@@ -762,6 +786,93 @@ def test_newton_certifies_long_chains_at_their_rounding_floor(monkeypatch, n):
         threshold = max(steady_state.DEFAULT_TOL, _rounding_floor(grid, y[lane], v0))
         assert batch.residual[lane] <= threshold
         assert _exact_residual(grid, xr[lane], y[lane], batch.v[lane]) <= threshold, lane
+
+
+# -- Gauss-Seidel's budget: Newton finishes a solve it has not -------------
+
+def test_newton_finishes_a_solve_past_the_gauss_seidel_budget(caplog):
+    grid = _radial_feeder()  # its Gauss-Seidel needs more than GS_SWEEPS sweeps
+    nominal = nominal_droop(grid)
+    budget = steady_state.GS_SWEEPS
+    with pytest.raises(NonConvergence, match=f"^gauss_seidel: residual .* after {budget} sweeps"):
+        solve_steady_state(grid, nominal, max_iter=budget)
+    with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
+        state = solve_steady_state(grid, nominal, max_iter=budget + 1)
+    newton = solve_steady_state(grid, nominal, method="newton")
+    assert state.residual <= steady_state.DEFAULT_TOL
+    assert np.max(np.abs(state.v - newton.v)) <= 1e-9
+    [handover] = [record.getMessage() for record in caplog.records]
+    assert f"after {budget} sweeps; newton ran" in handover
+
+
+@pytest.mark.parametrize("max_iter, solver", [(100, "gauss_seidel"), (1000, "newton")])
+def test_a_nan_tolerance_is_never_met(grid, nominal, max_iter, solver):
+    with pytest.raises(NonConvergence, match=f"^{solver}: .* after {max_iter} "):
+        solve_steady_state(grid, nominal, tol=math.nan, max_iter=max_iter)
+
+
+def _scaled_loads(grid, scale):
+    """``grid`` with every constant-power load times ``scale``."""
+    buses = tuple(
+        replace(bus, load=replace(bus.load, d_cp=scale * bus.load.d_cp)) for bus in grid.spec.buses
+    )
+    return validate_grid(GridSpec(buses=buses, lines=grid.spec.lines))
+
+
+def test_the_default_method_certifies_a_point_near_voltage_collapse():
+    # Gauss-Seidel slows down as the loads near collapse: at 0.995 of the
+    # largest load scale Newton certifies (~38.75) it alone stood 7.4e-9 A
+    # short of tol after 10,000 sweeps
+    grid = _radial_feeder()
+
+    def certifies(scale):
+        loaded = _scaled_loads(grid, scale)
+        try:
+            solve_steady_state(loaded, nominal_droop(loaded), method="newton", max_iter=50)
+        except (NoRealRoot, NonConvergence):
+            return False
+        return True
+
+    lo, hi = 1.0, 64.0
+    assert certifies(lo) and not certifies(hi)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if certifies(mid) else (lo, mid)
+    loaded = _scaled_loads(grid, 0.995 * lo)
+    nominal = nominal_droop(loaded)
+    state = solve_steady_state(loaded, nominal)
+    newton = solve_steady_state(loaded, nominal, method="newton")
+    assert state.residual <= steady_state.DEFAULT_TOL
+    assert np.max(np.abs(state.v - newton.v)) <= 1e-9
+
+
+def test_optimize_runs_on_a_192_bus_chain(tmp_path, capsys):
+    # the nominal solve ran 10,000 Gauss-Seidel sweeps here and exited 3;
+    # with Newton finishing it the run took ~1.7 s under tracemalloc, peaking
+    # at ~1.2 MB, on 2 vCPUs
+    grid = _chain(192)
+    buses = [
+        {"id": bus.id, "vsc": {"x_nom": bus.vsc.x_nom, "r_nom": bus.vsc.r_nom,
+                               "r_max": bus.vsc.r_nom + 0.25}} if bus.vsc is not None
+        else {"id": bus.id, "load": {"r_cr": bus.load.r_cr, "d_cp": bus.load.d_cp}}
+        for bus in grid.spec.buses
+    ]
+    lines = [{"a": line.a, "b": line.b, "r": line.r_line} for line in grid.spec.lines]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"buses": buses, "lines": lines}))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main(["optimize", "--grid", str(path), "--pi", "10", "--tx", "0", "--rx", "191"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "r_star_191_ohm=" in out.out
+    assert elapsed <= 15.0, f"optimize took {elapsed:.1f} s"
+    assert peak <= 16 * 2**20, f"optimize peaked at {peak / 2**20:.1f} MB"
 
 
 def test_a_6000_bus_chain_validates_without_an_n_by_n_array():
