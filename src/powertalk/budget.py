@@ -87,6 +87,10 @@ def allocate_input_variance(
     rows = sorted(pi)
     if not set(tx) <= set(rows):
         raise InvalidArgument(f"transmitters {sorted(set(tx) - set(rows))} carry no budget row")
+    shape = np.shape(phi)  # phi[n, m] is read for every budget row n and transmitter m
+    if len(shape) != 2 or not all(0 <= n < shape[0] and 0 <= m < shape[1]
+                                  for n in rows for m in tx):
+        raise InvalidArgument(f"budget rows {rows} or transmitters {tx} outside phi of {shape}")
     b = np.array([pi[n] ** 2 - dp_vr.get(n, 0.0) ** 2 for n in rows])  # headroom per row
     for bus, h in zip(rows, b):
         if h < 0.0:

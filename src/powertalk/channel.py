@@ -23,7 +23,7 @@ from typing import Iterable, List, Mapping, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NoRealRoot
-from .grid import LoadSpec, ValidatedGrid, VscSpec, check_finite, check_resistances
+from .grid import LoadSpec, ValidatedGrid, VscSpec, _check_load, check_finite, check_resistances
 from .steady_state import (DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate,
                            _jacobian_diagonal)
 
@@ -156,6 +156,7 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
     if load.r_cr is not None:
         resistances["load r_cr"] = load.r_cr
     check_resistances(resistances)
+    _check_load(0, load, InvalidArgument)
     r = np.array([unit.r_nom for unit in units])
     g_cr = 0.0 if load.r_cr is None else 1.0 / load.r_cr
     r_bus = 1.0 / (g_cr + np.sum(1.0 / r))

@@ -19,6 +19,7 @@ run is bit for bit the same on any number of CPUs.
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import threading
 import warnings
@@ -66,6 +67,12 @@ class SimConfig:
     rx: int
 
     def validate(self, grid: ValidatedGrid) -> None:
+        for name in ("slots", "rng_seed"):
+            value = getattr(self, name)
+            try:  # a bool is an int, but not a count or a seed
+                operator.index(None if isinstance(value, bool) else value)
+            except TypeError:
+                raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
         if self.slots < 1:
             raise InvalidArgument(f"slots must be >= 1, got {self.slots}")
         if not 0.0 <= _floats(self.amplitude) < np.inf:

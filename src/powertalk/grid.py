@@ -7,9 +7,9 @@ distribution lines.  Validation produces an immutable :class:`ValidatedGrid`
 whose arrays are read-only, so they are safe to share across threads.
 It describes the lines once, with no (n, n) array: a table of each
 bus's lines for the line sums, and an elimination schedule for the
-Newton steps, both fixed once per grid in O((n + fill) log n).  The
-dense line conductances are built from the table on demand, for
-Gauss-Seidel's BLAS row dots and the :func:`network_matrices` oracle.
+Newton steps, both fixed once per grid in O((n + fill) log n).  Both
+solvers read the table; only the :func:`network_matrices` oracle builds
+the dense (n, n) Laplacian from it, on demand.
 """
 
 from __future__ import annotations
@@ -236,10 +236,10 @@ def _floats(value: object) -> np.ndarray:
         return np.asarray(math.inf)
 
 
-def _check_load(bus_id: int, load: LoadSpec) -> None:
+def _check_load(bus_id: int, load: LoadSpec, error: type = InvalidGridSpec) -> None:
     for name, value in (("i_cc", load.i_cc), ("d_cp", load.d_cp)):
         if not (math.isfinite(_floats(value)) and value >= 0.0):
-            raise InvalidGridSpec(
+            raise error(
                 f"bus {bus_id} load {name} must be finite and non-negative, got {value}"
             )
 
@@ -452,22 +452,11 @@ def network_matrices(grid: ValidatedGrid, droop: "DroopState") -> Tuple[np.ndarr
     combination of the bus's resistive load, its incident lines, and, on
     converter buses, the virtual resistance.
     """
-    psi = _line_matrix(grid)
-    np.subtract(0.0, psi, out=psi)  # in place; 0.0 - 0.0 keeps +0.0 where no line runs
+    psi = np.zeros((grid.n, grid.n))
+    ids = np.arange(grid.n)
+    for buses, ends, g in grid.lines.slots:
+        psi[ids[buses], ids[ends]] = -g  # a slice beside an array would index an outer product
     psi[np.diag_indices(grid.n)] = grid.lines.degree
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     return psi, r_bus
-
-
-def _line_matrix(grid: ValidatedGrid) -> np.ndarray:
-    """The (n, n) line conductances 1/r, 0 where no line runs, from the line table.
-
-    Built on demand for Gauss-Seidel's BLAS row dots and the
-    :func:`network_matrices` oracle; the grid itself keeps no (n, n) array.
-    """
-    g_line = np.zeros((grid.n, grid.n))
-    ids = np.arange(grid.n)
-    for buses, ends, g in grid.lines.slots:
-        g_line[ids[buses], ids[ends]] = g  # a slice beside an array would index an outer product
-    return g_line

@@ -226,8 +226,11 @@ def default_r_max(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
     and caps the result at ``DEFAULT_R_MAX_CAP`` times nominal so the
     search box stays bounded even on grids that never lose viability.
     A resistance is viable when the batched solve certifies its lane on
-    the larger root.
+    the larger root.  Raises :class:`InvalidArgument` for a bus without a
+    converter.
     """
+    if not grid.has_vsc(bus):
+        raise InvalidArgument(f"bus {bus} hosts no converter")
 
     def viable(r: float) -> bool:
         batch = solve_steady_state_many(grid, nominal.x, nominal.with_r({bus: r}).r)

@@ -18,12 +18,13 @@ order, one array step per level of the schedule, and line sums run over
 the grid's neighbour slots, so a lane costs O(n + fill) work and memory
 where a dense solve costs O(n**3) and O(n**2).  A single configuration
 is solved by default with a damped Gauss-Seidel fixed point that sweeps
-the per-bus update on Python floats, bit for bit a numpy sweep, and
-checks the residual once per block of sweeps; a sweep whose residual is
-not finite ends the solve; it alone builds the dense line conductances,
-once per solve.  Its sweep count grows with the grid and near voltage
-collapse, so after ``GS_SWEEPS`` sweeps Newton finishes the solve from
-the last one (the load-flow hybrid of Stott, Proc. IEEE 62(7), 1974).
+the per-bus update on Python floats, bit for bit a numpy sweep, reading
+each bus's lines from the same table, and checks Newton's residual once
+per block of sweeps; a sweep whose residual is not finite ends the
+solve.  No solve builds an (n, n) array.  The sweep count grows with the
+grid and near voltage collapse, so after ``GS_SWEEPS`` sweeps Newton
+finishes the solve from the last one (the load-flow hybrid of Stott,
+Proc. IEEE 62(7), 1974).
 A Newton step's Jacobian is also the channel matrix
 (:func:`_jacobian_diagonal`); a solve reports kappa = g_bus / -J_nn from
 its diagonal.  Solvers are pure functions of their arguments and safe to
@@ -40,7 +41,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import Elimination, ValidatedGrid, _floats, _line_matrix, check_finite, check_resistances
+from .grid import (Elimination, ValidatedGrid, _floats, check_finite, check_resistances,
+                   network_matrices)
 
 logger = logging.getLogger(__name__)
 
@@ -107,23 +109,6 @@ class ViabilityViolation:
     bound: float  # minimum reference voltage for a real operating point [V]
 
 
-def _residual(
-    grid: ValidatedGrid,
-    xr: np.ndarray,
-    y: np.ndarray,
-    v: np.ndarray,
-    inflow: np.ndarray,
-) -> np.ndarray:
-    """Current-balance error per bus: injection minus load minus line export.
-
-    ``inflow`` is ``sum_m v_m/r_{n,m}``.  ``v`` and ``inflow`` are (n,) or
-    (sweeps, n); the figures are elementwise, so each row is bit for bit
-    its own (n,) residual.
-    """
-    line_out = grid.lines.degree * v - inflow
-    return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
-
-
 def solve_steady_state(
     grid: ValidatedGrid,
     droop: DroopState,
@@ -185,46 +170,52 @@ def _gauss_seidel(
 ) -> Tuple[np.ndarray, float]:
     """Damped sweeps of the per-bus larger root until the residual is within ``tol``.
 
-    The sweep runs on Python floats with the per-bus constants hoisted.  A
-    row with one line takes its inflow as the one product ``g * v_m``: the
-    other terms of its row sum are exact zeros, so that is the BLAS dot's
-    value while the voltages are finite.  A row with more lines stays one
-    BLAS dot (``ndarray.dot``, the routine behind ``np.dot``; a Python sum
-    rounds differently), so every voltage matches a numpy sweep bit for bit.
+    The sweep runs on Python floats with the per-bus constants hoisted, and
+    reads each bus's lines from the grid's line table.  A bus with one line
+    takes its inflow as the one product ``g * v_m``.  A bus with more lines
+    takes it as one BLAS dot (``ndarray.dot``, the routine behind
+    ``np.dot``; a Python sum rounds differently) of a row that covers only
+    the span of its neighbour ids, zero between them, with a view of ``v``
+    over the same span, made once per solve; so no (n, n) array is built,
+    and every voltage matches a numpy sweep of the same dots bit for bit.
     Sweeps run in blocks of ``SWEEP_BLOCK``, each sweep's voltages kept as
-    one row.  Once per block, a stacked ``g_line @ v`` (one BLAS gemv per
-    row) and one vectorised :func:`_residual` pass give every sweep's
-    residual, the same bits as a pass after each sweep.  The first sweep
-    within ``tol`` is returned; the sweeps after it in its block are
-    discarded, and so is a :class:`NoRealRoot` one of them raised.  A sweep
-    whose residual is not finite raises :class:`NonConvergence` naming it.
-    ``g_line`` is the dense line matrix, built once per solve.  Returns the
-    voltages and their max residual: the first sweep within ``tol``, or
-    else the last of ``max_iter`` sweeps.
+    one row.  Once per block, :func:`_balance` over the block's sweeps, taken
+    as lanes, gives every sweep's residual, Newton's residual, the same bits
+    as a pass after each sweep.  The first sweep within ``tol`` is returned;
+    the sweeps after it in its block are discarded, and so is a
+    :class:`NoRealRoot` one of them raised.  A sweep whose residual is not
+    finite raises :class:`NonConvergence` naming it.  Returns the voltages
+    and their max residual: the first sweep within ``tol``, or else the last
+    of ``max_iter`` sweeps.
     """
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     four_d = 4.0 * grid.d_cp / r_bus
-    g_line = _line_matrix(grid)
+    g_bus = grid.lines.degree + y + grid.r_cr_inv
+    ids = np.arange(grid.n)
+    lines: List[Dict[int, float]] = [{} for _ in range(grid.n)]  # conductance by neighbour
+    for slot_buses, ends, g in grid.lines.slots:
+        for bus, end, g_end in zip(ids[slot_buses].tolist(), ids[ends].tolist(), g.tolist()):
+            lines[bus][end] = g_end
     buses = []
-    for bus in range(grid.n):
-        row = g_line[bus]
-        (lines,) = np.nonzero(row)
-        if len(lines) == 1:  # (row_dot, g, m): inflow g * v_m
-            line_sum = (None, float(row[lines[0]]), int(lines[0]))
-        else:  # inflow row.dot(v)
-            line_sum = (row.dot, 0.0, 0)
+    for bus, line in enumerate(lines):
+        lo, hi = min(line), max(line) + 1
+        if len(line) == 1:  # one line, or a one-bus grid's self slot at 0: inflow g * v_m
+            line_sum = (None, line[lo], lo)
+        else:  # inflow row.dot(span), the row over the span of the neighbour ids
+            row = np.zeros(hi - lo)
+            for end, g in line.items():
+                row[end - lo] = g
+            line_sum = (row.dot, v[lo:hi], 0)
         buses.append((bus, *line_sum, float(xr[bus]), float(grid.i_cc[bus]), float(four_d[bus]),
                       float(0.5 * r_bus[bus])))
-    sweep_v = np.empty((SWEEP_BLOCK, grid.n))
+    sweep_v = np.empty((SWEEP_BLOCK, grid.n), order="F")  # bus by bus, as Newton's lanes
     v_old = v.tolist()
     res = math.inf
     with np.errstate(all="ignore"):  # a diverging sweep is stopped by its residual below
         for start in range(0, max_iter, SWEEP_BLOCK):
             count = min(SWEEP_BLOCK, max_iter - start)
             done, failure = _sweep_block(buses, v, v_old, sweep_v, count)
-            swept = sweep_v[:done]
-            inflow = np.matmul(g_line, swept[:, :, None])[:, :, 0]  # a BLAS gemv per sweep
-            block_res = np.max(np.abs(_residual(grid, xr, y, swept, inflow)), axis=1)
+            block_res = np.abs(_balance(grid, xr, g_bus, sweep_v[:done])[1]).max(axis=1)
             (stops,) = np.nonzero((block_res <= tol) | ~np.isfinite(block_res))
             if stops.size:
                 sweep, res = start + int(stops[0]) + 1, float(block_res[stops[0]])
@@ -245,15 +236,16 @@ def _sweep_block(
 ) -> Tuple[int, Optional[NoRealRoot]]:
     """Up to ``count`` sweeps, each sweep's voltages stored as a row of ``sweep_v``.
 
-    ``v`` and ``v_old`` hold the same voltages as an array (for the BLAS
-    dots) and as Python floats.  Returns the sweeps completed and the
+    ``v`` and ``v_old`` hold the same voltages as an array (whose views the
+    BLAS dots read) and as Python floats.  Returns the sweeps completed and the
     :class:`NoRealRoot` that cut the block short, if one did.
     """
     damping, keep = DEFAULT_DAMPING, 1.0 - DEFAULT_DAMPING
     sqrt = math.sqrt
     for done in range(count):
+        # g is the line conductance of a one-line bus, else the span of v for row_dot
         for bus, row_dot, g, m, xr_bus, i_cc, four_d, half_r in buses:
-            b = xr_bus + (g * v_old[m] if row_dot is None else float(row_dot(v))) - i_cc
+            b = xr_bus + (g * v_old[m] if row_dot is None else float(row_dot(g))) - i_cc
             disc = b * b - four_d
             if disc < 0.0:
                 return done, NoRealRoot(
@@ -322,9 +314,12 @@ def check_viability(
     neighbor voltages.  Violations are returned as data, not raised.
     """
     droop.validate(grid)
+    v_neighbors = np.asarray(v_neighbors, dtype=float)
+    if v_neighbors.shape != (grid.n,):
+        raise InvalidArgument(f"v_neighbors must have shape ({grid.n},), got {v_neighbors.shape}")
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
-    net_inflow = _line_sum(grid, np.asarray(v_neighbors, dtype=float)[None])[0] - grid.i_cc
+    net_inflow = _line_sum(grid, v_neighbors[None])[0] - grid.i_cc
     violations = []
     for bus in grid.vsc_buses:
         bound = droop.r[bus] * (np.sqrt(4.0 * grid.d_cp[bus] / r_bus[bus]) - net_inflow[bus])
@@ -560,7 +555,7 @@ def two_source_closed_form(grid: ValidatedGrid, droop: DroopState) -> np.ndarray
     droop.validate(grid)
     if grid.n != 3 or len(grid.vsc_buses) != 2:
         raise TopologyMismatch("expected exactly 3 buses with converters on 2 of them")
-    g_line = _line_matrix(grid)
+    g_line = -network_matrices(grid, droop)[0]  # the line conductances, off the diagonal
     load_bus = next(bus for bus in range(3) if not grid.has_vsc(bus))
     sources = list(grid.vsc_buses)
     for bus in sources:

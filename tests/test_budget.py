@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from powertalk import (
     InfeasibleBudget,
+    InvalidArgument,
     allocate_input_variance,
     solve_steady_state,
     vr_power_investment,
@@ -101,6 +104,24 @@ def test_allocation_input_validation(model):
         allocate_input_variance(model.Phi, {0: 10.0}, {}, transmitters=[])
     with pytest.raises(ValueError):
         allocate_input_variance(model.Phi, {0: 10.0}, {}, transmitters=[1])
+
+
+@pytest.mark.parametrize(
+    "phi, pi, tx",
+    [
+        (np.eye(3), {0: 10.0, 7: 10.0}, [0]),
+        (np.eye(3), {0: 10.0, 7: 10.0}, [7]),
+        (np.eye(3), {-1: 10.0, 0: 10.0}, [0]),
+        (np.ones((3, 1)), {0: 10.0, 1: 10.0}, [1]),
+        (np.ones(3), {0: 10.0}, [0]),
+    ],
+    ids=["row-beyond", "transmitter-beyond", "negative-row", "column-beyond", "not-a-matrix"],
+)
+def test_allocation_rejects_buses_outside_phi(phi, pi, tx):
+    # each raised a bare IndexError, or read phi[-1] from the far end
+    message = f"budget rows {sorted(pi)} or transmitters {tx} outside phi of {np.shape(phi)}"
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        allocate_input_variance(phi, pi, {}, transmitters=tx)
 
 
 def test_uncoupled_rows_are_rejected(model):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import math
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from powertalk import (
     Bus,
     GridSpec,
     InvalidArgument,
+    InvalidGridSpec,
     LineSpec,
     LoadSpec,
     NonConvergence,
@@ -145,6 +147,22 @@ def test_single_bus_input_validation():
         single_bus_channel([], LoadSpec())
     with pytest.raises(ValueError):
         single_bus_channel([VscSpec(400.0, -0.5)], LoadSpec())
+
+
+@pytest.mark.parametrize(
+    "load",
+    [LoadSpec(d_cp=math.nan), LoadSpec(d_cp=-100.0), LoadSpec(d_cp=math.inf),
+     LoadSpec(i_cc=math.inf), LoadSpec(i_cc=math.nan), LoadSpec(i_cc=-1.0)],
+    ids=["nan-d-cp", "negative-d-cp", "infinite-d-cp", "infinite-i-cc", "nan-i-cc",
+         "negative-i-cc"],
+)
+def test_single_bus_checks_its_load_as_grid_validation_does(load):
+    # NaN gains, or a gain of 1.0 at kappa 1, came back before; a library
+    # check raises InvalidArgument, a grid document's InvalidGridSpec
+    with pytest.raises(InvalidArgument, match="load (i_cc|d_cp) must be finite and non-negative"):
+        single_bus_channel([VscSpec(400.0, 0.39)], load)
+    with pytest.raises(InvalidGridSpec, match="load (i_cc|d_cp) must be finite and non-negative"):
+        validate_grid(GridSpec(buses=(Bus(0, load, VscSpec(400.0, 0.39)),), lines=()))
 
 
 # -- the batched gain kernel against the matrix form --------------------------

@@ -12,6 +12,7 @@ from powertalk import (
     BudgetExceededWarning,
     Bus,
     GridSpec,
+    InvalidArgument,
     LineSpec,
     LoadSpec,
     SimConfig,
@@ -145,6 +146,28 @@ def test_config_validation(grid):
     for seed in (-1, 2**64):  # outside the Philox key word
         with pytest.raises(ValueError, match="rng_seed"):
             make_cfg(rng_seed=seed).validate(grid)
+
+
+@pytest.mark.parametrize("name", ["slots", "rng_seed"])
+@pytest.mark.parametrize("value", [1.5, 1.9, 2.0, 2.5, True, False, "3", None])
+def test_slots_and_seed_must_be_integers(grid, nominal, name, value):
+    # a float seed ran as its floor, slots=2.5 raised a bare TypeError and
+    # slots=True ran one slot
+    cfg = make_cfg(**{"slots": 1_000, name: value})
+    with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
+        cfg.validate(grid)
+    with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
+        run_transmission(grid, nominal, None, cfg)
+    with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
+        measure_power_compliance(grid, nominal, cfg, pi={0: 10.0, 1: 10.0})
+
+
+def test_numpy_integers_are_integers(grid, nominal):
+    plain = run_transmission(grid, nominal, None, make_cfg(slots=1_000, rng_seed=1))
+    numpy = run_transmission(
+        grid, nominal, None, make_cfg(slots=np.int64(1_000), rng_seed=np.uint64(1))
+    )
+    assert numpy == plain
 
 
 def test_zero_amplitude_yields_zero_power_deviation(grid, nominal):

@@ -33,7 +33,7 @@ from powertalk import (
     one_way_snr,
     validate_grid,
 )
-from powertalk.grid import _line_matrix, check_budgets
+from powertalk.grid import check_budgets
 
 from conftest import dense_lines
 from test_steady_state import _case_study_config, _chain, _meshed_grid, _radial_feeder
@@ -176,12 +176,14 @@ def test_neighbour_lists_ascend_without_a_sort(data):
 
 @given(st.data())
 def test_the_line_table_holds_the_line_specs(data):
-    # the dense matrix is the slot table scattered back, a one-bus grid's self
-    # slot at conductance 0 included, and degree adds each bus's lines in
-    # ascending neighbour order, the order of a line sum
+    # the Laplacian is the slot table scattered back, with degree on the
+    # diagonal, and degree adds each bus's lines in ascending neighbour
+    # order, the order of a line sum
     grid = _random_grid(data)
     dense = dense_lines(grid)
-    assert _line_matrix(grid).tobytes() == dense.tobytes()
+    laplacian = 0.0 - dense
+    laplacian[np.diag_indices(grid.n)] = grid.lines.degree
+    assert network_matrices(grid, nominal_droop(grid))[0].tobytes() == laplacian.tobytes()
     for bus, ends in enumerate(grid.adjacent):
         degree = 0.0
         for m in ends:

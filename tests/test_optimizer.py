@@ -234,6 +234,12 @@ def test_default_r_max_caps_on_always_viable_grids(linear_grid, no_scalar_solve)
     assert default_r_max(linear_grid, nominal, 0) == pytest.approx(10 * 0.39)
 
 
+@pytest.mark.parametrize("bus", [2, 99])
+def test_default_r_max_rejects_a_bus_without_a_converter(grid, nominal, bus):
+    with pytest.raises(InvalidArgument, match=f"bus {bus} hosts no converter"):
+        default_r_max(grid, nominal, bus)
+
+
 def test_default_r_max_bisects_the_viability_boundary(no_scalar_solve):
     # lone converter with a heavy constant-power load: real roots exist only
     # while r <= x**2 / (4 d), here 0.8 ohm

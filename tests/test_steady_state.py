@@ -207,6 +207,12 @@ def test_check_viability_quiet_at_nominal(grid, nominal, state):
     assert check_viability(grid, nominal, state.v) == []
 
 
+@pytest.mark.parametrize("v_neighbors", [np.zeros(1), np.zeros(2), np.zeros((1, 3))])
+def test_check_viability_rejects_voltages_not_of_the_grids_shape(grid, nominal, v_neighbors):
+    with pytest.raises(InvalidArgument, match=r"v_neighbors must have shape \(3,\)"):
+        check_viability(grid, nominal, v_neighbors)
+
+
 def test_closed_form_topology_checks(grid):
     spec = grid.spec
     buses = list(spec.buses)
@@ -359,18 +365,30 @@ def test_branch_certificate_rejects_collapse_root(grid, nominal):
 # -- the Gauss-Seidel sweep against its numpy form ----------------------------
 
 def _numpy_residual(grid, xr, y, v):
-    line_out = grid.lines.degree * v - dense_lines(grid) @ v
-    return xr - y * v - grid.r_cr_inv * v - grid.i_cc - grid.d_cp / v - line_out
+    """The current-balance error of the solvers, written out in their order of operations."""
+    g_line = dense_lines(grid)
+    line_sum = np.zeros(grid.n)
+    for bus, ends in enumerate(grid.adjacent):
+        for m in ends:  # ascending neighbour ids
+            line_sum[bus] += g_line[bus, m] * v[m]
+    b = xr + line_sum - grid.i_cc
+    return b - (grid.lines.degree + y + grid.r_cr_inv) * v - grid.d_cp / v
 
 
 def _numpy_gauss_seidel(grid, xr, y, r_bus, v, tol, max_iter, damping):
-    """The sweep as numpy scalar code: the reference for the float sweep."""
+    """The sweep as numpy scalar code: the reference for the float sweep.
+
+    A bus's inflow is the dot of its line conductances over the span of its
+    neighbour ids, the summation order of the float sweep's BLAS dot.
+    """
     four_d = 4.0 * grid.d_cp / r_bus
     g_line = dense_lines(grid)
+    spans = [slice(ends[0], ends[-1] + 1) for ends in grid.adjacent]
     res = np.inf
     for _ in range(max_iter):
         for bus in range(grid.n):
-            b = xr[bus] + g_line[bus] @ v - grid.i_cc[bus]
+            span = spans[bus]
+            b = xr[bus] + g_line[bus, span] @ v[span] - grid.i_cc[bus]
             disc = b * b - four_d[bus]
             if disc < 0.0:
                 raise NoRealRoot(
@@ -906,6 +924,21 @@ def test_newton_block_memory_grows_linearly_with_the_buses():
         # within the per-lane memory that sizes the blocks
         assert peaks[n] <= 8 * steady_state.LANE_ROWS * (n + len(grid.elimination.values)) * lanes
     assert peaks[192] < 2.5 * peaks[96]  # a dense (lanes, n, n) Jacobian grows 4x
+
+
+def test_gauss_seidel_builds_no_n_by_n_array():
+    # 32 sweeps of a 4,000-bus chain: a dense (n, n) line matrix alone
+    # would take 128 MB here
+    grid = _chain(4000)
+    nominal = nominal_droop(grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergence):
+            solve_steady_state(grid, nominal, max_iter=steady_state.SWEEP_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"gauss_seidel peaked at {peak / 2**20:.1f} MB"
 
 
 # -- every call solves -------------------------------------------------------
