@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Mapping
 import numpy as np
 
 from .errors import InfeasibleBudget, InvalidArgument
-from .grid import ValidatedGrid, check_budgets
+from .grid import ValidatedGrid, _integer, check_budgets, check_finite
 from .steady_state import DroopState, solve_steady_state
 
 __all__ = [
@@ -81,7 +81,7 @@ def allocate_input_variance(
     a zero-slack budget (pi = |dp_vr|) is feasible with s = 0.
     """
     check_budgets(pi)
-    tx = sorted(set(transmitters))
+    tx = sorted({_integer("transmitter id", m) for m in transmitters})
     if not tx:
         raise InvalidArgument("at least one transmitter is required")
     rows = sorted(pi)
@@ -91,6 +91,8 @@ def allocate_input_variance(
     if len(shape) != 2 or not all(0 <= n < shape[0] and 0 <= m < shape[1]
                                   for n in rows for m in tx):
         raise InvalidArgument(f"budget rows {rows} or transmitters {tx} outside phi of {shape}")
+    check_finite({f"phi[{n}, {m}]": phi[n, m] for n in rows for m in tx})
+    check_finite({f"dp_vr on bus {n}": dp_vr.get(n, 0.0) for n in rows})
     b = np.array([pi[n] ** 2 - dp_vr.get(n, 0.0) ** 2 for n in rows])  # headroom per row
     for bus, h in zip(rows, b):
         if h < 0.0:

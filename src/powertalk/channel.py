@@ -142,6 +142,41 @@ def _gains_block(
     return h, phi
 
 
+def _gain_derivatives(
+    grid: ValidatedGrid, droop: DroopState, state: SteadyState, tx: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gains at a solved point, and how the transmitter's column moves with r.
+
+    :func:`channel_gains` on ``state`` with the converter inputs gives H
+    (n, n_vsc) and Phi (n_vsc, n_vsc), columns in ``grid.vsc_buses`` order.
+    Differentiating f(v; x, r) = 0 (Peschon et al., "Sensitivity in power
+    systems", 1968) needs no solve: dv/dr_m = -i_m H[:, m], and with
+    dJ/dr_m = diag(-2 d_cp / v^3 dv/dr_m) + e_m e_m^T / r_m^2, dH_t/dr_m
+    solves J z = -(dJ/dr_m) H_t + [m == t] e_t / r_t^2, one elimination for
+    every m.  dPhi follows from Phi's formula by the product rule.  Returns
+    H, Phi, dH (n, n_vsc) with dH[:, m] = dH[:, t]/dr_m, and dPhi (n_vsc,
+    n_vsc) with dPhi[k, m] = dPhi[k, t]/dr_m, for t the column of ``tx``.
+    """
+    vsc = list(grid.vsc_buses)
+    t = vsc.index(tx)
+    h, phi = (gains[0] for gains in channel_gains(grid, droop.x, droop.r, state.v[None], vsc))
+    x, r = (np.array([values[bus] for bus in vsc]) for values in (droop.x, droop.r))
+    v, h_t = state.v, h[:, t]
+    dv = -h * [state.i[bus] for bus in vsc]  # (n, n_vsc): dv/dr_m
+    rhs = (2.0 * grid.d_cp / v**3 * h_t * dv.T)[:, None]  # (n_vsc, 1, n)
+    rhs[range(len(vsc)), 0, vsc] -= h_t[vsc] / r**2
+    rhs[t, 0, tx] += 1.0 / r[t] ** 2
+    g_bus = grid.lines.degree + droop.conductances(grid) + grid.r_cr_inv
+    with np.errstate(all="ignore"):  # a zero pivot gives non-finite derivatives
+        dh = _eliminate(grid.elimination, _jacobian_diagonal(grid, g_bus, v)[None], rhs)[:, 0].T
+    # Phi[k, t] = (H[k, t] (x_k - 2 v_k) + [t == k] v_k) / r_k
+    dphi = dh[vsc] * (x - 2.0 * v[vsc])[:, None] - 2.0 * h_t[vsc, None] * dv[vsc]
+    dphi[t] += dv[tx]
+    dphi /= r[:, None]
+    dphi[range(len(vsc)), range(len(vsc))] -= phi[:, t] / r
+    return h, phi, dh, dphi
+
+
 def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray, float]:
     """Channel gains for converters sharing a single bus (lines neglected).
 

@@ -19,7 +19,6 @@ run is bit for bit the same on any number of CPUs.
 from __future__ import annotations
 
 import logging
-import operator
 import os
 import threading
 import warnings
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededWarning, InvalidArgument
 from .channel import ChannelModel
-from .grid import ValidatedGrid, _floats, check_budgets
+from .grid import ValidatedGrid, _floats, _integer, check_budgets
 from .steady_state import DroopState, nominal_droop, solve_steady_state
 
 logger = logging.getLogger(__name__)
@@ -68,11 +67,7 @@ class SimConfig:
 
     def validate(self, grid: ValidatedGrid) -> None:
         for name in ("slots", "rng_seed"):
-            value = getattr(self, name)
-            try:  # a bool is an int, but not a count or a seed
-                operator.index(None if isinstance(value, bool) else value)
-            except TypeError:
-                raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+            _integer(name, getattr(self, name))
         if self.slots < 1:
             raise InvalidArgument(f"slots must be >= 1, got {self.slots}")
         if not 0.0 <= _floats(self.amplitude) < np.inf:

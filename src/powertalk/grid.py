@@ -228,6 +228,14 @@ def check_finite(values: Mapping[str, object]) -> None:
             raise InvalidArgument(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, numpy integers too; a bool is an int, but no count, seed or bus id."""
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+
+
 def _floats(value: object) -> np.ndarray:
     """``value`` as a float array; an int beyond float range, on which ``float`` raises, is inf."""
     try:

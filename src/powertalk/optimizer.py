@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 import numpy as np
 
 from .budget import vr_power_investment
-from .channel import channel_gains, linearize
+from .channel import _gain_derivatives, channel_gains, linearize
 from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
 from .grid import ValidatedGrid, _floats, check_budgets
 from .steady_state import (
@@ -111,7 +111,7 @@ class ConcavityReport:
 
 def capacity(snr: float) -> float:
     """Bits per slot of the scalar Gaussian channel: 0.5 * log2(1 + snr)."""
-    if snr < 0.0:
+    if not snr >= 0.0:  # not <: NaN is no SNR either
         raise InvalidArgument(f"snr must be nonnegative, got {snr}")
     return 0.5 * math.log2(1.0 + snr)
 
@@ -262,11 +262,11 @@ def concavity_probe(
     band too, and forms central-difference Hessians (step ``PROBE_FD_STEP``) of
     each g_n at up to ``PROBE_SAMPLES`` of them, flagging eigenvalues above
     ``PROBE_REL_TOL`` times the Hessian norm.  The gradient at the nominal corner
-    uses central differences, which cancel the headroom's quadratic dip (the
-    investment vanishes at nominal) and expose the first-order growth that pulls
-    the optimum above nominal.  Every point scored, the stencils of all sample
-    points and the nominal lanes, is a lane of one pass through the batched
-    Newton and channel-gain kernels that the lattice search uses.
+    is exact: the investment vanishes there, so the headroom's dip has no first
+    order and dg_n/dr_m = 2 g_n (dh/dr_m / h - dphi_n/dr_m / phi_n), from the same
+    gains and their derivatives (:func:`_gain_derivatives`); its first-order growth
+    pulls the optimum above nominal.  Every stencil point is a lane of one pass
+    through the batched Newton and channel-gain kernels that the lattice search uses.
     """
     grid.check_link(tx, rx)
     check_budgets(pi, grid)
@@ -275,7 +275,8 @@ def concavity_probe(
     vsc = sorted(nominal.r)
     dim = len(vsc)
     state = solve_steady_state(grid, nominal)
-    points = _band_interior(grid, nominal, state, pi, vsc)
+    h, phi, dh, dphi = _gain_derivatives(grid, nominal, state, tx)
+    points = _band_interior(grid, nominal, state, pi, -phi * [state.i[bus] for bus in vsc])
 
     # stencil offsets in units of PROBE_FD_STEP: the centre, +e_i and -e_i per
     # axis, then the corners (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) per plane
@@ -287,11 +288,8 @@ def concavity_probe(
         + [sign * eye[i] for i in range(dim) for sign in (1.0, -1.0)]
         + [a * eye[i] + b * eye[j] for i, j in planes for a, b in corners]
     )
-    h_nom = 1e-4
-    r_nom = np.array([nominal.r[bus] for bus in vsc])
     stencils = (points[:, None, :] + offsets * PROBE_FD_STEP).reshape(-1, dim)
-    lanes = np.concatenate([stencils, r_nom + np.concatenate([eye, -eye]) * h_nom, r_nom[None]])
-    r = dict(zip(vsc, lanes.T))
+    r = dict(zip(vsc, stencils.T))
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     table = _channel_table(grid, nominal, state.p, tx, rx, r, batch)
     if not table.feasible.all():
@@ -300,9 +298,8 @@ def concavity_probe(
     cols = [grid.vsc_buses.index(bus) for bus in buses]
     pi_vec = np.array([pi[bus] for bus in buses])
     _, g = _score(table.h_rx, table.phi[:, cols], table.dp[:, cols], pi_vec)
-    stencil, at_nominal = np.split(g, [len(points) * len(offsets)])
 
-    stencil = stencil.reshape(len(points), len(offsets), len(buses))
+    stencil = g.reshape(len(points), len(offsets), len(buses))
     centre = stencil[:, 0]
     hess = np.empty((len(points), len(buses), dim, dim))
     for i in range(dim):
@@ -320,13 +317,14 @@ def concavity_probe(
         (sampled[a], buses[b], float(rel[a, b])) for a, b in zip(*np.nonzero(rel > PROBE_REL_TOL))
     )
 
-    grad = (at_nominal[:dim] - at_nominal[dim:-1]) / (2.0 * h_nom)  # (axis, bus)
-    g0 = at_nominal[-1]
+    t = vsc.index(tx)
+    g0 = ((h[rx, t] / phi[cols, t]) ** 2 * pi_vec**2)[:, None]  # dp = 0 at nominal
+    grad = 2.0 * g0 * (dh[rx] / h[rx, t] - dphi[cols] / phi[cols, t, None])  # (bus, axis)
     return ConcavityReport(
         points=sampled,
         max_rel_eig=float(np.max(rel, initial=-np.inf)),
         violations=violations,
-        grad_nominal={bus: tuple(map(float, grad[:, b])) for b, bus in enumerate(buses)},
+        grad_nominal={bus: tuple(map(float, grad[b])) for b, bus in enumerate(buses)},
         nominal_at_box_corner=bool(np.all(grad >= -PROBE_REL_TOL * np.maximum(np.abs(g0), 1e-30))),
     )
 
@@ -605,14 +603,6 @@ def _investment(
     return np.stack([p[bus] - p_nom[bus] for bus in grid.vsc_buses], axis=1)
 
 
-def _investment_jacobian(
-    grid: ValidatedGrid, droop: DroopState, state: SteadyState, vsc: List[int]
-) -> np.ndarray:
-    """dp_n/dr_m = -i_m Phi[n, m] at ``state``, (n_vsc, len(vsc)): dr_m acts as dx_m = -i_m dr_m."""
-    _, phi = channel_gains(grid, droop.x, droop.r, state.v[None], vsc)
-    return -phi[0] * [state.i[bus] for bus in vsc]
-
-
 def _lane_investments(
     grid: ValidatedGrid, nominal: DroopState, p_nom: Dict[int, float], r: Mapping[int, np.ndarray]
 ) -> Optional[np.ndarray]:
@@ -656,29 +646,31 @@ def _band_interior(
     nominal: DroopState,
     state: SteadyState,
     pi: Mapping[int, float],
-    vsc: List[int],
+    jacobian: np.ndarray,
 ) -> np.ndarray:
     """Feasible lattice points of the region with all lattice neighbors feasible.
 
     Raising one resistance alone moves investments at thousands of watts per
-    ohm, so the region hugs the direction that the investment Jacobian maps
-    closest to zero (equal-increase on a symmetric grid), the Jacobian
-    :func:`_investment_jacobian` at the nominal ``state``: a step dr_m acts as
-    dx_m = -i_m dr_m, so it is the channel gains, with no solve.  A box
+    ohm, so the region hugs the direction that the investment ``jacobian``
+    maps closest to zero (equal-increase on a symmetric grid).  It is
+    dp_n/dr_m = -i_m Phi[n, m] at the nominal ``state``, (n_vsc, n_vsc) in
+    grid order: a step dr_m acts as dx_m = -i_m dr_m, so it is the channel
+    gains, with no solve.  A box
     lattice inside the search box is sized from the bisected extent along
     that direction and from the band halfwidth implied by the largest
     Jacobian gain.  Its feasible points are found by :func:`_band_lanes`,
     converters without a budget counting as unbounded, with their solved
     lanes; only when that band is unknown is the whole box solved, block by
     block through :func:`_lattice_blocks`.  Returns up to ``PROBE_SAMPLES``
-    points as rows of resistances in ``vsc`` order.
+    points as rows of resistances in grid order.
     """
+    vsc = list(grid.vsc_buses)
     dim = len(vsc)
     r_nom = np.array([nominal.r[bus] for bus in vsc])
     cap = np.array([_r_limit(grid, nominal, bus) for bus in vsc]) - r_nom
     budgets = {bus: pi.get(bus, np.inf) for bus in grid.vsc_buses}
     pi_vec = np.array(list(budgets.values()))
-    _, singulars, vt = np.linalg.svd(_investment_jacobian(grid, nominal, state, vsc))
+    _, singulars, vt = np.linalg.svd(jacobian)
     direction = vt[-1]
     if direction.sum() < 0.0:
         direction = -direction

@@ -41,8 +41,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import (Elimination, ValidatedGrid, _floats, check_finite, check_resistances,
-                   network_matrices)
+from .grid import (Elimination, ValidatedGrid, _floats, _integer, check_finite,
+                   check_resistances, network_matrices)
 
 logger = logging.getLogger(__name__)
 
@@ -128,9 +128,13 @@ def solve_steady_state(
     Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
     (droop parameters outside the viable range) and :class:`NonConvergence`
     when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
-    when its iterate leaves the larger root.
+    when its iterate leaves the larger root.  ``max_iter`` must be an
+    integer >= 0, else :class:`InvalidArgument`.
     """
     droop.validate(grid)
+    max_iter = _integer("max_iter", max_iter)
+    if max_iter < 0:
+        raise InvalidArgument(f"max_iter must be >= 0, got {max_iter}")
     xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
 
     v = _initial_voltages(grid, droop.x)
@@ -317,6 +321,7 @@ def check_viability(
     v_neighbors = np.asarray(v_neighbors, dtype=float)
     if v_neighbors.shape != (grid.n,):
         raise InvalidArgument(f"v_neighbors must have shape ({grid.n},), got {v_neighbors.shape}")
+    check_finite({"v_neighbors": v_neighbors})
     y = droop.conductances(grid)
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     net_inflow = _line_sum(grid, v_neighbors[None])[0] - grid.i_cc

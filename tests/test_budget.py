@@ -124,6 +124,31 @@ def test_allocation_rejects_buses_outside_phi(phi, pi, tx):
         allocate_input_variance(phi, pi, {}, transmitters=tx)
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [("phi", r"phi\[1, 0\] must be finite, got nan"), ("dp_vr", "dp_vr on bus 1 must be finite, got nan")],
+    ids=["phi", "dp_vr"],
+)
+def test_allocation_rejects_non_finite_gains_and_investments(model, where, message):
+    # either raised "no budget row couples to the transmitters"
+    phi, dp_vr = model.Phi.copy(), {0: 0.0, 1: 0.0}
+    if where == "phi":
+        phi[1, 0] = np.nan
+    else:
+        dp_vr[1] = np.nan
+    with pytest.raises(InvalidArgument, match=message):
+        allocate_input_variance(phi, {0: 10.0, 1: 10.0}, dp_vr, transmitters=[0])
+
+
+@pytest.mark.parametrize("tx", [{True}, [0.0], ["0"]])
+def test_allocation_reads_transmitters_as_integers(model, tx):
+    # {True} raised numpy's bare broadcast ValueError
+    with pytest.raises(InvalidArgument, match="transmitter id must be an integer"):
+        allocate_input_variance(model.Phi, {0: 10.0, 1: 10.0}, {}, transmitters=tx)
+    want = allocate_input_variance(model.Phi, {0: 10.0, 1: 10.0}, {}, transmitters=[0])
+    assert allocate_input_variance(model.Phi, {0: 10.0, 1: 10.0}, {}, [np.int64(0)]) == want
+
+
 def test_uncoupled_rows_are_rejected(model):
     phi = np.zeros_like(model.Phi)
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from powertalk import (
     capacity_sweep,
     case_study,
     case_study_document,
+    channel,
     channel_gains,
     check_viability,
     cli,
@@ -78,6 +79,11 @@ def test_capacity_reference_points():
     assert capacity(15.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         capacity(-0.5)
+
+
+def test_capacity_of_nan_is_an_invalid_argument():
+    with pytest.raises(InvalidArgument, match="snr must be nonnegative, got nan"):
+        capacity(float("nan"))  # returned NaN
 
 
 def test_snr_scales_inversely_with_noise_power(grid, nominal, budgets):
@@ -288,23 +294,27 @@ def test_empty_budgets_are_an_invalid_budget(grid, nominal, call):
         call(grid, nominal)
 
 
-# -- the investment Jacobian: dp_n/dr_m = -i_m Phi[n, m] ------------------------
+# -- the gain derivatives: dv/dr, dH/dr, dPhi/dr and dp/dr = -i Phi ---------------
 
-def _star_powers(mp, grid, droop, r):
-    """Converter powers of the two-source star in closed form, in mpmath at its precision."""
+def _star_powers(mp, grid, droop, r, x=None):
+    """Bus voltages and converter powers of the two-source star in closed form.
+
+    In mpmath at its precision; ``r`` and ``x`` (default the droop's) map each
+    converter bus to its resistance and reference voltage.
+    """
     g_line = dense_lines(grid)
     load = next(bus for bus in range(grid.n) if not grid.has_vsc(bus))
-    x = {bus: mp.mpf(droop.x[bus]) for bus in grid.vsc_buses}
+    x = x or {bus: mp.mpf(droop.x[bus]) for bus in grid.vsc_buses}
     g = {bus: mp.mpf(g_line[bus, load]) for bus in grid.vsc_buses}
     r_leg = {bus: r[bus] + 1 / g[bus] for bus in grid.vsc_buses}
     g_total = sum(1 / r_leg[bus] for bus in grid.vsc_buses) + mp.mpf(grid.r_cr_inv[load])
     b = sum(x[bus] / r_leg[bus] for bus in grid.vsc_buses) - mp.mpf(grid.i_cc[load])
-    v_load = (b + mp.sqrt(b * b - 4 * mp.mpf(grid.d_cp[load]) * g_total)) / (2 * g_total)
+    v = {load: (b + mp.sqrt(b * b - 4 * mp.mpf(grid.d_cp[load]) * g_total)) / (2 * g_total)}
     powers = {}
     for bus in grid.vsc_buses:
-        v = (x[bus] / r[bus] + v_load * g[bus]) / (1 / r[bus] + g[bus])
-        powers[bus] = v * (x[bus] - v) / r[bus]
-    return powers
+        v[bus] = (x[bus] / r[bus] + v[load] * g[bus]) / (1 / r[bus] + g[bus])
+        powers[bus] = v[bus] * (x[bus] - v[bus]) / r[bus]
+    return v, powers
 
 
 @pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
@@ -314,16 +324,48 @@ def test_the_investment_jacobian_is_the_star_closed_form_derivative(method):
     vsc = list(grid.vsc_buses)
     for droop in _random_droops(grid, 6, seed=27):  # nominal, then off-nominal r and x
         state = solve_steady_state(grid, droop, method=method)
-        jac = optimizer._investment_jacobian(grid, droop, state, vsc)
+        _, phi, _, _ = channel._gain_derivatives(grid, droop, state, vsc[0])
+        jac = -phi * [state.i[bus] for bus in vsc]
         with mp.workdps(50):
             r = {bus: mp.mpf(droop.r[bus]) for bus in vsc}
             exact = np.array([
-                [float(mp.diff(lambda t: _star_powers(mp, grid, droop, {**r, m: t})[n], r[m]))
+                [float(mp.diff(lambda t: _star_powers(mp, grid, droop, {**r, m: t})[1][n], r[m]))
                  for m in vsc]
                 for n in vsc
             ])
         # the solver's stopping residual, not the identity: 1.2e-11 measured
         np.testing.assert_allclose(jac, exact, rtol=1e-10, atol=0.0, err_msg=str(droop))
+
+
+@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
+def test_the_gain_derivatives_are_the_star_closed_form_derivatives(method):
+    # dH[n, t]/dr_m and dPhi[n, t]/dr_m are the mixed partials d2v_n/dx_t dr_m
+    # and d2p_n/dx_t dr_m of the closed form
+    mp = pytest.importorskip("mpmath")
+    grid = _case_study_config()
+    vsc = list(grid.vsc_buses)
+    for droop in _random_droops(grid, 4, seed=27):  # nominal, then off-nominal r and x
+        state = solve_steady_state(grid, droop, method=method)
+        for t, tx in enumerate(vsc):
+            h, phi, dh, dphi = channel._gain_derivatives(grid, droop, state, tx)
+            with mp.workdps(40):
+                x = {bus: mp.mpf(droop.x[bus]) for bus in vsc}
+                r = {bus: mp.mpf(droop.r[bus]) for bus in vsc}
+
+                def partial(kind, n, m, orders):
+                    def at(x_t, r_m):
+                        return _star_powers(mp, grid, droop, {**r, m: r_m}, {**x, tx: x_t})[kind][n]
+                    return float(mp.diff(at, (x[tx], r[m]), orders))
+
+                exact = [
+                    np.array([[partial(kind, n, m, (1, 1)) for m in vsc] for n in rows])
+                    for kind, rows in ((0, range(grid.n)), (1, vsc))
+                ]
+                gains = [np.array([partial(kind, n, tx, (1, 0)) for n in rows])
+                         for kind, rows in ((0, range(grid.n)), (1, vsc))]
+            # 1.0e-12 measured, on the smallest dPhi entry
+            for got, want in zip((h[:, t], phi[:, t], dh, dphi), gains + exact):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0, err_msg=str(droop))
 
 
 @pytest.mark.parametrize(
@@ -336,7 +378,8 @@ def test_the_investment_jacobian_matches_central_differences(make_grid):
     dim, h = len(vsc), 1e-4
     for droop in _random_droops(grid, 4, seed=27):  # nominal, then off-nominal r and x
         state = solve_steady_state(grid, droop, method="newton")
-        jac = optimizer._investment_jacobian(grid, droop, state, vsc)
+        _, phi, _, _ = channel._gain_derivatives(grid, droop, state, vsc[0])
+        jac = -phi * [state.i[bus] for bus in vsc]
         r = np.array([droop.r[bus] for bus in vsc])
         shifted = r + np.concatenate([np.eye(dim), -np.eye(dim)]) * h
         dp = optimizer._lane_investments(grid, droop, state.p, dict(zip(vsc, shifted.T)))
@@ -345,20 +388,57 @@ def test_the_investment_jacobian_matches_central_differences(make_grid):
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd)), droop
 
 
+def _newton_gains(grid, droop):
+    model = linearize(grid, droop, solve_steady_state(grid, droop, method="newton"))
+    return model.H, model.Phi
+
+
+@pytest.mark.parametrize(
+    "make_grid", [_radial_feeder, _meshed_grid, lambda: _chain(192)],
+    ids=["radial", "meshed", "chain-192"],
+)
+def test_the_gain_derivatives_match_central_differences(make_grid):
+    grid = make_grid()
+    vsc = list(grid.vsc_buses)
+    for droop in _random_droops(grid, 3, seed=27):
+        state = solve_steady_state(grid, droop, method="newton")
+        tx = vsc[-1]
+        _, _, dh, dphi = channel._gain_derivatives(grid, droop, state, tx)
+        for m, bus in enumerate(vsc):
+            step = 1e-4 * droop.r[bus]  # at 1e-6, the solves' rounding shows on the chain
+            (h_up, phi_up), (h_down, phi_down) = (
+                _newton_gains(grid, droop.with_r({bus: droop.r[bus] + sign * step}))
+                for sign in (1.0, -1.0)
+            )
+            fd_h = (h_up[:, tx] - h_down[:, tx]) / (2.0 * step)
+            fd_phi = (phi_up[vsc, tx] - phi_down[vsc, tx]) / (2.0 * step)
+            # the differences' own truncation and rounding: 1.0e-8 measured
+            for got, fd in ((dh[:, m], fd_h), (dphi[:, m], fd_phi)):
+                assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd)), (droop, bus)
+
+
 def test_the_probe_sizes_its_box_from_the_investment_jacobian(grid, nominal, budgets, monkeypatch):
-    # one Jacobian, at the nominal operating point the probe solved: no solve of its own
-    calls = []
-    original = optimizer._investment_jacobian
+    # one set of gains, at the nominal operating point the probe solved: no
+    # solve of its own, and the same gains give the nominal gradient
+    calls, boxes = [], []
+    derivatives, band = optimizer._gain_derivatives, optimizer._band_interior
 
     def recorded(*args):
-        calls.append(args)
-        return original(*args)
+        calls.append((args, derivatives(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(optimizer, "_investment_jacobian", recorded)
+    def sized(*args):
+        boxes.append(args[-1])
+        return band(*args)
+
+    monkeypatch.setattr(optimizer, "_gain_derivatives", recorded)
+    monkeypatch.setattr(optimizer, "_band_interior", sized)
     concavity_probe(grid, nominal, budgets, tx=0, rx=1)
-    [(_, droop, state, vsc)] = calls
-    assert (droop, vsc) == (nominal, [0, 1])
+    [((_, droop, state, tx), (_, phi, _, _))] = calls
+    assert (droop, tx) == (nominal, 0)
     assert state.v.tobytes() == solve_steady_state(grid, nominal).v.tobytes()
+    [jacobian] = boxes
+    assert jacobian.tobytes() == (-phi * [state.i[bus] for bus in (0, 1)]).tobytes()
 
 
 @pytest.mark.parametrize("pi", [{0: 10.0, 1: 10.0}, {0: 10.0}])
@@ -726,7 +806,7 @@ def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, so
                                               SIGMA_Z, 0, 1), 15, 4_899),
         (lambda grid, nominal: maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0},
                                                  SIGMA_Z, 0, 1), 15, 4_332),
-        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 54, 3_768),
+        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 54, 3_763),
     ],
     ids=["sweep", "optimize", "probe"],
 )
@@ -795,7 +875,7 @@ def _scalar_probe(grid, nominal, pi, tx, rx, samples=25, fd_step=1e-3, rel_tol=1
     box, with each investment from ``vr_power_investment`` and each gain
     term from ``one_way_snr`` (scalar solve and linearization).  Returns
     the sample points, the flagged (point index, bus) pairs, the largest
-    relative eigenvalue and the central-difference gradient at nominal.
+    relative eigenvalue and :func:`_fd_nominal_gradient`.
     """
     vsc = sorted(nominal.r)
     dim = len(vsc)
@@ -862,14 +942,28 @@ def _scalar_probe(grid, nominal, pi, tx, rx, samples=25, fd_step=1e-3, rel_tol=1
             max_rel = max(max_rel, rel)
             if rel > rel_tol:
                 flagged.append((index, bus))
-    h = 1e-4
-    ups = [g_at(nominal.with_r({axis: nominal.r[axis] + h}).r) for axis in vsc]
-    downs = [g_at(nominal.with_r({axis: nominal.r[axis] - h}).r) for axis in vsc]
-    grad = {
-        bus: tuple((up[bus] - down[bus]) / (2.0 * h) for up, down in zip(ups, downs))
-        for bus in sorted(pi)
-    }
+    grad = _fd_nominal_gradient(grid, nominal, pi, tx, rx)
     return [tuple(p[bus] for bus in vsc) for p in points], flagged, max_rel, grad
+
+
+def _fd_nominal_gradient(grid, nominal, pi, tx, rx):
+    """Central differences at nominal of each factor pi_n^2 (h / phi_n)^2, per axis.
+
+    At nominal the investment vanishes, so the gain term's gradient is the
+    factor's; the headroom's dip would add a truncation error of its own.
+    Each point is a Newton solve and :func:`linearize`, at step 1e-6 r.
+    """
+    def factors(droop):
+        model = linearize(grid, droop, solve_steady_state(grid, droop, method="newton"))
+        return {bus: pi[bus] ** 2 * (model.H[rx, tx] / model.Phi[bus, tx]) ** 2 for bus in pi}
+
+    parts = []
+    for axis in sorted(nominal.r):
+        step = 1e-6 * nominal.r[axis]
+        up, down = (factors(nominal.with_r({axis: nominal.r[axis] + sign * step}))
+                    for sign in (1.0, -1.0))
+        parts.append({bus: (up[bus] - down[bus]) / (2.0 * step) for bus in pi})
+    return {bus: tuple(part[bus] for part in parts) for bus in sorted(pi)}
 
 
 @pytest.fixture
@@ -897,14 +991,59 @@ def test_concavity_probe_matches_the_scalar_probe(grid, nominal, budgets):
     np.testing.assert_allclose(report.points, points, rtol=0.0, atol=5e-8)
     assert [(report.points.index(p), bus) for p, bus, _ in report.violations] == flagged
     assert report.max_rel_eig == pytest.approx(max_rel, rel=1e-5)  # 1.1e-6 apart
-    for bus, parts in grad.items():
-        assert report.grad_nominal[bus] == pytest.approx(parts, rel=0.0, abs=1e-9)  # 1.4e-10
+    for bus, parts in grad.items():  # 4.2e-10 of the gradient's norm measured
+        assert np.max(np.abs(np.subtract(report.grad_nominal[bus], parts))) <= (
+            1e-6 * np.linalg.norm(parts)
+        )
+
+
+def test_the_nominal_gradient_is_the_star_closed_form_derivative(grid, nominal, budgets):
+    # d/dr_m of pi_n^2 (h / phi_n)^2, with h = dv_rx/dx_tx and phi_n = dp_n/dx_tx
+    mp = pytest.importorskip("mpmath")
+    report = concavity_probe(grid, nominal, budgets, tx=0, rx=1)
+    vsc = list(grid.vsc_buses)
+    with mp.workdps(40):
+        x = {bus: mp.mpf(nominal.x[bus]) for bus in vsc}
+        r = {bus: mp.mpf(nominal.r[bus]) for bus in vsc}
+
+        def factor(bus, r):
+            def at(x_0):
+                return _star_powers(mp, grid, nominal, r, {**x, 0: x_0})
+            h, phi = (mp.diff(lambda x_0: at(x_0)[kind][n], x[0]) for kind, n in ((0, 1), (1, bus)))
+            return budgets[bus] ** 2 * (h / phi) ** 2
+
+        for bus in sorted(budgets):
+            exact = [float(mp.diff(lambda r_m: factor(bus, {**r, m: r_m}), r[m])) for m in vsc]
+            # the nominal solve's stopping error: 4.6e-13 of the norm measured
+            np.testing.assert_allclose(report.grad_nominal[bus], exact,
+                                       rtol=0.0, atol=1e-10 * np.linalg.norm(exact))
+
+
+@pytest.mark.parametrize("make_grid, rx", [(_radial_feeder, 18), (_meshed_grid, 4)],
+                         ids=["radial", "meshed"])
+def test_the_nominal_gradient_matches_central_differences(make_grid, rx, monkeypatch):
+    # the gradient reads no sample point, and the radial feeder's five
+    # converters would make a five-dimensional box: sample none
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    pi = {bus: 10.0 for bus in grid.vsc_buses}
+    monkeypatch.setattr(optimizer, "_band_interior", lambda *args: np.empty((0, len(pi))))
+    report = concavity_probe(grid, nominal, pi, tx=0, rx=rx)
+    assert report.points == ()
+    assert report.nominal_at_box_corner == (make_grid is _meshed_grid)
+    for bus, parts in _fd_nominal_gradient(grid, nominal, pi, 0, rx).items():
+        # 5.1e-9 (radial) and 4.0e-9 (meshed) of the norm measured; central
+        # differences of the whole gain term at step 1e-4 missed by 2.4e-2
+        # and 5.1e-3
+        assert np.max(np.abs(np.subtract(report.grad_nominal[bus], parts))) <= (
+            1e-6 * np.linalg.norm(parts)
+        )
 
 
 def test_concavity_probe_lanes_match_one_way_snr(grid, nominal, budgets, probe_tables):
     concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     table = probe_tables[-1]
-    assert len(table.feasible) == 25 * 9 + 2 * 2 + 1  # every stencil, then the nominal lanes
+    assert len(table.feasible) == 25 * 9  # every stencil, and no lane at nominal
     pi = np.array([budgets[bus] for bus in table.vsc])
     _, g = optimizer._score(table.h_rx, table.phi, table.dp, pi)
     for lane in range(len(g)):
@@ -945,5 +1084,5 @@ def test_concavity_probe_scores_its_points_in_batches(
     # stencils of every point; the investment Jacobian comes from the
     # channel gains at the nominal point, with no solve of its own
     assert len(solved_lanes) <= 54
-    assert sum(solved_lanes) <= 4_000  # 3,768: the box has 30,400 lanes
+    assert sum(solved_lanes) <= 4_000  # 3,763: the box has 30,400 lanes
     assert len(scalar_solves) <= 1  # the nominal operating point

@@ -150,6 +150,23 @@ def test_non_convergence_when_budget_exhausted(grid, nominal):
         solve_steady_state(grid, nominal, max_iter=1)
 
 
+@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
+@pytest.mark.parametrize("max_iter", [-1, -5, 2.5, True, None, "8"])
+def test_max_iter_must_be_a_nonnegative_integer(grid, nominal, method, max_iter):
+    # Newton never met -1 (a lane that did not certify looped for good),
+    # Gauss-Seidel reported "after -5 sweeps", 2.5 raised a bare TypeError
+    # and True ran one iteration
+    with pytest.raises(InvalidArgument, match="max_iter must be"):
+        solve_steady_state(grid, nominal, max_iter=max_iter, method=method)
+
+
+@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
+def test_a_numpy_integer_max_iter_runs_as_an_int(grid, nominal, method):
+    want = solve_steady_state(grid, nominal, max_iter=600, method=method)
+    got = solve_steady_state(grid, nominal, max_iter=np.int64(600), method=method)
+    assert got.v.tobytes() == want.v.tobytes()
+
+
 def test_droop_validation_rejects_wrong_buses(grid):
     bad = DroopState(x={0: 400.0}, r={0: 0.39})
     with pytest.raises(ValueError):
@@ -211,6 +228,13 @@ def test_check_viability_quiet_at_nominal(grid, nominal, state):
 def test_check_viability_rejects_voltages_not_of_the_grids_shape(grid, nominal, v_neighbors):
     with pytest.raises(InvalidArgument, match=r"v_neighbors must have shape \(3,\)"):
         check_viability(grid, nominal, v_neighbors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_viability_rejects_non_finite_voltages(grid, nominal, bad):
+    # NaN voltages gave no violation: a point reported as viable
+    with pytest.raises(InvalidArgument, match="v_neighbors must be finite"):
+        check_viability(grid, nominal, np.full(3, bad))
 
 
 def test_closed_form_topology_checks(grid):
@@ -599,8 +623,11 @@ def _meshed_grid():
 def _chain(n):
     """An n-bus radial chain with a converter at each end.
 
-    Loads are 400-1,600 ohm plus 60-180 W of constant power; the powers and
-    line lengths are scaled by 24/n, so the totals match a 24-bus chain.
+    Loads are 400-1,600 ohm plus 60-180 W of constant power.  The powers and
+    line lengths are scaled by 24/n, so their totals match a 24-bus chain's;
+    the resistive loads are not, so the total load grows with n and long
+    chains sag: the nominal mid-chain voltage is 392 V at n = 24, 304 V at
+    n = 500 and 72 V at n = 5,000.
     """
     scale = 24.0 / n
     buses = [
