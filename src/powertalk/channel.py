@@ -9,10 +9,11 @@ model is exact.  Its matrix is the Jacobian that Newton eliminates: the
 paper's Laplacian with the kappa-corrected diagonal, kappa reported only.
 
 One batched kernel, :func:`channel_gains`, gives the gains of chosen
-input buses at many operating points (the optimizer's resistance
-lattice); :func:`linearize` is that kernel on one lane and the converter
-inputs.  It eliminates each lane once for all its inputs, with no dense
-(n, n) system; a lane without a viable operating point gets NaN gains.
+input buses at many operating points; it checks its inputs and runs
+``_gains``, which checks nothing and is what the optimizer's lattice
+table calls.  :func:`linearize` is that kernel on one lane and the
+converter inputs.  Each lane is eliminated once for all its inputs, with
+no dense (n, n) system; a lane without a viable operating point gets NaN gains.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NoRealRoot
 from .grid import LoadSpec, ValidatedGrid, VscSpec, _check_load, check_finite, check_resistances
-from .steady_state import (DroopState, SteadyState, _block_lanes, _droop_lanes, _eliminate,
-                           _jacobian_diagonal)
+from .steady_state import DroopState, SteadyState, _block_lanes, _eliminate, _jacobian_diagonal
 
 __all__ = [
     "ChannelModel",
@@ -102,43 +102,36 @@ def channel_gains(
     for name, values in (("x", x), ("r", r)):
         for bus in grid.vsc_buses:
             if np.shape(values[bus]) not in ((), (1,), (lanes,)):
-                raise InvalidArgument(
-                    f"{name} on bus {bus} has shape {np.shape(values[bus])}, not ({lanes},) "
-                    "as the lanes of v"
-                )
-    x = {bus: np.broadcast_to(np.asarray(x[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
-    r = {bus: np.broadcast_to(np.asarray(r[bus], dtype=float), (lanes,)) for bus in grid.vsc_buses}
-    h = np.empty((lanes, grid.n, len(inputs)))
-    phi = np.empty((lanes, len(grid.vsc_buses), len(inputs)))
-    block = max(1, _block_lanes(grid) // max(1, len(inputs)))
-    for lo in range(0, lanes, block):
-        blk = slice(lo, lo + block)
-        x_blk, r_blk = ({bus: values[blk] for bus, values in d.items()} for d in (x, r))
-        h[blk], phi[blk] = _gains_block(grid, x_blk, r_blk, v[blk], inputs)
-    return h, phi
+                raise InvalidArgument(f"{name} on bus {bus} has shape {np.shape(values[bus])}, "
+                                      f"not ({lanes},) as the lanes of v")
+    return _gains(grid, x, r, v, inputs)
 
 
-def _gains_block(
-    grid: ValidatedGrid,
-    x: Mapping[int, np.ndarray],
-    r: Mapping[int, np.ndarray],
-    v: np.ndarray,
+def _gains(
+    grid: ValidatedGrid, x: Mapping[int, float], r: Mapping[int, np.ndarray], v: np.ndarray,
     inputs: List[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`channel_gains` on one block: per lane, J H = -Y."""
-    _, y = _droop_lanes(grid, x, r, len(v))
-    rhs = np.zeros((len(inputs), len(v), grid.n))
-    rhs[np.arange(len(inputs)), :, inputs] = -y[:, inputs].T  # (inputs, lanes)
-    with np.errstate(all="ignore"):  # NaN voltages or a zero pivot give non-finite gains
-        diag = _jacobian_diagonal(grid, grid.lines.degree + y + grid.r_cr_inv, v)
-        h = _eliminate(grid.elimination, diag, rhs).transpose(1, 2, 0)
-
-    phi = np.empty((len(v), len(grid.vsc_buses), len(inputs)))
-    for i, bus in enumerate(grid.vsc_buses):
-        x_col, r_col = x[bus][:, None], r[bus][:, None]
-        phi[:, i] = h[:, bus] * (x_col - 2.0 * v[:, bus, None]) / r_col
-        if bus in inputs:
-            phi[:, i, inputs.index(bus)] += v[:, bus] / r_col[:, 0]
+    """:func:`channel_gains` with nothing checked: per lane, J H = -Y, block by block;
+    ``x`` and ``r`` map each converter bus to a scalar or a (lanes,) array."""
+    vsc = list(grid.vsc_buses)
+    lanes, k = len(v), len(inputs)
+    x, r = ({bus: np.broadcast_to(d[bus], (lanes,)) for bus in vsc} for d in (x, r))
+    h, phi = np.empty((lanes, grid.n, k)), np.empty((lanes, len(vsc), k))
+    block = max(1, _block_lanes(grid) // max(1, k))
+    for lo in range(0, lanes, block):
+        blk, v_blk = slice(lo, lo + block), v[lo : lo + block]
+        y = np.zeros((len(v_blk), grid.n))
+        y[:, vsc] = 1.0 / np.array([r[bus][blk] for bus in vsc]).T
+        rhs = np.zeros((k, len(v_blk), grid.n))
+        rhs[np.arange(k), :, inputs] = -y[:, inputs].T  # (inputs, lanes)
+        with np.errstate(all="ignore"):  # NaN voltages or a zero pivot give non-finite gains
+            diag = _jacobian_diagonal(grid, grid.lines.degree + y + grid.r_cr_inv, v_blk)
+            h[blk] = _eliminate(grid.elimination, diag, rhs).transpose(1, 2, 0)
+        for i, bus in enumerate(vsc):  # Phi[n, m] = (H[n, m] (x_n - 2 v_n) + [m == n] v_n) / r_n
+            x_col, r_col = x[bus][blk, None], r[bus][blk, None]
+            phi[blk, i] = h[blk, bus] * (x_col - 2.0 * v_blk[:, bus, None]) / r_col
+            if bus in inputs:
+                phi[blk, i, inputs.index(bus)] += v_blk[:, bus] / r_col[:, 0]
     return h, phi
 
 
@@ -147,7 +140,7 @@ def _gain_derivatives(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gains at a solved point, and how the transmitter's column moves with r.
 
-    :func:`channel_gains` on ``state`` with the converter inputs gives H
+    :func:`_gains` on ``state`` with the converter inputs gives H
     (n, n_vsc) and Phi (n_vsc, n_vsc), columns in ``grid.vsc_buses`` order.
     Differentiating f(v; x, r) = 0 (Peschon et al., "Sensitivity in power
     systems", 1968) needs no solve: dv/dr_m = -i_m H[:, m], and with
@@ -159,7 +152,7 @@ def _gain_derivatives(
     """
     vsc = list(grid.vsc_buses)
     t = vsc.index(tx)
-    h, phi = (gains[0] for gains in channel_gains(grid, droop.x, droop.r, state.v[None], vsc))
+    h, phi = (gains[0] for gains in _gains(grid, droop.x, droop.r, state.v[None], vsc))
     x, r = (np.array([values[bus] for bus in vsc]) for values in (droop.x, droop.r))
     v, h_t = state.v, h[:, t]
     dv = -h * [state.i[bus] for bus in vsc]  # (n, n_vsc): dv/dr_m

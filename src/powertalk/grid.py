@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -237,9 +238,13 @@ def _integer(name: str, value: object) -> int:
 
 
 def _floats(value: object) -> np.ndarray:
-    """``value`` as a float array; an int beyond float range, on which ``float`` raises, is inf."""
+    """``value`` as a float array; an int beyond float range, on which ``float`` raises, is inf,
+    and what is not a real number (a str, bytes, None or another object) an InvalidArgument."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf" and not all(isinstance(a, numbers.Real) for a in array.flat):
+        raise InvalidArgument(f"expected a real number, got {value!r:.80}")
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(array, dtype=float)
     except OverflowError:
         return np.asarray(math.inf)
 

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 import numpy as np
 
 from .budget import vr_power_investment
-from .channel import _gain_derivatives, channel_gains, linearize
+from .channel import _gain_derivatives, _gains, linearize
 from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
 from .grid import ValidatedGrid, _floats, check_budgets
 from .steady_state import (
@@ -111,6 +111,7 @@ class ConcavityReport:
 
 def capacity(snr: float) -> float:
     """Bits per slot of the scalar Gaussian channel: 0.5 * log2(1 + snr)."""
+    snr = float(_floats(snr))
     if not snr >= 0.0:  # not <: NaN is no SNR either
         raise InvalidArgument(f"snr must be nonnegative, got {snr}")
     return 0.5 * math.log2(1.0 + snr)
@@ -133,11 +134,7 @@ def one_way_snr(
     smallest g_n over sigma_z^2, clamped to zero once any investment
     exceeds its budget.
     """
-    grid.check_link(tx, rx)
-    check_budgets(pi, grid)
-    if not pi:
-        raise InvalidBudget("at least one budget is required")
-    _check_sigma_z(sigma_z)
+    _read_inputs(grid, nominal, (tx, rx), [pi], sigma_z)
     state = solve_steady_state(grid, droop)
     model = linearize(grid, droop, state)
     dp = vr_power_investment(grid, nominal, droop)
@@ -171,11 +168,9 @@ def maximize_snr_grid(
     lattice in blocks when the band's run-time checks fail.
     ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
-    grid.check_link(tx, rx)
-    check_budgets(pi, grid)
+    _read_inputs(grid, nominal, (tx, rx), [pi], sigma_z)
     if len(pi) != len(grid.vsc_buses):
         raise InvalidBudget("budgets must cover every converter bus")
-    _check_sigma_z(sigma_z)
     return _search(grid, nominal, tx, rx, step, [pi], sigma_z)[0]
 
 
@@ -195,16 +190,13 @@ def capacity_sweep(
     point: the band of a smaller budget lies inside it.  When the band is
     unknown, every budget point shares one blocked scan of the lattice.
     """
-    pi_values = [float(p) for p in pi_range]
+    pi_values = [float(_floats(p)) for p in pi_range]
     if not pi_values:
         raise InvalidArgument("pi_range must be nonempty")
     if any(b < a for a, b in zip(pi_values, pi_values[1:])):
         raise InvalidArgument("pi_range must be ascending")
-    grid.check_link(tx, rx)
     budgets = [dict.fromkeys(grid.vsc_buses, pi) for pi in pi_values]
-    for budget in budgets:
-        check_budgets(budget)
-    _check_sigma_z(sigma_z)
+    _read_inputs(grid, nominal, (tx, rx), budgets, sigma_z)
     return [
         SweepRow(
             pi=pi,
@@ -231,6 +223,7 @@ def default_r_max(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
     """
     if not grid.has_vsc(bus):
         raise InvalidArgument(f"bus {bus} hosts no converter")
+    _read_inputs(grid, nominal)
 
     def viable(r: float) -> bool:
         batch = solve_steady_state_many(grid, nominal.x, nominal.with_r({bus: r}).r)
@@ -268,10 +261,7 @@ def concavity_probe(
     pulls the optimum above nominal.  Every stencil point is a lane of one pass
     through the batched Newton and channel-gain kernels that the lattice search uses.
     """
-    grid.check_link(tx, rx)
-    check_budgets(pi, grid)
-    if not pi:
-        raise InvalidBudget("at least one budget is required")
+    _read_inputs(grid, nominal, (tx, rx), [pi])
     vsc = sorted(nominal.r)
     dim = len(vsc)
     state = solve_steady_state(grid, nominal)
@@ -331,16 +321,24 @@ def concavity_probe(
 
 # -- internals ----------------------------------------------------------------
 
-def _check_sigma_z(sigma_z: float) -> None:
+def _read_inputs(grid: ValidatedGrid, nominal: DroopState, link: Tuple[int, ...] = (),
+                 budgets: Iterable[Mapping[int, float]] = (), sigma_z: float = 1.0) -> None:
+    """Check the link and budgets given, ``sigma_z`` and ``nominal``, before any solve."""
+    if link:
+        grid.check_link(*link)
+    for pi in budgets:
+        check_budgets(pi, grid)
+        if not pi:
+            raise InvalidBudget("at least one budget is required")
     sigma = float(_floats(sigma_z))
     if not (sigma > 0.0 and 0.0 < sigma * sigma < math.inf):
-        raise InvalidArgument(
-            f"sigma_z must be positive with a positive, finite square, got {sigma_z}"
-        )
+        raise InvalidArgument(f"sigma_z must be positive with a positive, finite square, "
+                              f"got {sigma_z}")
+    nominal.validate(grid)
 
 
 def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, np.ndarray]:
-    if not 0.0 < step < math.inf:
+    if not 0.0 < _floats(step) < math.inf:
         raise InvalidArgument(f"step must be finite and positive, got {step}")
     counts = {}
     for bus in sorted(nominal.r):
@@ -405,7 +403,7 @@ def _channel_table(
     """Score the lanes ``r``, solved in ``batch``; a lane's figures do not depend on its batch."""
     vsc = sorted(r)
     logger.info("channel table: %d lattice points", r[vsc[0]].size)
-    h, phi = channel_gains(grid, nominal.x, r, batch.v, [tx])
+    h, phi = _gains(grid, nominal.x, r, batch.v, [tx])
     return _ChannelTable(
         vsc=tuple(vsc),
         r=r,
@@ -480,7 +478,7 @@ def _lattice_blocks(
 
     Yields each block's flat indices, coordinates and solve, the shape
     :func:`_band_lanes` returns, so memory stays bounded at any lattice size;
-    each is one Newton block, sized as those and :func:`channel_gains`' are.
+    each is one Newton block, sized as those and :func:`_gains`' are.
     """
     size = math.prod(len(values) for values in axes.values())
     block = _block_lanes(grid)

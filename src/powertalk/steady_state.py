@@ -129,24 +129,26 @@ def solve_steady_state(
     (droop parameters outside the viable range) and :class:`NonConvergence`
     when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
     when its iterate leaves the larger root.  ``max_iter`` must be an
-    integer >= 0, else :class:`InvalidArgument`.
+    integer >= 0 and ``tol`` finite and >= 0, else :class:`InvalidArgument`.
     """
     droop.validate(grid)
     max_iter = _integer("max_iter", max_iter)
     if max_iter < 0:
         raise InvalidArgument(f"max_iter must be >= 0, got {max_iter}")
+    if not 0.0 <= _floats(tol) < math.inf:
+        raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
 
     v = _initial_voltages(grid, droop.x)
     if method == "gauss_seidel":
         v, residual = _gauss_seidel(grid, xr[0], y[0], v, tol, min(max_iter, GS_SWEEPS))
-        if not residual <= tol and max_iter <= GS_SWEEPS:  # not <=: a NaN tol is never met
+        if residual > tol and max_iter <= GS_SWEEPS:
             raise NonConvergence(
                 f"gauss_seidel: residual {residual:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
             )
     elif method != "newton":
         raise InvalidArgument(f"unknown method {method!r}")
-    if method == "newton" or not residual <= tol:
+    if method == "newton" or residual > tol:
         lane, feasible, res, its, stalled = _newton_block(grid, xr, y, v, tol, max_iter)
         if method == "gauss_seidel":
             logger.debug("gauss_seidel: residual %.3e A after %d sweeps; newton ran %d iterations",

@@ -74,6 +74,16 @@ def test_every_public_name_resolves_once():
         lambda grid, nominal: powertalk.single_bus_channel(
             [powertalk.VscSpec(HUGE, 0.39)], powertalk.LoadSpec()
         ),
+        # values that are not numbers raised a bare ValueError or TypeError, or
+        # passed the droop check and raised one in the solver
+        lambda grid, nominal: check_budgets({0: "abc"}),
+        lambda grid, nominal: powertalk.one_way_snr(grid, nominal, nominal, {0: 10.0}, "x", 0, 1),
+        lambda grid, nominal: powertalk.capacity_sweep(grid, nominal, ["x"], 0.01, 0, 1),
+        lambda grid, nominal: powertalk.maximize_snr_grid(
+            grid, nominal, {0: 10.0, 1: 10.0}, 0.01, 0, 1, step="0.01"
+        ),
+        lambda grid, nominal: powertalk.capacity("1"),
+        lambda grid, nominal: powertalk.solve_steady_state(grid, nominal.with_x({0: "400"})),
     ],
     ids=["investment-references", "single-bus-no-units", "single-bus-nan-resistance",
          "linearized-without-model", "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr",
@@ -81,7 +91,9 @@ def test_every_public_name_resolves_once():
          "huge-int-budget", "huge-int-search-budget", "huge-int-resistance",
          "huge-int-virtual-resistance", "huge-int-batch-resistance", "huge-int-line-resistance",
          "huge-int-sigma-z", "huge-int-amplitude", "channel-negative-resistance",
-         "huge-int-channel-resistance", "huge-int-single-bus-x-nom"],
+         "huge-int-channel-resistance", "huge-int-single-bus-x-nom", "string-budget",
+         "string-sigma-z", "string-sweep-budget", "string-step", "string-snr",
+         "string-reference-voltage"],
 )
 def test_library_input_checks_raise_invalid_argument(grid, nominal, call):
     with pytest.raises(powertalk.InvalidArgument):

@@ -18,6 +18,7 @@ from powertalk import (
     LineSpec,
     LoadSpec,
     NoRealRoot,
+    NonpositiveResistance,
     VscSpec,
     capacity,
     capacity_sweep,
@@ -292,6 +293,50 @@ def test_empty_budgets_are_an_invalid_budget(grid, nominal, call):
     # both took a reduction over no converters: a bare ValueError from numpy or max()
     with pytest.raises(InvalidBudget, match="at least one budget is required"):
         call(grid, nominal)
+
+
+def test_a_nan_nominal_resistance_is_a_nonpositive_resistance(boxed, nominal, budgets):
+    # was InvalidArgument("step 0.005 is too fine to count the lattice on bus 0")
+    with pytest.raises(NonpositiveResistance, match="virtual resistance on bus 0 must be positive"):
+        maximize_snr_grid(boxed, nominal.with_r({0: math.nan}), budgets, SIGMA_Z, 0, 1)
+
+
+def test_a_nominal_entry_on_a_load_bus_is_an_invalid_argument(boxed, nominal, budgets):
+    # was InvalidGridSpec("bus 2 hosts no converter"), from the nameplate lookup
+    match = r"^droop entries must exist exactly for converter buses \[0, 1\]$"
+    with pytest.raises(InvalidArgument, match=match):
+        maximize_snr_grid(boxed, nominal.with_r({2: 0.39}), budgets, SIGMA_Z, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid, nominal: maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0}, SIGMA_Z, 0, 1),
+        lambda grid, nominal: capacity_sweep(grid, nominal, [2.0, 10.0], SIGMA_Z, 0, 1),
+        lambda grid, nominal: one_way_snr(
+            grid, nominal_droop(grid), nominal, {0: 10.0, 1: 10.0}, SIGMA_Z, 0, 1
+        ),
+        lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1),
+        lambda grid, nominal: default_r_max(grid, nominal, 1),
+    ],
+    ids=["optimize", "sweep", "one-way-snr", "probe", "default-r-max"],
+)
+@pytest.mark.parametrize(
+    "bad", [{0: math.nan}, {2: 0.39}], ids=["nan-resistance", "load-bus-entry"]
+)
+def test_a_bad_nominal_is_rejected_before_any_solve(grid, nominal, call, bad, monkeypatch):
+    # each entry used to solve before the bad nominal was found: on the
+    # default box, default_r_max's first batched solve raised from its own check
+    solves = []
+    for name in ("solve_steady_state", "solve_steady_state_many"):
+        def counted(*args, solve=getattr(optimizer, name), **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    with pytest.raises(InvalidArgument):
+        call(grid, nominal.with_r(bad))
+    assert solves == []
 
 
 # -- the gain derivatives: dv/dr, dH/dr, dPhi/dr and dp/dr = -i Phi ---------------
