@@ -70,8 +70,7 @@ def main() -> int:
     pi = {bus: 10.0 for bus in grid.vsc_buses}
     best = next(row for row in rows if row.pi == 10.0)
     tuned = nominal.with_r(best.r_star)
-    tuned_model, alloc = allocation(grid, tuned, pi, tx)
-    amplitude = math.sqrt(alloc.s[tx])
+    amplitude = math.sqrt(allocation(grid, tuned, pi, tx).s[tx])
     cfg = SimConfig(
         slots=args.slots,
         amplitude=amplitude,
@@ -81,7 +80,7 @@ def main() -> int:
         tx=tx,
         rx=rx,
     )
-    report = run_transmission(grid, tuned, tuned_model, cfg)
+    report = run_transmission(grid, tuned, cfg)
     print(
         f"transmission at r*: amplitude={amplitude:.4f} V  ber={report.ber:.5f} "
         f"(ci95 {report.ber_ci95:.5f})  snr_empirical={report.snr_empirical:.3f}"

@@ -43,13 +43,11 @@ class ChannelModel:
     converter are zero.  ``Phi[n, m]`` is the supplied-power gain dp_n/dx_m,
     and -i_m Phi[n, m] is dp_n/dr_m (dr_m acts as dx_m = -i_m dr_m); rows for
     buses without a converter are zero.  The kappa corrections g_bus / -J_nn,
-    reported only, are ``operating_point.kappa``.
+    reported only, are the operating point's ``kappa``.
     """
 
     H: np.ndarray              # (n, n) voltage gains [V/V]
     Phi: np.ndarray            # (n, n) power gains [W/V]
-    operating_point: SteadyState
-    droop: DroopState
 
 
 def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> ChannelModel:
@@ -63,7 +61,7 @@ def linearize(grid: ValidatedGrid, droop: DroopState, state: SteadyState) -> Cha
     h, phi = channel_gains(grid, droop.x, droop.r, state.v[None], vsc)
     gains, power = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
     gains[:, vsc], power[np.ix_(vsc, vsc)] = h[0], phi[0]
-    return ChannelModel(H=gains, Phi=power, operating_point=state, droop=droop)
+    return ChannelModel(H=gains, Phi=power)
 
 
 def channel_gains(
@@ -92,9 +90,11 @@ def channel_gains(
     """
     DroopState(x, r).validate(grid)
     inputs = list(inputs)
-    for bus in inputs:
+    for k, bus in enumerate(inputs):
         if not grid.has_vsc(bus):
             raise InvalidArgument(f"input bus {bus} hosts no converter")
+        if bus in inputs[:k]:  # _gains adds the v/r term at its first column only
+            raise InvalidArgument(f"input bus {bus} is repeated")
     v = np.asarray(v)
     if v.ndim != 2 or v.shape[1] != grid.n:
         raise InvalidArgument(f"v must have shape (lanes, {grid.n}), got {v.shape}")

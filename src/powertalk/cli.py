@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .budget import BudgetAllocation, allocate_input_variance, vr_power_investment
-from .channel import ChannelModel, linearize
+from .channel import linearize
 from .comsim import SimConfig, run_transmission
 from .errors import ConfigError, InfeasibleBudget, NumericError, ParseError, SchemaError
 from .grid import Bus, GridSpec, LineSpec, LoadSpec, ValidatedGrid, VscSpec, _floats, validate_grid
@@ -268,11 +268,11 @@ def _sigma_z(cfg: RunConfig, args: argparse.Namespace) -> float:
 
 def allocation(
     grid: ValidatedGrid, droop: DroopState, pi: Mapping[int, float], tx: int
-) -> Tuple[ChannelModel, BudgetAllocation]:
-    """Channel model at ``droop`` and the input variance its budgets allow ``tx``."""
+) -> BudgetAllocation:
+    """The input variance the budgets allow ``tx`` at ``droop``."""
     model = linearize(grid, droop, solve_steady_state(grid, droop))
     dp = vr_power_investment(grid, nominal_droop(grid), droop)
-    return model, allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
+    return allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
 
 
 def sweep_table(rows: List[SweepRow], tx: int, rx: int) -> List[str]:
@@ -319,7 +319,7 @@ def _cmd_budget(args: argparse.Namespace) -> List[str]:
     droop = _droop(grid, args)
     tx, _ = _link(grid, args)
     pi = _budgets(grid, args)
-    _, alloc = allocation(grid, droop, pi, tx)
+    alloc = allocation(grid, droop, pi, tx)
     lines = ["# input variance per transmitter\nbus,s_V2"]
     lines += [f"{bus},{_fmt(s)}" for bus, s in sorted(alloc.s.items())]
     lines.append("# budget rows\nbus,pi_W,dp_vr_W,slack_W2")
@@ -356,12 +356,10 @@ def _cmd_simulate(args: argparse.Namespace) -> List[str]:
     grid, cfg = _load(args)
     droop = _droop(grid, args)
     tx, rx = _link(grid, args)
-    model = None
     if args.amplitude is not None:
         amplitude = args.amplitude
     elif args.pi is not None:
-        model, alloc = allocation(grid, droop, _budgets(grid, args), tx)
-        amplitude = math.sqrt(alloc.s[tx])
+        amplitude = math.sqrt(allocation(grid, droop, _budgets(grid, args), tx).s[tx])
     else:
         raise ConfigError("simulate needs --amplitude or --pi to set the signal level")
     sim = SimConfig(
@@ -373,9 +371,7 @@ def _cmd_simulate(args: argparse.Namespace) -> List[str]:
         tx=tx,
         rx=rx,
     )
-    if sim.mode == "linearized" and model is None:
-        model = linearize(grid, droop, solve_steady_state(grid, droop))
-    report = run_transmission(grid, droop, model, sim)
+    report = run_transmission(grid, droop, sim)
     lines = [f"amplitude_V={_fmt(amplitude)}", f"ber={_fmt(report.ber)}",
              f"ber_ci95={_fmt(report.ber_ci95)}", f"snr_empirical={_fmt(report.snr_empirical)}"]
     lines += [

@@ -5,7 +5,7 @@ with equal probability; the receiver observes its own bus voltage plus
 Gaussian noise and applies maximum-likelihood detection against the two
 known hypothesis means.  The channel is evaluated either through the
 full nonlinear steady-state solver (two operating points, one per
-symbol) or through the linearized gain matrix.
+symbol) or through the transmitter's gain column at one operating point.
 
 Randomness is counter-keyed: bit and noise streams are drawn per fixed-
 size chunk from generators keyed by (seed, stream, chunk index), so a
@@ -23,12 +23,12 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple, TypeVar
 
 import numpy as np
 
 from .errors import BudgetExceededWarning, InvalidArgument
-from .channel import ChannelModel
+from .channel import _gains
 from .grid import ValidatedGrid, _floats, _integer, check_budgets
 from .steady_state import DroopState, nominal_droop, solve_steady_state
 
@@ -203,19 +203,19 @@ def _tally(
 
 
 def _hypothesis_points(
-    grid: ValidatedGrid,
-    droop: DroopState,
-    model: Optional[ChannelModel],
-    cfg: SimConfig,
+    grid: ValidatedGrid, droop: DroopState, cfg: SimConfig
 ) -> Tuple[Dict[int, float], Dict[int, Dict[int, float]]]:
     """Receiver mean and per-converter power for each symbol.
 
     Returns ``(rx_mean, power)`` keyed by symbol +1/-1.  Nonlinear mode
-    re-solves the steady state per symbol; linearized mode offsets the
-    operating point through the gain matrices.
+    re-solves the steady state per symbol; linearized mode solves ``droop``
+    once and offsets that operating point along the transmitter's gain
+    column, its power gains in ``grid.vsc_buses`` order.
     """
-    if cfg.mode == "linearized" and (model is None or model.droop != droop):
-        raise InvalidArgument("linearized mode requires a channel model built at this droop state")
+    if cfg.mode == "linearized":
+        base = solve_steady_state(grid, droop)
+        h, phi = _gains(grid, droop.x, droop.r, base.v[None], [cfg.tx])
+        gain, power_gain = h[0, cfg.rx, 0], dict(zip(grid.vsc_buses, phi[0, :, 0]))
     rx_mean, power = {}, {}
     for symbol in (+1, -1):
         dx = symbol * cfg.amplitude
@@ -223,18 +223,12 @@ def _hypothesis_points(
             state = solve_steady_state(grid, droop.with_x({cfg.tx: droop.x[cfg.tx] + dx}))
             rx_mean[symbol], power[symbol] = float(state.v[cfg.rx]), dict(state.p)
         else:
-            base, h, phi = model.operating_point, model.H[cfg.rx, cfg.tx], model.Phi[:, cfg.tx]
-            rx_mean[symbol] = float(base.v[cfg.rx] + h * dx)
-            power[symbol] = {bus: base.p[bus] + float(phi[bus]) * dx for bus in base.p}
+            rx_mean[symbol] = float(base.v[cfg.rx] + gain * dx)
+            power[symbol] = {bus: base.p[bus] + float(power_gain[bus]) * dx for bus in base.p}
     return rx_mean, power
 
 
-def run_transmission(
-    grid: ValidatedGrid,
-    droop: DroopState,
-    model: Optional[ChannelModel],
-    cfg: SimConfig,
-) -> SimReport:
+def run_transmission(grid: ValidatedGrid, droop: DroopState, cfg: SimConfig) -> SimReport:
     """Simulate a transmission and measure error rate and power deviations.
 
     Detection projects each observation onto the known hypothesis means
@@ -243,7 +237,6 @@ def run_transmission(
     pooled within-symbol variance.  Power deviations are measured about
     nominal (nameplate) operation; converters with a nameplate budget
     trigger :class:`BudgetExceededWarning` when exceeded beyond ``COMPLIANCE_SLACK``.
-    Linearized mode reads ``model``, which must be built at ``droop``.
 
     Chunks run on every available CPU (see the module docstring); each
     yields its error count and per-symbol count, sum and sum of squares,
@@ -252,7 +245,7 @@ def run_transmission(
     """
     cfg.validate(grid)
     droop.validate(grid)
-    rx_mean, power = _hypothesis_points(grid, droop, model, cfg)
+    rx_mean, power = _hypothesis_points(grid, droop, cfg)
     p_nom = solve_steady_state(grid, nominal_droop(grid)).p
     midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
     orientation = 1.0 if rx_mean[+1] >= rx_mean[-1] else -1.0
@@ -352,7 +345,7 @@ def measure_power_compliance(
     check_budgets(pi, grid)
     cfg.validate(grid)
     droop.validate(grid)
-    _, power = _hypothesis_points(grid, droop, None, cfg)
+    _, power = _hypothesis_points(grid, droop, cfg)
     p_nom = solve_steady_state(grid, nominal_droop(grid)).p
     ones = sum(
         _map_chunks(

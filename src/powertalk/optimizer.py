@@ -12,7 +12,7 @@ of lanes in C order: the nominal resistances, then the budget band, the
 points whose investments all fit the budgets, found per lattice row by
 batched bisection on the monotone investments.  Every other point scores
 0.  When a run-time check of the band fails, or the nominal point is not
-viable, the blocks are the whole lattice instead.  All grid-point
+viable, the blocks are the whole lattice, unless too large.  All grid-point
 evaluations are pure, so the result is independent of evaluation order;
 ties resolve to the smallest resistances.
 """
@@ -49,6 +49,7 @@ DEFAULT_R_MAX_MARGIN = 0.9  # viability safety margin
 PROBE_SAMPLES = 25       # interior points the concavity probe audits
 PROBE_FD_STEP = 1e-3     # central-difference step of the probe's Hessians [ohm]
 PROBE_REL_TOL = 1e-6     # largest Hessian eigenvalue, relative to its norm, taken as concave
+MAX_SEARCH_LANES = 1 << 27  # most lattice lanes a search may probe or scan
 
 __all__ = [
     "OptimizationResult",
@@ -165,7 +166,7 @@ def maximize_snr_grid(
     only scales the SNR.  Only the nominal resistances and the budget
     band, the lattice points with every |dp_n| <= pi_n, are solved and
     scored: every other point scores 0.  The search scans the whole
-    lattice in blocks when the band's run-time checks fail.
+    lattice, up to ``MAX_SEARCH_LANES``, when the band's checks fail.
     ``r_max`` is each converter's nameplate limit, else :func:`default_r_max`.
     """
     _read_inputs(grid, nominal, (tx, rx), [pi], sigma_z)
@@ -432,8 +433,8 @@ def _search(
     budget (no block when it is empty), which holds every lane that can
     score above 0 at any of the budgets.  Every other lane scores 0, or
     -inf when not viable, so the viable lane 0 keeps a tie at 0.  When
-    the band is unknown (see :func:`_band_lanes`) or lane 0 is not
-    viable, the whole lattice follows instead, in :func:`_lattice_blocks`.
+    the band is unknown (see :func:`_band_lanes`) or lane 0 is not viable,
+    :func:`_lattice_blocks` scans a lattice of up to ``MAX_SEARCH_LANES``.
     """
     axes = _r_axes(grid, nominal, step)
     size = math.prod(len(values) for values in axes.values())
@@ -445,6 +446,9 @@ def _search(
     nominal_scores = [score for _, score, _ in picks]
     band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1]) if at_nominal.feasible[0] else None
     if band is None:
+        if size > MAX_SEARCH_LANES:
+            raise InvalidArgument(f"step {step} gives {size} lattice points, more than the "
+                                  f"{MAX_SEARCH_LANES} a search may scan; choose a coarser --step")
         blocks = (block[1:] for block in _lattice_blocks(grid, nominal, axes))
     else:
         blocks = [band[1:]] if len(band[0]) else []
@@ -512,11 +516,14 @@ def _band_lanes(
     lane then has an investment outside its budget, on the same premise of
     monotone rows that the band's edges rest on.  Returns None, meaning
     "search the whole lattice", when a probed point is not viable, a row's
-    end points tie or a check fails.
+    end points tie, a check fails or 2 x rows exceed ``MAX_SEARCH_LANES``.
     """
     vsc = sorted(axes)
     width = len(axes[vsc[-1]])
-    rows = np.arange(math.prod(len(axes[bus]) for bus in vsc[:-1]))
+    row_count = math.prod(len(axes[bus]) for bus in vsc[:-1])
+    if 2 * row_count > MAX_SEARCH_LANES:
+        return None
+    rows = np.arange(row_count)
     pi_vec = np.array([pi[bus] for bus in vsc])
 
     def probe(row: np.ndarray, col: np.ndarray) -> Optional[np.ndarray]:

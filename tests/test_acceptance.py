@@ -294,7 +294,7 @@ def test_ber_waterfall_matches_gaussian_theory(grid, nominal, model):
             slots=slots, amplitude=amplitude, sigma_z=CASE_STUDY_SIGMA_Z,
             mode="linearized", rng_seed=0, tx=0, rx=1,
         )
-        report = run_transmission(grid, nominal, model, cfg)
+        report = run_transmission(grid, nominal, cfg)
         predicted = 0.5 * math.erfc(math.sqrt(snr) / math.sqrt(2.0))
         se = math.sqrt(predicted * (1.0 - predicted) / slots)
         dev = abs(report.ber - predicted) / se
@@ -307,8 +307,8 @@ def test_ber_waterfall_matches_gaussian_theory(grid, nominal, model):
     amplitude = math.sqrt(alloc.s[0])
     base = dict(slots=slots, amplitude=amplitude, sigma_z=CASE_STUDY_SIGMA_Z,
                 rng_seed=0, tx=0, rx=1)
-    lin = run_transmission(grid, nominal, model, SimConfig(mode="linearized", **base))
-    non = run_transmission(grid, nominal, None, SimConfig(mode="nonlinear", **base))
+    lin = run_transmission(grid, nominal, SimConfig(mode="linearized", **base))
+    non = run_transmission(grid, nominal, SimConfig(mode="nonlinear", **base))
     combined = math.sqrt(
         lin.ber * (1.0 - lin.ber) / slots + non.ber * (1.0 - non.ber) / slots
     )

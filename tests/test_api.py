@@ -25,24 +25,12 @@ def test_every_public_name_resolves_once():
         lambda grid, nominal: powertalk.single_bus_channel(
             [powertalk.VscSpec(400.0, math.nan)], powertalk.LoadSpec()
         ),
-        lambda grid, nominal: powertalk.run_transmission(
-            grid, nominal, None,
-            powertalk.SimConfig(slots=10, amplitude=0.04, sigma_z=0.01, mode="linearized",
-                                rng_seed=1, tx=0, rx=1),
-        ),
         # a subnormal resistance, whose inverse overflows
         lambda grid, nominal: powertalk.single_bus_channel(
             [powertalk.VscSpec(400.0, 1e-320)], powertalk.LoadSpec()
         ),
         lambda grid, nominal: powertalk.single_bus_channel(
             [powertalk.VscSpec(400.0, 0.39)], powertalk.LoadSpec(r_cr=1e-320)
-        ),
-        # a channel model built at the nominal droop, run at another
-        lambda grid, nominal: powertalk.run_transmission(
-            grid, nominal.with_r({0: 0.44, 1: 0.48}),
-            powertalk.linearize(grid, nominal, powertalk.solve_steady_state(grid, nominal)),
-            powertalk.SimConfig(slots=10, amplitude=0.04, sigma_z=0.01, mode="linearized",
-                                rng_seed=1, tx=0, rx=1),
         ),
         lambda grid, nominal: powertalk.capacity(-1.0),
         lambda grid, nominal: powertalk.solve_steady_state(grid, nominal, method="secant"),
@@ -58,7 +46,7 @@ def test_every_public_name_resolves_once():
         )),
         lambda grid, nominal: powertalk.one_way_snr(grid, nominal, nominal, {0: 10.0}, HUGE, 0, 1),
         lambda grid, nominal: powertalk.run_transmission(
-            grid, nominal, None,
+            grid, nominal,
             powertalk.SimConfig(slots=10, amplitude=HUGE, sigma_z=0.01, mode="nonlinear",
                                 rng_seed=1, tx=0, rx=1),
         ),
@@ -86,8 +74,7 @@ def test_every_public_name_resolves_once():
         lambda grid, nominal: powertalk.solve_steady_state(grid, nominal.with_x({0: "400"})),
     ],
     ids=["investment-references", "single-bus-no-units", "single-bus-nan-resistance",
-         "linearized-without-model", "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr",
-         "linearized-model-of-another-droop", "negative-snr", "unknown-method",
+         "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr", "negative-snr", "unknown-method",
          "huge-int-budget", "huge-int-search-budget", "huge-int-resistance",
          "huge-int-virtual-resistance", "huge-int-batch-resistance", "huge-int-line-resistance",
          "huge-int-sigma-z", "huge-int-amplitude", "channel-negative-resistance",

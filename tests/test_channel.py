@@ -87,10 +87,6 @@ def test_gains_are_attenuating(model):
     assert np.all(sub > 0.0) and np.all(sub < 1.0)
 
 
-def test_kappa_carried_from_operating_point(model, state):
-    assert model.operating_point is state  # the one kappa array, state.kappa
-
-
 def test_symmetric_star_gives_symmetric_gains():
     grid = validate_grid(
         GridSpec(
@@ -311,6 +307,9 @@ def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state
         (lambda x, r, v: (x, r, v, [1.0]), "input bus 1.0 hosts no converter"),
         (lambda x, r, v: (x, r, v, [1.5]), "input bus 1.5 hosts no converter"),
         (lambda x, r, v: (x, r, v, ["0"]), "input bus 0 hosts no converter"),
+        # Phi's v/r term went to the first column only: [0, 0] gave
+        # Phi[0, 1] = -763.28 where column 0 reads 253.27
+        (lambda x, r, v: (x, r, v, [0, 1, 0]), "input bus 0 is repeated"),
         (lambda x, r, v: (x, r, v[0], [0]), r"v must have shape \(lanes, 3\), got \(3,\)"),
         (lambda x, r, v: (x, r, v[:, :2], [0]), r"got \(4, 2\)"),
         (lambda x, r, v: (x, r, v[None], [0]), r"got \(1, 4, 3\)"),
@@ -321,7 +320,7 @@ def test_channel_gains_isolate_lanes_without_a_viable_point(grid, nominal, state
         (lambda x, r, v: (x, {0: r[0][:, None], 1: r[1]}, v, [0]), r"shape \(4, 1\)"),
     ],
     ids=["negative-input", "input-beyond-the-grid", "input-without-converter", "float-input",
-         "fractional-input", "string-input", "one-lane-vector",
+         "fractional-input", "string-input", "repeated-input", "one-lane-vector",
          "too-few-buses", "three-dimensional", "r-lanes", "x-lanes", "r-two-dimensional"],
 )
 def test_channel_gains_inputs_that_do_not_fit_are_an_invalid_argument(

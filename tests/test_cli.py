@@ -28,6 +28,7 @@ from powertalk import cli
 from powertalk.cli import SWEEP_COLUMNS, main, parse_config
 
 from conftest import dense_lines
+from test_steady_state import _radial_feeder
 
 CASE_TEXT = json.dumps(case_study_document())
 ROOT = Path(__file__).resolve().parent.parent
@@ -316,6 +317,22 @@ def test_a_diverging_solve_exits_3_at_its_first_sweep_without_warnings(grid_file
 def test_an_infinite_virtual_resistance_exits_2_naming_the_bus(grid_file, capsys):
     assert main(["solve", "--grid", grid_file, "--r", "inf,0.4"]) == 2
     assert "virtual resistance on bus 0 must be positive and finite" in capsys.readouterr().err
+
+
+def test_five_converter_optimize_at_the_default_step_exits_2_naming_the_step(tmp_path, capsys):
+    # its 2.8e14-point lattice raised MemoryError: exit 1 with a traceback
+    feeder = _radial_feeder()
+    buses = [{"id": bus.id, "load": {key: value for key, value in vars(bus.load).items()
+                                     if value is not None}}
+             for bus in feeder.spec.buses]
+    for entry, bus in zip(buses, feeder.spec.buses):
+        if bus.vsc is not None:
+            entry["vsc"] = {"x_nom": bus.vsc.x_nom, "r_nom": bus.vsc.r_nom}
+    lines = [{"a": line.a, "b": line.b, "r": line.r_line} for line in feeder.spec.lines]
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps({"buses": buses, "lines": lines}))
+    assert main(["optimize", "--grid", str(path), "--pi", "10", "--tx", "0", "--rx", "18"]) == 2
+    assert "choose a coarser --step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["line r", "load r_cr"])

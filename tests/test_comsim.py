@@ -21,12 +21,14 @@ from powertalk import (
     chunk_bits,
     chunk_noise,
     comsim,
+    linearize,
     measure_power_compliance,
     nominal_droop,
     run_transmission,
     solve_steady_state,
     validate_grid,
 )
+from test_steady_state import _case_study_config, _radial_feeder
 
 
 def q_function(x):
@@ -75,17 +77,17 @@ def test_chunk_prefix_is_a_slice_of_the_full_chunk():
     assert np.array_equal(part, full[:777])
 
 
-def test_reports_are_reproducible(grid, nominal, model):
+def test_reports_are_reproducible(grid, nominal):
     cfg = make_cfg(mode="linearized", slots=5_000)
-    a = run_transmission(grid, nominal, model, cfg)
-    b = run_transmission(grid, nominal, model, cfg)
+    a = run_transmission(grid, nominal, cfg)
+    b = run_transmission(grid, nominal, cfg)
     assert a == b
 
 
-def test_noiseless_transmission_is_error_free(grid, nominal, model):
+def test_noiseless_transmission_is_error_free(grid, nominal):
     for mode in ("nonlinear", "linearized"):
         cfg = make_cfg(mode=mode, sigma_z=0.0, slots=2_000)
-        report = run_transmission(grid, nominal, model, cfg)
+        report = run_transmission(grid, nominal, cfg)
         assert report.ber == 0.0, f"{mode}: ber {report.ber}"
         assert report.ber_ci95 == 0.0
         assert report.slots_run == 2_000
@@ -98,7 +100,7 @@ def test_ber_tracks_the_gaussian_prediction(grid, nominal, model):
     h = model.H[1, 0]
     snr = (h * cfg.amplitude / cfg.sigma_z) ** 2
     predicted = q_function(math.sqrt(snr))
-    report = run_transmission(grid, nominal, model, cfg)
+    report = run_transmission(grid, nominal, cfg)
     se = math.sqrt(predicted * (1.0 - predicted) / cfg.slots)
     assert abs(report.ber - predicted) < 3.0 * se, (
         f"ber {report.ber:.4f} vs predicted {predicted:.4f} (se {se:.4f})"
@@ -106,9 +108,9 @@ def test_ber_tracks_the_gaussian_prediction(grid, nominal, model):
     assert report.snr_empirical == pytest.approx(snr, rel=0.1)
 
 
-def test_nonlinear_and_linearized_agree_at_small_amplitude(grid, nominal, model):
-    lin = run_transmission(grid, nominal, model, make_cfg(mode="linearized"))
-    non = run_transmission(grid, nominal, model, make_cfg(mode="nonlinear"))
+def test_nonlinear_and_linearized_agree_at_small_amplitude(grid, nominal):
+    lin = run_transmission(grid, nominal, make_cfg(mode="linearized"))
+    non = run_transmission(grid, nominal, make_cfg(mode="nonlinear"))
     assert abs(lin.ber - non.ber) < 0.01
     # shared seed: identical bit stream, so power deviations match closely
     for bus in (0, 1):
@@ -117,17 +119,12 @@ def test_nonlinear_and_linearized_agree_at_small_amplitude(grid, nominal, model)
         )
 
 
-def test_ber_waterfall_is_monotone_in_noise(grid, nominal, model):
+def test_ber_waterfall_is_monotone_in_noise(grid, nominal):
     bers = []
     for sigma in (0.005, 0.01, 0.02, 0.04):
         cfg = make_cfg(mode="linearized", sigma_z=sigma)
-        bers.append(run_transmission(grid, nominal, model, cfg).ber)
+        bers.append(run_transmission(grid, nominal, cfg).ber)
     assert bers == sorted(bers), f"ber not monotone in noise: {bers}"
-
-
-def test_linearized_mode_requires_a_model(grid, nominal):
-    with pytest.raises(ValueError):
-        run_transmission(grid, nominal, None, make_cfg(mode="linearized"))
 
 
 def test_config_validation(grid):
@@ -157,15 +154,15 @@ def test_slots_and_seed_must_be_integers(grid, nominal, name, value):
     with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
         cfg.validate(grid)
     with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
-        run_transmission(grid, nominal, None, cfg)
+        run_transmission(grid, nominal, cfg)
     with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
         measure_power_compliance(grid, nominal, cfg, pi={0: 10.0, 1: 10.0})
 
 
 def test_numpy_integers_are_integers(grid, nominal):
-    plain = run_transmission(grid, nominal, None, make_cfg(slots=1_000, rng_seed=1))
+    plain = run_transmission(grid, nominal, make_cfg(slots=1_000, rng_seed=1))
     numpy = run_transmission(
-        grid, nominal, None, make_cfg(slots=np.int64(1_000), rng_seed=np.uint64(1))
+        grid, nominal, make_cfg(slots=np.int64(1_000), rng_seed=np.uint64(1))
     )
     assert numpy == plain
 
@@ -226,7 +223,7 @@ def test_budget_warning_and_compliance_audit_share_one_verdict():
             grid, nominal_droop(grid), cfg, {0: pi, 1: pi}).values())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_transmission(grid, nominal_droop(grid), None, cfg)
+            run_transmission(grid, nominal_droop(grid), cfg)
         warned = any(issubclass(w.category, BudgetExceededWarning) for w in caught)
         assert warned == (not ok), pi
 
@@ -244,14 +241,33 @@ def test_nameplate_budget_overrun_warns():
     )
     with pytest.warns(BudgetExceededWarning):
         run_transmission(
-            grid, nominal_droop(grid), None, make_cfg(amplitude=0.5, slots=500)
+            grid, nominal_droop(grid), make_cfg(amplitude=0.5, slots=500)
         )
 
 
-def test_ci_follows_binomial_half_width(grid, nominal, model):
-    report = run_transmission(grid, nominal, model, make_cfg(mode="linearized"))
+def test_ci_follows_binomial_half_width(grid, nominal):
+    report = run_transmission(grid, nominal, make_cfg(mode="linearized"))
     expected = 1.96 * math.sqrt(report.ber * (1.0 - report.ber) / report.slots_run)
     assert report.ber_ci95 == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("make_grid, tx, rx", [(_case_study_config, 0, 1), (_radial_feeder, 10, 5)])
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+def test_linearized_hypotheses_are_the_channel_model_arithmetic(make_grid, tx, rx, scale):
+    # the means and powers run_transmission read from a caller's linearize
+    # model; on the feeder, converter ids are not gain-column indexes
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    droop = nominal.with_r({bus: scale * r for bus, r in nominal.r.items()})
+    cfg = make_cfg(mode="linearized", tx=tx, rx=rx)
+    base = solve_steady_state(grid, droop)
+    model = linearize(grid, droop, base)
+    rx_mean, power = {}, {}
+    for symbol in (+1, -1):
+        dx = symbol * cfg.amplitude
+        rx_mean[symbol] = float(base.v[rx] + model.H[rx, tx] * dx)
+        power[symbol] = {bus: base.p[bus] + float(model.Phi[bus, tx]) * dx for bus in base.p}
+    assert comsim._hypothesis_points(grid, droop, cfg) == (rx_mean, power)
 
 
 # -- the chunk map against the sequential loop it replaced ------------------
@@ -276,8 +292,8 @@ def sequential_counts(seed, slots, sigma_z, rx_mean, midpoint, orientation):
     return errors, ones, stats
 
 
-def sequential_report(grid, droop, model, cfg):
-    rx_mean, power = comsim._hypothesis_points(grid, droop, model, cfg)
+def sequential_report(grid, droop, cfg):
+    rx_mean, power = comsim._hypothesis_points(grid, droop, cfg)
     p_nom = solve_steady_state(grid, nominal_droop(grid)).p
     midpoint = 0.5 * (rx_mean[+1] + rx_mean[-1])
     orientation = 1.0 if rx_mean[+1] >= rx_mean[-1] else -1.0
@@ -308,12 +324,12 @@ def pin_cpus(monkeypatch, count):
 @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
 @pytest.mark.parametrize("slots", [1, CHUNK_SLOTS - 1, CHUNK_SLOTS, 3 * CHUNK_SLOTS + 17])
 def test_chunk_map_reproduces_the_sequential_loop(
-    monkeypatch, grid, nominal, model, slots, mode, sigma_z, cpus
+    monkeypatch, grid, nominal, slots, mode, sigma_z, cpus
 ):
     pin_cpus(monkeypatch, cpus)
     cfg = make_cfg(slots=slots, mode=mode, sigma_z=sigma_z, amplitude=0.02, rng_seed=11)
-    want = sequential_report(grid, nominal, model, cfg)
-    got = run_transmission(grid, nominal, model, cfg)
+    want = sequential_report(grid, nominal, cfg)
+    got = run_transmission(grid, nominal, cfg)
     # NaN (an SNR with one symbol never drawn) is the one value == rejects
     if math.isnan(want.snr_empirical):
         assert math.isnan(got.snr_empirical)
@@ -380,7 +396,7 @@ def test_compliance_counts_ones_on_any_cpu_count(monkeypatch, grid, nominal):
     for cpus in (1, 3):
         pin_cpus(monkeypatch, cpus)
         rows.append(measure_power_compliance(grid, nominal, cfg, pi={0: 10.0, 1: 10.0}))
-    report = sequential_report(grid, nominal, None, cfg)
+    report = sequential_report(grid, nominal, cfg)
     assert rows[0] == rows[1]
     for bus, row in rows[0].items():
         assert row.empirical == report.p_dev_mean_sq[bus]

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -832,6 +833,34 @@ def test_streamed_fallback_memory_does_not_grow_with_the_lattice(grid, boxed, no
             tracemalloc.stop()
     # a whole-lattice table grows 3.9x with the lanes; the blocks do not
     assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_the_lane_bound_stops_only_a_whole_lattice_scan(grid, boxed, nominal, monkeypatch):
+    # the 43 x 63 box exceeds the bound, its 2 x 43 row ends do not
+    monkeypatch.setattr(optimizer, "MAX_SEARCH_LANES", 1000)
+    pi = {0: 10.0, 1: 10.0}
+    result = maximize_snr_grid(boxed, nominal, pi, SIGMA_Z, 0, 1)
+    _assert_matches_oracle(result, _lattice_oracle(grid, nominal, pi, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX))
+    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)
+    with pytest.raises(InvalidArgument, match="step 0.005 gives 2709 lattice points"):
+        maximize_snr_grid(boxed, nominal, pi, SIGMA_Z, 0, 1)
+
+
+def test_five_converters_at_the_default_step_raise_in_bounded_time_and_memory():
+    # 2.8e14 lattice points: the band search's end probe of its 3.1e11 rows
+    # asked numpy for 2.26 TiB and raised MemoryError
+    feeder = _radial_feeder()
+    pi = dict.fromkeys(feeder.vsc_buses, 10.0)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgument, match=r"gives 280370369781901 lattice points.*--step"):
+            maximize_snr_grid(feeder, nominal_droop(feeder), pi, SIGMA_Z, 0, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert peak < 16 * 2**20
 
 
 def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, solved_lanes):
