@@ -175,7 +175,8 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
 
     All units see the same voltage, so the per-unit gain collapses to
     h_m = kappa * r_bus / r_m with a common kappa.  With no constant-power
-    load kappa = 1 and the gains sum to less than one.
+    load kappa = 1 and the gains sum to less than one.  Raises
+    :class:`NoRealRoot` when the bus voltage has no positive root.
     """
     if not units:
         raise InvalidArgument("at least one converter unit is required")
@@ -189,14 +190,10 @@ def single_bus_channel(units: List[VscSpec], load: LoadSpec) -> Tuple[np.ndarray
     g_cr = 0.0 if load.r_cr is None else 1.0 / load.r_cr
     r_bus = 1.0 / (g_cr + np.sum(1.0 / r))
     source = float(np.sum([unit.x_nom for unit in units] / r)) - load.i_cc
-    if load.d_cp == 0.0:
-        kappa = 1.0
-    else:
-        disc = source * source - 4.0 * load.d_cp / r_bus
-        if disc <= 0.0:
-            raise NoRealRoot(
-                f"single-bus discriminant {disc:.3e} <= 0; constant-power load too large"
-            )
-        kappa = 0.5 * (1.0 + source / np.sqrt(disc))
+    disc = source * source - 4.0 * load.d_cp / r_bus  # of v^2 / r_bus - source v + d_cp = 0
+    if not source > 0.0 or (load.d_cp > 0.0 and disc <= 0.0):  # no positive root v
+        raise NoRealRoot(f"single-bus source current {source:.3e} A and discriminant {disc:.3e}: "
+                         "the load is too large for a positive bus voltage")
+    kappa = 1.0 if load.d_cp == 0.0 else 0.5 * (1.0 + source / np.sqrt(disc))
     return kappa * r_bus / r, float(kappa)
 

@@ -232,7 +232,7 @@ def _link(grid: ValidatedGrid, args: argparse.Namespace) -> Tuple[int, int]:
     vsc = grid.vsc_buses
     if len(vsc) < 2:
         raise ConfigError(f"a link needs two converter buses, the grid has {len(vsc)}")
-    tx = args.tx if args.tx is not None else vsc[0]
+    tx = args.tx if args.tx is not None else next(b for b in vsc if b != args.rx)
     rx = args.rx if args.rx is not None else next(b for b in vsc if b != tx)
     grid.check_link(tx, rx)
     return tx, rx
@@ -396,7 +396,7 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
                    help="hypothesis means from the solver or from the gain matrix"),
     "--slots": dict(type=int, help="number of transmission slots"),
     "--seed": dict(type=int, help="RNG seed"),
-    "--tx": dict(type=int, help="transmitter bus id"),
+    "--tx": dict(type=int, help="transmitter bus id (default: the first converter bus not --rx)"),
     "--rx": dict(type=int, help="receiver bus id"),
 }
 

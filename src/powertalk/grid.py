@@ -170,7 +170,7 @@ class ValidatedGrid:
 
     def has_vsc(self, bus: int) -> bool:
         try:
-            bus = operator.index(bus)  # ids are integers 0..n-1, numpy integers too
+            bus = operator.index(None if isinstance(bus, bool) else bus)  # as _integer reads ids
         except TypeError:
             return False
         return 0 <= bus < self.n and self.buses[bus].vsc is not None

@@ -27,6 +27,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
+# perfbench/layers.py wraps linearize and vr_power_investment under this module's name
 from .budget import vr_power_investment
 from .channel import _gain_derivatives, _gains, linearize
 from .errors import EmptySearchSpace, InvalidArgument, InvalidBudget, NoRealRoot
@@ -127,26 +128,27 @@ def one_way_snr(
     tx: int,
     rx: int,
 ) -> Tuple[float, Dict[int, float]]:
-    """Received SNR for one transmitter under every converter's budget.
+    """Received SNR for one transmitter under every budgeted converter's budget.
 
-    Each converter n contributes g_n = (h_rx_tx / phi_n_tx)^2 *
+    Each budgeted converter n contributes g_n = (h_rx_tx / phi_n_tx)^2 *
     (pi_n^2 - dp_vr_n^2): the budget headroom left after the static
     investment, translated into receivable signal power.  The SNR is the
     smallest g_n over sigma_z^2, clamped to zero once any investment
-    exceeds its budget.
+    exceeds its budget.  ``droop`` is scored as one lane of the lattice
+    search (:func:`_score`), so a lattice point gives the search's figures
+    bit for bit; a droop with no viable operating point raises NoRealRoot.
     """
     _read_inputs(grid, nominal, (tx, rx), [pi], sigma_z)
-    state = solve_steady_state(grid, droop)
-    model = linearize(grid, droop, state)
-    dp = vr_power_investment(grid, nominal, droop)
-    buses = sorted(pi)
-    score, g = _score(
-        model.H[rx, tx, None],
-        model.Phi[buses, tx][None],
-        np.array([[dp[bus] for bus in buses]]),
-        np.array([pi[bus] for bus in buses]),
-    )
-    return float(score[0]) / sigma_z**2, {bus: float(g[0, j]) for j, bus in enumerate(buses)}
+    droop.validate(grid)
+    if dict(droop.x) != dict(nominal.x):  # the table's gains read nominal.x
+        raise InvalidArgument("droop states must share reference voltages")
+    r = {bus: np.array([value]) for bus, value in droop.r.items()}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    table = _channel_table(grid, nominal, solve_steady_state(grid, nominal).p, tx, rx, r, batch)
+    if not table.feasible[0]:
+        raise NoRealRoot("the droop state has no viable operating point")
+    _, score, g = _first_max(table, pi)
+    return score / sigma_z**2, g
 
 
 def maximize_snr_grid(
@@ -286,9 +288,7 @@ def concavity_probe(
     if not table.feasible.all():
         raise NoRealRoot("a point of the concavity probe has no viable operating point")
     buses = sorted(pi)
-    cols = [grid.vsc_buses.index(bus) for bus in buses]
-    pi_vec = np.array([pi[bus] for bus in buses])
-    _, g = _score(table.h_rx, table.phi[:, cols], table.dp[:, cols], pi_vec)
+    _, g = _score(table, pi)
 
     stencil = g.reshape(len(points), len(offsets), len(buses))
     centre = stencil[:, 0]
@@ -308,8 +308,8 @@ def concavity_probe(
         (sampled[a], buses[b], float(rel[a, b])) for a, b in zip(*np.nonzero(rel > PROBE_REL_TOL))
     )
 
-    t = vsc.index(tx)
-    g0 = ((h[rx, t] / phi[cols, t]) ** 2 * pi_vec**2)[:, None]  # dp = 0 at nominal
+    t, cols = vsc.index(tx), [vsc.index(bus) for bus in buses]
+    g0 = ((h[rx, t] / phi[cols, t]) ** 2 * np.square([pi[bus] for bus in buses]))[:, None]  # dp = 0
     grad = 2.0 * g0 * (dh[rx] / h[rx, t] - dphi[cols] / phi[cols, t, None])  # (bus, axis)
     return ConcavityReport(
         points=sampled,
@@ -616,19 +616,19 @@ def _lane_investments(
     return _investment(grid, nominal, p_nom, r, batch.v) if batch.feasible.all() else None
 
 
-def _score(
-    h: np.ndarray, phi: np.ndarray, dp: np.ndarray, pi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _score(table: _ChannelTable, pi: Mapping[int, float]) -> Tuple[np.ndarray, np.ndarray]:
     """Score min_n g_n and gain terms g_n = (h / phi_n)^2 (pi_n^2 - dp_n^2) per lane.
 
-    ``h`` is (lanes,), ``phi`` and ``dp`` are (lanes, k) and ``pi`` is
-    (k,) over the same converters.  The score is the received SNR times
+    The converters are those with a budget in ``pi``, in bus order, which
+    is the order of ``g``'s columns.  The score is the received SNR times
     sigma_z^2: min_n g_n clamped at zero, and zero once any investment
     exceeds its budget.
     """
-    headroom = pi**2 - dp**2
+    buses = sorted(pi)
+    cols = [table.vsc.index(bus) for bus in buses]
+    headroom = np.array([pi[bus] for bus in buses]) ** 2 - table.dp[:, cols] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (h[:, None] / phi) ** 2 * headroom
+        g = (table.h_rx[:, None] / table.phi[:, cols]) ** 2 * headroom
     return np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(np.min(g, axis=1), 0.0)), g
 
 
@@ -636,14 +636,13 @@ def _first_max(
     table: _ChannelTable, pi: Mapping[int, float]
 ) -> Tuple[Dict[int, float], float, Dict[int, float]]:
     """Resistances, score and gain terms at the table's first best lane; -inf when none viable."""
-    pi_vec = np.array([pi[bus] for bus in table.vsc])
-    score, g = _score(table.h_rx, table.phi, table.dp, pi_vec)
+    score, g = _score(table, pi)
     score = np.where(table.feasible, score, -np.inf)
     # lanes in C order over ascending axes: the first maximum is the
     # smallest-resistance tie-break in bus order
     idx = int(np.argmax(score))
     r_star = {bus: float(table.r[bus][idx]) for bus in table.vsc}
-    return r_star, float(score[idx]), {bus: float(g[idx, j]) for j, bus in enumerate(table.vsc)}
+    return r_star, float(score[idx]), {bus: float(g[idx, j]) for j, bus in enumerate(sorted(pi))}
 
 
 def _band_interior(

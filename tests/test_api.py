@@ -72,6 +72,26 @@ def test_every_public_name_resolves_once():
         ),
         lambda grid, nominal: powertalk.capacity("1"),
         lambda grid, nominal: powertalk.solve_steady_state(grid, nominal.with_x({0: "400"})),
+        # a bool is no bus id: numpy's bare ValueError or IndexError, or a
+        # result for bus 1, came back
+        lambda grid, nominal: powertalk.one_way_snr(grid, nominal, nominal, {0: 10.0}, 0.01,
+                                                    True, 0),
+        lambda grid, nominal: powertalk.maximize_snr_grid(
+            grid, nominal, {0: 10.0, 1: 10.0}, 0.01, True, 0
+        ),
+        lambda grid, nominal: powertalk.channel_gains(
+            grid, nominal.x, nominal.r, powertalk.solve_steady_state(grid, nominal).v[None], [True],
+        ),
+        lambda grid, nominal: powertalk.default_r_max(grid, nominal, True),
+        lambda grid, nominal: powertalk.run_transmission(
+            grid, nominal,
+            powertalk.SimConfig(slots=10, amplitude=0.1, sigma_z=0.01, mode="nonlinear",
+                                rng_seed=1, tx=True, rx=0),
+        ),
+        # the droop is scored on the nominal references, so they must match
+        lambda grid, nominal: powertalk.one_way_snr(
+            grid, nominal.with_x({0: 401.0}), nominal, {0: 10.0}, 0.01, 0, 1
+        ),
     ],
     ids=["investment-references", "single-bus-no-units", "single-bus-nan-resistance",
          "single-bus-subnormal-r-nom", "single-bus-subnormal-r-cr", "negative-snr", "unknown-method",
@@ -80,7 +100,8 @@ def test_every_public_name_resolves_once():
          "huge-int-sigma-z", "huge-int-amplitude", "channel-negative-resistance",
          "huge-int-channel-resistance", "huge-int-single-bus-x-nom", "string-budget",
          "string-sigma-z", "string-sweep-budget", "string-step", "string-snr",
-         "string-reference-voltage"],
+         "string-reference-voltage", "bool-snr-link", "bool-search-link", "bool-gain-input",
+         "bool-r-max-bus", "bool-transmission-link", "snr-references"],
 )
 def test_library_input_checks_raise_invalid_argument(grid, nominal, call):
     with pytest.raises(powertalk.InvalidArgument):

@@ -138,6 +138,16 @@ def test_single_bus_detects_excessive_constant_power_load():
         single_bus_channel([VscSpec(400.0, 0.39)], LoadSpec(d_cp=1.01 * 400.0**2 / (4 * 0.39)))
 
 
+@pytest.mark.parametrize("load", [LoadSpec(i_cc=100.0, d_cp=1.0), LoadSpec(i_cc=100.0)],
+                         ids=["with-constant-power", "current-only"])
+def test_single_bus_source_current_must_be_positive(load):
+    # the unit sources x / r = 2.56 A, less than the load's 100 A, so no bus
+    # voltage is positive; kappa -2.7e-4, and kappa 1 at r_bus * source = -38 V,
+    # came back
+    with pytest.raises(NoRealRoot, match="too large for a positive bus voltage"):
+        single_bus_channel([VscSpec(1.0, 0.39)], load)
+
+
 def test_single_bus_input_validation():
     with pytest.raises(ValueError):
         single_bus_channel([], LoadSpec())

@@ -417,6 +417,26 @@ def test_one_converter_grid_has_no_link(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["optimize", "--pi", "10"],
+        ["budget", "--pi", "10"],
+        ["simulate", "--amplitude", "0.1", "--slots", "100", "--seed", "1"],
+    ],
+    ids=["optimize", "budget", "simulate"],
+)
+def test_rx_alone_takes_the_first_other_converter_as_transmitter(capsys, argv):
+    # --rx 0 used to default the transmitter to bus 0 as well: exit 2,
+    # "transmitter and receiver must be distinct buses"
+    grid_path = str(ROOT / "configs" / "case_study.json")
+    outputs = []
+    for link in (["--rx", "0"], ["--tx", "1", "--rx", "0"]):
+        assert main([argv[0], "--grid", grid_path, *argv[1:], *link]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["optimize", "--pi", "10", "--tx", "99"],
         ["optimize", "--pi", "10", "--tx", "-1", "--rx", "1"],
         ["budget", "--pi", "10", "--tx", "-1"],

@@ -590,7 +590,7 @@ def _radial_pair():
 def test_snr_nominal_is_the_one_way_snr_at_nominal(grid, boxed, nominal):
     def assert_nominal(result_snr, grid, nominal, budgets, tx, rx):
         expected, _ = one_way_snr(grid, nominal, nominal, budgets, SIGMA_Z, tx, rx)
-        assert result_snr == pytest.approx(expected, rel=1e-11)  # 8e-13 measured
+        assert result_snr == expected  # one lane of the search's own table
 
     pis = [2.0, 5.0, 10.0, 15.0, 20.0]
     for pi, row in zip(pis, capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)):
@@ -605,6 +605,46 @@ def test_snr_nominal_is_the_one_way_snr_at_nominal(grid, boxed, nominal):
         budgets = {0: pi, 9: pi}
         result = maximize_snr_grid(feeder, feeder_nominal, budgets, SIGMA_Z, 0, 9)
         assert_nominal(result.snr_nominal, feeder, feeder_nominal, budgets, 0, 9)
+
+
+@pytest.mark.parametrize("pi", [2.0, 5.0, 10.0, 15.0, 20.0])
+def test_one_way_snr_is_the_search_lane_at_r_star(boxed, nominal, pi):
+    # the scalar path solved the droop and the nominal point again, on
+    # Gauss-Seidel, and read a dense linearization: 4.2e-9 relative off at r*
+    feeder = _radial_pair()
+    for grid, start, tx, rx in ((boxed, nominal, 0, 1), (feeder, nominal_droop(feeder), 0, 9)):
+        budgets = {tx: pi, rx: pi}
+        result = maximize_snr_grid(grid, start, budgets, SIGMA_Z, tx, rx)
+        snr, g = one_way_snr(grid, start.with_r(result.r_star), start, budgets, SIGMA_Z, tx, rx)
+        assert (snr, g) == (result.snr, result.g_values)
+
+
+def test_one_way_snr_solves_one_lane_and_the_nominal_point(grid, nominal, budgets, monkeypatch):
+    scalar_solves, batches = [], []
+
+    def scalar(*args, **kwargs):
+        scalar_solves.append(args)
+        return solve_steady_state(*args, **kwargs)
+
+    def batched(*args, **kwargs):
+        batches.append(solve_steady_state_many(*args, **kwargs))
+        return batches[-1]
+
+    def dense_path(*args, **kwargs):
+        raise AssertionError("one_way_snr took the dense scalar path")
+
+    monkeypatch.setattr(optimizer, "solve_steady_state", scalar)
+    monkeypatch.setattr(optimizer, "solve_steady_state_many", batched)
+    for name in ("linearize", "vr_power_investment"):
+        monkeypatch.setattr(optimizer, name, dense_path)
+    one_way_snr(grid, nominal.with_r({0: 0.44, 1: 0.48}), nominal, budgets, SIGMA_Z, 0, 1)
+    assert [args[1] for args in scalar_solves] == [nominal]
+    assert [len(batch.v) for batch in batches] == [1]
+
+
+def test_one_way_snr_of_a_droop_with_no_viable_point_is_no_real_root(grid, nominal, budgets):
+    with pytest.raises(NoRealRoot):
+        one_way_snr(grid, nominal.with_r({0: 100.0, 1: 100.0}), nominal, budgets, SIGMA_Z, 0, 1)
 
 
 def _assert_matches_oracle(result, oracle):
@@ -1118,21 +1158,21 @@ def test_concavity_probe_lanes_match_one_way_snr(grid, nominal, budgets, probe_t
     concavity_probe(grid, nominal, budgets, tx=0, rx=1)
     table = probe_tables[-1]
     assert len(table.feasible) == 25 * 9  # every stencil, and no lane at nominal
-    pi = np.array([budgets[bus] for bus in table.vsc])
-    _, g = optimizer._score(table.h_rx, table.phi, table.dp, pi)
+    _, g = optimizer._score(table, budgets)
     for lane in range(len(g)):
         droop = nominal.with_r({bus: float(table.r[bus][lane]) for bus in table.vsc})
         _, expected = one_way_snr(grid, droop, nominal, budgets, 1.0, 0, 1)
         model = linearize(grid, droop, solve_steady_state(grid, droop))
         dp = vr_power_investment(grid, nominal, droop)
         for j, bus in enumerate(table.vsc):
-            # g = (h / phi)^2 (pi^2 - dp^2): the gain factor agrees to 1e-9 (4e-13
-            # measured); the investment carries the two solvers' stopping errors,
-            # ~4e-8 W, which the headroom turns into up to 8e-9 of pi^2 (h / phi)^2
+            # one_way_snr scores the lane as the probe does; against the dense
+            # model, g = (h / phi)^2 (pi^2 - dp^2)'s gain factor agrees to 1e-9
+            # (4e-13 measured), and the investment carries the two solvers'
+            # stopping errors, ~4e-8 W
+            assert g[lane, j] == expected[bus]
             factor = (model.H[1, 0] / model.Phi[bus, 0]) ** 2
             assert (table.h_rx[lane] / table.phi[lane, j]) ** 2 == pytest.approx(factor, rel=1e-9)
             assert table.dp[lane, j] == pytest.approx(dp[bus], rel=0.0, abs=1e-7)
-            assert abs(g[lane, j] - expected[bus]) <= 2e-8 * factor * budgets[bus] ** 2
 
 
 def test_concavity_probe_scores_its_points_in_batches(
