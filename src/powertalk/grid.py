@@ -177,11 +177,11 @@ class ValidatedGrid:
 
     def check_link(self, tx: int, rx: int) -> None:
         """Raise :class:`InvalidLink` unless ``tx`` and ``rx`` are distinct converter buses."""
-        if tx == rx:
-            raise InvalidLink("transmitter and receiver must be distinct buses")
         for bus in (tx, rx):
             if not self.has_vsc(bus):
                 raise InvalidLink(f"bus {bus} hosts no converter")
+        if tx == rx:
+            raise InvalidLink("transmitter and receiver must be distinct buses")
 
 
 def check_budgets(pi: Mapping[int, float], grid: Optional[ValidatedGrid] = None) -> None:

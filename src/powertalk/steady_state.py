@@ -9,8 +9,8 @@ The physically viable operating point is the larger root (the smaller
 one is the voltage-collapse branch).  Newton on the current-balance
 residual is the one solver kernel: many configurations at once (a
 resistance lattice) are solved in blocks of lanes, each lane certified
-to sit on the larger root of every bus quadratic, within a residual
-threshold that grows with its largest current term, and a single
+to sit on the larger root of every bus quadratic, each bus within a
+residual threshold that grows with its largest current term, and a single
 configuration with ``method="newton"`` is bit for bit a batch of one
 lane, started like every lane from the configured set-points x.  A
 Newton step eliminates the Jacobian in the grid's fixed minimum-degree
@@ -22,9 +22,9 @@ the per-bus update on Python floats, bit for bit a numpy sweep, reading
 each bus's lines from the same table, and checks Newton's residual once
 per block of sweeps; a sweep whose residual is not finite ends the
 solve.  No solve builds an (n, n) array.  The sweep count grows with the
-grid and near voltage collapse, so after ``GS_SWEEPS`` sweeps Newton
-finishes the solve from the last one (the load-flow hybrid of Stott,
-Proc. IEEE 62(7), 1974).
+grid and near voltage collapse, so when ``GS_SWEEPS`` sweeps end outside
+the tolerance, or a sweep loses a bus's real root, the sweeps are
+discarded and the solve is Newton's from the set-points, its batch lane.
 A Newton step's Jacobian is also the channel matrix
 (:func:`_jacobian_diagonal`); a solve reports kappa = g_bus / -J_nn from
 its diagonal.  Solvers are pure functions of their arguments and safe to
@@ -50,7 +50,7 @@ DEFAULT_TOL = 1e-10      # residual tolerance, amps
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 SWEEP_BLOCK = 32         # Gauss-Seidel sweeps per vectorised residual pass
-GS_SWEEPS = 16 * SWEEP_BLOCK  # Gauss-Seidel's budget before Newton finishes a scalar solve
+GS_SWEEPS = 16 * SWEEP_BLOCK  # Gauss-Seidel's budget before a scalar solve is Newton's
 BLOCK_BYTES = 1 << 20    # working bytes per block of the batched solve
 LANE_ROWS = 8            # bound on a Newton lane's working floats, in units of buses + spokes
 ROUNDING_TERMS = 8       # Newton's residual floor, in units of eps times the largest balance term
@@ -119,17 +119,18 @@ def solve_steady_state(
     """Solve the coupled bus equations at the given droop configuration.
 
     ``tol`` bounds the final max current-balance residual in amps; Newton
-    raises it to the balance's rounding floor where that is larger (see
+    raises it to each bus's rounding floor where that is larger (see
     :func:`_newton_block`).  ``method="gauss_seidel"`` (the default) sweeps
-    up to ``min(max_iter, GS_SWEEPS)`` times.  If no sweep is within ``tol``,
-    a ``max_iter`` at or below ``GS_SWEEPS`` raises :class:`NonConvergence`;
-    a larger one hands the last sweep to Newton, with ``method="newton"``'s
-    certificate and errors and ``max_iter`` bounding its iterations.
-    Raises :class:`NoRealRoot` when a per-bus discriminant goes negative
-    (droop parameters outside the viable range) and :class:`NonConvergence`
-    when ``max_iter`` is exhausted; Newton also raises :class:`NoRealRoot`
-    when its iterate leaves the larger root.  ``max_iter`` must be an
-    integer >= 0 and ``tol`` finite and >= 0, else :class:`InvalidArgument`.
+    up to ``min(max_iter, GS_SWEEPS)`` times and returns the first sweep
+    within ``tol``.  If none is, or a sweep loses a bus's real root, Newton
+    solves from the set-points, the call ``method="newton"`` makes: with the
+    default ``tol`` and ``max_iter`` that is bit for bit the configuration's
+    lane of :func:`solve_steady_state_many`.  ``max_iter`` also bounds
+    Newton's iterations.  Raises :class:`NoRealRoot` when Newton's iterate
+    leaves the larger root (droop parameters outside the viable range) and
+    :class:`NonConvergence` when ``max_iter`` is exhausted or a sweep's
+    residual is not finite.  ``max_iter`` must be an integer >= 0 and
+    ``tol`` finite and >= 0, else :class:`InvalidArgument`.
     """
     droop.validate(grid)
     max_iter = _integer("max_iter", max_iter)
@@ -137,27 +138,21 @@ def solve_steady_state(
         raise InvalidArgument(f"max_iter must be >= 0, got {max_iter}")
     if not 0.0 <= _floats(tol) < math.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
-    xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
-
-    v = _initial_voltages(grid, droop.x)
-    if method == "gauss_seidel":
-        v, residual = _gauss_seidel(grid, xr[0], y[0], v, tol, min(max_iter, GS_SWEEPS))
-        if residual > tol and max_iter <= GS_SWEEPS:
-            raise NonConvergence(
-                f"gauss_seidel: residual {residual:.3e} A after {max_iter} sweeps (tol {tol:.1e})"
-            )
-    elif method != "newton":
+    if method not in ("gauss_seidel", "newton"):
         raise InvalidArgument(f"unknown method {method!r}")
-    if method == "newton" or residual > tol:
-        lane, feasible, res, its, stalled = _newton_block(grid, xr, y, v, tol, max_iter)
-        if method == "gauss_seidel":
-            logger.debug("gauss_seidel: residual %.3e A after %d sweeps; newton ran %d iterations",
-                         residual, GS_SWEEPS, its)
+    xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
+    v0 = _initial_voltages(grid, droop.x)
+    solved = None
+    if method == "gauss_seidel":
+        solved = _gauss_seidel(grid, xr[0], y[0], v0, tol, min(max_iter, GS_SWEEPS))
+    if solved is None:  # Newton from the set-points, the solve's batch lane
+        lane, feasible, res, _, stalled = _newton_block(grid, xr, y, v0, tol, max_iter)
         if stalled.size:
             raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
         if not feasible[0]:
             raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
-        v, residual = lane[0], float(res[0])
+        solved = lane[0], float(res[0])
+    v, residual = solved
 
     g_bus = grid.lines.degree + y[0] + grid.r_cr_inv
     with np.errstate(divide="ignore"):
@@ -173,27 +168,28 @@ def _gauss_seidel(
     v: np.ndarray,
     tol: float,
     max_iter: int,
-) -> Tuple[np.ndarray, float]:
-    """Damped sweeps of the per-bus larger root until the residual is within ``tol``.
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Damped sweeps of the per-bus larger root from ``v`` until the residual is within ``tol``.
 
     The sweep runs on Python floats with the per-bus constants hoisted, and
     reads each bus's lines from the grid's line table.  A bus with one line
     takes its inflow as the one product ``g * v_m``.  A bus with more lines
     takes it as one BLAS dot (``ndarray.dot``, the routine behind
     ``np.dot``; a Python sum rounds differently) of a row that covers only
-    the span of its neighbour ids, zero between them, with a view of ``v``
-    over the same span, made once per solve; so no (n, n) array is built,
-    and every voltage matches a numpy sweep of the same dots bit for bit.
-    Sweeps run in blocks of ``SWEEP_BLOCK``, each sweep's voltages kept as
-    one row.  Once per block, :func:`_balance` over the block's sweeps, taken
-    as lanes, gives every sweep's residual, Newton's residual, the same bits
-    as a pass after each sweep.  The first sweep within ``tol`` is returned;
-    the sweeps after it in its block are discarded, and so is a
-    :class:`NoRealRoot` one of them raised.  A sweep whose residual is not
-    finite raises :class:`NonConvergence` naming it.  Returns the voltages
-    and their max residual: the first sweep within ``tol``, or else the last
-    of ``max_iter`` sweeps.
+    the span of its neighbour ids, zero between them, with a view of the
+    voltages over the same span, made once per solve; so no (n, n) array is
+    built, and every voltage matches a numpy sweep of the same dots bit for
+    bit.  Sweeps run in blocks of ``SWEEP_BLOCK``, each sweep's voltages
+    kept as one row.  Once per block, :func:`_balance` over the block's
+    sweeps, taken as lanes, gives every sweep's residual, Newton's residual,
+    the same bits as a pass after each sweep.  Returns the first sweep
+    within ``tol`` and its max residual; the sweeps after it in its block
+    are discarded, and so is a bus quadratic without a real root that one
+    of them met.  Returns None when ``max_iter`` sweeps end outside ``tol``
+    or a sweep meets such a quadratic first.  A sweep whose residual is not
+    finite raises :class:`NonConvergence` naming it.
     """
+    v = v.copy()  # swept in place, and the row dots read views of it
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     four_d = 4.0 * grid.d_cp / r_bus
     g_bus = grid.lines.degree + y + grid.r_cr_inv
@@ -216,35 +212,37 @@ def _gauss_seidel(
                       float(0.5 * r_bus[bus])))
     sweep_v = np.empty((SWEEP_BLOCK, grid.n), order="F")  # bus by bus, as Newton's lanes
     v_old = v.tolist()
-    res = math.inf
+    sweeps, res = 0, math.inf
     with np.errstate(all="ignore"):  # a diverging sweep is stopped by its residual below
-        for start in range(0, max_iter, SWEEP_BLOCK):
-            count = min(SWEEP_BLOCK, max_iter - start)
-            done, failure = _sweep_block(buses, v, v_old, sweep_v, count)
+        while sweeps < max_iter:
+            count = min(SWEEP_BLOCK, max_iter - sweeps)
+            done = _sweep_block(buses, v, v_old, sweep_v, count)
             block_res = np.abs(_balance(grid, xr, g_bus, sweep_v[:done])[1]).max(axis=1)
             (stops,) = np.nonzero((block_res <= tol) | ~np.isfinite(block_res))
             if stops.size:
-                sweep, res = start + int(stops[0]) + 1, float(block_res[stops[0]])
+                sweep, res = sweeps + int(stops[0]) + 1, float(block_res[stops[0]])
                 if res <= tol:
                     logger.debug("gauss_seidel converged in %d sweeps, residual %.3e", sweep, res)
                     return sweep_v[stops[0]].copy(), res
                 raise NonConvergence(
                     f"gauss_seidel: residual {res} A, not finite, after sweep {sweep}"
                 )
-            if failure is not None:
-                raise failure
-            res = float(block_res[-1])
-    return v, res
+            sweeps, res = sweeps + done, float(block_res[-1]) if done else res
+            if done < count:
+                break
+    logger.debug("gauss_seidel: residual %.3e A after %d sweeps%s; newton starts afresh", res,
+                 sweeps, ", then a bus lost its real root" if sweeps < max_iter else "")
+    return None
 
 
 def _sweep_block(
     buses: List[tuple], v: np.ndarray, v_old: List[float], sweep_v: np.ndarray, count: int
-) -> Tuple[int, Optional[NoRealRoot]]:
+) -> int:
     """Up to ``count`` sweeps, each sweep's voltages stored as a row of ``sweep_v``.
 
     ``v`` and ``v_old`` hold the same voltages as an array (whose views the
-    BLAS dots read) and as Python floats.  Returns the sweeps completed and the
-    :class:`NoRealRoot` that cut the block short, if one did.
+    BLAS dots read) and as Python floats.  Returns the sweeps completed:
+    fewer than ``count`` when a bus quadratic had no real root.
     """
     damping, keep = DEFAULT_DAMPING, 1.0 - DEFAULT_DAMPING
     sqrt = math.sqrt
@@ -254,13 +252,10 @@ def _sweep_block(
             b = xr_bus + (g * v_old[m] if row_dot is None else float(row_dot(g))) - i_cc
             disc = b * b - four_d
             if disc < 0.0:
-                return done, NoRealRoot(
-                    f"bus {bus}: voltage quadratic has no real root "
-                    f"(discriminant {disc:.3e}); droop parameters not viable"
-                )
+                return done
             v[bus] = v_old[bus] = damping * (half_r * (b + sqrt(disc))) + keep * v_old[bus]
         sweep_v[done] = v
-    return count, None
+    return count
 
 
 def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
@@ -359,8 +354,8 @@ def solve_steady_state_many(
     batch.  Lanes are solved in blocks of ``BLOCK_BYTES`` of working
     memory, O(n + fill) per lane (:func:`_block_lanes`), each lane
     independently of the others, so no figure of a lane depends on its
-    batch.  A lane is feasible when its residual is within its threshold
-    (``DEFAULT_TOL``, or the rounding floor of :func:`_newton_block`) with
+    batch.  A lane is feasible when each bus's residual is within its
+    threshold (``DEFAULT_TOL``, or its rounding floor, :func:`_newton_block`) with
     every voltage positive and every constant-power bus on the larger root
     of its quadratic; other lanes surface as ``feasible=False`` with NaN
     voltages instead of raising, so a grid search can skip them.
@@ -412,7 +407,7 @@ def _newton_block(
     Each step solves ``J dv = f`` for the Jacobian ``J`` of
     :func:`_jacobian_diagonal` by :func:`_eliminate` on the grid's
     elimination schedule, vectorised over lanes, without pivoting.  A lane
-    leaves as soon as its residual is within its threshold (certified, if
+    leaves as soon as each bus is within its threshold (certified, if
     every voltage is positive and every constant-power bus is on its larger
     root) or it is off the physical branch, so a lane without a viable
     operating point stops the moment it strays instead of running to
@@ -424,14 +419,15 @@ def _newton_block(
     feasible), the feasible mask, the residuals, the iterations run and the
     indices of the lanes still iterating when ``max_iter`` ran out.
 
-    A lane's threshold is ``tol``, or its rounding floor where that is
-    larger: ``ROUNDING_TERMS`` times eps times its largest ``g_bus v`` at
-    the start point, the largest term of :func:`_balance`, since a sum
-    cannot be computed closer than about eps times its largest term
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    2002, §3.1).  The floor grows with the line conductances: it stays
-    below 1e-10 A on the case study and feeders of a few dozen buses, and
-    passes it on chains of a few hundred.
+    A bus's threshold is ``tol``, or its rounding floor where that is
+    larger: ``ROUNDING_TERMS`` times eps times its ``g_bus v`` at the start
+    point, the largest term of its :func:`_balance`, since a sum cannot be
+    computed closer than about eps times its largest term (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+    §3.1).  The floor is per bus, so a stiff converter (a tiny ``r``)
+    loosens only its own bus.  It grows with the line conductances: it
+    stays below 1e-10 A on the case study and feeders of a few dozen
+    buses, and passes it on chains of a few hundred.
     """
     lanes = len(xr)
     v_out = np.full((lanes, grid.n), np.nan)
@@ -441,22 +437,25 @@ def _newton_block(
     g_bus = grid.lines.degree + np.asfortranarray(y) + grid.r_cr_inv  # 1/r_bus per lane
     v = np.empty_like(xr)
     v[...] = v0
-    stop = np.maximum(tol, ROUNDING_TERMS * np.finfo(float).eps * (g_bus * v).max(axis=1))
+    floor = ROUNDING_TERMS * np.finfo(float).eps  # per unit of a bus's g_bus v at the start point
     index = np.arange(lanes)  # the block lane of each working row
     its = 0
     with np.errstate(all="ignore"):
         while True:
             b, f = _balance(grid, xr, g_bus, v)
-            res = np.abs(f).max(axis=1)
+            abs_f = np.abs(f)
+            res = abs_f.max(axis=1)
+            certified = (abs_f <= np.maximum(tol, floor * (g_bus * v0))).all(axis=1)
+            del abs_f  # freed before the step, which peaks a lane's memory
             physical = _on_upper_branch(grid, g_bus, b, v)
-            stays = physical & ~(res <= stop)
+            stays = physical & ~certified
             if not stays.all():  # certified, or off the branch
                 leaving = ~stays
                 residual[index[leaving]] = res[leaving]
                 done = physical & leaving
                 feasible[index[done]] = True
                 v_out[index[done]] = v[done]
-                index, res, stop = index[stays], res[stays], stop[stays]
+                index, res = index[stays], res[stays]
                 if index.size == 0:
                     break
                 xr, g_bus, v, f = (a.T.compress(stays, axis=1).T for a in (xr, g_bus, v, f))

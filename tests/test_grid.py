@@ -338,6 +338,16 @@ def test_bus_ids_that_are_not_integers_host_no_converter(grid, bus):
         check_budgets({bus: 1.0}, grid)
 
 
+@pytest.mark.parametrize("tx, rx, message", [
+    (True, 1, "bus True hosts no converter"),  # True == 1 named the link not distinct
+    (2, 2, "bus 2 hosts no converter"),  # a load bus linked to itself, likewise
+    (0, 0, "transmitter and receiver must be distinct buses"),
+], ids=["bool-id", "load-bus-self-link", "converter-self-link"])
+def test_check_link_names_a_missing_converter_before_a_self_link(grid, tx, rx, message):
+    with pytest.raises(InvalidLink, match=f"^{message}$"):
+        grid.check_link(tx, rx)
+
+
 @pytest.mark.parametrize("tx, rx", [(0, 0), (0, 2), (99, 1)], ids=["self-link", "load-bus", "id-99"])
 @pytest.mark.parametrize("entry", ["cli", "optimizer", "comsim"])
 def test_every_entry_point_checks_the_link_alike(grid, nominal, entry, tx, rx):

@@ -820,6 +820,18 @@ def test_channel_table_lanes_do_not_depend_on_their_batch(make_grid):
             assert got.tobytes() == want.tobytes(), (lane, field)
 
 
+def test_the_nominal_lane_invests_nothing_where_the_sweeps_run_out():
+    # the nominal powers came from Newton warm-started at the last sweep, and
+    # the nominal lane read dp of up to 3e-8 W against its own solve
+    grid = _radial_feeder()
+    nominal = nominal_droop(grid)
+    r = {bus: np.array([nominal.r[bus]]) for bus in grid.vsc_buses}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    p_nom = solve_steady_state(grid, nominal).p
+    table = optimizer._channel_table(grid, nominal, p_nom, 0, 18, r, batch)
+    assert table.feasible[0] and not table.dp.any()
+
+
 def test_a_lane_with_non_finite_gains_is_not_feasible_in_the_table():
     # lane 1 claims a viable point, but constant-power bus 16, a leaf, sits
     # where d_cp/v**2 == g_bus: its Jacobian pivot is zero and its gains NaN,

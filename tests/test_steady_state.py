@@ -490,29 +490,40 @@ def _jittered(grid, nominal, lanes):
     return {bus: nominal.r[bus] * (1.0 + jitter[:, j]) for j, bus in enumerate(grid.vsc_buses)}
 
 
-def _numpy_then_newton(grid, droop):
-    """``(v, residual)`` of the numpy sweep run for ``GS_SWEEPS`` sweeps, then Newton from it."""
-    xr, y, r_bus, v = _numpy_start(grid, droop)
+def _lane(grid, droop):
+    """``(v, residual)`` of ``droop``'s lane of the batched solve; NoRealRoot if not feasible."""
+    batch = solve_steady_state_many(grid, dict(droop.x), {bus: [r] for bus, r in droop.r.items()})
+    if not batch.feasible[0]:
+        raise NoRealRoot("the lane is not feasible")
+    return batch.v[0], float(batch.residual[0])
+
+
+def _numpy_then_lane(grid, droop):
+    """``(v, residual)`` of the lane, once ``GS_SWEEPS`` numpy sweeps have ended outside tol."""
     with pytest.raises(NonConvergence):  # the budget runs out
-        _numpy_gauss_seidel(grid, xr, y, r_bus, v, steady_state.DEFAULT_TOL,
-                            steady_state.GS_SWEEPS, steady_state.DEFAULT_DAMPING)
-    lane, feasible, residual, _, stalled = steady_state._newton_block(
-        grid, xr[None], y[None], v, steady_state.DEFAULT_TOL, steady_state.DEFAULT_MAX_ITER
-    )
-    assert stalled.size == 0
-    if not feasible[0]:
-        raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
-    return lane[0], float(residual[0])
+        _numpy_solve(grid, droop, max_iter=steady_state.GS_SWEEPS)
+    return _lane(grid, droop)
+
+
+def _gave_up(residuals, budget):
+    """Gauss-Seidel's give-up line after sweeps with these residuals, out of ``budget``.
+
+    Fewer sweeps than the budget means the next one lost a bus's real root.
+    """
+    res = residuals[-1] if residuals else math.inf
+    lost = ", then a bus lost its real root" if len(residuals) < budget else ""
+    return (f"gauss_seidel: residual {res:.3e} A after {len(residuals)} sweeps{lost}; "
+            "newton starts afresh")
 
 
 # Every case-study solve converges inside Gauss-Seidel's budget, so it is
-# the numpy sweep; the radial feeder's needs more sweeps, so Newton finishes it.
+# the numpy sweep; the radial feeder's needs more sweeps, so it is the lane.
 @pytest.mark.parametrize(
     "make_grid, count, reference",
-    [(_case_study_config, 25, _numpy_solve), (_radial_feeder, 5, _numpy_then_newton)],
+    [(_case_study_config, 25, _numpy_solve), (_radial_feeder, 5, _numpy_then_lane)],
     ids=["_case_study_config-25", "_radial_feeder-5"],
 )
-def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference):
+def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference, caplog):
     grid = make_grid()
     nominal = nominal_droop(grid)
     rng = np.random.default_rng(20160101)
@@ -526,11 +537,19 @@ def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference
         state = solve_steady_state(grid, droop)
         assert state.v.tobytes() == v.tobytes(), droop
         assert state.residual == residual, droop
-    with pytest.raises(NoRealRoot) as numpy_error:
-        reference(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
-    with pytest.raises(NoRealRoot) as float_error:
-        solve_steady_state(grid, nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses}))
-    assert str(float_error.value) == str(numpy_error.value)
+    # the sweeps give up where the numpy sweeps do (a lost real root on the
+    # star, the budget on the feeder), and the lane decides
+    collapsed = nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses})
+    with pytest.raises(NoRealRoot, match="voltage quadratic has no real root"):
+        _numpy_solve(grid, collapsed)
+    with pytest.raises(NoRealRoot):
+        _lane(grid, collapsed)
+    with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
+        with pytest.raises(NoRealRoot, match="^newton: iterate left the larger root"):
+            solve_steady_state(grid, collapsed)
+    budget = steady_state.GS_SWEEPS
+    gave_up = _gave_up(_numpy_residuals(grid, collapsed, budget), budget)
+    assert [record.getMessage() for record in caplog.records] == [gave_up]
 
 
 BLOCK = steady_state.SWEEP_BLOCK
@@ -553,22 +572,37 @@ def test_convergence_at_every_block_offset_matches_numpy_sweep(make_grid):
         assert state.residual == residual == tol, target
 
 
+def _outcome(solve):
+    """``solve()``'s voltage bits and residual, or its error's type and message."""
+    try:
+        state = solve()
+    except (NoRealRoot, NonConvergence) as error:
+        return type(error), str(error)
+    return state.v.tobytes(), state.residual
+
+
 @pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
 @pytest.mark.parametrize("max_iter", [1, BLOCK - 1, BLOCK, BLOCK + 3, 3 * BLOCK + 5])
-def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, max_iter):
+def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, max_iter, caplog):
+    # the sweeps give up with the numpy sweep's residual, and Newton solves
+    # from the set-points, the call method="newton" makes, outcome and bits
     grid = make_grid()
     nominal = nominal_droop(grid)
     with pytest.raises(NonConvergence) as numpy_error:
         _numpy_solve(grid, nominal, max_iter=max_iter)
-    with pytest.raises(NonConvergence) as float_error:
-        solve_steady_state(grid, nominal, max_iter=max_iter)
-    assert str(float_error.value).startswith(str(numpy_error.value))
+    with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
+        got = _outcome(lambda: solve_steady_state(grid, nominal, max_iter=max_iter))
+    [gave_up] = [record.getMessage() for record in caplog.records]
+    assert gave_up.startswith(str(numpy_error.value) + "; newton starts afresh")
+    assert got == _outcome(lambda: solve_steady_state(grid, nominal, max_iter=max_iter,
+                                                      method="newton"))
 
 
-def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal):
+def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal, caplog):
     # at x = 50 V the star's residual falls to a minimum, then a later sweep
     # of the same block meets a negative discriminant: a tol met by that
-    # minimum returns it, as the numpy sweep does, and a tighter tol raises
+    # minimum returns it, as the numpy sweep does, and a tighter tol gives
+    # the solve to Newton from the set-points, whose lane is not viable
     droop = nominal.with_x({0: 50.0, 1: 50.0})
     residuals = _numpy_residuals(grid, droop, BLOCK)
     failing = len(residuals) + 1
@@ -578,21 +612,36 @@ def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal)
     v, residual = _numpy_solve(grid, droop, tol=tol)
     state = solve_steady_state(grid, droop, tol=tol)
     assert state.v.tobytes() == v.tobytes() and state.residual == residual == tol
-    with pytest.raises(NoRealRoot) as numpy_error:
+    with pytest.raises(NoRealRoot, match="voltage quadratic has no real root"):
         _numpy_solve(grid, droop, tol=0.5 * tol)
-    with pytest.raises(NoRealRoot) as float_error:
-        solve_steady_state(grid, droop, tol=0.5 * tol)
-    assert str(float_error.value) == str(numpy_error.value)
+    with pytest.raises(NoRealRoot):
+        _lane(grid, droop)
+    with pytest.raises(NoRealRoot) as newton_error:
+        solve_steady_state(grid, droop, tol=0.5 * tol, method="newton")
+    with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
+        with pytest.raises(NoRealRoot) as error:
+            solve_steady_state(grid, droop, tol=0.5 * tol)
+    assert str(error.value) == str(newton_error.value)
+    gave_up = _gave_up(residuals, steady_state.GS_SWEEPS)
+    assert [record.getMessage() for record in caplog.records] == [gave_up]
 
 
-def test_no_real_root_in_the_first_sweep_of_a_block_surfaces(grid, nominal):
+def test_no_real_root_in_the_first_sweep_of_a_block_surfaces(grid, nominal, caplog):
+    # the first sweep meets a negative discriminant; the lane is not viable either
     droop = nominal.with_x({0: 10.0, 1: 10.0})
     assert _numpy_residuals(grid, droop, 1) == []
-    with pytest.raises(NoRealRoot) as numpy_error:
+    with pytest.raises(NoRealRoot, match="voltage quadratic has no real root"):
         _numpy_solve(grid, droop)
-    with pytest.raises(NoRealRoot) as float_error:
-        solve_steady_state(grid, droop)
-    assert str(float_error.value) == str(numpy_error.value)
+    with pytest.raises(NoRealRoot):
+        _lane(grid, droop)
+    with pytest.raises(NoRealRoot) as newton_error:
+        solve_steady_state(grid, droop, method="newton")
+    with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
+        with pytest.raises(NoRealRoot) as error:
+            solve_steady_state(grid, droop)
+    assert str(error.value) == str(newton_error.value)
+    gave_up = _gave_up([], steady_state.GS_SWEEPS)
+    assert [record.getMessage() for record in caplog.records] == [gave_up]
 
 
 def test_a_non_finite_residual_stops_the_sweep_without_warnings(grid, nominal):
@@ -833,21 +882,53 @@ def test_newton_certifies_long_chains_at_their_rounding_floor(monkeypatch, n):
         assert _exact_residual(grid, xr[lane], y[lane], batch.v[lane]) <= threshold, lane
 
 
-# -- Gauss-Seidel's budget: Newton finishes a solve it has not -------------
+# -- Gauss-Seidel's budget: past it, a solve is its own batch lane -----------
 
 def test_newton_finishes_a_solve_past_the_gauss_seidel_budget(caplog):
     grid = _radial_feeder()  # its Gauss-Seidel needs more than GS_SWEEPS sweeps
     nominal = nominal_droop(grid)
     budget = steady_state.GS_SWEEPS
-    with pytest.raises(NonConvergence, match=f"^gauss_seidel: residual .* after {budget} sweeps"):
-        solve_steady_state(grid, nominal, max_iter=budget)
     with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
         state = solve_steady_state(grid, nominal, max_iter=budget + 1)
     newton = solve_steady_state(grid, nominal, method="newton")
-    assert state.residual <= steady_state.DEFAULT_TOL
-    assert np.max(np.abs(state.v - newton.v)) <= 1e-9
-    [handover] = [record.getMessage() for record in caplog.records]
-    assert f"after {budget} sweeps; newton ran" in handover
+    assert state.residual == newton.residual <= steady_state.DEFAULT_TOL
+    assert state.v.tobytes() == newton.v.tobytes()
+    [gave_up] = [record.getMessage() for record in caplog.records]
+    assert f"after {budget} sweeps; newton starts afresh" in gave_up
+
+
+def test_a_max_iter_of_the_sweep_budget_solves():
+    # it raised NonConvergence: max_iter only caps the sweeps and Newton's iterations
+    grid = _radial_feeder()
+    nominal = nominal_droop(grid)
+    state = solve_steady_state(grid, nominal, max_iter=steady_state.GS_SWEEPS)
+    assert state.v.tobytes() == solve_steady_state(grid, nominal).v.tobytes()
+
+
+@pytest.mark.parametrize("make_grid", [_radial_feeder, _meshed_grid, lambda: _chain(192)],
+                         ids=["_radial_feeder", "_meshed_grid", "_chain-192"])
+def test_a_solve_past_the_sweeps_is_its_batch_lane(make_grid):
+    # Newton once started from the last sweep, and its voltages differed
+    # from the lane's in the last bits
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    state = solve_steady_state(grid, nominal)
+    v, residual = _lane(grid, nominal)
+    newton = solve_steady_state(grid, nominal, method="newton")
+    assert state.v.tobytes() == v.tobytes() == newton.v.tobytes()
+    assert state.residual == residual == newton.residual
+
+
+@pytest.mark.parametrize("r_0", [1e-10, 1e-300])
+def test_a_stiff_converter_does_not_loosen_the_other_buses(grid, nominal, r_0):
+    # one rounding floor per lane, from bus 0's g_bus v, certified
+    # [400, 400, 400] V at r_0 = 1e-300, 2.31 V off, and 3.4e-5 V at 1e-10
+    droop = nominal.with_r({0: r_0})
+    exact = two_source_closed_form(grid, droop)
+    state = solve_steady_state(grid, droop, method="newton")
+    v, _ = _lane(grid, droop)
+    assert np.max(np.abs(state.v - exact)) <= 1e-9
+    assert np.max(np.abs(v - exact)) <= 1e-9
 
 
 @pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
@@ -962,13 +1043,17 @@ def test_gauss_seidel_builds_no_n_by_n_array():
     # would take 128 MB here
     grid = _chain(4000)
     nominal = nominal_droop(grid)
+    (xr,), (y,) = steady_state._droop_lanes(grid, nominal.x, nominal.r, 1)
+    v0 = steady_state._initial_voltages(grid, nominal.x)
     tracemalloc.start()
     try:
-        with pytest.raises(NonConvergence):
-            solve_steady_state(grid, nominal, max_iter=steady_state.SWEEP_BLOCK)
+        swept = steady_state._gauss_seidel(
+            grid, xr, y, v0, steady_state.DEFAULT_TOL, steady_state.SWEEP_BLOCK
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert swept is None  # the sweeps ran out
     assert peak <= 16 * 2**20, f"gauss_seidel peaked at {peak / 2**20:.1f} MB"
 
 
