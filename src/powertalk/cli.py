@@ -276,11 +276,12 @@ def allocation(
 
 
 def sweep_table(rows: List[SweepRow], tx: int, rx: int) -> List[str]:
-    """The budget-capacity table of a sweep: ``SWEEP_COLUMNS`` and one line per budget point."""
-    lines = [",".join(SWEEP_COLUMNS)]
+    """The sweep's table: ``SWEEP_COLUMNS``, the other converters' r* by bus, a line per budget."""
+    others = sorted({bus for row in rows for bus in row.r_star} - {tx, rx})
+    lines = [",".join(SWEEP_COLUMNS + tuple(f"r_{bus}_star_ohm" for bus in others))]
     for row in rows:
         values = (row.pi, row.capacity_nominal, row.capacity_opt, row.r_star[tx], row.r_star[rx],
-                  row.snr_nominal, row.snr_opt)
+                  row.snr_nominal, row.snr_opt, *(row.r_star[bus] for bus in others))
         lines.append(",".join(_fmt(value) for value in values))
     return lines
 

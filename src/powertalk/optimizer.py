@@ -98,7 +98,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    """Numerical curvature audit of the gain terms over the search region."""
+    """Numerical curvature audit of the gain terms over the search region; ``ok`` needs a point."""
 
     points: Tuple[Tuple[float, ...], ...]   # sampled interior resistance pairs
     max_rel_eig: float                      # worst Hessian eigenvalue, relative
@@ -108,7 +108,7 @@ class ConcavityReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.nominal_at_box_corner
+        return bool(self.points) and not self.violations and self.nominal_at_box_corner
 
 
 def capacity(snr: float) -> float:

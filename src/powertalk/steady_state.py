@@ -25,6 +25,8 @@ solve.  No solve builds an (n, n) array.  The sweep count grows with the
 grid and near voltage collapse, so when ``GS_SWEEPS`` sweeps end outside
 the tolerance, or a sweep loses a bus's real root, the sweeps are
 discarded and the solve is Newton's from the set-points, its batch lane.
+The budgets are the module's constants: every Newton solve, scalar or
+batched, stops after ``DEFAULT_MAX_ITER`` iterations.
 A Newton step's Jacobian is also the channel matrix
 (:func:`_jacobian_diagonal`); a solve reports kappa = g_bus / -J_nn from
 its diagonal.  Solvers are pure functions of their arguments and safe to
@@ -41,13 +43,13 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NoRealRoot, TopologyMismatch
-from .grid import (Elimination, ValidatedGrid, _floats, _integer, check_finite,
+from .grid import (Elimination, ValidatedGrid, _floats, check_finite,
                    check_resistances, network_matrices)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10      # residual tolerance, amps
-DEFAULT_MAX_ITER = 10_000
+DEFAULT_MAX_ITER = 10_000  # Newton iterations, of a scalar solve and a batch lane alike
 DEFAULT_DAMPING = 0.7    # weight on the fresh per-bus root
 SWEEP_BLOCK = 32         # Gauss-Seidel sweeps per vectorised residual pass
 GS_SWEEPS = 16 * SWEEP_BLOCK  # Gauss-Seidel's budget before a scalar solve is Newton's
@@ -110,32 +112,25 @@ class ViabilityViolation:
 
 
 def solve_steady_state(
-    grid: ValidatedGrid,
-    droop: DroopState,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "gauss_seidel",
+    grid: ValidatedGrid, droop: DroopState, tol: float = DEFAULT_TOL, method: str = "gauss_seidel"
 ) -> SteadyState:
     """Solve the coupled bus equations at the given droop configuration.
 
     ``tol`` bounds the final max current-balance residual in amps; Newton
     raises it to each bus's rounding floor where that is larger (see
     :func:`_newton_block`).  ``method="gauss_seidel"`` (the default) sweeps
-    up to ``min(max_iter, GS_SWEEPS)`` times and returns the first sweep
-    within ``tol``.  If none is, or a sweep loses a bus's real root, Newton
-    solves from the set-points, the call ``method="newton"`` makes: with the
-    default ``tol`` and ``max_iter`` that is bit for bit the configuration's
-    lane of :func:`solve_steady_state_many`.  ``max_iter`` also bounds
-    Newton's iterations.  Raises :class:`NoRealRoot` when Newton's iterate
-    leaves the larger root (droop parameters outside the viable range) and
-    :class:`NonConvergence` when ``max_iter`` is exhausted or a sweep's
-    residual is not finite.  ``max_iter`` must be an integer >= 0 and
-    ``tol`` finite and >= 0, else :class:`InvalidArgument`.
+    up to ``GS_SWEEPS`` times and returns the first sweep within ``tol``.
+    If none is, or a sweep loses a bus's real root, Newton solves from the
+    set-points, the call ``method="newton"`` makes: with the default ``tol``
+    that is bit for bit the configuration's lane of
+    :func:`solve_steady_state_many`, stopped by the same ``DEFAULT_MAX_ITER``
+    iterations.  Raises :class:`NoRealRoot` when Newton's iterate leaves the
+    larger root (droop parameters outside the viable range) and
+    :class:`NonConvergence` when Newton's iterations run out or a sweep's
+    residual is not finite.  ``tol`` must be finite and >= 0, else
+    :class:`InvalidArgument`.
     """
     droop.validate(grid)
-    max_iter = _integer("max_iter", max_iter)
-    if max_iter < 0:
-        raise InvalidArgument(f"max_iter must be >= 0, got {max_iter}")
     if not 0.0 <= _floats(tol) < math.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     if method not in ("gauss_seidel", "newton"):
@@ -144,11 +139,11 @@ def solve_steady_state(
     v0 = _initial_voltages(grid, droop.x)
     solved = None
     if method == "gauss_seidel":
-        solved = _gauss_seidel(grid, xr[0], y[0], v0, tol, min(max_iter, GS_SWEEPS))
+        solved = _gauss_seidel(grid, xr[0], y[0], v0, tol)
     if solved is None:  # Newton from the set-points, the solve's batch lane
-        lane, feasible, res, _, stalled = _newton_block(grid, xr, y, v0, tol, max_iter)
+        lane, feasible, res, its, stalled = _newton_block(grid, xr, y, v0, tol)
         if stalled.size:
-            raise NonConvergence(f"newton: no convergence after {max_iter} iterations")
+            raise NonConvergence(f"newton: no convergence after {its} iterations")
         if not feasible[0]:
             raise NoRealRoot("newton: iterate left the larger root; droop parameters not viable")
         solved = lane[0], float(res[0])
@@ -162,12 +157,7 @@ def solve_steady_state(
 
 
 def _gauss_seidel(
-    grid: ValidatedGrid,
-    xr: np.ndarray,
-    y: np.ndarray,
-    v: np.ndarray,
-    tol: float,
-    max_iter: int,
+    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v: np.ndarray, tol: float
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Damped sweeps of the per-bus larger root from ``v`` until the residual is within ``tol``.
 
@@ -179,15 +169,16 @@ def _gauss_seidel(
     the span of its neighbour ids, zero between them, with a view of the
     voltages over the same span, made once per solve; so no (n, n) array is
     built, and every voltage matches a numpy sweep of the same dots bit for
-    bit.  Sweeps run in blocks of ``SWEEP_BLOCK``, each sweep's voltages
-    kept as one row.  Once per block, :func:`_balance` over the block's
-    sweeps, taken as lanes, gives every sweep's residual, Newton's residual,
-    the same bits as a pass after each sweep.  Returns the first sweep
-    within ``tol`` and its max residual; the sweeps after it in its block
-    are discarded, and so is a bus quadratic without a real root that one
-    of them met.  Returns None when ``max_iter`` sweeps end outside ``tol``
-    or a sweep meets such a quadratic first.  A sweep whose residual is not
-    finite raises :class:`NonConvergence` naming it.
+    bit.  Sweeps run in whole blocks of ``SWEEP_BLOCK``, up to
+    ``GS_SWEEPS``, each sweep's voltages kept as one row.  Once per block,
+    :func:`_balance` over the block's sweeps, taken as lanes, gives every
+    sweep's residual, Newton's residual, the same bits as a pass after each
+    sweep.  Returns the first sweep within ``tol`` and its max residual;
+    the sweeps after it in its block are discarded, and so is a bus
+    quadratic without a real root that one of them met.  Returns None when
+    ``GS_SWEEPS`` sweeps end outside ``tol`` or a sweep meets such a
+    quadratic first.  A sweep whose residual is not finite raises
+    :class:`NonConvergence` naming it.
     """
     v = v.copy()  # swept in place, and the row dots read views of it
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
@@ -214,9 +205,8 @@ def _gauss_seidel(
     v_old = v.tolist()
     sweeps, res = 0, math.inf
     with np.errstate(all="ignore"):  # a diverging sweep is stopped by its residual below
-        while sweeps < max_iter:
-            count = min(SWEEP_BLOCK, max_iter - sweeps)
-            done = _sweep_block(buses, v, v_old, sweep_v, count)
+        while sweeps < GS_SWEEPS:
+            done = _sweep_block(buses, v, v_old, sweep_v)
             block_res = np.abs(_balance(grid, xr, g_bus, sweep_v[:done])[1]).max(axis=1)
             (stops,) = np.nonzero((block_res <= tol) | ~np.isfinite(block_res))
             if stops.size:
@@ -228,25 +218,23 @@ def _gauss_seidel(
                     f"gauss_seidel: residual {res} A, not finite, after sweep {sweep}"
                 )
             sweeps, res = sweeps + done, float(block_res[-1]) if done else res
-            if done < count:
+            if done < SWEEP_BLOCK:
                 break
     logger.debug("gauss_seidel: residual %.3e A after %d sweeps%s; newton starts afresh", res,
-                 sweeps, ", then a bus lost its real root" if sweeps < max_iter else "")
+                 sweeps, ", then a bus lost its real root" if sweeps < GS_SWEEPS else "")
     return None
 
 
-def _sweep_block(
-    buses: List[tuple], v: np.ndarray, v_old: List[float], sweep_v: np.ndarray, count: int
-) -> int:
-    """Up to ``count`` sweeps, each sweep's voltages stored as a row of ``sweep_v``.
+def _sweep_block(buses: List[tuple], v: np.ndarray, v_old: List[float], sweep_v: np.ndarray) -> int:
+    """Up to ``SWEEP_BLOCK`` sweeps, each sweep's voltages stored as a row of ``sweep_v``.
 
     ``v`` and ``v_old`` hold the same voltages as an array (whose views the
     BLAS dots read) and as Python floats.  Returns the sweeps completed:
-    fewer than ``count`` when a bus quadratic had no real root.
+    fewer than ``SWEEP_BLOCK`` when a bus quadratic had no real root.
     """
     damping, keep = DEFAULT_DAMPING, 1.0 - DEFAULT_DAMPING
     sqrt = math.sqrt
-    for done in range(count):
+    for done in range(SWEEP_BLOCK):
         # g is the line conductance of a one-line bus, else the span of v for row_dot
         for bus, row_dot, g, m, xr_bus, i_cc, four_d, half_r in buses:
             b = xr_bus + (g * v_old[m] if row_dot is None else float(row_dot(g))) - i_cc
@@ -255,7 +243,7 @@ def _sweep_block(
                 return done
             v[bus] = v_old[bus] = damping * (half_r * (b + sqrt(disc))) + keep * v_old[bus]
         sweep_v[done] = v
-    return count
+    return SWEEP_BLOCK
 
 
 def _initial_voltages(grid: ValidatedGrid, x) -> np.ndarray:
@@ -377,7 +365,7 @@ def solve_steady_state_many(
         lanes = slice(lo, min(lo + block, size))
         r_blk = {bus: r_vals[lanes] for bus, r_vals in r_lanes.items()}
         xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
-        *solved, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        *solved, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL)
         v[lanes], feasible[lanes], residual[lanes] = solved
         sweeps = max(sweeps, its)
     return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
@@ -395,12 +383,7 @@ def _block_lanes(grid: ValidatedGrid) -> int:
 
 
 def _newton_block(
-    grid: ValidatedGrid,
-    xr: np.ndarray,
-    y: np.ndarray,
-    v0: np.ndarray,
-    tol: float,
-    max_iter: int,
+    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v0: np.ndarray, tol: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Newton on one block of lanes; a lane iterates until it is certified or strays.
 
@@ -411,13 +394,14 @@ def _newton_block(
     every voltage is positive and every constant-power bus is on its larger
     root) or it is off the physical branch, so a lane without a viable
     operating point stops the moment it strays instead of running to
-    ``max_iter``; a poor or zero pivot costs a lane an iteration or its
+    ``DEFAULT_MAX_ITER`` iterations, the budget of every lane and every
+    scalar solve; a poor or zero pivot costs a lane an iteration or its
     feasibility, never a wrong answer.  The working arrays are stored bus
     by bus (Fortran order), so reductions over a lane's buses and per-bus
     gathers read contiguous memory, and they shrink to the lanes still
     iterating only when one leaves.  Returns the voltages (NaN where not
     feasible), the feasible mask, the residuals, the iterations run and the
-    indices of the lanes still iterating when ``max_iter`` ran out.
+    indices of the lanes still iterating when the iterations ran out.
 
     A bus's threshold is ``tol``, or its rounding floor where that is
     larger: ``ROUNDING_TERMS`` times eps times its ``g_bus v`` at the start
@@ -459,7 +443,7 @@ def _newton_block(
                 if index.size == 0:
                     break
                 xr, g_bus, v, f = (a.T.compress(stays, axis=1).T for a in (xr, g_bus, v, f))
-            if its == max_iter:
+            if its == DEFAULT_MAX_ITER:
                 break
             its += 1
             v -= _eliminate(grid.elimination, _jacobian_diagonal(grid, g_bus, v), f)

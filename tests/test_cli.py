@@ -20,6 +20,7 @@ from powertalk import (
     VscSpec,
     case_study,
     case_study_document,
+    maximize_snr_grid,
     nominal_droop,
     two_source_closed_form,
     validate_grid,
@@ -28,7 +29,7 @@ from powertalk import cli
 from powertalk.cli import SWEEP_COLUMNS, main, parse_config
 
 from conftest import dense_lines
-from test_steady_state import _radial_feeder
+from grids import radial_feeder_document
 
 CASE_TEXT = json.dumps(case_study_document())
 ROOT = Path(__file__).resolve().parent.parent
@@ -225,6 +226,30 @@ def test_sweep_emits_the_fixed_columns(boxed_grid_file, capsys):
     assert float(first[2]) >= float(first[1])  # optimized capacity dominates
 
 
+def test_sweep_prints_every_converters_r_star(tmp_path, capsys):
+    # it printed only tx's and rx's r*, dropping bus 2's, which optimize prints
+    vsc = {"x_nom": 400.0, "r_nom": 0.4}
+    doc = {
+        "buses": [{"id": 0, "vsc": vsc}, {"id": 1, "vsc": vsc},
+                  {"id": 2, "vsc": {**vsc, "r_max": 0.6}},
+                  {"id": 3, "load": {"r_cr": 50.0, "d_cp": 2500.0}}],
+        "lines": [{"a": 0, "b": 3, "r": 0.2}, {"a": 1, "b": 3, "r": 0.3},
+                  {"a": 2, "b": 3, "r": 0.1}],
+    }
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--grid", str(path), "--pi", "5,10", "--step", "0.02"]) == 0
+    header, *rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    assert header == [*SWEEP_COLUMNS, "r_2_star_ohm"]
+    cfg = parse_config(path.read_text())
+    grid = validate_grid(cfg.grid)
+    for row in rows:
+        pi = float(row[0])
+        r_star = maximize_snr_grid(grid, nominal_droop(grid), {0: pi, 1: pi, 2: pi},
+                                   cfg.sim.sigma_z, 0, 1, step=0.02).r_star
+        assert row[3:5] + row[7:] == [cli._fmt(r_star[bus]) for bus in (0, 1, 2)], row
+
+
 def test_sweep_matches_the_case_study_golden(capsys):
     grid_path = ROOT / "configs" / "case_study.json"
     assert main(["sweep", "--grid", str(grid_path), "--pi", "2,5,10,15,20"]) == 0
@@ -321,16 +346,8 @@ def test_an_infinite_virtual_resistance_exits_2_naming_the_bus(grid_file, capsys
 
 def test_five_converter_optimize_at_the_default_step_exits_2_naming_the_step(tmp_path, capsys):
     # its 2.8e14-point lattice raised MemoryError: exit 1 with a traceback
-    feeder = _radial_feeder()
-    buses = [{"id": bus.id, "load": {key: value for key, value in vars(bus.load).items()
-                                     if value is not None}}
-             for bus in feeder.spec.buses]
-    for entry, bus in zip(buses, feeder.spec.buses):
-        if bus.vsc is not None:
-            entry["vsc"] = {"x_nom": bus.vsc.x_nom, "r_nom": bus.vsc.r_nom}
-    lines = [{"a": line.a, "b": line.b, "r": line.r_line} for line in feeder.spec.lines]
     path = tmp_path / "feeder.json"
-    path.write_text(json.dumps({"buses": buses, "lines": lines}))
+    path.write_text(radial_feeder_document())
     assert main(["optimize", "--grid", str(path), "--pi", "10", "--tx", "0", "--rx", "18"]) == 2
     assert "choose a coarser --step" in capsys.readouterr().err
 

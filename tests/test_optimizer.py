@@ -277,6 +277,14 @@ def test_concavity_probe_report_structure(grid, nominal, budgets):
     assert report.ok == (not report.violations and report.nominal_at_box_corner)
 
 
+@pytest.mark.parametrize("pi", [0.0, 1e-9])
+def test_a_concavity_probe_that_samples_no_point_is_not_ok(grid, nominal, pi):
+    # it returned points=(), max_rel_eig=-inf and ok=True: a verdict with no evidence
+    report = concavity_probe(grid, nominal, {0: pi, 1: pi}, tx=0, rx=1)
+    assert report.points == () and report.max_rel_eig == -math.inf
+    assert not report.ok
+
+
 def test_concavity_probe_validates_inputs(grid, nominal, budgets):
     with pytest.raises(ValueError):
         concavity_probe(grid, nominal, budgets, tx=0, rx=0)

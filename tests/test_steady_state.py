@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 import time
@@ -34,6 +33,7 @@ from powertalk import (
 from powertalk.optimizer import DEFAULT_STEP, default_r_max
 
 from conftest import dense_lines
+from grids import chain_document, radial_feeder_document
 
 ROOT = Path(__file__).resolve().parent.parent
 r_values = st.floats(min_value=0.2, max_value=2.0)
@@ -58,9 +58,28 @@ def test_newton_flags_a_droop_without_a_real_root(grid, nominal):
         solve_steady_state(grid, nominal.with_r({0: 3000.0, 1: 3000.0}), method="newton")
 
 
-def test_newton_reports_an_exhausted_iteration_budget(grid, nominal):
-    with pytest.raises(NonConvergence):
-        solve_steady_state(grid, nominal, method="newton", max_iter=1)
+def test_newton_reports_an_exhausted_iteration_budget(grid, nominal, monkeypatch):
+    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", 1)
+    with pytest.raises(NonConvergence, match="after 1 iterations"):
+        solve_steady_state(grid, nominal, method="newton")
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_a_scalar_newton_solve_stops_by_its_lanes_budget(grid, nominal, monkeypatch, budget):
+    # the scalar solve bound DEFAULT_MAX_ITER where it was defined, so at a
+    # budget of 1 it certified r = (0.5, 0.39) ohm, which its lane does not
+    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", budget)
+    r = {0: np.array([0.39, 0.5, 0.45, 0.8, 2.0]), 1: np.array([0.39, 0.39, 0.47, 0.39, 1.0])}
+    batch = solve_steady_state_many(grid, dict(nominal.x), r)
+    assert batch.feasible.sum() == {1: 0, 2: 4}[budget]  # both outcomes, at a budget of 2
+    for lane in range(5):
+        droop = nominal.with_r({bus: float(values[lane]) for bus, values in r.items()})
+        if batch.feasible[lane]:
+            state = solve_steady_state(grid, droop, method="newton")
+            assert state.v.tobytes() == batch.v[lane].tobytes(), lane
+        else:
+            with pytest.raises(NonConvergence, match=f"after {budget} iterations"):
+                solve_steady_state(grid, droop, method="newton")
 
 
 @settings(max_examples=25)
@@ -145,26 +164,12 @@ def test_no_real_root_for_extreme_virtual_resistance(grid, nominal):
         solve_steady_state(grid, nominal.with_r({0: 3000.0, 1: 3000.0}))
 
 
-def test_non_convergence_when_budget_exhausted(grid, nominal):
+def test_non_convergence_when_budget_exhausted(grid, nominal, monkeypatch):
+    # the star's sweeps need more than one block, and Newton more than one iteration
+    monkeypatch.setattr(steady_state, "GS_SWEEPS", steady_state.SWEEP_BLOCK)
+    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NonConvergence):
-        solve_steady_state(grid, nominal, max_iter=1)
-
-
-@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
-@pytest.mark.parametrize("max_iter", [-1, -5, 2.5, True, None, "8"])
-def test_max_iter_must_be_a_nonnegative_integer(grid, nominal, method, max_iter):
-    # Newton never met -1 (a lane that did not certify looped for good),
-    # Gauss-Seidel reported "after -5 sweeps", 2.5 raised a bare TypeError
-    # and True ran one iteration
-    with pytest.raises(InvalidArgument, match="max_iter must be"):
-        solve_steady_state(grid, nominal, max_iter=max_iter, method=method)
-
-
-@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
-def test_a_numpy_integer_max_iter_runs_as_an_int(grid, nominal, method):
-    want = solve_steady_state(grid, nominal, max_iter=600, method=method)
-    got = solve_steady_state(grid, nominal, max_iter=np.int64(600), method=method)
-    assert got.v.tobytes() == want.v.tobytes()
+        solve_steady_state(grid, nominal)
 
 
 def test_droop_validation_rejects_wrong_buses(grid):
@@ -294,7 +299,7 @@ def test_batch_solve_flags_nonviable_lanes(grid, nominal):
     )
     assert list(batch.feasible) == [True, False, True]
     assert np.isnan(batch.v[1]).all()
-    assert batch.sweeps <= 10  # the stray lane leaves at once, not at max_iter
+    assert batch.sweeps <= 10  # the stray lane leaves at once, not at DEFAULT_MAX_ITER
 
 
 def test_batch_solve_rejects_wrong_bus_keys(grid, nominal):
@@ -458,30 +463,17 @@ def _numpy_residuals(grid, droop, sweeps):
     return residuals
 
 
+def _from_document(document):
+    return cli.validate_grid(cli.parse_config(document).grid)
+
+
 def _radial_feeder():
-    """A 21-bus radial feeder: a 15-bus trunk, three laterals, five converters."""
-    vsc = {
-        0: (400.0, 0.39), 5: (399.0, 0.42), 10: (398.0, 0.45), 14: (400.0, 0.4), 18: (401.0, 0.5)
-    }
-    buses = []
-    for bus in range(21):
-        load = LoadSpec(r_cr=40.0 + 5.0 * (bus % 4), i_cc=0.5 * (bus % 3), d_cp=300.0 * (bus % 5))
-        if bus in vsc:
-            buses.append(Bus(bus, LoadSpec(), VscSpec(*vsc[bus])))
-        else:
-            buses.append(Bus(bus, load))
-    edges = [(k, k + 1) for k in range(14)]
-    edges += [(4, 15), (15, 16), (8, 17), (17, 18), (11, 19), (19, 20)]
-    lines = [
-        LineSpec.from_length(a, b, rho=0.641, length_km=0.05 + 0.02 * (k % 5))
-        for k, (a, b) in enumerate(edges)
-    ]
-    return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+    """The 21-bus, five-converter feeder of :func:`grids.radial_feeder_document`."""
+    return _from_document(radial_feeder_document())
 
 
 def _case_study_config():
-    document = (ROOT / "configs" / "case_study.json").read_text()
-    return cli.validate_grid(cli.parse_config(document).grid)
+    return _from_document((ROOT / "configs" / "case_study.json").read_text())
 
 
 def _jittered(grid, nominal, lanes):
@@ -582,20 +574,21 @@ def _outcome(solve):
 
 
 @pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
-@pytest.mark.parametrize("max_iter", [1, BLOCK - 1, BLOCK, BLOCK + 3, 3 * BLOCK + 5])
-def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, max_iter, caplog):
+@pytest.mark.parametrize("budget", [BLOCK, 3 * BLOCK])
+def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, budget, caplog,
+                                                              monkeypatch):
     # the sweeps give up with the numpy sweep's residual, and Newton solves
     # from the set-points, the call method="newton" makes, outcome and bits
+    monkeypatch.setattr(steady_state, "GS_SWEEPS", budget)
     grid = make_grid()
     nominal = nominal_droop(grid)
     with pytest.raises(NonConvergence) as numpy_error:
-        _numpy_solve(grid, nominal, max_iter=max_iter)
+        _numpy_solve(grid, nominal, max_iter=budget)
     with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
-        got = _outcome(lambda: solve_steady_state(grid, nominal, max_iter=max_iter))
+        got = _outcome(lambda: solve_steady_state(grid, nominal))
     [gave_up] = [record.getMessage() for record in caplog.records]
     assert gave_up.startswith(str(numpy_error.value) + "; newton starts afresh")
-    assert got == _outcome(lambda: solve_steady_state(grid, nominal, max_iter=max_iter,
-                                                      method="newton"))
+    assert got == _outcome(lambda: solve_steady_state(grid, nominal, method="newton"))
 
 
 def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal, caplog):
@@ -670,26 +663,8 @@ def _meshed_grid():
 
 
 def _chain(n):
-    """An n-bus radial chain with a converter at each end.
-
-    Loads are 400-1,600 ohm plus 60-180 W of constant power.  The powers and
-    line lengths are scaled by 24/n, so their totals match a 24-bus chain's;
-    the resistive loads are not, so the total load grows with n and long
-    chains sag: the nominal mid-chain voltage is 392 V at n = 24, 304 V at
-    n = 500 and 72 V at n = 5,000.
-    """
-    scale = 24.0 / n
-    buses = [
-        Bus(bus, LoadSpec(), VscSpec(400.0, 0.39)) if bus in (0, n - 1)
-        else Bus(bus, LoadSpec(r_cr=400.0 + 120.0 * ((7 * bus) % 11),
-                               d_cp=scale * (60.0 + 20.0 * ((5 * bus) % 7))))
-        for bus in range(n)
-    ]
-    lines = [
-        LineSpec.from_length(k, k + 1, rho=0.641, length_km=scale * (0.05 + 0.05 * ((3 * k) % 5)))
-        for k in range(n - 1)
-    ]
-    return validate_grid(GridSpec(buses=tuple(buses), lines=tuple(lines)))
+    """The n-bus chain of :func:`grids.chain_document`, a converter at each end."""
+    return _from_document(chain_document(n))
 
 
 def _dense_jacobians(grid, diag):
@@ -865,10 +840,10 @@ def test_newton_certifies_long_chains_at_their_rounding_floor(monkeypatch, n):
     # The line conductances, and with them the balance's largest terms, grow
     # with n: Newton's residual bottoms out at 1.5-3.6e-10 A here, so the
     # absolute 1e-10 A alone would never certify a lane.
-    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", 50)  # stop a lane that never certifies
+    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", 8)  # stop a lane that never certifies
     grid = _chain(n)
     nominal = nominal_droop(grid)
-    state = solve_steady_state(grid, nominal, method="newton", max_iter=8)
+    state = solve_steady_state(grid, nominal, method="newton")
     r = {0: np.array([0.39, 0.45, 0.6]), n - 1: np.array([0.39, 0.5, 0.42])}
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     assert batch.feasible.all() and batch.sweeps <= 8
@@ -889,20 +864,12 @@ def test_newton_finishes_a_solve_past_the_gauss_seidel_budget(caplog):
     nominal = nominal_droop(grid)
     budget = steady_state.GS_SWEEPS
     with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
-        state = solve_steady_state(grid, nominal, max_iter=budget + 1)
+        state = solve_steady_state(grid, nominal)
     newton = solve_steady_state(grid, nominal, method="newton")
     assert state.residual == newton.residual <= steady_state.DEFAULT_TOL
     assert state.v.tobytes() == newton.v.tobytes()
     [gave_up] = [record.getMessage() for record in caplog.records]
     assert f"after {budget} sweeps; newton starts afresh" in gave_up
-
-
-def test_a_max_iter_of_the_sweep_budget_solves():
-    # it raised NonConvergence: max_iter only caps the sweeps and Newton's iterations
-    grid = _radial_feeder()
-    nominal = nominal_droop(grid)
-    state = solve_steady_state(grid, nominal, max_iter=steady_state.GS_SWEEPS)
-    assert state.v.tobytes() == solve_steady_state(grid, nominal).v.tobytes()
 
 
 @pytest.mark.parametrize("make_grid", [_radial_feeder, _meshed_grid, lambda: _chain(192)],
@@ -949,7 +916,7 @@ def _scaled_loads(grid, scale):
     return validate_grid(GridSpec(buses=buses, lines=grid.spec.lines))
 
 
-def test_the_default_method_certifies_a_point_near_voltage_collapse():
+def test_the_default_method_certifies_a_point_near_voltage_collapse(monkeypatch):
     # Gauss-Seidel slows down as the loads near collapse: at 0.995 of the
     # largest load scale Newton certifies (~38.75) it alone stood 7.4e-9 A
     # short of tol after 10,000 sweeps
@@ -957,10 +924,12 @@ def test_the_default_method_certifies_a_point_near_voltage_collapse():
 
     def certifies(scale):
         loaded = _scaled_loads(grid, scale)
-        try:
-            solve_steady_state(loaded, nominal_droop(loaded), method="newton", max_iter=50)
-        except (NoRealRoot, NonConvergence):
-            return False
+        with monkeypatch.context() as patch:
+            patch.setattr(steady_state, "DEFAULT_MAX_ITER", 50)
+            try:
+                solve_steady_state(loaded, nominal_droop(loaded), method="newton")
+            except (NoRealRoot, NonConvergence):
+                return False
         return True
 
     lo, hi = 1.0, 64.0
@@ -980,16 +949,8 @@ def test_optimize_runs_on_a_192_bus_chain(tmp_path, capsys):
     # the nominal solve ran 10,000 Gauss-Seidel sweeps here and exited 3;
     # with Newton finishing it the run took ~1.7 s under tracemalloc, peaking
     # at ~1.2 MB, on 2 vCPUs
-    grid = _chain(192)
-    buses = [
-        {"id": bus.id, "vsc": {"x_nom": bus.vsc.x_nom, "r_nom": bus.vsc.r_nom,
-                               "r_max": bus.vsc.r_nom + 0.25}} if bus.vsc is not None
-        else {"id": bus.id, "load": {"r_cr": bus.load.r_cr, "d_cp": bus.load.d_cp}}
-        for bus in grid.spec.buses
-    ]
-    lines = [{"a": line.a, "b": line.b, "r": line.r_line} for line in grid.spec.lines]
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"buses": buses, "lines": lines}))
+    path.write_text(chain_document(192, r_max=0.39 + 0.25))
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -1019,7 +980,8 @@ def test_a_6000_bus_chain_validates_without_an_n_by_n_array():
     assert solve_steady_state_many(grid, dict(nominal.x), r).feasible.all()
 
 
-def test_newton_block_memory_grows_linearly_with_the_buses():
+def test_newton_block_memory_grows_linearly_with_the_buses(monkeypatch):
+    monkeypatch.setattr(steady_state, "DEFAULT_MAX_ITER", 50)
     lanes, peaks = 32, {}
     for n in (96, 192):
         grid = _chain(n)
@@ -1029,7 +991,7 @@ def test_newton_block_memory_grows_linearly_with_the_buses():
         v0 = steady_state._initial_voltages(grid, xr[0] / np.where(y[0] > 0.0, y[0], 1.0))
         tracemalloc.start()
         try:
-            steady_state._newton_block(grid, xr, y, v0, steady_state.DEFAULT_TOL, 50)
+            steady_state._newton_block(grid, xr, y, v0, steady_state.DEFAULT_TOL)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1038,18 +1000,17 @@ def test_newton_block_memory_grows_linearly_with_the_buses():
     assert peaks[192] < 2.5 * peaks[96]  # a dense (lanes, n, n) Jacobian grows 4x
 
 
-def test_gauss_seidel_builds_no_n_by_n_array():
+def test_gauss_seidel_builds_no_n_by_n_array(monkeypatch):
     # 32 sweeps of a 4,000-bus chain: a dense (n, n) line matrix alone
     # would take 128 MB here
+    monkeypatch.setattr(steady_state, "GS_SWEEPS", steady_state.SWEEP_BLOCK)
     grid = _chain(4000)
     nominal = nominal_droop(grid)
     (xr,), (y,) = steady_state._droop_lanes(grid, nominal.x, nominal.r, 1)
     v0 = steady_state._initial_voltages(grid, nominal.x)
     tracemalloc.start()
     try:
-        swept = steady_state._gauss_seidel(
-            grid, xr, y, v0, steady_state.DEFAULT_TOL, steady_state.SWEEP_BLOCK
-        )
+        swept = steady_state._gauss_seidel(grid, xr, y, v0, steady_state.DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
