@@ -22,9 +22,12 @@ the per-bus update on Python floats, bit for bit a numpy sweep, reading
 each bus's lines from the same table, and checks Newton's residual once
 per block of sweeps; a sweep whose residual is not finite ends the
 solve.  No solve builds an (n, n) array.  The sweep count grows with the
-grid and near voltage collapse, so when ``GS_SWEEPS`` sweeps end outside
-the tolerance, or a sweep loses a bus's real root, the sweeps are
-discarded and the solve is Newton's from the set-points, its batch lane.
+grid and near voltage collapse, and a sweep cuts the residual by a steady
+factor, so a block that ends outside the tolerance measures that factor:
+when, kept up, it cannot reach the tolerance even one block past the
+``GS_SWEEPS`` budget, when the budget is spent, or when a sweep loses a
+bus's real root, the sweeps are discarded and the solve is Newton's from
+the set-points, its batch lane.
 The budgets are the module's constants: every Newton solve, scalar or
 batched, stops after ``DEFAULT_MAX_ITER`` iterations.
 A Newton step's Jacobian is also the channel matrix
@@ -120,8 +123,10 @@ def solve_steady_state(
     raises it to each bus's rounding floor where that is larger (see
     :func:`_newton_block`).  ``method="gauss_seidel"`` (the default) sweeps
     up to ``GS_SWEEPS`` times and returns the first sweep within ``tol``.
-    If none is, or a sweep loses a bus's real root, Newton solves from the
-    set-points, the call ``method="newton"`` makes: with the default ``tol``
+    If none is, or a block of sweeps shows a rate that cannot reach ``tol``
+    within that budget, or a sweep loses a bus's real root (see
+    :func:`_gauss_seidel`), Newton solves from the set-points, the call
+    ``method="newton"`` makes: with the default ``tol``
     that is bit for bit the configuration's lane of
     :func:`solve_steady_state_many`, stopped by the same ``DEFAULT_MAX_ITER``
     iterations.  Raises :class:`NoRealRoot` when Newton's iterate leaves the
@@ -175,8 +180,15 @@ def _gauss_seidel(
     sweep's residual, Newton's residual, the same bits as a pass after each
     sweep.  Returns the first sweep within ``tol`` and its max residual;
     the sweeps after it in its block are discarded, and so is a bus
-    quadratic without a real root that one of them met.  Returns None when
-    ``GS_SWEEPS`` sweeps end outside ``tol`` or a sweep meets such a
+    quadratic without a real root that one of them met.  A linearly
+    convergent sweep cuts the residual by a steady factor per sweep (its
+    asymptotic rate; Varga, *Matrix Iterative Analysis*, 2nd ed., 2000,
+    section 3.2), so a whole block that ends outside ``tol`` before the budget
+    measures that factor over its second half, the first sweeps of a solve
+    being a transient.  Returns None, with a debug line naming the reason,
+    as soon as that factor kept up one block past the budget leaves the
+    block's last residual above ``tol`` (a factor >= 1 always does), when
+    ``GS_SWEEPS`` sweeps end outside ``tol``, or when a sweep meets such a
     quadratic first.  A sweep whose residual is not finite raises
     :class:`NonConvergence` naming it.
     """
@@ -203,7 +215,7 @@ def _gauss_seidel(
                       float(0.5 * r_bus[bus])))
     sweep_v = np.empty((SWEEP_BLOCK, grid.n), order="F")  # bus by bus, as Newton's lanes
     v_old = v.tolist()
-    sweeps, res = 0, math.inf
+    sweeps, res, reason = 0, math.inf, "the budget is spent"
     with np.errstate(all="ignore"):  # a diverging sweep is stopped by its residual below
         while sweeps < GS_SWEEPS:
             done = _sweep_block(buses, v, v_old, sweep_v)
@@ -219,9 +231,17 @@ def _gauss_seidel(
                 )
             sweeps, res = sweeps + done, float(block_res[-1]) if done else res
             if done < SWEEP_BLOCK:
+                reason = "then a bus lost its real root"
                 break
-    logger.debug("gauss_seidel: residual %.3e A after %d sweeps%s; newton starts afresh", res,
-                 sweeps, ", then a bus lost its real root" if sweeps < GS_SWEEPS else "")
+            # the rate per sweep over the block's second half (a solve's first
+            # sweeps still settle), kept up one block past the budget, must reach tol
+            half = SWEEP_BLOCK // 2
+            rate = (block_res[-1] / block_res[half - 1]) ** (1.0 / half)
+            if sweeps < GS_SWEEPS and not res * rate ** (GS_SWEEPS + SWEEP_BLOCK - sweeps) <= tol:
+                reason = f"its rate {rate:.4f} per sweep cannot reach tol by sweep {GS_SWEEPS}"
+                break
+    logger.debug("gauss_seidel: residual %.3e A after %d sweeps, %s; newton starts afresh",
+                 res, sweeps, reason)
     return None
 
 

@@ -497,15 +497,45 @@ def _numpy_then_lane(grid, droop):
     return _lane(grid, droop)
 
 
-def _gave_up(residuals, budget):
+BLOCK = steady_state.SWEEP_BLOCK
+
+
+def _gave_up(residuals, budget, tol=steady_state.DEFAULT_TOL):
     """Gauss-Seidel's give-up line after sweeps with these residuals, out of ``budget``.
 
-    Fewer sweeps than the budget means the next one lost a bus's real root.
+    ``residuals`` are every sweep's, up to the budget or to the sweep before
+    one that lost a bus's real root, none within ``tol``.  The sweeps stop
+    at the first whole block before the budget whose rate per sweep over
+    its second half, kept up one block past the budget, leaves its last
+    residual above ``tol``; else where the real root was lost; else at the
+    budget.
     """
-    res = residuals[-1] if residuals else math.inf
-    lost = ", then a bus lost its real root" if len(residuals) < budget else ""
-    return (f"gauss_seidel: residual {res:.3e} A after {len(residuals)} sweeps{lost}; "
-            "newton starts afresh")
+    assert budget % BLOCK == 0, budget
+    res, half = np.array(residuals), BLOCK // 2
+    blocks = min(len(res), budget - 1) // BLOCK  # the whole blocks before the budget
+    ends = BLOCK * np.arange(1, blocks + 1)
+    with np.errstate(over="ignore"):
+        rates = (res[ends - 1] / res[ends - BLOCK + half - 1]) ** (1.0 / half)
+        (short,) = np.nonzero(~(res[ends - 1] * rates ** (budget + BLOCK - ends) <= tol))
+    if short.size:
+        stop, rate = ends[short[0]], rates[short[0]]
+        reason = f"its rate {rate:.4f} per sweep cannot reach tol by sweep {budget}"
+    elif len(res) < budget:
+        stop, reason = len(res), "then a bus lost its real root"
+    else:
+        stop, reason = budget, "the budget is spent"
+    last = res[stop - 1] if stop else math.inf
+    return f"gauss_seidel: residual {last:.3e} A after {stop} sweeps, {reason}; newton starts afresh"
+
+
+def _oracle_droops(grid, nominal, count):
+    """``nominal`` and ``count - 1`` droops about it, r up to 2x and x within 2 V, at a fixed seed."""
+    rng = np.random.default_rng(20160101)
+    return [nominal] + [
+        nominal.with_r({bus: nominal.r[bus] * rng.uniform(1.0, 2.0) for bus in grid.vsc_buses})
+        .with_x({bus: nominal.x[bus] + rng.uniform(-2.0, 2.0) for bus in grid.vsc_buses})
+        for _ in range(count - 1)
+    ]
 
 
 # Every case-study solve converges inside Gauss-Seidel's budget, so it is
@@ -518,19 +548,13 @@ def _gave_up(residuals, budget):
 def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference, caplog):
     grid = make_grid()
     nominal = nominal_droop(grid)
-    rng = np.random.default_rng(20160101)
-    droops = [nominal] + [
-        nominal.with_r({bus: nominal.r[bus] * rng.uniform(1.0, 2.0) for bus in grid.vsc_buses})
-        .with_x({bus: nominal.x[bus] + rng.uniform(-2.0, 2.0) for bus in grid.vsc_buses})
-        for _ in range(count - 1)
-    ]
-    for droop in droops:
+    for droop in _oracle_droops(grid, nominal, count):
         v, residual = reference(grid, droop)
         state = solve_steady_state(grid, droop)
         assert state.v.tobytes() == v.tobytes(), droop
         assert state.residual == residual, droop
-    # the sweeps give up where the numpy sweeps do (a lost real root on the
-    # star, the budget on the feeder), and the lane decides
+    # the sweeps give up where the numpy residuals say (on both grids, the
+    # first block's rate cannot reach tol), and the lane decides
     collapsed = nominal.with_r({bus: 3000.0 for bus in grid.vsc_buses})
     with pytest.raises(NoRealRoot, match="voltage quadratic has no real root"):
         _numpy_solve(grid, collapsed)
@@ -542,9 +566,6 @@ def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference
     budget = steady_state.GS_SWEEPS
     gave_up = _gave_up(_numpy_residuals(grid, collapsed, budget), budget)
     assert [record.getMessage() for record in caplog.records] == [gave_up]
-
-
-BLOCK = steady_state.SWEEP_BLOCK
 
 
 @pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
@@ -577,17 +598,19 @@ def _outcome(solve):
 @pytest.mark.parametrize("budget", [BLOCK, 3 * BLOCK])
 def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, budget, caplog,
                                                               monkeypatch):
-    # the sweeps give up with the numpy sweep's residual, and Newton solves
-    # from the set-points, the call method="newton" makes, outcome and bits
+    # the numpy sweeps run out of the budget; the float sweeps give up where
+    # the numpy residuals say, at the budget or at a block whose rate cannot
+    # reach tol, and Newton solves from the set-points, the call
+    # method="newton" makes, outcome and bits
     monkeypatch.setattr(steady_state, "GS_SWEEPS", budget)
     grid = make_grid()
     nominal = nominal_droop(grid)
-    with pytest.raises(NonConvergence) as numpy_error:
+    with pytest.raises(NonConvergence):
         _numpy_solve(grid, nominal, max_iter=budget)
     with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
         got = _outcome(lambda: solve_steady_state(grid, nominal))
-    [gave_up] = [record.getMessage() for record in caplog.records]
-    assert gave_up.startswith(str(numpy_error.value) + "; newton starts afresh")
+    gave_up = _gave_up(_numpy_residuals(grid, nominal, budget), budget)
+    assert [record.getMessage() for record in caplog.records] == [gave_up]
     assert got == _outcome(lambda: solve_steady_state(grid, nominal, method="newton"))
 
 
@@ -615,7 +638,7 @@ def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal,
         with pytest.raises(NoRealRoot) as error:
             solve_steady_state(grid, droop, tol=0.5 * tol)
     assert str(error.value) == str(newton_error.value)
-    gave_up = _gave_up(residuals, steady_state.GS_SWEEPS)
+    gave_up = _gave_up(residuals, steady_state.GS_SWEEPS, 0.5 * tol)
     assert [record.getMessage() for record in caplog.records] == [gave_up]
 
 
@@ -863,13 +886,59 @@ def test_newton_finishes_a_solve_past_the_gauss_seidel_budget(caplog):
     grid = _radial_feeder()  # its Gauss-Seidel needs more than GS_SWEEPS sweeps
     nominal = nominal_droop(grid)
     budget = steady_state.GS_SWEEPS
+    with pytest.raises(NonConvergence):
+        _numpy_solve(grid, nominal, max_iter=budget)
     with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
         state = solve_steady_state(grid, nominal)
     newton = solve_steady_state(grid, nominal, method="newton")
     assert state.residual == newton.residual <= steady_state.DEFAULT_TOL
     assert state.v.tobytes() == newton.v.tobytes()
-    [gave_up] = [record.getMessage() for record in caplog.records]
-    assert f"after {budget} sweeps; newton starts afresh" in gave_up
+    # the first block's rate already shows the budget cannot be met
+    gave_up = _gave_up(_numpy_residuals(grid, nominal, budget), budget)
+    assert [record.getMessage() for record in caplog.records] == [gave_up]
+    assert f"after {BLOCK} sweeps, its rate " in gave_up
+
+
+@pytest.mark.parametrize("make_grid", [_radial_feeder, lambda: _chain(192)],
+                         ids=["_radial_feeder", "_chain-192"])
+def test_a_rate_that_cannot_reach_tol_hands_over_after_one_block(make_grid, monkeypatch):
+    # both solves swept the budget's 16 blocks before Newton took over
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    blocks = _count_calls(monkeypatch, "_sweep_block")
+    state = solve_steady_state(grid, nominal)
+    assert len(blocks) == 1
+    newton = solve_steady_state(grid, nominal, method="newton")
+    assert state.v.tobytes() == newton.v.tobytes()
+    assert state.residual == newton.residual
+
+
+# Points k of the case study's search lattice, r = r_nom + DEFAULT_STEP * k on
+# each converter, among the latest of a scan over every third point to
+# converge: at sweep 512, the budget's last, and at sweep 483, where a rate
+# over a whole first block (its first sweeps still settling) extrapolated
+# short of tol.
+LATE_LATTICE_POINTS = [(699, 360), (513, 507), (371, 686)]
+
+
+def test_sweeps_that_converge_late_in_the_budget_are_kept(monkeypatch):
+    grid = _case_study_config()
+    nominal = nominal_droop(grid)
+    late = [
+        nominal.with_r({bus: nominal.r[bus] + DEFAULT_STEP * k for bus, k in zip(grid.vsc_buses, ks)})
+        for ks in LATE_LATTICE_POINTS
+    ]
+    blocks = _count_calls(monkeypatch, "_sweep_block")
+    needed = []
+    for droop in late + _oracle_droops(grid, nominal, 25):
+        v, residual = _numpy_solve(grid, droop)
+        blocks.clear()
+        state = solve_steady_state(grid, droop)
+        assert state.v.tobytes() == v.tobytes(), droop
+        assert state.residual == residual, droop
+        needed.append(len(blocks))
+    # the lattice points converge in the budget's last block, 16 blocks in
+    assert needed[:3] == [steady_state.GS_SWEEPS // BLOCK] * 3, needed
 
 
 @pytest.mark.parametrize("make_grid", [_radial_feeder, _meshed_grid, lambda: _chain(192)],
