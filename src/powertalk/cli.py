@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+# vr_power_investment is unused here; perfbench/layers.py wraps it under this module's name
 from .budget import BudgetAllocation, allocate_input_variance, vr_power_investment
 from .channel import linearize
 from .comsim import SimConfig, run_transmission
@@ -269,9 +270,11 @@ def _sigma_z(cfg: RunConfig, args: argparse.Namespace) -> float:
 def allocation(
     grid: ValidatedGrid, droop: DroopState, pi: Mapping[int, float], tx: int
 ) -> BudgetAllocation:
-    """The input variance the budgets allow ``tx`` at ``droop``."""
-    model = linearize(grid, droop, solve_steady_state(grid, droop))
-    dp = vr_power_investment(grid, nominal_droop(grid), droop)
+    """The input variance the budgets allow ``tx`` at ``droop``, from one solve of ``droop``."""
+    state = solve_steady_state(grid, droop)
+    p_nom = solve_steady_state(grid, nominal_droop(grid)).p
+    dp = {bus: state.p[bus] - p_nom[bus] for bus in sorted(p_nom)}
+    model = linearize(grid, droop, state)
     return allocate_input_variance(model.Phi, pi, dp, transmitters={tx})
 
 

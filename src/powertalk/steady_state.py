@@ -28,8 +28,8 @@ when, kept up, it cannot reach the tolerance even one block past the
 ``GS_SWEEPS`` budget, when the budget is spent, or when a sweep loses a
 bus's real root, the sweeps are discarded and the solve is Newton's from
 the set-points, its batch lane.
-The budgets are the module's constants: every Newton solve, scalar or
-batched, stops after ``DEFAULT_MAX_ITER`` iterations.
+The tolerance and the budgets are the module's constants: every Newton
+solve, scalar or batched, stops after ``DEFAULT_MAX_ITER`` iterations.
 A Newton step's Jacobian is also the channel matrix
 (:func:`_jacobian_diagonal`); a solve reports kappa = g_bus / -J_nn from
 its diagonal.  Solvers are pure functions of their arguments and safe to
@@ -115,38 +115,33 @@ class ViabilityViolation:
 
 
 def solve_steady_state(
-    grid: ValidatedGrid, droop: DroopState, tol: float = DEFAULT_TOL, method: str = "gauss_seidel"
+    grid: ValidatedGrid, droop: DroopState, method: str = "gauss_seidel"
 ) -> SteadyState:
     """Solve the coupled bus equations at the given droop configuration.
 
-    ``tol`` bounds the final max current-balance residual in amps; Newton
-    raises it to each bus's rounding floor where that is larger (see
+    ``DEFAULT_TOL`` bounds the final max current-balance residual in amps;
+    Newton raises it to each bus's rounding floor where that is larger (see
     :func:`_newton_block`).  ``method="gauss_seidel"`` (the default) sweeps
-    up to ``GS_SWEEPS`` times and returns the first sweep within ``tol``.
-    If none is, or a block of sweeps shows a rate that cannot reach ``tol``
-    within that budget, or a sweep loses a bus's real root (see
-    :func:`_gauss_seidel`), Newton solves from the set-points, the call
-    ``method="newton"`` makes: with the default ``tol``
-    that is bit for bit the configuration's lane of
-    :func:`solve_steady_state_many`, stopped by the same ``DEFAULT_MAX_ITER``
-    iterations.  Raises :class:`NoRealRoot` when Newton's iterate leaves the
-    larger root (droop parameters outside the viable range) and
-    :class:`NonConvergence` when Newton's iterations run out or a sweep's
-    residual is not finite.  ``tol`` must be finite and >= 0, else
-    :class:`InvalidArgument`.
+    up to ``GS_SWEEPS`` times and returns the first sweep within
+    ``DEFAULT_TOL``.  If none is, or a block of sweeps shows a rate that
+    cannot reach it within that budget, or a sweep loses a bus's real root
+    (see :func:`_gauss_seidel`), Newton solves from the set-points, the call
+    ``method="newton"`` makes: bit for bit the configuration's lane of
+    :func:`solve_steady_state_many`.  Raises :class:`NoRealRoot` when
+    Newton's iterate leaves the larger root (droop parameters outside the
+    viable range) and :class:`NonConvergence` when Newton's iterations run
+    out or a sweep's residual is not finite.
     """
     droop.validate(grid)
-    if not 0.0 <= _floats(tol) < math.inf:
-        raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     if method not in ("gauss_seidel", "newton"):
         raise InvalidArgument(f"unknown method {method!r}")
     xr, y = _droop_lanes(grid, droop.x, droop.r, 1)
     v0 = _initial_voltages(grid, droop.x)
     solved = None
     if method == "gauss_seidel":
-        solved = _gauss_seidel(grid, xr[0], y[0], v0, tol)
+        solved = _gauss_seidel(grid, xr[0], y[0], v0)
     if solved is None:  # Newton from the set-points, the solve's batch lane
-        lane, feasible, res, its, stalled = _newton_block(grid, xr, y, v0, tol)
+        lane, feasible, res, its, stalled = _newton_block(grid, xr, y, v0)
         if stalled.size:
             raise NonConvergence(f"newton: no convergence after {its} iterations")
         if not feasible[0]:
@@ -162,9 +157,9 @@ def solve_steady_state(
 
 
 def _gauss_seidel(
-    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v: np.ndarray, tol: float
+    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v: np.ndarray
 ) -> Optional[Tuple[np.ndarray, float]]:
-    """Damped sweeps of the per-bus larger root from ``v`` until the residual is within ``tol``.
+    """Damped sweeps of the per-bus larger root from ``v`` until within ``tol``, ``DEFAULT_TOL``.
 
     The sweep runs on Python floats with the per-bus constants hoisted, and
     reads each bus's lines from the grid's line table.  A bus with one line
@@ -192,6 +187,7 @@ def _gauss_seidel(
     quadratic first.  A sweep whose residual is not finite raises
     :class:`NonConvergence` naming it.
     """
+    tol = DEFAULT_TOL
     v = v.copy()  # swept in place, and the row dots read views of it
     r_bus = 1.0 / (grid.r_cr_inv + grid.lines.degree + y)
     four_d = 4.0 * grid.d_cp / r_bus
@@ -385,7 +381,7 @@ def solve_steady_state_many(
         lanes = slice(lo, min(lo + block, size))
         r_blk = {bus: r_vals[lanes] for bus, r_vals in r_lanes.items()}
         xr, y = _droop_lanes(grid, x, r_blk, lanes.stop - lo)
-        *solved, its, _ = _newton_block(grid, xr, y, v0, DEFAULT_TOL)
+        *solved, its, _ = _newton_block(grid, xr, y, v0)
         v[lanes], feasible[lanes], residual[lanes] = solved
         sweeps = max(sweeps, its)
     return BatchSolve(v=v, feasible=feasible, residual=residual, sweeps=sweeps)
@@ -403,7 +399,7 @@ def _block_lanes(grid: ValidatedGrid) -> int:
 
 
 def _newton_block(
-    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v0: np.ndarray, tol: float
+    grid: ValidatedGrid, xr: np.ndarray, y: np.ndarray, v0: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Newton on one block of lanes; a lane iterates until it is certified or strays.
 
@@ -423,7 +419,7 @@ def _newton_block(
     feasible), the feasible mask, the residuals, the iterations run and the
     indices of the lanes still iterating when the iterations ran out.
 
-    A bus's threshold is ``tol``, or its rounding floor where that is
+    A bus's threshold is ``DEFAULT_TOL``, or its rounding floor where that is
     larger: ``ROUNDING_TERMS`` times eps times its ``g_bus v`` at the start
     point, the largest term of its :func:`_balance`, since a sum cannot be
     computed closer than about eps times its largest term (Higham,
@@ -449,7 +445,7 @@ def _newton_block(
             b, f = _balance(grid, xr, g_bus, v)
             abs_f = np.abs(f)
             res = abs_f.max(axis=1)
-            certified = (abs_f <= np.maximum(tol, floor * (g_bus * v0))).all(axis=1)
+            certified = (abs_f <= np.maximum(DEFAULT_TOL, floor * (g_bus * v0))).all(axis=1)
             del abs_f  # freed before the step, which peaks a lane's memory
             physical = _on_upper_branch(grid, g_bus, b, v)
             stays = physical & ~certified

@@ -40,8 +40,8 @@ def finite_difference_gains(grid, droop, h=1e-3):
     dv = np.zeros((n, n))
     dp = np.zeros((n, n))
     for m in grid.vsc_buses:
-        up = solve_steady_state(grid, droop.with_x({m: droop.x[m] + h}), tol=1e-12)
-        dn = solve_steady_state(grid, droop.with_x({m: droop.x[m] - h}), tol=1e-12)
+        up = solve_steady_state(grid, droop.with_x({m: droop.x[m] + h}))
+        dn = solve_steady_state(grid, droop.with_x({m: droop.x[m] - h}))
         dv[:, m] = (up.v - dn.v) / (2.0 * h)
         for bus in grid.vsc_buses:
             dp[bus, m] = (up.p[bus] - dn.p[bus]) / (2.0 * h)
@@ -62,7 +62,7 @@ def test_power_gains_match_finite_differences(grid, nominal, model):
 
 def test_model_is_exact_for_linear_loads(linear_grid):
     droop = nominal_droop(linear_grid)
-    state = solve_steady_state(linear_grid, droop, tol=1e-12)
+    state = solve_steady_state(linear_grid, droop)
     model = linearize(linear_grid, droop, state)
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -70,8 +70,7 @@ def test_model_is_exact_for_linear_loads(linear_grid):
         for bus in linear_grid.vsc_buses:
             dx[bus] = rng.uniform(-5.0, 5.0)
         moved = solve_steady_state(
-            linear_grid, droop.with_x({b: droop.x[b] + dx[b] for b in linear_grid.vsc_buses}),
-            tol=1e-12,
+            linear_grid, droop.with_x({b: droop.x[b] + dx[b] for b in linear_grid.vsc_buses})
         )
         err = np.max(np.abs(moved.v - (state.v + model.H @ dx)))
         assert err < 1e-9, f"linear-load prediction off by {err:.3e} V"

@@ -25,7 +25,7 @@ from powertalk import (
     two_source_closed_form,
     validate_grid,
 )
-from powertalk import cli
+from powertalk import budget, cli
 from powertalk.cli import SWEEP_COLUMNS, main, parse_config
 
 from conftest import dense_lines
@@ -489,6 +489,23 @@ def test_linearized_simulate_from_budgets_linearizes_once(grid_file, monkeypatch
     argv = ["simulate", "--grid", grid_file, "--pi", "10", "--mode", "linearized"]
     assert main([*argv, "--slots", "100"]) == 0
     assert len(calls) == 1
+
+
+def test_budget_solves_the_droop_point_once(grid_file, monkeypatch, capsys):
+    # the investment solved the droop point a second time, and the nominal one
+    calls = []
+    original = cli.solve_steady_state
+
+    def counted(grid, droop, *args, **kwargs):
+        calls.append(dict(droop.r))
+        return original(grid, droop, *args, **kwargs)
+
+    for module in (cli, budget):
+        monkeypatch.setattr(module, "solve_steady_state", counted)
+    assert main(["budget", "--grid", grid_file, "--pi", "10", "--r", "0.45,0.5"]) == 0
+    assert calls == [{0: 0.45, 1: 0.5}, {0: 0.39, 1: 0.39}]
+    dp = [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[-2:]]
+    assert all(float(value) != 0.0 for value in dp)
 
 
 def test_solve_channel_budget_optimize_match_the_case_study_golden(capsys):

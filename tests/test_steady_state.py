@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 import time
@@ -105,8 +106,9 @@ def test_unknown_method_rejected(grid, nominal):
 
 
 def test_residual_below_tolerance(grid, nominal):
-    state = solve_steady_state(grid, nominal, tol=1e-11)
-    assert state.residual <= 1e-11
+    for method in ("gauss_seidel", "newton"):
+        state = solve_steady_state(grid, nominal, method=method)
+        assert 0.0 <= state.residual <= steady_state.DEFAULT_TOL, method
 
 
 def test_power_balance(grid, nominal, state):
@@ -269,7 +271,7 @@ def test_closed_form_topology_checks(grid):
 @given(r_a=r_values, r_b=r_values)
 def test_closed_form_tracks_solver_over_droop_range(grid, nominal, r_a, r_b):
     droop = nominal.with_r({0: r_a, 1: r_b})
-    state = solve_steady_state(grid, droop, tol=1e-11)
+    state = solve_steady_state(grid, droop)
     exact = two_source_closed_form(grid, droop)
     err = np.max(np.abs(state.v - exact))
     assert err < 1e-8, f"r=({r_a}, {r_b}): {err:.3e} V"
@@ -569,9 +571,9 @@ def test_float_sweep_matches_numpy_sweep_bit_for_bit(make_grid, count, reference
 
 
 @pytest.mark.parametrize("make_grid", [_case_study_config, _radial_feeder])
-def test_convergence_at_every_block_offset_matches_numpy_sweep(make_grid):
-    # tol is the residual of a target sweep, so the solve stops there: at
-    # the first sweep, both ends of the first two blocks and inside the third
+def test_convergence_at_every_block_offset_matches_numpy_sweep(make_grid, monkeypatch):
+    # DEFAULT_TOL is the residual of a target sweep, so the solve stops there:
+    # at the first sweep, both ends of the first two blocks and inside the third
     grid = make_grid()
     nominal = nominal_droop(grid)
     targets = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 3)
@@ -580,7 +582,8 @@ def test_convergence_at_every_block_offset_matches_numpy_sweep(make_grid):
         tol = residuals[target - 1]
         assert min(residuals[: target - 1], default=np.inf) > tol, target  # first sweep in tol
         v, residual = _numpy_solve(grid, nominal, tol=tol)
-        state = solve_steady_state(grid, nominal, tol=tol)
+        monkeypatch.setattr(steady_state, "DEFAULT_TOL", tol)
+        state = solve_steady_state(grid, nominal)
         assert state.v.tobytes() == v.tobytes(), target
         assert state.residual == residual == tol, target
 
@@ -614,11 +617,12 @@ def test_an_exhausted_sweep_budget_reports_the_numpy_residual(make_grid, budget,
     assert got == _outcome(lambda: solve_steady_state(grid, nominal, method="newton"))
 
 
-def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal, caplog):
+def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal, caplog,
+                                                                  monkeypatch):
     # at x = 50 V the star's residual falls to a minimum, then a later sweep
-    # of the same block meets a negative discriminant: a tol met by that
-    # minimum returns it, as the numpy sweep does, and a tighter tol gives
-    # the solve to Newton from the set-points, whose lane is not viable
+    # of the same block meets a negative discriminant: a DEFAULT_TOL met by
+    # that minimum returns it, as the numpy sweep does, and a tighter one
+    # gives the solve to Newton from the set-points, whose lane is not viable
     droop = nominal.with_x({0: 50.0, 1: 50.0})
     residuals = _numpy_residuals(grid, droop, BLOCK)
     failing = len(residuals) + 1
@@ -626,17 +630,19 @@ def test_no_real_root_after_convergence_in_the_block_is_discarded(grid, nominal,
     converged = residuals.index(tol) + 1
     assert converged < failing <= BLOCK, (converged, failing)
     v, residual = _numpy_solve(grid, droop, tol=tol)
-    state = solve_steady_state(grid, droop, tol=tol)
+    monkeypatch.setattr(steady_state, "DEFAULT_TOL", tol)
+    state = solve_steady_state(grid, droop)
     assert state.v.tobytes() == v.tobytes() and state.residual == residual == tol
     with pytest.raises(NoRealRoot, match="voltage quadratic has no real root"):
         _numpy_solve(grid, droop, tol=0.5 * tol)
+    monkeypatch.setattr(steady_state, "DEFAULT_TOL", 0.5 * tol)
     with pytest.raises(NoRealRoot):
         _lane(grid, droop)
     with pytest.raises(NoRealRoot) as newton_error:
-        solve_steady_state(grid, droop, tol=0.5 * tol, method="newton")
+        solve_steady_state(grid, droop, method="newton")
     with caplog.at_level(logging.DEBUG, logger="powertalk.steady_state"):
         with pytest.raises(NoRealRoot) as error:
-            solve_steady_state(grid, droop, tol=0.5 * tol)
+            solve_steady_state(grid, droop)
     assert str(error.value) == str(newton_error.value)
     gave_up = _gave_up(residuals, steady_state.GS_SWEEPS, 0.5 * tol)
     assert [record.getMessage() for record in caplog.records] == [gave_up]
@@ -967,14 +973,10 @@ def test_a_stiff_converter_does_not_loosen_the_other_buses(grid, nominal, r_0):
     assert np.max(np.abs(v - exact)) <= 1e-9
 
 
-@pytest.mark.parametrize("method", ["gauss_seidel", "newton"])
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-def test_a_tolerance_must_be_finite_and_nonnegative(grid, nominal, tol, method):
-    # NaN was never met, so Newton ran all of its 10,000 default iterations
-    # into NonConvergence, and -1.0 was taken as the rounding floor
-    with pytest.raises(InvalidArgument, match="tol must be finite and >= 0"):
-        solve_steady_state(grid, nominal, tol=tol, method=method)
-    assert solve_steady_state(grid, nominal, tol=0.0, method=method).residual >= 0.0
+def test_a_solve_sets_no_tolerance_or_budget():
+    # the tolerance and the budgets are the module's constants, so a scalar
+    # solve is its batch lane with no condition on its arguments
+    assert list(inspect.signature(solve_steady_state).parameters) == ["grid", "droop", "method"]
 
 
 def _scaled_loads(grid, scale):
@@ -1060,7 +1062,7 @@ def test_newton_block_memory_grows_linearly_with_the_buses(monkeypatch):
         v0 = steady_state._initial_voltages(grid, xr[0] / np.where(y[0] > 0.0, y[0], 1.0))
         tracemalloc.start()
         try:
-            steady_state._newton_block(grid, xr, y, v0, steady_state.DEFAULT_TOL)
+            steady_state._newton_block(grid, xr, y, v0)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1079,7 +1081,7 @@ def test_gauss_seidel_builds_no_n_by_n_array(monkeypatch):
     v0 = steady_state._initial_voltages(grid, nominal.x)
     tracemalloc.start()
     try:
-        swept = steady_state._gauss_seidel(grid, xr, y, v0, steady_state.DEFAULT_TOL)
+        swept = steady_state._gauss_seidel(grid, xr, y, v0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
