@@ -117,9 +117,40 @@ def chunk_noise(seed: int, chunk: int, size: int) -> np.ndarray:
     return _chunk_rng(seed, _NOISE_STREAM, chunk).standard_normal(size)
 
 
+class _Generators(threading.local):
+    """Each thread's generators by stream, made on first use and re-keyed per chunk.
+
+    A new ``Philox(key=...)`` still builds its unused seed sequence from OS
+    entropy; a fixed seed reads none, and :func:`_chunk_rng` replaces the
+    key anyway.  Nothing is made at import, which leaves ``numpy.random``
+    unloaded in a process that draws nothing.
+    """
+
+    def __init__(self) -> None:
+        self.by_stream: Dict[int, np.random.Generator] = {}
+
+
+_generators = _Generators()
+
+
 def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """This thread's generator of ``stream``, keyed by (seed, stream, chunk) as a new one is.
+
+    The whole state is set, so no draw depends on an earlier use.
+    """
     key = np.array([np.uint64(seed), np.uint64((stream << 56) | chunk)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if stream not in _generators.by_stream:
+        _generators.by_stream[stream] = np.random.Generator(np.random.Philox(0))
+    rng = _generators.by_stream[stream]
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _chunks(slots: int) -> Iterator[Tuple[int, int]]:

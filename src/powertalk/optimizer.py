@@ -10,11 +10,11 @@ sigma_z only scales the SNR, min_n g_n / sigma_z^2, and not the
 maximizer.  The exact search keeps a running first maximum over blocks
 of lanes in C order: the nominal resistances, then the budget band, the
 points whose investments all fit the budgets, found per lattice row by
-batched bisection on the monotone investments.  Every other point scores
-0.  When a run-time check of the band fails, or the nominal point is not
-viable, the blocks are the whole lattice, unless too large.  All grid-point
-evaluations are pure, so the result is independent of evaluation order;
-ties resolve to the smallest resistances.
+batched, safeguarded interpolation on the monotone investments.  Every
+other point scores 0.  When a run-time check of the band fails, or the
+nominal point is not viable, the blocks are the whole lattice, unless too
+large.  All grid-point evaluations are pure, so the result is independent
+of evaluation order; ties resolve to the smallest resistances.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ PROBE_SAMPLES = 25       # interior points the concavity probe audits
 PROBE_FD_STEP = 1e-3     # central-difference step of the probe's Hessians [ohm]
 PROBE_REL_TOL = 1e-6     # largest Hessian eigenvalue, relative to its norm, taken as concave
 MAX_SEARCH_LANES = 1 << 27  # most lattice lanes a search may probe or scan
+_SETTLED_WIDTH = 16  # a band edge's bracket this narrow is left to the band check's solve
 
 __all__ = [
     "OptimizationResult",
@@ -506,87 +507,125 @@ def _band_lanes(
     others.  A row's band is therefore one run [lo, hi]: lo is the first
     point where the constraints that turn true along the row hold, hi
     the last where those that turn false still hold, with each
-    constraint's direction taken from the row's end points.  Both edges
-    of every row are bisected at once, one batched solve per round.  The
-    run and its outside neighbours are then solved and checked: viable,
-    strictly monotone in the row's direction, and in the band exactly
-    from lo to hi; that check's solve of the band comes back with the
-    indices, in the shape of one block of :func:`_lattice_blocks`.
-    An empty band, every row's run empty, comes back with no lanes: every
-    lane then has an investment outside its budget, on the same premise of
-    monotone rows that the band's edges rest on.  Returns None, meaning
-    "search the whole lattice", when a probed point is not viable, a row's
-    end points tie, a check fails or 2 x rows exceed ``MAX_SEARCH_LANES``.
+    constraint's direction taken from the row's end points.  Each edge
+    is bracketed by two solved points, and each side's smallest slack,
+    its margin, is monotone along the row and >= 0 exactly where that
+    side holds.  The end probe solves every row's end points, and its
+    middle point when that adds no Newton block; each later round solves,
+    in one batch, the two points around each bracket's secant zero of the
+    margin and its midpoint, so a bracket at least halves (regula falsi
+    with a bisection safeguard).  A bracket of ``_SETTLED_WIDTH`` points
+    or fewer is left to the check batch, which solves each row from its
+    lo bracket's lower end to its hi bracket's upper end and keeps the
+    points that it finds in the band.  The band is exact when that batch
+    is viable and every investment in it is strictly monotone in its
+    row's direction, which makes both margins strictly monotone too, so
+    the points kept are one run per row; the batch's solve of the
+    band comes back with the indices, in the shape of one block of
+    :func:`_lattice_blocks`.  An empty band, every row's run empty, comes
+    back with no lanes: every lane then has an investment outside its
+    budget, on the same premise of monotone rows that the band's edges
+    rest on.  Returns None, meaning "search the whole lattice", when a
+    solved point is not viable, a row's end points tie, a check fails or
+    2 x rows exceed ``MAX_SEARCH_LANES``; one debug line names the cause,
+    or the rounds and lanes of a search that found the band.
     """
     vsc = sorted(axes)
     width = len(axes[vsc[-1]])
     row_count = math.prod(len(axes[bus]) for bus in vsc[:-1])
     if 2 * row_count > MAX_SEARCH_LANES:
-        return None
-    rows = np.arange(row_count)
+        return _no_band(f"{row_count} rows, more than MAX_SEARCH_LANES / 2")
     pi_vec = np.array([pi[bus] for bus in vsc])
 
     def probe(row: np.ndarray, col: np.ndarray) -> Optional[np.ndarray]:
         return _lane_investments(grid, nominal, p_nom, _lattice_r(axes, row * width + col))
 
-    end_row, end_col = np.tile(rows, 2), np.repeat([0, width - 1], rows.size)
+    middle = [width // 2] if 3 * row_count <= _block_lanes(grid) else []
+    cols = np.unique([0, *middle, width - 1])
+    end_row, end_col = np.repeat(np.arange(row_count), cols.size), np.tile(cols, row_count)
     ends = probe(end_row, end_col)
     if ends is None:
-        return None
-    first, last = ends[: rows.size], ends[rows.size :]
+        return _no_band("a lane of the end probe is not viable")
+    first, last = ends[end_col == 0], ends[end_col == width - 1]
     if np.any(first == last):
-        return None
+        return _no_band("a row's end points tie")
     rising = last > first  # (rows, n_vsc)
 
-    def holds(dp: np.ndarray, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Whether the constraints that turn true, and those that turn false, all hold."""
-        above, below = dp >= -pi_vec, dp <= pi_vec
-        after = np.where(rising[row], above, below).all(axis=1)
-        before = np.where(rising[row], below, above).all(axis=1)
-        return after, before
+    def margins(dp: np.ndarray, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Smallest slack of the constraints that turn true, and of those that turn false.
 
-    # lo in (a_lo, a_hi] and hi in [b_lo, b_hi); -1 and width stand for "none"
-    a_lo, a_hi = np.full(rows.size, -1), np.full(rows.size, width)
-    b_lo, b_hi = np.full(rows.size, -1), np.full(rows.size, width)
+        A float sum keeps the sign of the exact one, so each slack is
+        >= 0 exactly where its constraint holds.
+        """
+        up, down = dp + pi_vec, pi_vec - dp  # slack of dp >= -pi and of dp <= pi
+        return (np.where(rising[row], up, down).min(axis=1),
+                np.where(rising[row], down, up).min(axis=1))
+
+    # Each edge's bracket, with the margins at its ends: lo in (a[0], a[1]]
+    # with m_after >= 0 from a[1] on, hi in [b[0], b[1]) with m_before < 0
+    # from b[1] on; -1 and width stand for "none".
+    a, b = (np.array([np.full(row_count, -1), np.full(row_count, width)]) for _ in range(2))
+    ma, mb = (np.full((2, row_count), np.nan) for _ in range(2))
 
     def narrow(row: np.ndarray, col: np.ndarray, dp: np.ndarray) -> None:
-        after, before = holds(dp, row)
-        np.minimum.at(a_hi, row[after], col[after])
-        np.maximum.at(a_lo, row[~after], col[~after])
-        np.maximum.at(b_lo, row[before], col[before])
-        np.minimum.at(b_hi, row[~before], col[~before])
+        m_after, m_before = margins(dp, row)
+        for ends, m, margin, turned in ((a, ma, m_after, m_after >= 0.0),
+                                        (b, mb, m_before, m_before < 0.0)):
+            np.minimum.at(ends[1], row[turned], col[turned])
+            np.maximum.at(ends[0], row[~turned], col[~turned])
+            for side in (0, 1):
+                at = col == ends[side][row]
+                m[side][row[at]] = margin[at]
 
     narrow(end_row, end_col, ends)
+    rounds, probed = 0, end_row.size
     while True:
-        live = a_lo + 1 <= b_hi - 1  # the row's band may still be nonempty
-        open_a = np.flatnonzero(live & (a_hi - a_lo > 1))
-        open_b = np.flatnonzero(live & (b_hi - b_lo > 1))
-        if open_a.size + open_b.size == 0:
+        live = a[0] + 1 <= b[1] - 1  # the row's band may still be nonempty
+        lanes = []
+        for ends, m in ((a, ma), (b, mb)):
+            row = np.flatnonzero(live & (ends[1] - ends[0] > _SETTLED_WIDTH))
+            lo, hi = ends[0][row], ends[1][row]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = m[0][row] / (m[0][row] - m[1][row])  # the margin's secant zero
+            t = np.clip(np.nan_to_num(t, nan=0.5), 0.0, 1.0)
+            est = np.floor(lo + (hi - lo) * t).astype(int)
+            for col in (est, est + 1, (lo + hi) // 2):
+                lanes.append(row * width + np.clip(col, lo + 1, hi - 1))
+        lanes = np.unique(np.concatenate(lanes))
+        if not lanes.size:
             break
-        row = np.concatenate([open_a, open_b])
-        col = np.concatenate([a_lo[open_a] + a_hi[open_a], b_lo[open_b] + b_hi[open_b]]) // 2
+        row, col = np.divmod(lanes, width)
         dp = probe(row, col)
         if dp is None:
-            return None
+            return _no_band(f"a lane of round {rounds + 1} is not viable")
         narrow(row, col, dp)
+        rounds, probed = rounds + 1, probed + lanes.size
 
-    lo, hi = a_hi, b_lo
-    band = np.flatnonzero(lo <= hi)
-    start = np.maximum(lo[band] - 1, 0)
-    length = np.minimum(hi[band] + 1, width - 1) + 1 - start
-    row = np.repeat(band, length)
+    live = np.flatnonzero(live)
+    start = np.maximum(a[0][live], 0)
+    length = np.minimum(b[1][live], width - 1) + 1 - start
+    row = np.repeat(live, length)
     col = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - start, length)
     r = _lattice_r(axes, row * width + col)
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     if not batch.feasible.all():
-        return None
+        return _no_band("a lane of the check batch is not viable")
     dp = _investment(grid, nominal, p_nom, r, batch.v)
-    after, before = holds(dp, row)
-    inside = (col >= lo[row]) & (col <= hi[row])
-    if np.any((after & before) != inside) or not _runs_monotone(dp, rising[row], row):
-        return None
-    kept = BatchSolve(*(a[inside] for a in (batch.v, batch.feasible, batch.residual)), batch.sweeps)
+    if not _runs_monotone(dp, rising[row], row):
+        return _no_band("an investment is not monotone along a row")
+    m_after, m_before = margins(dp, row)
+    inside = (m_after >= 0.0) & (m_before >= 0.0)
+    logger.debug("band search: %d lanes in the band; %d probed, %d in the check batch; rounds "
+                 "after the end probe: %d", np.count_nonzero(inside), probed, row.size, rounds)
+    parts = (batch.v, batch.feasible, batch.residual)
+    kept = BatchSolve(*(part[inside] for part in parts), batch.sweeps)
     return row[inside] * width + col[inside], {bus: r[bus][inside] for bus in vsc}, kept
+
+
+def _no_band(cause: str) -> None:
+    """Log why the band search gives up; its None means "search the whole lattice"."""
+    logger.debug("band search: falls back to the whole lattice: %s", cause)
+    return None
 
 
 def _runs_monotone(dp: np.ndarray, rising: np.ndarray, row: np.ndarray) -> bool:

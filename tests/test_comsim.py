@@ -400,3 +400,24 @@ def test_compliance_counts_ones_on_any_cpu_count(monkeypatch, grid, nominal):
     assert rows[0] == rows[1]
     for bus, row in rows[0].items():
         assert row.empirical == report.p_dev_mean_sq[bus]
+
+
+def test_a_run_builds_one_generator_per_thread_and_stream(monkeypatch, grid, nominal):
+    # a new Philox per chunk and stream read OS entropy for a seed sequence
+    # it never used: 12 of them for this run's 6 chunks
+    built, philox = [], np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(threading.current_thread())
+        return philox(*args, **kwargs)
+
+    cfg = make_cfg(mode="linearized", slots=6 * CHUNK_SLOTS)
+    want = run_transmission(grid, nominal, cfg)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    pin_cpus(monkeypatch, 2)
+    reports = []
+    caller = threading.Thread(target=lambda: reports.append(run_transmission(grid, nominal, cfg)))
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive() and reports == [want]
+    assert len(built) == 4 and len(set(built)) == 2  # the caller and one helper, two streams each

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import time
 import tracemalloc
@@ -722,6 +723,70 @@ def test_band_search_equals_the_full_lattice_over_budgets_and_steps(
     )
 
 
+@pytest.mark.parametrize(
+    "box, pi, edge",
+    [
+        (BOX, {0: 10.0, 1: 10.0}, "first"),  # row 0 starts at the nominal point, in the band
+        ({0: 0.6, 1: 0.45}, {0: 10.0, 1: 10.0}, "last"),  # the band runs into the box's edge
+        (BOX, {0: 10.0, 1: np.inf}, None),  # no budget: infinite slack, as in the probe's box
+        (BOX, {0: np.inf, 1: 10.0}, None),
+        (BOX, {0: np.inf, 1: np.inf}, "every"),
+        (BOX, {0: 0.0, 1: 0.0}, "none"),
+    ],
+    ids=["column 0", "last column", "no budget on bus 1", "no budget on bus 0", "no budget",
+         "empty"],
+)
+@pytest.mark.parametrize("block", [None, 64], ids=["middle probed", "ends only"])
+def test_the_band_equals_the_full_lattice_at_its_edges(
+    grid, nominal, box, pi, edge, block, monkeypatch
+):
+    if block:  # three columns of the 43 rows would add a Newton block: the end probe has two
+        _blocks_of(block, grid, monkeypatch)
+    p_nom = solve_steady_state(grid, nominal).p
+    axes = optimizer._r_axes(_boxed(box), nominal, DEFAULT_STEP)
+    lanes, r, batch = optimizer._band_lanes(grid, nominal, p_nom, axes, pi)
+    lattice = _lattice(grid, nominal, DEFAULT_STEP, box)
+    whole = solve_steady_state_many(grid, dict(nominal.x), lattice)
+    _, p = vsc_outputs(grid, nominal.with_r(lattice), whole.v.T)
+    inside = whole.feasible & np.all([np.abs(p[bus] - p_nom[bus]) <= pi[bus] for bus in pi], axis=0)
+    assert lanes.tobytes() == np.flatnonzero(inside).tobytes()
+    assert batch.v.tobytes() == whole.v[inside].tobytes()
+    for bus in pi:
+        assert r[bus].tobytes() == lattice[bus][inside].tobytes()
+    col, width = lanes % len(axes[1]), len(axes[1])
+    shown = {"first": np.any(col == 0), "last": np.any(col == width - 1),
+             "every": inside.all(), "none": not inside.any(), None: True}
+    assert shown[edge]
+
+
+def test_the_case_study_band_takes_four_solves_after_its_end_probe(grid, nominal, solved_lanes):
+    # bisection took ten rounds on the 703-point rows, and then the check batch
+    p_nom = solve_steady_state(grid, nominal).p
+    axes = optimizer._r_axes(grid, nominal, DEFAULT_STEP)
+    assert [len(values) for values in axes.values()] == [703, 703]
+    solved_lanes.clear()
+    lanes, _, _ = optimizer._band_lanes(grid, nominal, p_nom, axes, {0: 20.0, 1: 20.0})
+    assert lanes.size == 203
+    end_probe, *after = solved_lanes
+    assert end_probe == 3 * 703  # both ends and the middle of every row
+    assert len(after) <= 4
+
+
+def test_the_band_search_logs_its_lanes_or_why_it_falls_back(boxed, nominal, caplog):
+    caplog.set_level(logging.DEBUG, logger="powertalk.optimizer")
+    budgets = {0: 10.0, 1: 10.0}
+    maximize_snr_grid(boxed, nominal, budgets, SIGMA_Z, 0, 1)
+    assert [m for m in caplog.messages if m.startswith("band search")] == [
+        "band search: 49 lanes in the band; 268 probed, 218 in the check batch; "
+        "rounds after the end probe: 1"
+    ]
+    caplog.clear()
+    maximize_snr_grid(_boxed({0: 40.0, 1: 40.0}), nominal, budgets, SIGMA_Z, 0, 1, step=0.5)
+    assert [m for m in caplog.messages if m.startswith("band search")] == [
+        "band search: falls back to the whole lattice: a lane of the end probe is not viable"
+    ]
+
+
 def _assert_last_solves_cover(solves, lattice):
     """The trailing batched solves, taken together, are every lattice lane once, in C order."""
     size = next(iter(lattice.values())).size
@@ -937,10 +1002,10 @@ def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, so
     "search, calls, lanes",
     [
         (lambda grid, nominal: capacity_sweep(grid, nominal, [2.0, 5.0, 10.0, 15.0, 20.0],
-                                              SIGMA_Z, 0, 1), 15, 4_899),
+                                              SIGMA_Z, 0, 1), 8, 5_110),
         (lambda grid, nominal: maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0},
-                                                 SIGMA_Z, 0, 1), 15, 4_332),
-        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 54, 3_763),
+                                                 SIGMA_Z, 0, 1), 8, 4_813),
+        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 49, 2_936),
     ],
     ids=["sweep", "optimize", "probe"],
 )
