@@ -19,6 +19,7 @@ of evaluation order; ties resolve to the smallest resistances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -222,22 +223,14 @@ def default_r_max(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
     and caps the result at ``DEFAULT_R_MAX_CAP`` times nominal so the
     search box stays bounded even on grids that never lose viability.
     A resistance is viable when the batched solve certifies its lane on
-    the larger root.  Raises :class:`InvalidArgument` for a bus without a
-    converter.
+    the larger root.  This is the one-converter case of the search box's
+    sizing, whatever the converter's nameplate ``r_max``.  Raises
+    :class:`InvalidArgument` for a bus without a converter.
     """
     if not grid.has_vsc(bus):
         raise InvalidArgument(f"bus {bus} hosts no converter")
     _read_inputs(grid, nominal)
-
-    def viable(r: float) -> bool:
-        batch = solve_steady_state_many(grid, nominal.x, nominal.with_r({bus: r}).r)
-        return bool(batch.feasible[0])
-
-    r_nom = nominal.r[bus]
-    hi = DEFAULT_R_MAX_CAP * r_nom
-    if viable(hi):
-        return hi
-    return max(r_nom, DEFAULT_R_MAX_MARGIN * _bisect(viable, r_nom, hi, 60))
+    return _r_limits(grid, nominal, {bus: None})[bus]
 
 
 def concavity_probe(
@@ -343,9 +336,9 @@ def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, 
     if not 0.0 < _floats(step) < math.inf:
         raise InvalidArgument(f"step must be finite and positive, got {step}")
     counts = {}
-    for bus in sorted(nominal.r):
+    nameplate = {bus: grid.vsc(bus).r_max for bus in sorted(nominal.r)}
+    for bus, hi in _r_limits(grid, nominal, nameplate).items():
         lo = nominal.r[bus]
-        hi = _r_limit(grid, nominal, bus)
         if hi < lo:
             raise EmptySearchSpace(f"bus {bus}: r_max {hi:.6g} < nominal {lo:.6g}")
         span = (float(hi) - float(lo)) / float(step)
@@ -357,10 +350,39 @@ def _r_axes(grid: ValidatedGrid, nominal: DroopState, step: float) -> Dict[int, 
     return {bus: nominal.r[bus] + step * np.arange(count) for bus, count in counts.items()}
 
 
-def _r_limit(grid: ValidatedGrid, nominal: DroopState, bus: int) -> float:
-    """Upper end of a converter's search box: its nameplate r_max, else :func:`default_r_max`."""
-    limit = grid.vsc(bus).r_max
-    return limit if limit is not None else default_r_max(grid, nominal, bus)
+def _r_limits(
+    grid: ValidatedGrid, nominal: DroopState, nameplate: Mapping[int, Optional[float]]
+) -> Dict[int, float]:
+    """Upper ends of converters' search boxes: each ``nameplate`` r_max, else the default.
+
+    A converter whose nameplate sets none, None, gets :func:`default_r_max`'s.
+    The caps of all such converters are the lanes of one batched solve,
+    each with its own converter at ``DEFAULT_R_MAX_CAP`` times nominal and
+    the others at nominal; only the converters whose cap is not viable are
+    bisected.  No lane depends on its batch, so each limit is the one a
+    solve of that converter alone finds.
+    """
+    limits = dict(nameplate)
+    open_buses = [bus for bus, limit in limits.items() if limit is None]
+    if not open_buses:
+        return limits
+
+    def viable(bus: int, r: float) -> bool:
+        batch = solve_steady_state_many(grid, nominal.x, nominal.with_r({bus: r}).r)
+        return bool(batch.feasible[0])
+
+    caps = {bus: DEFAULT_R_MAX_CAP * nominal.r[bus] for bus in open_buses}
+    lanes = {bus: np.full(len(open_buses), r) for bus, r in nominal.r.items()}
+    for lane, bus in enumerate(open_buses):
+        lanes[bus][lane] = caps[bus]
+    at_caps = solve_steady_state_many(grid, nominal.x, lanes)
+    for bus, cap_viable in zip(open_buses, at_caps.feasible):
+        if cap_viable:
+            limits[bus] = caps[bus]
+            continue
+        edge = _bisect(functools.partial(viable, bus), nominal.r[bus], caps[bus], 60)
+        limits[bus] = max(nominal.r[bus], DEFAULT_R_MAX_MARGIN * edge)
+    return limits
 
 
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float, rounds: int) -> float:
@@ -409,7 +431,8 @@ def _channel_table(
     return _ChannelTable(
         vsc=tuple(vsc),
         r=r,
-        feasible=batch.feasible & np.isfinite(h[:, rx, 0]) & np.isfinite(phi[:, :, 0]).all(axis=1),
+        feasible=(batch.feasible & np.isfinite(h[:, rx, 0])
+                  & _over_converters(np.logical_and, np.isfinite(phi[:, :, 0]))),
         h_rx=h[:, rx, 0],
         phi=phi[:, :, 0],
         dp=_investment(grid, nominal, p_nom, r, batch.v),
@@ -429,8 +452,10 @@ def _search(
 
     Each budget's running pick is replaced by a block's first maximum only
     when ``argmax`` over the two prefers it: strictly greater, or NaN
-    first.  Lane 0, the nominal resistances, goes first, alone; its picks
-    are the nominal scores.  Then comes the band at the last, largest,
+    first.  Lane 0, the nominal resistances, goes first, on its own; its
+    picks are the nominal scores.  Its solve comes from the end probe of
+    the band search, or, when that search stops before probing, from a
+    solve of that lane alone.  Then comes the band at the last, largest,
     budget (no block when it is empty), which holds every lane that can
     score above 0 at any of the budgets.  Every other lane scores 0, or
     -inf when not viable, so the viable lane 0 keeps a tie at 0.  When
@@ -441,12 +466,14 @@ def _search(
     size = math.prod(len(values) for values in axes.values())
     p_nom = solve_steady_state(grid, nominal).p
     link = (grid, nominal, p_nom, tx, rx)
+    solved, band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1])
     corner = _lattice_r(axes, np.zeros(1, dtype=int))
-    at_nominal = _channel_table(*link, corner, solve_steady_state_many(grid, nominal.x, corner))
+    if solved is None:
+        solved = solve_steady_state_many(grid, nominal.x, corner)
+    at_nominal = _channel_table(*link, corner, solved)
     picks = [_first_max(at_nominal, pi) for pi in budgets]  # (r_star, score, g_values)
     nominal_scores = [score for _, score, _ in picks]
-    band = _band_lanes(grid, nominal, p_nom, axes, budgets[-1]) if at_nominal.feasible[0] else None
-    if band is None:
+    if band is None or not at_nominal.feasible[0]:
         if size > MAX_SEARCH_LANES:
             raise InvalidArgument(f"step {step} gives {size} lattice points, more than the "
                                   f"{MAX_SEARCH_LANES} a search may scan; choose a coarser --step")
@@ -499,12 +526,13 @@ def _band_lanes(
     p_nom: Dict[int, float],
     axes: Dict[int, np.ndarray],
     pi: Mapping[int, float],
-) -> Optional[Tuple[np.ndarray, Dict[int, np.ndarray], BatchSolve]]:
-    """Flat C-order indices, coordinates and solve of the lattice points with every |dp_n| <= pi_n.
+) -> Tuple[Optional[BatchSolve], Optional[Tuple[np.ndarray, Dict[int, np.ndarray], BatchSolve]]]:
+    """Lattice point 0's solve, and the band's flat C-order indices, coordinates and solve.
 
-    Along the last lattice axis each investment is monotone in every
-    row: raising one resistance shifts load off its converter onto the
-    others.  A row's band is therefore one run [lo, hi]: lo is the first
+    The band is the lattice points with every |dp_n| <= pi_n.  Along the
+    last lattice axis each investment is monotone in every row: raising
+    one resistance shifts load off its converter onto the others.  A
+    row's band is therefore one run [lo, hi]: lo is the first
     point where the constraints that turn true along the row hold, hi
     the last where those that turn false still hold, with each
     constraint's direction taken from the row's end points.  Each edge
@@ -525,16 +553,18 @@ def _band_lanes(
     :func:`_lattice_blocks`.  An empty band, every row's run empty, comes
     back with no lanes: every lane then has an investment outside its
     budget, on the same premise of monotone rows that the band's edges
-    rest on.  Returns None, meaning "search the whole lattice", when a
+    rest on.  The band is None, meaning "search the whole lattice", when a
     solved point is not viable, a row's end points tie, a check fails or
     2 x rows exceed ``MAX_SEARCH_LANES``; one debug line names the cause,
-    or the rounds and lanes of a search that found the band.
+    or the rounds and lanes of a search that found the band.  Lattice
+    point 0's solve is a lane of the end probe, viable or not; it is None
+    only when the bound on rows stops the search before that probe.
     """
     vsc = sorted(axes)
     width = len(axes[vsc[-1]])
     row_count = math.prod(len(axes[bus]) for bus in vsc[:-1])
     if 2 * row_count > MAX_SEARCH_LANES:
-        return _no_band(f"{row_count} rows, more than MAX_SEARCH_LANES / 2")
+        return None, _no_band(f"{row_count} rows, more than MAX_SEARCH_LANES / 2")
     pi_vec = np.array([pi[bus] for bus in vsc])
 
     def probe(row: np.ndarray, col: np.ndarray) -> Optional[np.ndarray]:
@@ -543,23 +573,16 @@ def _band_lanes(
     middle = [width // 2] if 3 * row_count <= _block_lanes(grid) else []
     cols = np.unique([0, *middle, width - 1])
     end_row, end_col = np.repeat(np.arange(row_count), cols.size), np.tile(cols, row_count)
-    ends = probe(end_row, end_col)
-    if ends is None:
-        return _no_band("a lane of the end probe is not viable")
+    r = _lattice_r(axes, end_row * width + end_col)
+    solved = solve_steady_state_many(grid, dict(nominal.x), r)
+    corner = _batch_lanes(solved, slice(1))  # row 0, column 0
+    if not solved.feasible.all():
+        return corner, _no_band("a lane of the end probe is not viable")
+    ends = _investment(grid, nominal, p_nom, r, solved.v)
     first, last = ends[end_col == 0], ends[end_col == width - 1]
     if np.any(first == last):
-        return _no_band("a row's end points tie")
+        return corner, _no_band("a row's end points tie")
     rising = last > first  # (rows, n_vsc)
-
-    def margins(dp: np.ndarray, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Smallest slack of the constraints that turn true, and of those that turn false.
-
-        A float sum keeps the sign of the exact one, so each slack is
-        >= 0 exactly where its constraint holds.
-        """
-        up, down = dp + pi_vec, pi_vec - dp  # slack of dp >= -pi and of dp <= pi
-        return (np.where(rising[row], up, down).min(axis=1),
-                np.where(rising[row], down, up).min(axis=1))
 
     # Each edge's bracket, with the margins at its ends: lo in (a[0], a[1]]
     # with m_after >= 0 from a[1] on, hi in [b[0], b[1]) with m_before < 0
@@ -568,7 +591,7 @@ def _band_lanes(
     ma, mb = (np.full((2, row_count), np.nan) for _ in range(2))
 
     def narrow(row: np.ndarray, col: np.ndarray, dp: np.ndarray) -> None:
-        m_after, m_before = margins(dp, row)
+        m_after, m_before = _margins(dp, pi_vec, rising[row])
         for ends, m, margin, turned in ((a, ma, m_after, m_after >= 0.0),
                                         (b, mb, m_before, m_before < 0.0)):
             np.minimum.at(ends[1], row[turned], col[turned])
@@ -591,13 +614,14 @@ def _band_lanes(
             est = np.floor(lo + (hi - lo) * t).astype(int)
             for col in (est, est + 1, (lo + hi) // 2):
                 lanes.append(row * width + np.clip(col, lo + 1, hi - 1))
-        lanes = np.unique(np.concatenate(lanes))
+        lanes = np.sort(np.concatenate(lanes))
+        lanes = lanes[np.diff(lanes, prepend=-1) > 0]  # np.unique's hash path takes ~10x as long
         if not lanes.size:
             break
         row, col = np.divmod(lanes, width)
         dp = probe(row, col)
         if dp is None:
-            return _no_band(f"a lane of round {rounds + 1} is not viable")
+            return corner, _no_band(f"a lane of round {rounds + 1} is not viable")
         narrow(row, col, dp)
         rounds, probed = rounds + 1, probed + lanes.size
 
@@ -609,17 +633,44 @@ def _band_lanes(
     r = _lattice_r(axes, row * width + col)
     batch = solve_steady_state_many(grid, dict(nominal.x), r)
     if not batch.feasible.all():
-        return _no_band("a lane of the check batch is not viable")
+        return corner, _no_band("a lane of the check batch is not viable")
     dp = _investment(grid, nominal, p_nom, r, batch.v)
     if not _runs_monotone(dp, rising[row], row):
-        return _no_band("an investment is not monotone along a row")
-    m_after, m_before = margins(dp, row)
+        return corner, _no_band("an investment is not monotone along a row")
+    m_after, m_before = _margins(dp, pi_vec, rising[row])
     inside = (m_after >= 0.0) & (m_before >= 0.0)
     logger.debug("band search: %d lanes in the band; %d probed, %d in the check batch; rounds "
                  "after the end probe: %d", np.count_nonzero(inside), probed, row.size, rounds)
-    parts = (batch.v, batch.feasible, batch.residual)
-    kept = BatchSolve(*(part[inside] for part in parts), batch.sweeps)
-    return row[inside] * width + col[inside], {bus: r[bus][inside] for bus in vsc}, kept
+    band = row[inside] * width + col[inside], {bus: r[bus][inside] for bus in vsc}
+    return corner, (*band, _batch_lanes(batch, inside))
+
+
+def _batch_lanes(batch: BatchSolve, index: slice | np.ndarray) -> BatchSolve:
+    """The lanes ``index`` of a batched solve: the solve each gets alone."""
+    return BatchSolve(batch.v[index], batch.feasible[index], batch.residual[index], batch.sweeps)
+
+
+def _over_converters(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the columns of a (lanes, n_vsc) table, elementwise across lanes.
+
+    Not ``table.min(axis=1)`` and kin, nor ``ufunc.reduce(table.T)``: numpy
+    reduces over each short C-order row on its slow path, which took ~30x
+    as long for min and 10-15x for any on a (2109, 2) table (numpy 2.4).
+    min, any and all are exact, so the fold gives the same bits, NaN too.
+    """
+    return functools.reduce(ufunc, table.T)
+
+
+def _margins(dp: np.ndarray, pi: np.ndarray, rising: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per lane, the smallest slack of the constraints that turn true along its row, and of those
+    that turn false, with ``rising`` each lane's (lanes, n_vsc) row directions.
+
+    A float sum keeps the sign of the exact one, so each slack is >= 0
+    exactly where its constraint holds.
+    """
+    up, down = dp + pi, pi - dp  # slack of dp >= -pi and of dp <= pi
+    return (_over_converters(np.minimum, np.where(rising, up, down)),
+            _over_converters(np.minimum, np.where(rising, down, up)))
 
 
 def _no_band(cause: str) -> None:
@@ -668,7 +719,8 @@ def _score(table: _ChannelTable, pi: Mapping[int, float]) -> Tuple[np.ndarray, n
     headroom = np.array([pi[bus] for bus in buses]) ** 2 - table.dp[:, cols] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (table.h_rx[:, None] / table.phi[:, cols]) ** 2 * headroom
-    return np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(np.min(g, axis=1), 0.0)), g
+    overrun = _over_converters(np.logical_or, headroom < 0.0)
+    return np.where(overrun, 0.0, np.maximum(_over_converters(np.minimum, g), 0.0)), g
 
 
 def _first_max(
@@ -710,7 +762,8 @@ def _band_interior(
     vsc = list(grid.vsc_buses)
     dim = len(vsc)
     r_nom = np.array([nominal.r[bus] for bus in vsc])
-    cap = np.array([_r_limit(grid, nominal, bus) for bus in vsc]) - r_nom
+    nameplate = {bus: grid.vsc(bus).r_max for bus in vsc}
+    cap = np.array(list(_r_limits(grid, nominal, nameplate).values())) - r_nom
     budgets = {bus: pi.get(bus, np.inf) for bus in grid.vsc_buses}
     pi_vec = np.array(list(budgets.values()))
     _, singulars, vt = np.linalg.svd(jacobian)
@@ -745,11 +798,11 @@ def _band_interior(
         bus: nominal.r[bus] + np.linspace(0.0, widths[i], counts[i])
         for i, bus in enumerate(vsc)
     }
-    band = _band_lanes(grid, nominal, state.p, axes, budgets)
+    _, band = _band_lanes(grid, nominal, state.p, axes, budgets)
     feas = np.zeros(counts, dtype=bool)
     for lanes, r, batch in [band] if band is not None else _lattice_blocks(grid, nominal, axes):
         dp = np.nan_to_num(_investment(grid, nominal, state.p, r, batch.v), nan=np.inf)
-        feas.flat[lanes] = batch.feasible & np.all(dp**2 <= pi_vec**2, axis=1)
+        feas.flat[lanes] = batch.feasible & _over_converters(np.logical_and, dp**2 <= pi_vec**2)
     inner = np.zeros_like(feas)
     inner[(slice(1, -1),) * dim] = True
     for axis in range(dim):

@@ -499,7 +499,7 @@ def test_the_probe_sizes_its_box_from_the_investment_jacobian(grid, nominal, bud
 @pytest.mark.parametrize("pi", [{0: 10.0, 1: 10.0}, {0: 10.0}])
 def test_concavity_probe_band_equals_the_box_fallback(grid, nominal, pi, monkeypatch):
     report = concavity_probe(grid, nominal, pi, tx=0, rx=1)
-    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)  # band unknown
+    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: (None, None))  # band unknown
     _blocks_of(997, grid, monkeypatch)  # the box is scanned in blocks
     assert concavity_probe(grid, nominal, pi, tx=0, rx=1) == report
 
@@ -744,7 +744,7 @@ def test_the_band_equals_the_full_lattice_at_its_edges(
         _blocks_of(block, grid, monkeypatch)
     p_nom = solve_steady_state(grid, nominal).p
     axes = optimizer._r_axes(_boxed(box), nominal, DEFAULT_STEP)
-    lanes, r, batch = optimizer._band_lanes(grid, nominal, p_nom, axes, pi)
+    _, (lanes, r, batch) = optimizer._band_lanes(grid, nominal, p_nom, axes, pi)
     lattice = _lattice(grid, nominal, DEFAULT_STEP, box)
     whole = solve_steady_state_many(grid, dict(nominal.x), lattice)
     _, p = vsc_outputs(grid, nominal.with_r(lattice), whole.v.T)
@@ -765,7 +765,7 @@ def test_the_case_study_band_takes_four_solves_after_its_end_probe(grid, nominal
     axes = optimizer._r_axes(grid, nominal, DEFAULT_STEP)
     assert [len(values) for values in axes.values()] == [703, 703]
     solved_lanes.clear()
-    lanes, _, _ = optimizer._band_lanes(grid, nominal, p_nom, axes, {0: 20.0, 1: 20.0})
+    _, (lanes, _, _) = optimizer._band_lanes(grid, nominal, p_nom, axes, {0: 20.0, 1: 20.0})
     assert lanes.size == 203
     end_probe, *after = solved_lanes
     assert end_probe == 3 * 703  # both ends and the middle of every row
@@ -827,7 +827,7 @@ def test_streamed_fallback_equals_the_materialised_argmax(grid, nominal, case, l
     # past viability: blocks of non-viable lanes
     if case == "zero budget":
         budgets, step, box = {0: 0.0, 1: 0.0}, DEFAULT_STEP, {0: 0.42, 1: 0.42}
-        monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)
+        monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: (None, None))
     else:
         budgets, step, box = {0: 10.0, 1: 10.0}, 1.0, {0: 30.0, 1: 30.0}
     _blocks_of(lanes, grid, monkeypatch)
@@ -845,7 +845,7 @@ def test_sweep_scores_band_and_fallback_budgets_alike(grid, boxed, nominal, solv
     pis = [0.0, 2.0, 10.0]  # 0 takes the nominal lane, 2 and 10 the band
     rows = capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)
     with monkeypatch.context() as unknown:  # the band unknown: all three are scanned
-        unknown.setattr(optimizer, "_band_lanes", lambda *args: None)
+        unknown.setattr(optimizer, "_band_lanes", lambda *args: (None, None))
         scanned = capacity_sweep(boxed, nominal, pis, SIGMA_Z, 0, 1)
     _assert_last_solves_cover(solves, _lattice(grid, nominal, DEFAULT_STEP, BOX))
     for pi, row, scan in zip(pis, rows, scanned):
@@ -947,7 +947,7 @@ def test_zero_budgets_pick_the_nominal_lane_without_scanning(grid, nominal, box,
 
 def test_streamed_fallback_memory_does_not_grow_with_the_lattice(grid, boxed, nominal, monkeypatch):
     _blocks_of(200, grid, monkeypatch)
-    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)  # every budget is scanned
+    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: (None, None))  # every budget is scanned
     peaks = []
     for step in (DEFAULT_STEP, DEFAULT_STEP / 2):  # 43 x 63, then 85 x 125 lanes
         tracemalloc.start()
@@ -966,7 +966,7 @@ def test_the_lane_bound_stops_only_a_whole_lattice_scan(grid, boxed, nominal, mo
     pi = {0: 10.0, 1: 10.0}
     result = maximize_snr_grid(boxed, nominal, pi, SIGMA_Z, 0, 1)
     _assert_matches_oracle(result, _lattice_oracle(grid, nominal, pi, SIGMA_Z, 0, 1, DEFAULT_STEP, BOX))
-    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: None)
+    monkeypatch.setattr(optimizer, "_band_lanes", lambda *args: (None, None))
     with pytest.raises(InvalidArgument, match="step 0.005 gives 2709 lattice points"):
         maximize_snr_grid(boxed, nominal, pi, SIGMA_Z, 0, 1)
 
@@ -1002,18 +1002,95 @@ def test_default_box_sweep_solves_a_small_share_of_the_lattice(grid, nominal, so
     "search, calls, lanes",
     [
         (lambda grid, nominal: capacity_sweep(grid, nominal, [2.0, 5.0, 10.0, 15.0, 20.0],
-                                              SIGMA_Z, 0, 1), 8, 5_110),
+                                              SIGMA_Z, 0, 1), 6, 5_109),
         (lambda grid, nominal: maximize_snr_grid(grid, nominal, {0: 10.0, 1: 10.0},
-                                                 SIGMA_Z, 0, 1), 8, 4_813),
-        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 49, 2_936),
+                                                 SIGMA_Z, 0, 1), 6, 4_812),
+        (lambda grid, nominal: concavity_probe(grid, nominal, {0: 10.0, 1: 10.0}, 0, 1), 48, 2_936),
     ],
     ids=["sweep", "optimize", "probe"],
 )
 def test_the_case_study_solves_each_lane_once(grid, nominal, search, calls, lanes, solved_lanes):
-    # the batched solves the search makes, box sizing included: one more lane
-    # here would be a lane solved twice
+    # the batched solves the search makes, box sizing included; the check batch
+    # re-solves the probed lanes between each row's band edges, so a count
+    # that grows is work added to the search
     search(grid, nominal)
     assert (len(solved_lanes), sum(solved_lanes)) == (calls, lanes)
+
+
+def test_the_nominal_corner_rides_in_the_band_search(grid, nominal, solves):
+    # solves: the box caps, the end probe, its rounds, the check batch;
+    # lattice point 0 is a lane of the end probe, not a solve of its own
+    capacity_sweep(grid, nominal, [2.0, 5.0, 10.0, 15.0, 20.0], SIGMA_Z, 0, 1)
+    holding = [k for k, r in enumerate(solves)
+               if np.any((r[0] == nominal.r[0]) & (r[1] == nominal.r[1]))]
+    assert holding == [1, len(solves) - 1]
+    assert solves[1][0].size == 3 * 703
+
+
+def _heavy_converter(helper=False):
+    """Bus 0's converter under a heavy constant-power load; ``helper`` adds a converter 2 ohm off."""
+    buses = (Bus(0, LoadSpec(d_cp=50_000.0), VscSpec(400.0, 0.39)),)
+    if helper:
+        return validate_grid(GridSpec(buses=buses + (Bus(1, LoadSpec(), VscSpec(400.0, 0.39)),),
+                                      lines=(LineSpec(0, 1, 2.0),)))
+    return validate_grid(GridSpec(buses=buses, lines=()))
+
+
+@pytest.mark.parametrize(
+    "make_grid, calls",
+    [
+        (case_study, [2]),  # both caps viable
+        (lambda: _heavy_converter(helper=True), [2] + [1] * 60),  # bus 0's cap is bisected
+        (_heavy_converter, [1] + [1] * 60),  # the grid of the bisection test above
+        (lambda: _boxed({0: 0.6}), [1]),
+        (lambda: _boxed(BOX), []),
+    ],
+    ids=["caps-viable", "one-bisected", "lone-bisected", "one-nameplate", "all-nameplate"],
+)
+def test_the_box_limits_share_one_batch_of_caps(make_grid, calls, solved_lanes):
+    grid = make_grid()
+    nominal = nominal_droop(grid)
+    nameplate = {bus: grid.vsc(bus).r_max for bus in grid.vsc_buses}
+    limits = optimizer._r_limits(grid, nominal, nameplate)
+    assert solved_lanes == calls
+    assert limits == {bus: default_r_max(grid, nominal, bus) if limit is None else limit
+                      for bus, limit in nameplate.items()}
+
+
+@pytest.mark.parametrize("n_vsc", [1, 2, 5])
+def test_the_lane_reductions_equal_the_row_wise_ones_bit_for_bit(n_vsc):
+    # the search reduces over converters lane by lane; numpy's axis=1 reductions
+    # are the reference, on tables with NaN, infinities, signed zeros and
+    # investments beyond their budgets
+    rng = np.random.default_rng(n_vsc)
+    lanes = 500
+
+    def column(*shape):
+        values = rng.normal(scale=20.0, size=shape)
+        special = rng.random(shape) < 0.2
+        values[special] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=special.sum())
+        return values
+
+    vsc = tuple(range(n_vsc))
+    table = optimizer._ChannelTable(vsc=vsc, r={}, feasible=np.ones(lanes, dtype=bool),
+                                    h_rx=column(lanes), phi=column(lanes, n_vsc), dp=column(lanes, n_vsc))
+    pi = {bus: float(rng.uniform(0.0, 30.0)) for bus in vsc[::2]}
+    cols = list(pi)
+    headroom = np.array(list(pi.values())) ** 2 - table.dp[:, cols] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_rows = (table.h_rx[:, None] / table.phi[:, cols]) ** 2 * headroom
+    score_rows = np.where(np.any(headroom < 0.0, axis=1), 0.0, np.maximum(np.min(g_rows, axis=1), 0.0))
+    score, g = optimizer._score(table, pi)
+    assert (score.tobytes(), g.tobytes()) == (score_rows.tobytes(), g_rows.tobytes())
+
+    pi_vec = rng.uniform(0.0, 30.0, n_vsc)
+    rising = rng.random((lanes, n_vsc)) < 0.5
+    up, down = table.dp + pi_vec, pi_vec - table.dp
+    rows = (np.where(rising, up, down).min(axis=1), np.where(rising, down, up).min(axis=1))
+    margins = optimizer._margins(table.dp, pi_vec, rising)
+    assert [m.tobytes() for m in margins] == [m.tobytes() for m in rows]
+    finite = np.isfinite(table.phi)
+    assert optimizer._over_converters(np.logical_and, finite).tobytes() == finite.all(axis=1).tobytes()
 
 
 def test_the_optimum_does_not_depend_on_the_noise(grid, nominal):
